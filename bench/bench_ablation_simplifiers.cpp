@@ -56,8 +56,8 @@ BenchResult run() {
       LoadedKernel k = loadAndAnalyze(cl, row.options);
       if (!k.ok) continue;
       privatized += allListedPrivatizable(k.loop, cl);
-      gars += k.analyzer->stats().garsCreated;
-      peak = std::max(peak, k.analyzer->stats().peakListLength);
+      gars += k.pa.analyzer->stats().garsCreated;
+      peak = std::max(peak, k.pa.analyzer->stats().peakListLength);
     }
     double ms = secondsSince(t0) * 1000;
     std::printf("%-22s |      %2d / 12     |   %10zu | %9zu | %6.1f\n", row.name, privatized,

@@ -67,8 +67,8 @@ BenchResult run() {
       for (int r = 0; r < kRepeat; ++r) {
         LoadedKernel k = loadAndAnalyze(*cl, {});
         if (r == 0 && k.ok) {
-          cost.gars += k.analyzer->stats().garsCreated;
-          cost.peakList = std::max(cost.peakList, k.analyzer->stats().peakListLength);
+          cost.gars += k.pa.analyzer->stats().garsCreated;
+          cost.peakList = std::max(cost.peakList, k.pa.analyzer->stats().peakListLength);
         }
       }
       cost.fullMs += secondsSince(t0) * 1000 / kRepeat;
@@ -105,14 +105,11 @@ BenchResult run() {
     auto t0 = std::chrono::steady_clock::now();
     DiagnosticEngine diags;
     auto p = parseProgram(src, diags);
-    auto sr = analyze(*p, diags);
-    Hsg hsg = buildHsg(*p, *sr, diags);
-    SummaryAnalyzer analyzer(*p, *sr, hsg, {});
-    LoopParallelizer lp(analyzer);
-    auto loops = lp.analyzeProgram();
+    ThreadPool pool(1);
+    ProgramAnalysis pa = analyzeProgramUnit(std::move(*p), {}, pool);
     double ms = secondsSince(t0) * 1000;
     std::printf("%8d | %9.1f | %11.3f   (%zu loops analyzed)\n", routines, ms,
-                ms / routines, loops.size());
+                ms / routines, pa.loops.size());
     result.add("scaling_" + std::to_string(routines) + "_ms", ms, Direction::LowerIsBetter, 3.0,
                "ms").gated = false;
   }

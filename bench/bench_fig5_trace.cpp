@@ -21,30 +21,28 @@ BenchResult run() {
     result.fail("parse failed:\n" + diags.str());
     return result;
   }
-  auto sema = analyze(*p, diags);
-  if (!sema) {
-    result.fail("sema failed:\n" + diags.str());
+  ThreadPool pool(1);
+  ProgramAnalysis pa = analyzeProgramUnit(std::move(*p), {}, pool);
+  if (!pa.ok) {
+    result.fail("analysis failed:\n" + pa.error);
     return result;
   }
-  Hsg hsg = buildHsg(*p, *sema, diags);
 
-  const Procedure* filer = p->findProcedure("filer");
+  const Procedure* filer = pa.program.findProcedure("filer");
   std::printf("-- source --------------------------------------------------------\n%s\n",
               toString(*filer).c_str());
   std::printf("-- HSG of filer (loop nodes carry their body subgraphs) ----------\n%s\n",
-              hsg.of(*filer).graph.str().c_str());
+              pa.hsg.of(*filer).graph.str().c_str());
 
-  SummaryAnalyzer analyzer(*p, *sema, hsg, {});
-  analyzer.analyzeAll();
-  const Stmt* loop = findOuterLoop(*p, "filer", 0);
-  const LoopSummary* ls = analyzer.loopSummary(loop);
+  const Stmt* loop = findOuterLoop(pa.program, "filer", 0);
+  const LoopSummary* ls = pa.analyzer->loopSummary(loop);
   if (!ls) {
     result.fail("no loop summary for the filer I loop");
     return result;
   }
 
-  const SymbolTable& tab = sema->symbols;
-  const ArrayTable& arrays = sema->arrays;
+  const SymbolTable& tab = pa.sema.symbols;
+  const ArrayTable& arrays = pa.sema.arrays;
   std::printf("-- A. per-iteration summaries of the I loop ----------------------\n");
   std::printf("MOD_i   = %s\n", ls->modIter.str(tab, arrays).c_str());
   std::printf("UE_i    = %s\n\n", ls->ueIter.str(tab, arrays).c_str());
@@ -61,10 +59,10 @@ BenchResult run() {
   std::printf("UE_i \xE2\x88\xA9 MOD_<i = %s\n",
               empty == Truth::True ? "EMPTY  ->  A is privatizable" : "not provably empty");
 
-  LoopParallelizer lp(analyzer);
-  LoopAnalysis la = lp.analyzeLoop(*loop, *filer);
-  std::printf("\n-- verdict --------------------------------------------------------\n%s\n",
-              formatLoopAnalysis(la).c_str());
+  for (const LoopAnalysis& la : pa.loops)
+    if (la.loop == loop)
+      std::printf("\n-- verdict --------------------------------------------------------\n%s\n",
+                  formatLoopAnalysis(la).c_str());
 
   result.add("a_privatizable", empty == Truth::True ? 1 : 0, Direction::Exact);
   if (empty != Truth::True) result.fail("UE_i ∩ MOD_<i not provably empty");

@@ -33,7 +33,7 @@ BenchResult run() {
     }
 
     // Trace per-iteration costs.
-    Interpreter interp(k.program, k.sema);
+    Interpreter interp(k.pa.program, k.pa.sema);
     Interpreter::Config cfg;
     cfg.traceLoop = k.loopStmt;
     auto res = interp.run(cfg);
@@ -60,7 +60,7 @@ BenchResult run() {
       privatized.push_back(ap.array);
       if (!ap.needsCopyOut) dead.insert(ap.array);
     }
-    Interpreter scrambled(k.program, k.sema);
+    Interpreter scrambled(k.pa.program, k.pa.sema);
     Interpreter::Config scfg;
     scfg.privatizeLoop = k.loopStmt;
     scfg.privatizedArrays = privatized;

@@ -4,9 +4,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
 
-#include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/deptest/deptest.h"
 #include "panorama/frontend/parser.h"
@@ -16,41 +15,28 @@
 namespace panorama::bench {
 
 struct LoadedKernel {
-  Program program;
-  SemaResult sema;
-  Hsg hsg;
-  std::unique_ptr<SummaryAnalyzer> analyzer;
-  LoopAnalysis loop;
+  ProgramAnalysis pa;  ///< the whole kernel, analyzed on one thread
+  LoopAnalysis loop;   ///< the evaluated loop's entry of pa.loops
   const Stmt* loopStmt = nullptr;
   bool ok = false;
 };
 
 inline LoadedKernel loadAndAnalyze(const CorpusLoop& cl, AnalysisOptions options = {}) {
-  LoadedKernel k;
   DiagnosticEngine diags;
   auto p = parseProgram(cl.source, diags);
-  if (!p) {
-    std::fprintf(stderr, "%s: parse failed\n%s\n", cl.id.c_str(), diags.str().c_str());
-    return k;
-  }
-  k.program = std::move(*p);
-  auto sr = analyze(k.program, diags);
-  if (!sr) {
-    std::fprintf(stderr, "%s: sema failed\n%s\n", cl.id.c_str(), diags.str().c_str());
-    return k;
-  }
-  k.sema = std::move(*sr);
-  k.hsg = buildHsg(k.program, k.sema, diags);
-  k.analyzer = std::make_unique<SummaryAnalyzer>(k.program, k.sema, k.hsg, options);
-  k.analyzer->analyzeAll();
-  k.loopStmt = findOuterLoop(k.program, cl.routine, cl.outerLoopIndex);
-  if (!k.loopStmt) {
-    std::fprintf(stderr, "%s: loop not found\n", cl.id.c_str());
-    return k;
-  }
-  LoopParallelizer lp(*k.analyzer);
-  k.loop = lp.analyzeLoop(*k.loopStmt, *k.program.findProcedure(cl.routine));
-  k.ok = true;
+  if (!p) std::fprintf(stderr, "%s: parse failed\n%s\n", cl.id.c_str(), diags.str().c_str());
+  ThreadPool pool(1);
+  LoadedKernel k{p ? analyzeProgramUnit(std::move(*p), options, pool) : ProgramAnalysis{}, {}};
+  if (p && !k.pa.ok)
+    std::fprintf(stderr, "%s: analysis failed\n%s\n", cl.id.c_str(), k.pa.error.c_str());
+  if (!k.pa.ok) return k;
+  k.loopStmt = findOuterLoop(k.pa.program, cl.routine, cl.outerLoopIndex);
+  for (const LoopAnalysis& la : k.pa.loops)
+    if (k.loopStmt && la.loop == k.loopStmt) {
+      k.loop = la;
+      k.ok = true;
+    }
+  if (!k.ok) std::fprintf(stderr, "%s: loop not found\n", cl.id.c_str());
   return k;
 }
 

@@ -4,8 +4,9 @@
 #     than no run);
 #   * a good run writes all three artifacts, and the profile is the §4.5
 #     cost-profile schema;
-#   * --annotate no longer drops the artifacts on the early-return path.
-# Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir>.
+#   * --annotate no longer drops the artifacts on the early-return path;
+#   * the single-file path honours --no-prefilter and --no-cache.
+# Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir> -DCORPUS_DIR=<corpus/>.
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(BAD "${WORKDIR}/no-such-dir/out.json")
@@ -99,6 +100,54 @@ endif()
 file(READ "${WORKDIR}/tiny.ir" ir)
 if(NOT ir MATCHES "program main" OR NOT ir MATCHES "loop i")
   message(FATAL_ERROR "IR dump lacks the program/loop structure: ${ir}")
+endif()
+
+# The single-file path applies --no-prefilter and --no-cache to the
+# process-wide query tier and cache before analyzing: the reports do not
+# change, the prefilter counters vanish from --metrics, and --stats shows a
+# query cache that kept nothing.
+set(kernel "${CORPUS_DIR}/ARC2D_filerx_15.f")
+execute_process(
+  COMMAND "${DRIVER}" "--metrics=${WORKDIR}/default.json" "${kernel}"
+  RESULT_VARIABLE code OUTPUT_VARIABLE default_out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "default run of ${kernel} failed (${code}): ${err}")
+endif()
+file(READ "${WORKDIR}/default.json" metrics)
+if(NOT metrics MATCHES "\"query.prefilter.attempts\": [1-9]")
+  message(FATAL_ERROR "default run made no prefilter attempts: ${metrics}")
+endif()
+execute_process(
+  COMMAND "${DRIVER}" --no-prefilter "--metrics=${WORKDIR}/no-prefilter.json" "${kernel}"
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "--no-prefilter run failed (${code}): ${err}")
+endif()
+if(NOT out STREQUAL default_out)
+  message(FATAL_ERROR "--no-prefilter changed the reports:\n${out}\n-- vs --\n${default_out}")
+endif()
+file(READ "${WORKDIR}/no-prefilter.json" metrics)
+if(metrics MATCHES "\"query.prefilter.attempts\": [1-9]")
+  message(FATAL_ERROR "--no-prefilter still ran the prefilter tier: ${metrics}")
+endif()
+execute_process(
+  COMMAND "${DRIVER}" --stats "${kernel}"
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT out MATCHES "query cache: [^\n]*, [1-9][0-9]* entries,")
+  message(FATAL_ERROR "--stats shows an empty query cache on a default run: ${out}")
+endif()
+execute_process(
+  COMMAND "${DRIVER}" --no-cache --stats "${kernel}"
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "--no-cache --stats run failed (${code}): ${err}")
+endif()
+string(FIND "${out}" "${default_out}" at)
+if(NOT at EQUAL 0)
+  message(FATAL_ERROR "--no-cache changed the reports:\n${out}\n-- vs --\n${default_out}")
+endif()
+if(NOT out MATCHES "query cache: [^\n]*, 0 entries,")
+  message(FATAL_ERROR "--no-cache --stats shows a populated query cache: ${out}")
 endif()
 
 # The C-like frontend is dispatched by extension and reaches the same

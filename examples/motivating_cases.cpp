@@ -7,7 +7,7 @@
 //   (c) OCEAN — interprocedural implication between callee guards.
 #include <cstdio>
 
-#include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 
@@ -26,18 +26,15 @@ void analyzeCase(const char* title, const char* source, const char* routine,
     std::fprintf(stderr, "parse error:\n%s", diags.str().c_str());
     return;
   }
-  auto sema = analyze(*program, diags);
-  if (!sema) {
-    std::fprintf(stderr, "semantic error:\n%s", diags.str().c_str());
+  ThreadPool pool(1);
+  ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), options, pool);
+  if (!pa.ok) {
+    std::fprintf(stderr, "analysis error:\n%s", pa.error.c_str());
     return;
   }
-  Hsg hsg = buildHsg(*program, *sema, diags);
-  SummaryAnalyzer analyzer(*program, *sema, hsg, options);
-  analyzer.analyzeAll();
-  LoopParallelizer lp(analyzer);
-  const Stmt* loop = findOuterLoop(*program, routine, 0);
-  LoopAnalysis la = lp.analyzeLoop(*loop, *program->findProcedure(routine));
-  std::printf("%s\n", formatLoopAnalysis(la).c_str());
+  const Stmt* loop = findOuterLoop(pa.program, routine, 0);
+  for (const LoopAnalysis& la : pa.loops)
+    if (la.loop == loop) std::printf("%s\n", formatLoopAnalysis(la).c_str());
 }
 
 }  // namespace

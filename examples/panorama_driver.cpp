@@ -248,7 +248,7 @@ bool writeIrDump(const std::string& path, const Program& program) {
 
 int main(int argc, char** argv) {
   AnalysisOptions options;
-  options.numThreads = 1;  // interactive default: the serial driver
+  options.numThreads = 1;  // interactive default: analyze on the calling thread
   bool showSummaries = false;
   bool showHsg = false;
   bool annotateOutput = false;
@@ -554,50 +554,43 @@ int main(int argc, char** argv) {
     }
     program = std::move(rebuilt.program);
   }
-  auto sema = analyze(*program, diags);
-  if (!sema) {
-    std::fprintf(stderr, "%s: semantic analysis failed\n%s", inputName.c_str(),
-                 diags.str().c_str());
-    return 1;
-  }
-  Hsg hsg = buildHsg(*program, *sema, diags);
-  if (diags.hasErrors()) {
-    std::fprintf(stderr, "%s", diags.str().c_str());
-    return 1;
-  }
-
-  if (showHsg) {
-    for (const Procedure& proc : program->procedures) {
-      std::printf("---- HSG of %s ----\n%s\n", proc.name.c_str(),
-                  hsg.of(proc).graph.str().c_str());
-    }
-  }
 
   QueryCache::global().configure(options.cacheCapacity);
   setQueryTierEnabled(options.prefilter);
   clearSimplifyMemo();
   clearFmEliminationCache();
   ThreadPool pool(options.numThreads);
-  SummaryAnalyzer analyzer(*program, *sema, hsg, options);
-  std::vector<LoopAnalysis> loops = analyzeProgramParallel(analyzer, pool);
+  ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), options, pool);
+  if (!pa.ok) {
+    std::fprintf(stderr, "%s: analysis failed\n%s", inputName.c_str(), pa.error.c_str());
+    return 1;
+  }
+
+  if (showHsg) {
+    for (const Procedure& proc : pa.program.procedures) {
+      std::printf("---- HSG of %s ----\n%s\n", proc.name.c_str(),
+                  pa.hsg.of(proc).graph.str().c_str());
+    }
+  }
 
   if (annotateOutput) {
-    std::printf("%s", emitParallelSource(*program, loops).c_str());
+    std::printf("%s", emitParallelSource(pa.program, pa.loops).c_str());
     // --annotate used to return early and silently drop --trace/--metrics
     // dumps; artifacts (and their failure exit) apply here too.
-    publishFileRunMetrics(analyzer.stats(), QueryCache::global().stats(), simplifyMemoStats());
+    publishFileRunMetrics(pa.analyzer->stats(), QueryCache::global().stats(),
+                          simplifyMemoStats());
     return writeObsArtifacts(tracePath, metricsPath, profilePath) ? 0 : 1;
   }
 
-  std::printf("%s: %zu loop(s)\n\n", inputName.c_str(), loops.size());
-  for (const LoopAnalysis& la : loops) {
+  std::printf("%s: %zu loop(s)\n\n", inputName.c_str(), pa.loops.size());
+  for (const LoopAnalysis& la : pa.loops) {
     std::printf("%s", formatLoopAnalysis(la).c_str());
     if (explain) std::printf("%s", formatProvenance(la).c_str());
     if (showSummaries && la.loop) {
-      const LoopSummary* ls = analyzer.loopSummary(la.loop);
+      const LoopSummary* ls = pa.analyzer->loopSummary(la.loop);
       if (ls) {
-        const SymbolTable& tab = sema->symbols;
-        const ArrayTable& arrays = sema->arrays;
+        const SymbolTable& tab = pa.sema.symbols;
+        const ArrayTable& arrays = pa.sema.arrays;
         std::printf("      MOD_i  = %s\n", ls->modIter.str(tab, arrays).c_str());
         std::printf("      UE_i   = %s\n", ls->ueIter.str(tab, arrays).c_str());
         std::printf("      DE_i   = %s\n", ls->deIter.str(tab, arrays).c_str());
@@ -609,7 +602,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  SummaryStats s = analyzer.stats();
+  SummaryStats s = pa.analyzer->stats();
   QueryCache::Stats qc = QueryCache::global().stats();
   QueryCache::Stats memo = simplifyMemoStats();
   publishFileRunMetrics(s, qc, memo);

@@ -5,7 +5,7 @@
 // they do not).
 #include <cstdio>
 
-#include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/deptest/deptest.h"
 #include "panorama/frontend/parser.h"
@@ -18,23 +18,19 @@ int main() {
   int viaPrivatization = 0;
   int conventionalEnough = 0;
 
+  ThreadPool pool(1);
   for (const CorpusLoop& cl : perfectCorpus()) {
     std::printf("================ %s ================\n", cl.id.c_str());
     DiagnosticEngine diags;
     auto program = parseProgram(cl.source, diags);
-    auto sema = analyze(*program, diags);
-    if (!sema) {
-      std::fprintf(stderr, "%s: %s\n", cl.id.c_str(), diags.str().c_str());
+    ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), {}, pool);
+    if (!pa.ok) {
+      std::fprintf(stderr, "%s: %s\n", cl.id.c_str(), pa.error.c_str());
       continue;
     }
-    Hsg hsg = buildHsg(*program, *sema, diags);
-    SummaryAnalyzer analyzer(*program, *sema, hsg, {});
-    ConventionalAnalyzer conventional(*program, *sema);
-    LoopParallelizer lp(analyzer);
-
-    std::vector<LoopAnalysis> loops = lp.analyzeProgram();
+    ConventionalAnalyzer conventional(pa.program, pa.sema);
     auto verdicts = conventional.classifyProgram();
-    for (const LoopAnalysis& la : loops) {
+    for (const LoopAnalysis& la : pa.loops) {
       ++total;
       bool convParallel = false;
       for (const auto& [stmt, verdict] : verdicts)

@@ -5,7 +5,7 @@
 // Build & run:   cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 
-#include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 
 using namespace panorama;
@@ -34,31 +34,29 @@ int main() {
     std::fprintf(stderr, "parse error:\n%s", diags.str().c_str());
     return 1;
   }
-  auto sema = analyze(*program, diags);
-  if (!sema) {
-    std::fprintf(stderr, "semantic error:\n%s", diags.str().c_str());
+  // Sema, HSG, GAR summaries and per-loop privatization, on one thread.
+  ThreadPool pool(1);
+  ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), AnalysisOptions{}, pool);
+  if (!pa.ok) {
+    std::fprintf(stderr, "analysis error:\n%s", pa.error.c_str());
     return 1;
   }
-  Hsg hsg = buildHsg(*program, *sema, diags);
-
-  SummaryAnalyzer analyzer(*program, *sema, hsg, AnalysisOptions{});
-  LoopParallelizer parallelizer(analyzer);
-  std::vector<LoopAnalysis> loops = parallelizer.analyzeProgram();
 
   std::printf("Analysis of subroutine `smooth`\n");
   std::printf("===============================\n\n");
-  for (const LoopAnalysis& la : loops)
+  for (const LoopAnalysis& la : pa.loops)
     std::printf("%s\n", formatLoopAnalysis(la).c_str());
 
   // The per-loop symbolic summaries are available too:
-  const Procedure* proc = program->findProcedure("smooth");
+  const SemaResult& sema = pa.sema;
+  const Procedure* proc = pa.program.findProcedure("smooth");
   for (const StmtPtr& s : proc->body) {
     if (s->kind != Stmt::Kind::Do) continue;
-    const LoopSummary* ls = analyzer.loopSummary(s.get());
+    const LoopSummary* ls = pa.analyzer->loopSummary(s.get());
     std::printf("Per-iteration summaries of the outer loop:\n");
-    std::printf("  MOD_i  = %s\n", ls->modIter.str(sema->symbols, sema->arrays).c_str());
-    std::printf("  UE_i   = %s\n", ls->ueIter.str(sema->symbols, sema->arrays).c_str());
-    std::printf("  MOD_<i = %s\n", ls->modBefore.str(sema->symbols, sema->arrays).c_str());
+    std::printf("  MOD_i  = %s\n", ls->modIter.str(sema.symbols, sema.arrays).c_str());
+    std::printf("  UE_i   = %s\n", ls->ueIter.str(sema.symbols, sema.arrays).c_str());
+    std::printf("  MOD_<i = %s\n", ls->modBefore.str(sema.symbols, sema.arrays).c_str());
   }
   return 0;
 }

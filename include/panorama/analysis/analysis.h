@@ -76,9 +76,6 @@ class LoopParallelizer {
   /// summarized).
   LoopAnalysis analyzeLoop(const Stmt& doStmt, const Procedure& proc);
 
-  /// Analyzes every loop of every procedure, outermost first.
-  std::vector<LoopAnalysis> analyzeProgram();
-
  private:
   Truth intersectionEmpty(const GarList& a, const GarList& b, const CmpCtx& ctx) const;
   CmpCtx loopCtx(const LoopSummary& ls) const;

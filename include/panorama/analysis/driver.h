@@ -1,6 +1,8 @@
-// The parallel analysis driver: schedules per-procedure summary
-// construction in reverse-topological call-graph waves on a work-stealing
-// thread pool, then fans the per-loop analyses out across the same pool.
+// The analysis scheduler: builds procedure summaries in reverse-topological
+// call-graph waves on a work-stealing thread pool, then fans the per-loop
+// analyses out across the same pool. Batch runs (analyzeProgramUnit) and
+// incremental sessions (AnalysisSession::submit) both schedule through
+// analyzeProgramParallel; a 1-thread pool runs the same schedule inline.
 //
 // Correctness model (see DESIGN.md §"Parallel driver"):
 //   * Procedures in one wave only call procedures of earlier waves, so a
@@ -10,9 +12,8 @@
 //     respect to the analyzer, so they fan out freely once the summaries
 //     exist.
 //   * Symbolic query verdicts are memoized in the process-global QueryCache
-//     under exact structural keys; numThreads == 1 bypasses the wave
-//     scheduler entirely and runs the original serial driver, bit-identical
-//     to the pre-parallel analyzer.
+//     under exact structural keys, so results are identical at every pool
+//     size and under any completion order.
 #pragma once
 
 #include <cstddef>
@@ -34,15 +35,22 @@ namespace panorama {
 /// procedures keep their bottomUpOrder relative order (determinism).
 std::vector<std::vector<const Procedure*>> callGraphWaves(const SemaResult& sema);
 
-/// Parallel analogue of LoopParallelizer::analyzeProgram(): summarizes
-/// procedures wave-by-wave on `pool`, then analyzes every DO loop
-/// concurrently. The result vector order is identical to the serial
-/// driver's. With pool.threadCount() <= 1 this *is* the serial driver.
-std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool);
+/// One DO loop to analyze, with the procedure that contains it.
+struct LoopSite {
+  const Stmt* loop = nullptr;
+  const Procedure* proc = nullptr;
+};
+
+/// The one analysis scheduler: summarizes every procedure of the analyzer's
+/// program wave-by-wave on `pool` (memoized summaries return at once), then
+/// analyzes `loops` concurrently. The result is position-aligned with
+/// `loops` regardless of pool size or completion order.
+std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool,
+                                                 const std::vector<LoopSite>& loops);
 
 /// Everything one analyzed program owns. The analyzer keeps references into
-/// program/sema/hsg, so the four live (and die) together; `loops` is in the
-/// serial driver's walk order.
+/// program/sema/hsg, so the four live (and die) together; `loops` holds every
+/// DO loop, procedures in bottom-up order and loops in collectDoLoops order.
 struct ProgramAnalysis {
   Program program;
   SemaResult sema;
@@ -55,9 +63,9 @@ struct ProgramAnalysis {
 
 /// Frontend-neutral batch entry point: analyzes a pre-sema `Program` from
 /// any producer — the F77 parser, the C-like frontend, or a ProgramBuilder —
-/// through sema → HSG → call-graph-wave summaries → per-loop fan-out on
-/// `pool`. The corpus driver, the single-file driver, and the second
-/// frontend all converge here; only the text-to-Program step differs.
+/// through sema → HSG → analyzeProgramParallel on `pool`. The corpus driver,
+/// the single-file driver, and the second frontend all converge here; only
+/// the text-to-Program step differs.
 ProgramAnalysis analyzeProgramUnit(Program program, const AnalysisOptions& options,
                                    ThreadPool& pool);
 
@@ -93,12 +101,12 @@ struct CorpusAnalysisResult {
 /// scheduling kernels — and the call-graph waves inside each — on one
 /// shared pool sized by options.numThreads, with the global query cache
 /// configured to options.cacheCapacity. Kernel and loop order in the
-/// result is fixed (corpus order, serial walk order) regardless of thread
-/// count. Quantified runs parallelize like any other: each analyzer
-/// carries its own ψ binding (PsiDims in CmpCtx), so kernels never share
-/// mutable symbolic state. `ingest` selects the direct parser path or the
-/// builder round-trip replay (`--via-builder`); both must produce identical
-/// loop reports — CI diffs them.
+/// result is fixed (corpus order, then ProgramAnalysis::loops order)
+/// regardless of thread count. Quantified runs parallelize like any other:
+/// each analyzer carries its own ψ binding (PsiDims in CmpCtx), so kernels
+/// never share mutable symbolic state. `ingest` selects the direct parser
+/// path or the builder round-trip replay (`--via-builder`); both must produce
+/// identical loop reports — CI diffs them.
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options = {},
                                            CorpusIngest ingest = CorpusIngest::Parse);
 

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,14 @@ struct Program {
 
   const Procedure* findProcedure(std::string_view name) const;
 };
+
+/// The DO statements of `stmts` and everything nested in them, in pre-order
+/// (a loop before its body; then-, else-, then loop-body lists). This is the
+/// order loop reports are emitted in and the order session snapshots index
+/// loop summaries by. A procedure's list is the concatenation of its
+/// top-level statements' lists, so `std::span(body).subspan(k, 1)` yields
+/// statement k's slice of it.
+std::vector<const Stmt*> collectDoLoops(std::span<const StmtPtr> stmts);
 
 /// Pretty-printer (round-trippable enough for golden tests and examples).
 std::string toString(const Expr& e);

@@ -191,11 +191,7 @@ class AnalysisSession {
   /// reports, and every memoized procedure snapshot — into a versioned,
   /// integrity-hashed snapshot at `path` (temp-file + rename, so a crash
   /// never leaves a torn file). Fails on a dead session or unwritable path.
-  /// `schemaVersion` selects the container schema (kSchemaVersion, the
-  /// default, or the legacy v1 layout — kept writable so the v1 read path
-  /// stays honestly testable).
-  store::StoreResult save(const std::string& path,
-                          std::uint32_t schemaVersion = store::kSchemaVersion) const;
+  store::StoreResult save(const std::string& path) const;
 
   /// Replaces this session's state with a snapshot previously produced by
   /// save(). The next submit behaves exactly like a warm submit against the
@@ -240,7 +236,7 @@ class AnalysisSession {
     std::map<std::string, std::uint64_t> calleeEpochs;  ///< deps' epochs then
     std::vector<CachedLoop> loops;   ///< walk-order loop reports
     /// One per top-level body statement; empty disables item-granular reuse
-    /// for this unit (v1 snapshot restores).
+    /// for this unit.
     std::vector<ItemRecord> items;
   };
 
@@ -262,19 +258,14 @@ class AnalysisSession {
   SessionResult fileSkipLocked();
 
   /// `procName: DO var (line N): ` + reportTail — the inverse of the header
-  /// split cacheLoopAnalysis performs. An empty doVar (unsplittable v1
-  /// report) returns the tail verbatim.
+  /// split cacheLoopAnalysis performs.
   static std::string composeLoopReport(const CachedLoop& cl);
   /// Caches a fresh loop analysis headerless.
   static CachedLoop cacheLoopAnalysis(const LoopAnalysis& la);
-  /// v1-snapshot restore: recovers (doVar, reportTail) from a composed
-  /// report string; `cl.procName` must already be set. Returns false (and
-  /// leaves cl's report fields untouched) when the header does not parse.
-  static bool splitLoopReport(const std::string& report, CachedLoop& cl);
 
   /// save()/restore() live in src/store/session_io.cpp (the serialization
   /// layer needs the privates; the session logic stays here).
-  store::StoreResult saveLocked(const std::string& path, std::uint32_t schemaVersion) const;
+  store::StoreResult saveLocked(const std::string& path) const;
   store::StoreResult restoreLocked(const std::string& path);
 
   /// One session-wide lock: submits, option changes, and save/restore

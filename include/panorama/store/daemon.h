@@ -110,9 +110,9 @@ class Daemon {
   bool start(std::string& error);
 
   /// Blocks until the service ends (a client's shutdown request or stop()),
-  /// then joins every handler thread and the telemetry thread, draining the
-  /// last events to the JSONL sink. Call from the thread that started the
-  /// daemon.
+  /// then joins every remaining handler thread and the telemetry thread,
+  /// draining the last events to the JSONL sink. Call from the thread that
+  /// started the daemon.
   void wait();
 
   /// Requests shutdown: stops accepting, shuts down live client
@@ -171,11 +171,21 @@ class Daemon {
   std::atomic<bool> stopping_{false};
   std::thread acceptThread_;
 
-  /// Guards clientFds_/handlers_ and every close/shutdown of a client fd,
-  /// so stop() can never race a handler's close into a recycled fd.
+  /// Guards clientFds_/the handler containers and every close/shutdown of a
+  /// client fd, so stop() can never race a handler's close into a recycled
+  /// fd.
   std::mutex mutex_;
   std::vector<int> clientFds_;
-  std::vector<std::thread> handlers_;
+  /// Handler threads of open connections, by client id. A handler whose
+  /// connection closed moves its own thread to finishedHandlers_; the accept
+  /// loop joins those when the next connection arrives, and wait() joins
+  /// the rest, so a closed connection does not pin its thread until
+  /// shutdown.
+  std::map<std::uint64_t, std::thread> handlers_;
+  std::vector<std::thread> finishedHandlers_;
+  /// Handler threads not yet joined (both containers) — the `status` op's
+  /// connections.handler_threads.
+  std::atomic<std::uint64_t> handlerThreads_{0};
 
   std::mutex stopMutex_;
   std::condition_variable stopCv_;

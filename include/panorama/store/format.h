@@ -20,13 +20,11 @@
 namespace panorama::store {
 
 inline constexpr std::uint32_t kMagic = 0x4f4e4150u;  // "PANO", little-endian
-/// Current schema: v2 adds per-unit declaration-frame hashes, item records
-/// (the loop-granular reuse keys of DESIGN.md §4.9), and headerless cached
-/// reports. v1 snapshots still restore (their units simply carry no item
-/// records, so restored sessions fall back to procedure-granular reuse
-/// until the first submit refreshes them).
+/// The one schema this build reads and writes. v2 carries per-unit
+/// declaration-frame hashes, item records (the loop-granular reuse keys of
+/// DESIGN.md §4.9), and headerless cached reports; any other version is
+/// rejected as version skew.
 inline constexpr std::uint32_t kSchemaVersion = 2;
-inline constexpr std::uint32_t kMinSchemaVersion = 1;
 inline constexpr std::size_t kHeaderBytes = 24;
 
 /// FNV-1a over a byte range — the payload integrity hash (and the session's
@@ -91,17 +89,14 @@ class Reader {
   std::string error_;
 };
 
-/// Frames `payload` with the header (stamped `schemaVersion`) and writes it
+/// Frames `payload` with the header (stamped kSchemaVersion) and writes it
 /// crash-consistently: temp file in the target directory, then rename over
 /// `path`.
-StoreResult writeSnapshotFile(const std::string& path, const std::string& payload,
-                              std::uint32_t schemaVersion = kSchemaVersion);
+StoreResult writeSnapshotFile(const std::string& path, const std::string& payload);
 
-/// Reads `path`, verifies magic/size/hash and that the version lies in
-/// [kMinSchemaVersion, kSchemaVersion], and returns the payload in `payload`
-/// and the header's version in `version` (so the caller selects the payload
-/// decoder). Any defect yields a structured diagnostic.
-StoreResult readSnapshotFile(const std::string& path, std::string& payload,
-                             std::uint32_t& version);
+/// Reads `path`, verifies magic, that the version is kSchemaVersion, size,
+/// and hash, and returns the payload in `payload`. Any defect yields a
+/// structured diagnostic.
+StoreResult readSnapshotFile(const std::string& path, std::string& payload);
 
 }  // namespace panorama::store

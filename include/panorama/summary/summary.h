@@ -36,9 +36,10 @@ struct AnalysisOptions {
   bool prefilter = true;
   SimplifyOptions simplify;      ///< predicate-simplifier budgets
 
-  // ----- execution options (the parallel analysis driver) -----
+  // ----- execution options (the analysis scheduler) -----
   /// Analysis workers, calling thread included. 0 = hardware_concurrency().
-  /// 1 selects the serial path, bit-identical to the pre-driver analyzer.
+  /// Every value runs the same call-graph-wave schedule (1 runs it inline on
+  /// the calling thread) and yields byte-identical reports.
   std::size_t numThreads = 0;
   /// Incremental sessions: reuse cached per-loop verdicts inside *modified*
   /// procedures when the loop's statement subtree, downstream suffix,
@@ -102,9 +103,6 @@ class SummaryAnalyzer {
   /// Per-loop summaries become available once the enclosing procedure has
   /// been summarized. nullptr if unknown.
   const LoopSummary* loopSummary(const Stmt* doStmt) const;
-
-  /// Runs the analysis over every procedure (main last).
-  void analyzeAll();
 
   // ----- incremental-session support (see session/session.h) -----
 

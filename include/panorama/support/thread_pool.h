@@ -9,8 +9,9 @@
 // deadlock-free.
 //
 // With threadCount() == 1 no workers exist and runBatch executes the tasks
-// inline, in submission order, on the calling thread — the serial path the
-// determinism tests compare against.
+// inline, in submission order, on the calling thread; a one-task batch runs
+// inline on any pool. Callers therefore schedule the same batches at every
+// pool size and need no serial special case.
 #pragma once
 
 #include <atomic>

@@ -53,10 +53,8 @@ std::vector<std::vector<const Procedure*>> callGraphWaves(const SemaResult& sema
   return waves;
 }
 
-std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool) {
-  LoopParallelizer lp(analyzer);
-  if (pool.threadCount() <= 1) return lp.analyzeProgram();  // serial, bit-identical
-
+std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool,
+                                                 const std::vector<LoopSite>& loops) {
   // Wave k's procedures only call procedures summarized in earlier waves,
   // so each batch races on nothing but the (lock-guarded) memo maps.
   std::size_t waveIndex = 0;
@@ -70,32 +68,14 @@ std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, Thre
     pool.runBatch(std::move(tasks));
   }
 
-  // Fan the per-loop analyses out. Loops are collected in the serial
-  // driver's walk order and written by index, so the result vector is
-  // position-identical to analyzeProgram() regardless of completion order.
-  struct Item {
-    const Stmt* loop;
-    const Procedure* proc;
-  };
-  std::vector<Item> items;
-  for (const Procedure* proc : analyzer.sema().bottomUpOrder) {
-    std::function<void(const std::vector<StmtPtr>&)> walk =
-        [&](const std::vector<StmtPtr>& body) {
-          for (const StmtPtr& s : body) {
-            if (s->kind == Stmt::Kind::Do) items.push_back({s.get(), proc});
-            walk(s->thenBody);
-            walk(s->elseBody);
-            walk(s->body);
-          }
-        };
-    walk(proc->body);
-  }
-
-  std::vector<LoopAnalysis> out(items.size());
+  // Results are written by index, so their order is the caller's.
+  LoopParallelizer lp(analyzer);
+  std::vector<LoopAnalysis> out(loops.size());
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(items.size());
-  for (std::size_t k = 0; k < items.size(); ++k)
-    tasks.push_back([&lp, &out, &items, k] { out[k] = lp.analyzeLoop(*items[k].loop, *items[k].proc); });
+  tasks.reserve(loops.size());
+  for (std::size_t k = 0; k < loops.size(); ++k)
+    tasks.push_back(
+        [&lp, &out, &loops, k] { out[k] = lp.analyzeLoop(*loops[k].loop, *loops[k].proc); });
   pool.runBatch(std::move(tasks));
   return out;
 }
@@ -123,7 +103,10 @@ ProgramAnalysis analyzeProgramUnit(Program program, const AnalysisOptions& optio
     return out;
   }
   out.analyzer = std::make_unique<SummaryAnalyzer>(out.program, out.sema, out.hsg, options);
-  out.loops = analyzeProgramParallel(*out.analyzer, pool);
+  std::vector<LoopSite> loops;
+  for (const Procedure* proc : out.sema.bottomUpOrder)
+    for (const Stmt* loop : collectDoLoops(proc->body)) loops.push_back({loop, proc});
+  out.loops = analyzeProgramParallel(*out.analyzer, pool, loops);
   out.ok = true;
   return out;
 }

@@ -431,21 +431,4 @@ void LoopParallelizer::classifyScalars(const Stmt& doStmt, const Procedure& proc
   }
 }
 
-std::vector<LoopAnalysis> LoopParallelizer::analyzeProgram() {
-  std::vector<LoopAnalysis> out;
-  analyzer_.analyzeAll();
-  for (const Procedure* proc : analyzer_.sema().bottomUpOrder) {
-    std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& b) {
-      for (const StmtPtr& s : b) {
-        if (s->kind == Stmt::Kind::Do) out.push_back(analyzeLoop(*s, *proc));
-        walk(s->thenBody);
-        walk(s->elseBody);
-        walk(s->body);
-      }
-    };
-    walk(proc->body);
-  }
-  return out;
-}
-
 }  // namespace panorama

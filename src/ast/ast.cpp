@@ -1,6 +1,7 @@
 #include "panorama/ast/ast.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace panorama {
 
@@ -98,6 +99,20 @@ const Procedure* Program::findProcedure(std::string_view name) const {
   auto it = std::find_if(procedures.begin(), procedures.end(),
                          [&](const Procedure& p) { return p.name == name; });
   return it == procedures.end() ? nullptr : &*it;
+}
+
+std::vector<const Stmt*> collectDoLoops(std::span<const StmtPtr> stmts) {
+  std::vector<const Stmt*> out;
+  std::function<void(std::span<const StmtPtr>)> walk = [&](std::span<const StmtPtr> list) {
+    for (const StmtPtr& s : list) {
+      if (s->kind == Stmt::Kind::Do) out.push_back(s.get());
+      walk(s->thenBody);
+      walk(s->elseBody);
+      walk(s->body);
+    }
+  };
+  walk(stmts);
+  return out;
 }
 
 }  // namespace panorama

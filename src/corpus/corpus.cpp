@@ -4,716 +4,77 @@ namespace panorama {
 
 namespace {
 
-// --------------------------------------------------------------------------
-// TRACK nlfilt/300 — Kalman-filter style working vectors filled and consumed
-// through subroutine calls with constant extents. Interprocedural analysis
-// alone privatizes them (Table 1: T3 only).
-// --------------------------------------------------------------------------
-const char* kTrackNlfilt = R"(
-      program track
-      real xt(4, 64), pr(64)
-      common /tk/ xt, pr
-      integer nu
-      nu = 48
-      call nlfilt(nu)
-      end
-
-      subroutine nlfilt(nu)
-      integer nu
-      real xt(4, 64), pr(64)
-      common /tk/ xt, pr
-      real p1(4), p2(4), p(4), pp1(16), pp2(16), pp(16), xsd(4)
-      do 300 i = 1, nu
-        call predc(p1, p2, i)
-        call predp(pp1, pp2, i)
-        call combo(p, pp, p1, p2, pp1, pp2)
-        call fsim(xsd, p, pp, i)
-        pr(i) = xsd(1) + xsd(2) + xsd(3) + xsd(4)
-        xt(1, i) = p(1) + pp(1)
- 300  continue
-      end
-
-      subroutine predc(q1, q2, ii)
-      real q1(4), q2(4)
-      integer ii
-      do k = 1, 4
-        q1(k) = k * ii
-        q2(k) = k + ii
-      enddo
-      end
-
-      subroutine predp(qq1, qq2, ii)
-      real qq1(16), qq2(16)
-      integer ii
-      do k = 1, 16
-        qq1(k) = k * ii
-        qq2(k) = k - ii
-      enddo
-      end
-
-      subroutine combo(p, pp, p1, p2, pp1, pp2)
-      real p(4), pp(16), p1(4), p2(4), pp1(16), pp2(16)
-      do k = 1, 4
-        p(k) = p1(k) + p2(k)
-      enddo
-      do k = 1, 16
-        pp(k) = pp1(k) * pp2(k)
-      enddo
-      end
-
-      subroutine fsim(xsd, p, pp, ii)
-      real xsd(4), p(4), pp(16)
-      integer ii
-      do k = 1, 4
-        xsd(k) = p(k) + pp(4*k - 3) + ii
-      enddo
-      end
-)";
-
-// --------------------------------------------------------------------------
-// MDG interf/1000 — the hard one. Work vectors with symbolic extents (T1)
-// filled through calls (T3), one of them written/consumed under matching IF
-// conditions (T2), and RL exhibiting the Figure 1(a) pattern that defeats
-// the base analysis (Table 2 status "no").
-// --------------------------------------------------------------------------
-const char* kMdgInterf = R"(
-      program mdg
-      real res(100)
-      common /md/ res
-      integer nmol1, n14
-      real cut2
-      nmol1 = 40
-      n14 = 12
-      cut2 = 50.0
-      call interf(nmol1, n14, cut2)
-      end
-
-      subroutine interf(nmol1, n14, cut2)
-      integer nmol1, n14
-      real cut2
-      real res(100)
-      common /md/ res
-      real rs(20), ff(20), gg(20), xl(20), yl(20), zl(20), rl(20)
-      integer kc
-      real ttemp
-      do 1000 i = 1, nmol1
-        call dists(rs, xl, yl, zl, n14, i)
-        call forces(ff, gg, xl, yl, zl, n14, cut2)
-        kc = 0
-        do k = 1, 9
-          if (rs(k) .gt. cut2) kc = kc + 1
-        enddo
-        do 2 k = 2, 5
-          if (rs(k + 4) .gt. cut2) goto 2
-          rl(k + 4) = rs(k + 4) * 0.5
- 2      continue
-        if (kc .ne. 0) goto 3
-        do k = 11, 14
-          ttemp = rl(k - 5) + rs(k - 5)
-          res(i) = res(i) + ttemp
-        enddo
- 3      continue
-        do k = 1, n14
-          res(i) = res(i) + ff(k)
-        enddo
- 1000 continue
-      end
-
-      subroutine dists(rs, xl, yl, zl, nn, ii)
-      real rs(20), xl(20), yl(20), zl(20)
-      integer nn, ii
-      do k = 1, 20
-        rs(k) = k + ii * 2
-      enddo
-      do k = 1, nn
-        xl(k) = k + ii
-        yl(k) = k * 2
-        zl(k) = k - ii
-      enddo
-      end
-
-      subroutine forces(ff, gg, xl, yl, zl, nn, cut2)
-      real ff(20), gg(20), xl(20), yl(20), zl(20)
-      integer nn
-      real cut2
-      if (cut2 .gt. 10.0) then
-        do k = 1, nn
-          gg(k) = xl(k) * 0.5
-        enddo
-      endif
-      do k = 1, nn
-        ff(k) = xl(k) + yl(k) + zl(k)
-        if (cut2 .gt. 10.0) then
-          ff(k) = ff(k) + gg(k)
-        endif
-      enddo
-      end
-)";
-
-// --------------------------------------------------------------------------
-// MDG poteng/2000 — constant-extent neighbor vectors through calls (T3).
-// --------------------------------------------------------------------------
-const char* kMdgPoteng = R"(
-      program mdgp
-      real epot(128)
-      common /mp/ epot
-      integer nmol
-      nmol = 56
-      call poteng(nmol)
-      end
-
-      subroutine poteng(nmol)
-      integer nmol
-      real epot(128)
-      common /mp/ epot
-      real rs(30), rl(30), xl(30), yl(30), zl(30)
-      do 2000 i = 1, nmol
-        call pairs(rs, rl, xl, yl, zl, i)
-        call accum(rs, rl, xl, yl, zl, i)
- 2000 continue
-      end
-
-      subroutine pairs(rs, rl, xl, yl, zl, ii)
-      real rs(30), rl(30), xl(30), yl(30), zl(30)
-      integer ii
-      do k = 1, 30
-        xl(k) = k + ii
-        yl(k) = k * 2 + ii
-        zl(k) = k - ii
-        rs(k) = xl(k) + yl(k)
-        rl(k) = rs(k) + zl(k)
-      enddo
-      end
-
-      subroutine accum(rs, rl, xl, yl, zl, ii)
-      real rs(30), rl(30), xl(30), yl(30), zl(30)
-      integer ii
-      real epot(128)
-      common /mp/ epot
-      do k = 1, 30
-        epot(ii) = epot(ii) + rs(k) + rl(k) + xl(k) + yl(k) + zl(k)
-      enddo
-      end
-)";
-
-// --------------------------------------------------------------------------
-// TRFD olda/100 — intraprocedural work vectors with symbolic extents (T1).
-// --------------------------------------------------------------------------
-const char* kTrfdOlda100 = R"(
-      program trfd1
-      real x(64, 64)
-      common /t1/ x
-      integer nrs, mrs
-      nrs = 40
-      mrs = 24
-      call olda1(nrs, mrs)
-      end
-
-      subroutine olda1(nrs, mrs)
-      integer nrs, mrs
-      real x(64, 64)
-      common /t1/ x
-      real xrsiq(64), xij(64)
-      do 100 i = 1, nrs
-        do j = 1, mrs
-          xrsiq(j) = x(i, j) * 2.0
-        enddo
-        do j = 1, mrs
-          xij(j) = xrsiq(j) + 1.0
-        enddo
-        do j = 1, mrs
-          x(i, j) = xij(j)
-        enddo
- 100  continue
-      end
-)";
-
-// --------------------------------------------------------------------------
-// TRFD olda/300 — same flavor, second transformation stage.
-// --------------------------------------------------------------------------
-const char* kTrfdOlda300 = R"(
-      program trfd3
-      real v(64, 64)
-      common /t3/ v
-      integer num, morb
-      num = 36
-      morb = 20
-      call olda3(num, morb)
-      end
-
-      subroutine olda3(num, morb)
-      integer num, morb
-      real v(64, 64)
-      common /t3/ v
-      real xijks(64), xkl(64)
-      do 300 i = 1, num
-        do k = 1, morb
-          xkl(k) = v(i, k) + 2.0
-        enddo
-        do k = 1, morb
-          xijks(k) = xkl(k) * v(i, k)
-        enddo
-        do k = 1, morb
-          v(i, k) = xijks(k)
-        enddo
- 300  continue
-      end
-)";
-
-// --------------------------------------------------------------------------
-// OCEAN ocean/270, /480, /500 — the Figure 1(c) shape: CWORK written and
-// consumed by callees whose early-return guards match (T1+T2+T3).
-// --------------------------------------------------------------------------
-const char* kOcean270 = R"(
-      program ocean2
-      real grid(80, 80)
-      common /oc/ grid
-      integer n, m
-      n = 44
-      m = 28
-      call ocean270(n, m)
-      end
-
-      subroutine ocean270(n, m)
-      integer n, m
-      real grid(80, 80)
-      common /oc/ grid
-      real cwork(80)
-      real sc
-      do 270 i = 1, n
-        sc = i * 1.0
-        call ftrvmt(cwork, sc, m)
-        call rstore(cwork, sc, m, i)
- 270  continue
-      end
-
-      subroutine ftrvmt(b, sc, mm)
-      real b(80)
-      real sc
-      integer mm
-      if (sc .gt. 75.0) return
-      do j = 1, mm
-        b(j) = sc + j
-      enddo
-      end
-
-      subroutine rstore(b, sc, mm, ii)
-      real b(80)
-      real sc
-      integer mm, ii
-      real grid(80, 80)
-      common /oc/ grid
-      if (sc .gt. 75.0) return
-      do j = 1, mm
-        grid(ii, j) = b(j)
-      enddo
-      end
-)";
-
-const char* kOcean480 = R"(
-      program ocean4
-      real grid(80, 80)
-      common /oc4/ grid
-      integer n, m
-      n = 40
-      m = 24
-      call ocean480(n, m)
-      end
-
-      subroutine ocean480(n, m)
-      integer n, m
-      real grid(80, 80)
-      common /oc4/ grid
-      real cwork(80), cwork2(80)
-      real sc
-      do 480 i = 1, n
-        sc = i * 1.0
-        call ftr4(cwork, cwork2, sc, m)
-        call str4(cwork, cwork2, sc, m, i)
- 480  continue
-      end
-
-      subroutine ftr4(b, b2, sc, mm)
-      real b(80), b2(80)
-      real sc
-      integer mm
-      if (sc .gt. 70.0) return
-      do j = 1, mm
-        b(j) = sc + j
-        b2(j) = sc - j
-      enddo
-      end
-
-      subroutine str4(b, b2, sc, mm, ii)
-      real b(80), b2(80)
-      real sc
-      integer mm, ii
-      real grid(80, 80)
-      common /oc4/ grid
-      if (sc .gt. 70.0) return
-      do j = 1, mm
-        grid(ii, j) = b(j) * b2(j)
-      enddo
-      end
-)";
-
-const char* kOcean500 = R"(
-      program ocean5
-      real acc(80, 80)
-      common /oc5/ acc
-      integer n, m
-      n = 44
-      m = 26
-      call ocean500(n, m)
-      end
-
-      subroutine ocean500(n, m)
-      integer n, m
-      real acc(80, 80)
-      common /oc5/ acc
-      real cwork(80)
-      real sc
-      do 500 i = 1, n
-        sc = i * 2.0
-        call csh(cwork, sc, m)
-        call cuse(cwork, sc, m, i)
- 500  continue
-      end
-
-      subroutine csh(b, sc, mm)
-      real b(80)
-      real sc
-      integer mm
-      if (sc .gt. 160.0) return
-      do j = 1, mm
-        b(j) = sc * j
-      enddo
-      end
-
-      subroutine cuse(b, sc, mm, ii)
-      real b(80)
-      real sc
-      integer mm, ii
-      real acc(80, 80)
-      common /oc5/ acc
-      if (sc .gt. 160.0) return
-      do j = 1, mm
-        acc(ii, j) = b(j) + 1.0
-      enddo
-      end
-)";
-
-// --------------------------------------------------------------------------
-// ARC2D filerx/15 — the Figure 1(b) loop verbatim: WORK(jlow:jup) plus the
-// conditionally-written WORK(jmax) whose condition is loop-invariant
-// (T1+T2, intraprocedural).
-// --------------------------------------------------------------------------
-const char* kArc2dFilerx = R"(
-      program arcfx
-      real q(100, 100)
-      common /afx/ q
-      integer jlow, jup, jmax, kup
-      logical per
-      jlow = 2
-      jup = 60
-      jmax = 61
-      kup = 40
-      per = .false.
-      call filerx(jlow, jup, jmax, kup, per)
-      end
-
-      subroutine filerx(jlow, jup, jmax, kup, per)
-      integer jlow, jup, jmax, kup
-      logical per
-      real q(100, 100)
-      common /afx/ q
-      real work(100)
-      do 15 k = 1, kup
-        do j = jlow, jup
-          work(j) = q(j, k) * 0.25
-        enddo
-        if (.not. per) then
-          work(jmax) = q(jmax, k) * 0.5
-        endif
-        do j = jlow, jup
-          q(j, k) = work(j) + work(jmax)
-        enddo
- 15   continue
-      end
-)";
-
-// --------------------------------------------------------------------------
-// ARC2D filery/39 — plain symbolic-extent work vector (T1 only).
-// --------------------------------------------------------------------------
-const char* kArc2dFilery = R"(
-      program arcfy
-      real q(100, 100)
-      common /afy/ q
-      integer jlow, jup, kup
-      jlow = 2
-      jup = 56
-      kup = 36
-      call filery(jlow, jup, kup)
-      end
-
-      subroutine filery(jlow, jup, kup)
-      integer jlow, jup, kup
-      real q(100, 100)
-      common /afy/ q
-      real work(100)
-      do 39 k = 1, kup
-        do j = jlow, jup
-          work(j) = q(j, k) * 0.125
-        enddo
-        do j = jlow, jup
-          q(j, k) = work(j) + q(j, k)
-        enddo
- 39   continue
-      end
-)";
-
-// --------------------------------------------------------------------------
-// ARC2D stepfx/300 and stepfy/420 — symbolic-extent work vector filled by a
-// callee (T1+T3, no conditions).
-// --------------------------------------------------------------------------
-const char* kArc2dStepfx = R"(
-      program arcsx
-      real q(100, 100), s(100, 100)
-      common /asx/ q, s
-      integer jlow, jup, kup
-      jlow = 2
-      jup = 52
-      kup = 34
-      call stepfx(jlow, jup, kup)
-      end
-
-      subroutine stepfx(jlow, jup, kup)
-      integer jlow, jup, kup
-      real q(100, 100), s(100, 100)
-      common /asx/ q, s
-      real work(100)
-      do 300 k = 1, kup
-        call filtx(work, jlow, jup, k)
-        do j = jlow, jup
-          s(j, k) = work(j)
-        enddo
- 300  continue
-      end
-
-      subroutine filtx(w, jl, ju, k)
-      real w(100)
-      integer jl, ju, k
-      real q(100, 100), s(100, 100)
-      common /asx/ q, s
-      do j = jl, ju
-        w(j) = q(j, k) * 0.25
-      enddo
-      end
-)";
-
-const char* kArc2dStepfy = R"(
-      program arcsy
-      real q(100, 100), s(100, 100)
-      common /asy/ q, s
-      integer klow, kup, jup
-      klow = 2
-      kup = 48
-      jup = 30
-      call stepfy(klow, kup, jup)
-      end
-
-      subroutine stepfy(klow, kup, jup)
-      integer klow, kup, jup
-      real q(100, 100), s(100, 100)
-      common /asy/ q, s
-      real work(100)
-      do 420 j = 1, jup
-        call filty(work, klow, kup, j)
-        do k = klow, kup
-          s(j, k) = work(k) + s(j, k)
-        enddo
- 420  continue
-      end
-
-      subroutine filty(w, kl, ku, j)
-      real w(100)
-      integer kl, ku, j
-      real q(100, 100), s(100, 100)
-      common /asy/ q, s
-      do k = kl, ku
-        w(k) = q(j, k) * 0.5
-      enddo
-      end
-)";
-
-// --------------------------------------------------------------------------
-// Figure 1 examples.
-// --------------------------------------------------------------------------
-const char* kFig1a = R"(
-      program fig1a
-      real res(64)
-      common /f1a/ res
-      integer nmol1
-      real cut2
-      nmol1 = 24
-      cut2 = 12.0
-      call interf(nmol1, cut2)
-      end
-
-      subroutine interf(nmol1, cut2)
-      integer nmol1
-      real cut2
-      real res(64)
-      common /f1a/ res
-      real a(20), b(20)
-      integer kc
-      real ttemp
-      do i = 1, nmol1
-        kc = 0
-        do k = 1, 9
-          b(k) = k + i
-          if (b(k) .gt. cut2) kc = kc + 1
-        enddo
-        do 1 k = 2, 5
-          if (b(k + 4) .gt. cut2) goto 1
-          a(k + 4) = b(k) * 2.0
- 1      continue
-        if (kc .ne. 0) goto 2
-        do k = 11, 14
-          ttemp = a(k - 5) * 0.5
-          res(i) = res(i) + ttemp
-        enddo
- 2      continue
-      enddo
-      end
-)";
-
-const char* kFig1b = R"(
-      program fig1b
-      real q(100, 4)
-      common /f1b/ q
-      integer jlow, jup, jmax
-      logical p
-      jlow = 3
-      jup = 40
-      jmax = 41
-      p = .false.
-      call filer(jlow, jup, jmax, p)
-      end
-
-      subroutine filer(jlow, jup, jmax, p)
-      integer jlow, jup, jmax
-      logical p
-      real q(100, 4)
-      common /f1b/ q
-      real a(100)
-      do i = 1, 4
-        do j = jlow, jup
-          a(j) = j * i
-        enddo
-        if (.not. p) then
-          a(jmax) = i
-        endif
-        do j = jlow, jup
-          q(j, i) = a(j) + a(jmax)
-        enddo
-      enddo
-      end
-)";
-
-const char* kFig1c = R"(
-      program fig1c
-      real store(64, 64)
-      common /f1c/ store
-      integer n, m
-      n = 32
-      m = 20
-      call drive(n, m)
-      end
-
-      subroutine drive(n, m)
-      integer n, m
-      real store(64, 64)
-      common /f1c/ store
-      real a(64)
-      real x
-      do i = 1, n
-        x = i * 1.0
-        call in(a, x, m)
-        call out(a, x, m, i)
-      enddo
-      end
-
-      subroutine in(b, x, mm)
-      real b(64)
-      real x
-      integer mm
-      if (x .gt. 50.0) return
-      do j = 1, mm
-        b(j) = x + j
-      enddo
-      end
-
-      subroutine out(b, x, mm, ii)
-      real b(64)
-      real x
-      integer mm, ii
-      real store(64, 64)
-      common /f1c/ store
-      if (x .gt. 50.0) return
-      do j = 1, mm
-        store(ii, j) = b(j)
-      enddo
-      end
-)";
+// `const char* const k<stem>` for every corpus/<stem>.f, generated at
+// configure time by src/CMakeLists.txt: the .f files are the one copy of the
+// kernels. Each literal is a newline followed by the file, so the kernel
+// text starts on line 2 — the numbering every cited report line uses.
+#include "corpus_sources.inc"
 
 }  // namespace
 
 const std::vector<CorpusLoop>& perfectCorpus() {
   static const std::vector<CorpusLoop> corpus = {
+      // Kalman-filter style working vectors filled and consumed through
+      // subroutine calls with constant extents. Interprocedural analysis
+      // alone privatizes them (Table 1: T3 only).
       {"TRACK nlfilt/300", "TRACK", "nlfilt", 0,
        {"p1", "p2", "p", "pp1", "pp2", "pp", "xsd"}, {},
-       false, false, true, 5.2, 40.0, 0.70, kTrackNlfilt},
+       false, false, true, 5.2, 40.0, 0.70, kTRACK_nlfilt_300},
+      // The hard one. Work vectors with symbolic extents (T1) filled through
+      // calls (T3), one of them written/consumed under matching IF
+      // conditions (T2), and RL exhibiting the Figure 1(a) pattern that
+      // defeats the base analysis (Table 2 status "no").
       {"MDG interf/1000", "MDG", "interf", 0,
        {"rs", "ff", "gg", "xl", "yl", "zl"}, {"rl"},
-       true, true, true, 6.0, 90.0, 0.81, kMdgInterf},
+       true, true, true, 6.0, 90.0, 0.81, kMDG_interf_1000},
+      // Constant-extent neighbor vectors through calls (T3).
       {"MDG poteng/2000", "MDG", "poteng", 0,
        {"rs", "rl", "xl", "yl", "zl"}, {},
-       false, false, true, 5.2, 8.0, 0.66, kMdgPoteng},
+       false, false, true, 5.2, 8.0, 0.66, kMDG_poteng_2000},
+      // Intraprocedural work vectors with symbolic extents (T1).
       {"TRFD olda/100", "TRFD", "olda1", 0,
        {"xrsiq", "xij"}, {},
-       true, false, false, 16.4, 69.0, 2.55, kTrfdOlda100},
+       true, false, false, 16.4, 69.0, 2.55, kTRFD_olda_100},
+      // Same flavor, second transformation stage.
       {"TRFD olda/300", "TRFD", "olda3", 0,
        {"xijks", "xkl"}, {},
-       true, false, false, 12.3, 29.0, 2.05, kTrfdOlda300},
+       true, false, false, 12.3, 29.0, 2.05, kTRFD_olda_300},
+      // OCEAN ocean/270, /480, /500 — the Figure 1(c) shape: CWORK written
+      // and consumed by callees whose early-return guards match (T1+T2+T3).
       {"OCEAN ocean/270", "OCEAN", "ocean270", 0,
        {"cwork"}, {},
-       true, true, true, 8.0, 3.0, 0.97, kOcean270},
+       true, true, true, 8.0, 3.0, 0.97, kOCEAN_ocean_270},
       {"OCEAN ocean/480", "OCEAN", "ocean480", 0,
        {"cwork", "cwork2"}, {},
-       true, true, true, 6.1, 4.0, 0.82, kOcean480},
+       true, true, true, 6.1, 4.0, 0.82, kOCEAN_ocean_480},
       {"OCEAN ocean/500", "OCEAN", "ocean500", 0,
        {"cwork"}, {},
-       true, true, true, 6.5, 3.0, 0.93, kOcean500},
+       true, true, true, 6.5, 3.0, 0.93, kOCEAN_ocean_500},
+      // The Figure 1(b) loop verbatim: WORK(jlow:jup) plus the
+      // conditionally-written WORK(jmax) whose condition is loop-invariant
+      // (T1+T2, intraprocedural).
       {"ARC2D filerx/15", "ARC2D", "filerx", 0,
        {"work"}, {},
-       true, true, false, 4.0, 7.0, 0.52, kArc2dFilerx},
+       true, true, false, 4.0, 7.0, 0.52, kARC2D_filerx_15},
+      // Plain symbolic-extent work vector (T1 only).
       {"ARC2D filery/39", "ARC2D", "filery", 0,
        {"work"}, {},
-       true, false, false, 4.0, 7.0, 0.58, kArc2dFilery},
+       true, false, false, 4.0, 7.0, 0.58, kARC2D_filery_39},
+      // ARC2D stepfx/300 and stepfy/420 — symbolic-extent work vector filled
+      // by a callee (T1+T3, no conditions).
       {"ARC2D stepfx/300", "ARC2D", "stepfx", 0,
        {"work"}, {},
-       true, false, true, 3.0, 21.0, 0.47, kArc2dStepfx},
+       true, false, true, 3.0, 21.0, 0.47, kARC2D_stepfx_300},
       {"ARC2D stepfy/420", "ARC2D", "stepfy", 0,
        {"work"}, {},
-       true, false, true, 3.0, 16.0, 0.43, kArc2dStepfy},
+       true, false, true, 3.0, 16.0, 0.43, kARC2D_stepfy_420},
   };
   return corpus;
 }
 
-const char* fig1aSource() { return kFig1a; }
-const char* fig1bSource() { return kFig1b; }
-const char* fig1cSource() { return kFig1c; }
+const char* fig1aSource() { return kfig1a; }
+const char* fig1bSource() { return kfig1b; }
+const char* fig1cSource() { return kfig1c; }
 
 const Stmt* findOuterLoop(const Program& program, std::string_view routine, int index) {
   const Procedure* proc = program.findProcedure(routine);

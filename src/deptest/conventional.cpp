@@ -124,18 +124,9 @@ ConventionalResult ConventionalAnalyzer::classifyLoop(const Stmt& doStmt,
 std::vector<std::pair<const Stmt*, ConventionalResult>> ConventionalAnalyzer::classifyProgram()
     const {
   std::vector<std::pair<const Stmt*, ConventionalResult>> out;
-  for (const Procedure& proc : program_.procedures) {
-    std::function<void(const std::vector<StmtPtr>&)> walkTop =
-        [&](const std::vector<StmtPtr>& body) {
-          for (const StmtPtr& s : body) {
-            if (s->kind == Stmt::Kind::Do) out.emplace_back(s.get(), classifyLoop(*s, proc));
-            walkTop(s->thenBody);
-            walkTop(s->elseBody);
-            walkTop(s->body);
-          }
-        };
-    walkTop(proc.body);
-  }
+  for (const Procedure& proc : program_.procedures)
+    for (const Stmt* loop : collectDoLoops(proc.body))
+      out.emplace_back(loop, classifyLoop(*loop, proc));
   return out;
 }
 

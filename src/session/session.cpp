@@ -23,15 +23,16 @@
 //   8. HSG: move + proc-pointer fixup for clean graphs, adopt the
 //      freshly built graphs for dirty procedures
 //   9. fresh analyzer seeded with the clean snapshots and the matched
-//      items' loop summaries; call-graph waves (seeded procedures return
-//      from the memo instantly, seeded loops skip re-expansion)
-//  10. loop fan-out over dirty procedures' *unmatched* loops only; every
-//      other loop report comes from the unit cache
+//      items' loop summaries
+//  10. analyzeProgramParallel over the dirty procedures' *unmatched* loops
+//      only (its call-graph waves find seeded procedures in the memo, and
+//      seeded loops skip re-expansion); every other loop report comes from
+//      the unit cache
 //  11. unit table update + stats/metrics
 #include "panorama/session/session.h"
 
 #include <algorithm>
-#include <functional>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -43,41 +44,6 @@
 #include "panorama/support/memo_cache.h"
 
 namespace panorama {
-
-namespace {
-
-/// DO statements of a procedure, outermost first, in the pre-order walk the
-/// batch drivers report loops in.
-std::vector<const Stmt*> collectLoops(const Procedure& proc) {
-  std::vector<const Stmt*> out;
-  std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& body) {
-    for (const StmtPtr& s : body) {
-      if (s->kind == Stmt::Kind::Do) out.push_back(s.get());
-      walk(s->thenBody);
-      walk(s->elseBody);
-      walk(s->body);
-    }
-  };
-  walk(proc.body);
-  return out;
-}
-
-/// DO statements of one top-level body statement, same pre-order. The flat
-/// collectLoops order is exactly the per-item lists concatenated in body
-/// order, which is what lets Unit::loops partition into item ranges.
-std::vector<const Stmt*> collectItemLoops(const Stmt& item) {
-  std::vector<const Stmt*> out;
-  std::function<void(const Stmt&)> walk = [&](const Stmt& s) {
-    if (s.kind == Stmt::Kind::Do) out.push_back(&s);
-    for (const StmtPtr& c : s.thenBody) walk(*c);
-    for (const StmtPtr& c : s.elseBody) walk(*c);
-    for (const StmtPtr& c : s.body) walk(*c);
-  };
-  walk(item);
-  return out;
-}
-
-}  // namespace
 
 AnalysisSession::AnalysisSession(AnalysisOptions options) : options_(options) {
   optionsKey_ = optionsKey(options_);
@@ -178,9 +144,6 @@ AnalysisSession::Status AnalysisSession::status() const {
 }
 
 std::string AnalysisSession::composeLoopReport(const CachedLoop& cl) {
-  // An empty doVar marks an unsplittable cached report (v1 snapshot whose
-  // header did not parse); the tail then carries the full original string.
-  if (cl.doVar.empty()) return cl.reportTail;
   return cl.procName + ": DO " + cl.doVar + " (line " + std::to_string(cl.line) +
          "): " + cl.reportTail;
 }
@@ -191,32 +154,11 @@ AnalysisSession::CachedLoop AnalysisSession::cacheLoopAnalysis(const LoopAnalysi
   cl.classification = la.classification;
   cl.procName = la.procName;
   cl.doVar = la.loop ? la.loop->doVar : "?";
-  std::string report = formatLoopAnalysis(la);
-  const std::string prefix =
-      cl.procName + ": DO " + cl.doVar + " (line " + std::to_string(cl.line) + "): ";
-  if (report.starts_with(prefix)) {
-    cl.reportTail = report.substr(prefix.size());
-  } else {  // unreachable with the current report layer; keep the full text
-    cl.doVar.clear();
-    cl.reportTail = std::move(report);
-  }
+  // formatLoopAnalysis opens with exactly the header composeLoopReport
+  // rebuilds from these fields; cache what follows it.
+  cl.reportTail = formatLoopAnalysis(la).substr(composeLoopReport(cl).size());
   cl.provenance = formatProvenance(la);
   return cl;
-}
-
-bool AnalysisSession::splitLoopReport(const std::string& report, CachedLoop& cl) {
-  // v1 snapshots cached the composed string; recover (doVar, tail) from the
-  // fixed header layout `proc: DO var (line N): tail`.
-  const std::string doPrefix = cl.procName + ": DO ";
-  if (!report.starts_with(doPrefix)) return false;
-  const std::size_t varBegin = doPrefix.size();
-  const std::size_t lineMark = report.find(" (line ", varBegin);
-  if (lineMark == std::string::npos) return false;
-  const std::size_t tailMark = report.find("): ", lineMark);
-  if (tailMark == std::string::npos) return false;
-  cl.doVar = report.substr(varBegin, lineMark - varBegin);
-  cl.reportTail = report.substr(tailMark + 3);
-  return !cl.doVar.empty();
 }
 
 SessionResult AnalysisSession::submit(const std::string& source) {
@@ -416,7 +358,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       Procedure* prev = const_cast<Procedure*>(program_.findProcedure(p.name));
       if (!prev || !remapSourceLocs(*prev, p)) continue;
       Unit& u = units_.at(p.name);
-      std::vector<const Stmt*> loops = collectLoops(*prev);
+      std::vector<const Stmt*> loops = collectDoLoops(prev->body);
       if (loops.size() != u.loops.size()) continue;  // defensive; never with our own caches
       for (std::size_t k = 0; k < loops.size(); ++k) {
         const int line = static_cast<int>(loops[k]->loc.line);
@@ -559,9 +501,10 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     for (const ItemMatch& m : matches) {
       if (m.oldIdx >= oldProc->body.size()) continue;
       const ItemRecord& oi = old.items[m.oldIdx];
-      std::vector<const Stmt*> oldDos = collectItemLoops(*oldProc->body[m.oldIdx]);
+      std::vector<const Stmt*> oldDos =
+          collectDoLoops(std::span(oldProc->body).subspan(m.oldIdx, 1));
       std::vector<const Stmt*> newDos =
-          keepsOldAst ? oldDos : collectItemLoops(*newProc->body[m.newIdx]);
+          keepsOldAst ? oldDos : collectDoLoops(std::span(newProc->body).subspan(m.newIdx, 1));
       // Consistency guards (violable only via a fingerprint collision or a
       // foreign snapshot): the cached range and both subtrees must agree.
       if (oldDos.size() != newDos.size() || oi.loopCount != oldDos.size()) continue;
@@ -639,57 +582,19 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       analyzer_->seedProcedure(*p, std::move(snap));
   if (!loopSeeds.empty()) analyzer_->seedLoopSummaries(std::move(loopSeeds));
 
-  // Call-graph waves: clean procedures return from the memo instantly, so
-  // only the dirty cone does summary work — with every callee summary
-  // already resident, exactly like a batch run.
-  if (pool_->threadCount() <= 1) {
-    for (const Procedure* p : sema_.bottomUpOrder) analyzer_->procSummary(*p);
-  } else {
-    std::size_t waveIdx = 0;
-    for (const std::vector<const Procedure*>& wave : callGraphWaves(sema_)) {
-      obs::Span wspan("summary", "summary.wave");
-      if (wspan.active()) {
-        wspan.arg("wave", std::to_string(waveIdx));
-        wspan.arg("procs", std::to_string(wave.size()));
-      }
-      ++waveIdx;
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(wave.size());
-      for (const Procedure* p : wave)
-        tasks.push_back([this, p] { analyzer_->procSummary(*p); });
-      pool_->runBatch(std::move(tasks));
-    }
-  }
-
-  // 10. Loop fan-out over dirty procedures' unmatched loops only.
-  struct WorkItem {
-    const Stmt* loop = nullptr;
-    const Procedure* proc = nullptr;
-  };
-  std::vector<WorkItem> items;
+  // 10. The batch scheduler over the dirty procedures' unmatched loops
+  // only: its call-graph waves find the clean procedures' summaries in the
+  // memo, so only the dirty cone does summary work.
+  std::vector<LoopSite> items;
   for (const Procedure* proc : sema_.bottomUpOrder) {
     if (clean.count(proc->name)) continue;
     const auto reused = reusedLoops.find(proc->name);
-    for (const Stmt* s : collectLoops(*proc)) {
+    for (const Stmt* s : collectDoLoops(proc->body)) {
       if (reused != reusedLoops.end() && reused->second.count(s)) continue;
       items.push_back({s, proc});
     }
   }
-
-  LoopParallelizer parallelizer(*analyzer_);
-  std::vector<LoopAnalysis> dirtyLoops(items.size());
-  if (pool_->threadCount() <= 1 || items.size() <= 1) {
-    for (std::size_t k = 0; k < items.size(); ++k)
-      dirtyLoops[k] = parallelizer.analyzeLoop(*items[k].loop, *items[k].proc);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(items.size());
-    for (std::size_t k = 0; k < items.size(); ++k)
-      tasks.push_back([&parallelizer, &dirtyLoops, &items, k] {
-        dirtyLoops[k] = parallelizer.analyzeLoop(*items[k].loop, *items[k].proc);
-      });
-    pool_->runBatch(std::move(tasks));
-  }
+  std::vector<LoopAnalysis> dirtyLoops = analyzeProgramParallel(*analyzer_, *pool_, items);
 
   // 11. Rebuild the unit table: dirty units take this epoch, fresh deps
   // (SUM_call edges ∪ the items' resolved syntactic callees — seeded loops
@@ -697,7 +602,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   // record), and loop caches interleaving reused and fresh verdicts in walk
   // order; clean units keep everything. Item records are refreshed for
   // every unit from this submit's detail (incoming content ≡ kept content
-  // for clean units), which also upgrades v1-restored units in place.
+  // for clean units).
   std::map<const Stmt*, const LoopAnalysis*> freshByStmt;
   for (std::size_t k = 0; k < items.size(); ++k) freshByStmt.emplace(items[k].loop, &dirtyLoops[k]);
   std::map<std::string, std::set<std::string>> deps = analyzer_->callDependencies();
@@ -721,23 +626,20 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       u.summaryEpoch = newEpoch;
       if (auto d = deps.find(p.name); d != deps.end()) u.deps = std::move(d->second);
       const auto reused = reusedLoops.find(p.name);
-      for (const StmtPtr& item : p.body) {
-        for (const Stmt* s : collectItemLoops(*item)) {
-          if (reused != reusedLoops.end()) {
-            if (auto rl = reused->second.find(s); rl != reused->second.end()) {
-              stats.loopReuse.push_back(
-                  {p.name, rl->second.line, "item-match",
-                   "statement, suffix, frame, and callee epochs unchanged"});
-              u.loops.push_back(std::move(rl->second));
-              ++reusedHere;
-              continue;
-            }
+      for (const Stmt* s : collectDoLoops(p.body)) {
+        if (reused != reusedLoops.end()) {
+          if (auto rl = reused->second.find(s); rl != reused->second.end()) {
+            stats.loopReuse.push_back({p.name, rl->second.line, "item-match",
+                                       "statement, suffix, frame, and callee epochs unchanged"});
+            u.loops.push_back(std::move(rl->second));
+            ++reusedHere;
+            continue;
           }
-          auto fresh = freshByStmt.find(s);
-          if (fresh != freshByStmt.end()) {
-            u.loops.push_back(cacheLoopAnalysis(*fresh->second));
-            ++freshHere;
-          }
+        }
+        auto fresh = freshByStmt.find(s);
+        if (fresh != freshByStmt.end()) {
+          u.loops.push_back(cacheLoopAnalysis(*fresh->second));
+          ++freshHere;
         }
       }
     }
@@ -754,7 +656,8 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       rec.precedingHash = nd.items[j].precedingHash;
       rec.hasLoop = nd.items[j].hasLoop;
       rec.loopBegin = static_cast<std::uint32_t>(loopCursor);
-      rec.loopCount = static_cast<std::uint32_t>(collectItemLoops(*p.body[j]).size());
+      rec.loopCount =
+          static_cast<std::uint32_t>(collectDoLoops(std::span(p.body).subspan(j, 1)).size());
       loopCursor += rec.loopCount;
       for (const std::string& callee : nd.items[j].callees)
         if (incomingNames.count(callee)) rec.calleeEpochs[callee] = 0;  // filled below

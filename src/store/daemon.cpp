@@ -121,17 +121,28 @@ void Daemon::acceptLoop() {
       if (errno == EINTR) continue;
       break;  // stop() shut the listening socket down (or a hard error)
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_.load(std::memory_order_relaxed)) {
+        ::close(fd);
+        break;
+      }
+      clientFds_.push_back(fd);
+      obs::MetricsRegistry::global().counter("daemon.clients").add(1);
+      const std::uint64_t clientId = nextClientId_.fetch_add(1, std::memory_order_relaxed);
+      activeConnections_.fetch_add(1, std::memory_order_relaxed);
+      totalConnections_.fetch_add(1, std::memory_order_relaxed);
+      handlerThreads_.fetch_add(1, std::memory_order_relaxed);
+      handlers_.emplace(clientId, std::thread(&Daemon::handleClient, this, fd, clientId));
+      finished.swap(finishedHandlers_);
     }
-    clientFds_.push_back(fd);
-    obs::MetricsRegistry::global().counter("daemon.clients").add(1);
-    const std::uint64_t clientId = nextClientId_.fetch_add(1, std::memory_order_relaxed);
-    activeConnections_.fetch_add(1, std::memory_order_relaxed);
-    totalConnections_.fetch_add(1, std::memory_order_relaxed);
-    handlers_.emplace_back(&Daemon::handleClient, this, fd, clientId);
+    // With the new connection already served, join the handlers whose
+    // connection has closed. Each handed its thread over as its last step
+    // under mutex_, so join() waits only for its return (and its session's
+    // teardown); joining outside mutex_ keeps that exit path free.
+    for (std::thread& t : finished) t.join();
+    handlerThreads_.fetch_sub(finished.size(), std::memory_order_relaxed);
   }
   ::close(listenFd_);
   ::unlink(socketPath_.c_str());
@@ -173,13 +184,20 @@ void Daemon::handleClient(int fd, std::uint64_t clientId) {
       break;
     }
   }
-  activeConnections_.fetch_sub(1, std::memory_order_relaxed);
   if (config_.telemetry)
     eventLog_.append(obs::EventKind::ConnClose,
                      obs::EventFields().num("client", clientId).take());
   std::lock_guard<std::mutex> lock(mutex_);
   clientFds_.erase(std::remove(clientFds_.begin(), clientFds_.end(), fd), clientFds_.end());
   ::close(fd);
+  // Hand this thread to the accept loop for joining (unless wait() already
+  // took it), then count the connection closed: once `active` drops, the
+  // thread is joinable at the next accept.
+  if (auto self = handlers_.find(clientId); self != handlers_.end()) {
+    finishedHandlers_.push_back(std::move(self->second));
+    handlers_.erase(self);
+  }
+  activeConnections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::string Daemon::handleRequest(const std::string& payload, Gated& local,
@@ -364,16 +382,17 @@ std::string Daemon::dispatch(const JsonValue& req, const std::string& id, Gated&
 }
 
 std::string Daemon::statusResponse(const std::string& id) {
-  char buf[256];
+  char buf[384];
   std::string out = "{\"id\":" + id + ",\"ok\":true,\"op\":\"status\"";
   std::snprintf(buf, sizeof(buf), ",\"uptime_ms\":%.3f", eventLog_.uptimeMs());
   out += buf;
   std::snprintf(
       buf, sizeof(buf),
-      ",\"connections\":{\"active\":%llu,\"total\":%llu},\"requests\":%llu,\"submits\":%llu,"
-      "\"errors\":%llu,\"slow_requests\":%llu",
+      ",\"connections\":{\"active\":%llu,\"total\":%llu,\"handler_threads\":%llu},"
+      "\"requests\":%llu,\"submits\":%llu,\"errors\":%llu,\"slow_requests\":%llu",
       static_cast<unsigned long long>(activeConnections_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(totalConnections_.load(std::memory_order_relaxed)),
+      static_cast<unsigned long long>(handlerThreads_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(requests_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(submits_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(errors_.load(std::memory_order_relaxed)),
@@ -496,14 +515,18 @@ void Daemon::wait() {
     stopCv_.wait(lock, [&] { return stopping_.load(std::memory_order_relaxed); });
   }
   if (acceptThread_.joinable()) acceptThread_.join();
-  // The accept loop has exited, so handlers_ no longer grows.
+  // The accept loop has exited, so no handler starts any more. Handlers
+  // still running find themselves gone from handlers_ and skip the hand-off.
   std::vector<std::thread> handlers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    handlers.swap(handlers_);
+    handlers.swap(finishedHandlers_);
+    for (auto& entry : handlers_) handlers.push_back(std::move(entry.second));
+    handlers_.clear();
   }
   for (std::thread& t : handlers)
     if (t.joinable()) t.join();
+  handlerThreads_.fetch_sub(handlers.size(), std::memory_order_relaxed);
   if (telemetryThread_.joinable()) telemetryThread_.join();
   // Handlers and the telemetry thread are gone: flush what they appended
   // after the last periodic drain, then close the sink.

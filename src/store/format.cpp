@@ -100,10 +100,10 @@ std::uint64_t Reader::count(std::size_t elemBytes, std::string_view what) {
 
 namespace {
 
-void packHeader(std::string& out, const std::string& payload, std::uint32_t schemaVersion) {
+void packHeader(std::string& out, const std::string& payload) {
   Writer w;
   w.u32(kMagic);
-  w.u32(schemaVersion);
+  w.u32(kSchemaVersion);
   w.u64(payload.size());
   w.u64(fnv1a(payload));
   out = w.bytes();
@@ -111,11 +111,10 @@ void packHeader(std::string& out, const std::string& payload, std::uint32_t sche
 
 }  // namespace
 
-StoreResult writeSnapshotFile(const std::string& path, const std::string& payload,
-                              std::uint32_t schemaVersion) {
+StoreResult writeSnapshotFile(const std::string& path, const std::string& payload) {
   StoreResult out;
   std::string header;
-  packHeader(header, payload, schemaVersion);
+  packHeader(header, payload);
 
   // Temp-then-rename in the destination directory: a crash mid-write leaves
   // either the old snapshot or none, never a torn one.
@@ -143,8 +142,7 @@ StoreResult writeSnapshotFile(const std::string& path, const std::string& payloa
   return out;
 }
 
-StoreResult readSnapshotFile(const std::string& path, std::string& payload,
-                             std::uint32_t& version) {
+StoreResult readSnapshotFile(const std::string& path, std::string& payload) {
   StoreResult out;
   FILE* f = std::fopen(path.c_str(), "rb");
   if (!f) {
@@ -168,17 +166,16 @@ StoreResult readSnapshotFile(const std::string& path, std::string& payload,
   }
   Reader header(std::string_view(bytes).substr(0, kHeaderBytes));
   const std::uint32_t magic = header.u32();
-  version = header.u32();
+  const std::uint32_t version = header.u32();
   const std::uint64_t payloadSize = header.u64();
   const std::uint64_t payloadHash = header.u64();
   if (magic != kMagic) {
     out.error = path + ": not a panorama session snapshot (bad magic)";
     return out;
   }
-  if (version < kMinSchemaVersion || version > kSchemaVersion) {
+  if (version != kSchemaVersion) {
     out.error = path + ": unsupported schema version " + std::to_string(version) +
-                " (this build reads versions " + std::to_string(kMinSchemaVersion) + ".." +
-                std::to_string(kSchemaVersion) + ")";
+                " (this build reads version " + std::to_string(kSchemaVersion) + ")";
     return out;
   }
   const std::uint64_t actual = bytes.size() - kHeaderBytes;

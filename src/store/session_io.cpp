@@ -22,7 +22,6 @@
 // skew, out-of-range index, non-canonical pool entry — yields a structured
 // diagnostic and leaves the session exactly as it was.
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -44,22 +43,6 @@ namespace {
 using store::Reader;
 using store::StoreResult;
 using store::Writer;
-
-/// DO statements in the same pre-order walk session.cpp diffs loops in —
-/// the snapshot's loop keys are indices into this walk.
-std::vector<const Stmt*> walkLoops(const Procedure& proc) {
-  std::vector<const Stmt*> out;
-  std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& body) {
-    for (const StmtPtr& s : body) {
-      if (s->kind == Stmt::Kind::Do) out.push_back(s.get());
-      walk(s->thenBody);
-      walk(s->elseBody);
-      walk(s->body);
-    }
-  };
-  walk(proc.body);
-  return out;
-}
 
 // ----- writer side ---------------------------------------------------------
 
@@ -632,21 +615,13 @@ ProcSummary readProcSummary(PoolReader& pools) {
 
 // ----- AnalysisSession::save ----------------------------------------------
 
-store::StoreResult AnalysisSession::save(const std::string& path,
-                                         std::uint32_t schemaVersion) const {
+store::StoreResult AnalysisSession::save(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return saveLocked(path, schemaVersion);
+  return saveLocked(path);
 }
 
-store::StoreResult AnalysisSession::saveLocked(const std::string& path,
-                                               std::uint32_t schemaVersion) const {
+store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
   StoreResult out;
-  if (schemaVersion < store::kMinSchemaVersion || schemaVersion > store::kSchemaVersion) {
-    out.error = path + ": cannot write schema version " + std::to_string(schemaVersion) +
-                " (this build writes versions " + std::to_string(store::kMinSchemaVersion) +
-                ".." + std::to_string(store::kSchemaVersion) + ")";
-    return out;
-  }
   if (!live_) {
     out.error = path + ": cannot save a session before its first successful submit";
     return out;
@@ -691,16 +666,14 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path,
   astW.u64(program_.procedures.size());
   for (const Procedure& p : program_.procedures) writeProcedure(astW, p);
 
-  // Unit table. v2 carries the declaration-frame hash, headerless reports
-  // (doVar + reportTail), and the per-item reuse records; v1 stays writable
-  // (composed report strings, no items) so the v1 read path is honestly
-  // testable against files this build produced.
+  // Unit table: fingerprints, the declaration-frame hash, headerless
+  // reports (doVar + reportTail), and the per-item reuse records.
   Writer unitsW;
   unitsW.u64(units_.size());
   for (const auto& [name, u] : units_) {
     unitsW.str(name);
     unitsW.u64(u.fp);
-    if (schemaVersion >= 2) unitsW.u64(u.frameFp);
+    unitsW.u64(u.frameFp);
     unitsW.u64(u.summaryEpoch);
     unitsW.u64(u.deps.size());
     for (const std::string& d : u.deps) unitsW.str(d);
@@ -714,28 +687,22 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path,
       unitsW.i64(cl.line);
       unitsW.u8(static_cast<std::uint8_t>(cl.classification));
       unitsW.str(cl.procName);
-      if (schemaVersion >= 2) {
-        unitsW.str(cl.doVar);
-        unitsW.str(cl.reportTail);
-      } else {
-        unitsW.str(composeLoopReport(cl));
-      }
+      unitsW.str(cl.doVar);
+      unitsW.str(cl.reportTail);
       unitsW.str(cl.provenance);
     }
-    if (schemaVersion >= 2) {
-      unitsW.u64(u.items.size());
-      for (const ItemRecord& rec : u.items) {
-        unitsW.u64(rec.hash);
-        unitsW.u64(rec.suffixHash);
-        unitsW.u64(rec.precedingHash);
-        unitsW.u8(rec.hasLoop ? 1 : 0);
-        unitsW.u32(rec.loopBegin);
-        unitsW.u32(rec.loopCount);
-        unitsW.u64(rec.calleeEpochs.size());
-        for (const auto& [callee, epoch] : rec.calleeEpochs) {
-          unitsW.str(callee);
-          unitsW.u64(epoch);
-        }
+    unitsW.u64(u.items.size());
+    for (const ItemRecord& rec : u.items) {
+      unitsW.u64(rec.hash);
+      unitsW.u64(rec.suffixHash);
+      unitsW.u64(rec.precedingHash);
+      unitsW.u8(rec.hasLoop ? 1 : 0);
+      unitsW.u32(rec.loopBegin);
+      unitsW.u32(rec.loopCount);
+      unitsW.u64(rec.calleeEpochs.size());
+      for (const auto& [callee, epoch] : rec.calleeEpochs) {
+        unitsW.str(callee);
+        unitsW.u64(epoch);
       }
     }
   }
@@ -761,7 +728,7 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path,
     std::map<const Stmt*, std::uint64_t> walkIndex;
     {
       std::uint64_t k = 0;
-      for (const Stmt* s : walkLoops(*proc)) walkIndex.emplace(s, k++);
+      for (const Stmt* s : collectDoLoops(proc->body)) walkIndex.emplace(s, k++);
     }
     snapW.str(name);
     snapW.u8(snap.hasSummary ? 1 : 0);
@@ -801,7 +768,7 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path,
   payload += unitsW.bytes();
   payload += snapW.bytes();
 
-  return store::writeSnapshotFile(path, payload, schemaVersion);
+  return store::writeSnapshotFile(path, payload);
 }
 
 // ----- AnalysisSession::restore -------------------------------------------
@@ -816,9 +783,8 @@ store::StoreResult AnalysisSession::restore(const std::string& path) {
 store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   StoreResult out;
   std::string payload;
-  std::uint32_t version = 0;
   {
-    StoreResult file = store::readSnapshotFile(path, payload, version);
+    StoreResult file = store::readSnapshotFile(path, payload);
     if (!file.ok) return file;
   }
 
@@ -907,7 +873,7 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
       const std::string name = r.str();
       Unit u;
       u.fp = r.u64();
-      if (version >= 2) u.frameFp = r.u64();
+      u.frameFp = r.u64();
       u.summaryEpoch = r.u64();
       const std::uint64_t dn = r.count(8, "dependency");
       for (std::uint64_t d = 0; d < dn && r.ok(); ++d) u.deps.insert(r.str());
@@ -926,43 +892,30 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
           return failed("corrupted snapshot: unknown loop classification");
         cl.classification = static_cast<LoopClass>(cls);
         cl.procName = r.str();
-        if (version >= 2) {
-          cl.doVar = r.str();
-          cl.reportTail = r.str();
-        } else {
-          // v1 cached the composed string; split the fixed header back out.
-          // An unsplittable report is served verbatim (empty doVar), it just
-          // cannot have its line citation remapped.
-          const std::string report = r.str();
-          if (r.ok() && !splitLoopReport(report, cl)) {
-            cl.doVar.clear();
-            cl.reportTail = report;
-          }
-        }
+        cl.doVar = r.str();
+        cl.reportTail = r.str();
         cl.provenance = r.str();
         u.loops.push_back(std::move(cl));
       }
-      if (version >= 2) {
-        const std::uint64_t in = r.count(41, "item record");
-        for (std::uint64_t k = 0; k < in && r.ok(); ++k) {
-          ItemRecord rec;
-          rec.hash = r.u64();
-          rec.suffixHash = r.u64();
-          rec.precedingHash = r.u64();
-          rec.hasLoop = r.u8() != 0;
-          rec.loopBegin = r.u32();
-          rec.loopCount = r.u32();
-          const std::uint64_t cn = r.count(16, "item callee epoch");
-          for (std::uint64_t c = 0; c < cn && r.ok(); ++c) {
-            const std::string callee = r.str();
-            const std::uint64_t ce = r.u64();
-            rec.calleeEpochs.emplace(callee, ce);
-          }
-          if (r.ok() &&
-              std::uint64_t{rec.loopBegin} + std::uint64_t{rec.loopCount} > u.loops.size())
-            return failed("corrupted snapshot: item loop range exceeds the unit's loop cache");
-          u.items.push_back(std::move(rec));
+      const std::uint64_t in = r.count(41, "item record");
+      for (std::uint64_t k = 0; k < in && r.ok(); ++k) {
+        ItemRecord rec;
+        rec.hash = r.u64();
+        rec.suffixHash = r.u64();
+        rec.precedingHash = r.u64();
+        rec.hasLoop = r.u8() != 0;
+        rec.loopBegin = r.u32();
+        rec.loopCount = r.u32();
+        const std::uint64_t cn = r.count(16, "item callee epoch");
+        for (std::uint64_t c = 0; c < cn && r.ok(); ++c) {
+          const std::string callee = r.str();
+          const std::uint64_t ce = r.u64();
+          rec.calleeEpochs.emplace(callee, ce);
         }
+        if (r.ok() &&
+            std::uint64_t{rec.loopBegin} + std::uint64_t{rec.loopCount} > u.loops.size())
+          return failed("corrupted snapshot: item loop range exceeds the unit's loop cache");
+        u.items.push_back(std::move(rec));
       }
       if (!r.ok()) break;
       units.emplace(name, std::move(u));
@@ -1035,7 +988,7 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   // Rebind snapshot loop summaries to the restored statement objects.
   for (auto& [name, loops] : snapLoops) {
     const Procedure* proc = program.findProcedure(name);
-    const std::vector<const Stmt*> walk = walkLoops(*proc);
+    const std::vector<const Stmt*> walk = collectDoLoops(proc->body);
     SummaryAnalyzer::ProcSnapshot& snap = snaps.at(name);
     for (PendingLoop& pl : loops) {
       if (pl.walkIndex >= walk.size())

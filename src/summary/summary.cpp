@@ -20,10 +20,6 @@ SummaryAnalyzer::SummaryAnalyzer(const Program& program, SemaResult& sema, const
   ctx_ = CmpCtx(ConstraintSet{}, FmBudget{}, psi_);
 }
 
-void SummaryAnalyzer::analyzeAll() {
-  for (const Procedure* proc : sema_.bottomUpOrder) procSummary(*proc);
-}
-
 const LoopSummary* SummaryAnalyzer::loopSummary(const Stmt* doStmt) const {
   std::shared_lock<std::shared_mutex> lock(loopMutex_);
   auto it = loopSummaries_.find(doStmt);
@@ -56,16 +52,9 @@ const std::set<VarId>& SummaryAnalyzer::indexVarsOf(const ProcSymbols& sym) cons
     if (it != indexVarCache_.end()) return it->second;
   }
   std::set<VarId> out;
-  std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& b) {
-    for (const StmtPtr& s : b) {
-      if (s->kind == Stmt::Kind::Do)
-        if (auto id = sym.scalarId(s->doVar)) out.insert(*id);
-      walk(s->thenBody);
-      walk(s->elseBody);
-      walk(s->body);
-    }
-  };
-  if (sym.proc) walk(sym.proc->body);
+  if (sym.proc)
+    for (const Stmt* loop : collectDoLoops(sym.proc->body))
+      if (auto id = sym.scalarId(loop->doVar)) out.insert(*id);
   std::unique_lock<std::shared_mutex> lock(indexVarMutex_);
   return indexVarCache_.emplace(sym.proc, std::move(out)).first->second;
 }
@@ -363,9 +352,9 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
     auto it = procSummaries_.find(&proc);
     if (it != procSummaries_.end()) return it->second;
   }
-  // Compute unlocked. The parallel driver's wave schedule guarantees every
-  // callee summary already exists, so the recursive lookups below are
-  // read-only; under the serial path this is plain memoization.
+  // Compute unlocked. The scheduler's wave order guarantees every callee
+  // summary already exists, so the recursive lookups below are read-only;
+  // a direct call outside the scheduler is plain memoization.
   obs::Span span("summary.proc", proc.name);
   const ProcSymbols& sym = sema_.of(proc);
   GarList mod;
@@ -430,18 +419,10 @@ SummaryAnalyzer::ProcSnapshot SummaryAnalyzer::snapshotProcedure(const Procedure
     }
   }
   std::shared_lock<std::shared_mutex> lock(loopMutex_);
-  std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& b) {
-    for (const StmtPtr& s : b) {
-      if (s->kind == Stmt::Kind::Do) {
-        auto it = loopSummaries_.find(s.get());
-        if (it != loopSummaries_.end()) snap.loops.emplace_back(s.get(), it->second);
-      }
-      walk(s->thenBody);
-      walk(s->elseBody);
-      walk(s->body);
-    }
-  };
-  walk(proc.body);
+  for (const Stmt* loop : collectDoLoops(proc.body)) {
+    auto it = loopSummaries_.find(loop);
+    if (it != loopSummaries_.end()) snap.loops.emplace_back(loop, it->second);
+  }
   return snap;
 }
 

@@ -81,8 +81,8 @@ void ThreadPool::workerLoop(std::size_t self) {
 
 void ThreadPool::runBatch(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
-  if (threadCount() == 1) {
-    // Serial path: inline, in order, no synchronization.
+  if (threadCount() == 1 || tasks.size() == 1) {
+    // Nothing to share: inline, in order, no synchronization.
     for (auto& fn : tasks) fn();
     return;
   }

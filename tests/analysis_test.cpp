@@ -4,24 +4,21 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 
 namespace panorama {
 namespace {
 
 struct AnalysisRun {
-  Program program;
-  SemaResult sema;
-  Hsg hsg;
-  std::unique_ptr<SummaryAnalyzer> analyzer;
-  std::vector<LoopAnalysis> loops;
+  ProgramAnalysis pa;
 
   /// The analysis of the `index`-th outermost loop of `procName`.
   const LoopAnalysis& loop(std::string_view procName, std::size_t index = 0) const {
     std::size_t seen = 0;
-    for (const LoopAnalysis& la : loops) {
+    for (const LoopAnalysis& la : pa.loops) {
       if (la.procName != procName) continue;
-      // analyzeProgram visits outer loops before their nested loops.
+      // Reports list outer loops before their nested loops.
       if (seen++ == index) return la;
     }
     ADD_FAILURE() << "loop not found in " << procName;
@@ -31,19 +28,12 @@ struct AnalysisRun {
 };
 
 AnalysisRun runAnalysis(std::string_view src, AnalysisOptions options = {}) {
-  AnalysisRun r;
   DiagnosticEngine diags;
   auto p = parseProgram(src, diags);
   EXPECT_TRUE(p.has_value()) << diags.str();
-  r.program = std::move(*p);
-  auto sr = analyze(r.program, diags);
-  EXPECT_TRUE(sr.has_value()) << diags.str();
-  r.sema = std::move(*sr);
-  r.hsg = buildHsg(r.program, r.sema, diags);
-  EXPECT_FALSE(diags.hasErrors()) << diags.str();
-  r.analyzer = std::make_unique<SummaryAnalyzer>(r.program, r.sema, r.hsg, options);
-  LoopParallelizer lp(*r.analyzer);
-  r.loops = lp.analyzeProgram();
+  ThreadPool pool(1);
+  AnalysisRun r{analyzeProgramUnit(p ? std::move(*p) : Program{}, options, pool)};
+  EXPECT_TRUE(r.pa.ok) << r.pa.error;
   return r;
 }
 

@@ -3,6 +3,7 @@
 // re-parse, re-analyze, and execute identically.
 #include <gtest/gtest.h>
 
+#include "panorama/analysis/driver.h"
 #include "panorama/codegen/annotate.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
@@ -12,28 +13,18 @@ namespace panorama {
 namespace {
 
 struct Annotated {
-  Program program;
-  SemaResult sema;
-  Hsg hsg;
-  std::unique_ptr<SummaryAnalyzer> analyzer;
-  std::vector<LoopAnalysis> loops;
+  ProgramAnalysis pa;
   std::string output;
 };
 
 Annotated annotate(std::string_view src, AnalysisOptions options = {}) {
-  Annotated a;
   DiagnosticEngine diags;
   auto p = parseProgram(src, diags);
   EXPECT_TRUE(p.has_value()) << diags.str();
-  a.program = std::move(*p);
-  auto sr = analyze(a.program, diags);
-  EXPECT_TRUE(sr.has_value()) << diags.str();
-  a.sema = std::move(*sr);
-  a.hsg = buildHsg(a.program, a.sema, diags);
-  a.analyzer = std::make_unique<SummaryAnalyzer>(a.program, a.sema, a.hsg, options);
-  LoopParallelizer lp(*a.analyzer);
-  a.loops = lp.analyzeProgram();
-  a.output = emitParallelSource(a.program, a.loops);
+  ThreadPool pool(1);
+  Annotated a{analyzeProgramUnit(p ? std::move(*p) : Program{}, options, pool), {}};
+  EXPECT_TRUE(a.pa.ok) << a.pa.error;
+  a.output = emitParallelSource(a.pa.program, a.pa.loops);
   return a;
 }
 
@@ -157,7 +148,7 @@ TEST(CodegenTest, AnnotatedSourceRoundTrips) {
     auto sr2 = analyze(*p2, diags);
     ASSERT_TRUE(sr2.has_value()) << diags.str();
     // ...and both versions must execute to identical memory.
-    Interpreter original(a.program, a.sema);
+    Interpreter original(a.pa.program, a.pa.sema);
     auto r1 = original.run({});
     ASSERT_TRUE(r1.ok) << r1.error;
     Interpreter reparsed(*p2, *sr2);
@@ -165,13 +156,13 @@ TEST(CodegenTest, AnnotatedSourceRoundTrips) {
     ASSERT_TRUE(r2.ok) << r2.error;
     // Compare per-array contents through names (ids may differ).
     for (const auto& [id, store] : original.arrays()) {
-      auto other = sr2->arrays.lookup(a.sema.arrays.name(id));
-      ASSERT_TRUE(other.has_value()) << a.sema.arrays.name(id);
+      auto other = sr2->arrays.lookup(a.pa.sema.arrays.name(id));
+      ASSERT_TRUE(other.has_value()) << a.pa.sema.arrays.name(id);
       auto it = reparsed.arrays().find(*other);
       if (it == reparsed.arrays().end()) {
         EXPECT_TRUE(store.empty());
       } else {
-        EXPECT_EQ(it->second, store) << a.sema.arrays.name(id);
+        EXPECT_EQ(it->second, store) << a.pa.sema.arrays.name(id);
       }
     }
   }
@@ -181,8 +172,8 @@ TEST(CodegenTest, CorpusDirectivesCoverPrivatizableArrays) {
   int annotated = 0;
   for (const CorpusLoop& cl : perfectCorpus()) {
     Annotated a = annotate(cl.source);
-    for (const LoopAnalysis& la : a.loops) {
-      if (la.loop != findOuterLoop(a.program, cl.routine, cl.outerLoopIndex)) continue;
+    for (const LoopAnalysis& la : a.pa.loops) {
+      if (la.loop != findOuterLoop(a.pa.program, cl.routine, cl.outerLoopIndex)) continue;
       std::string d = directiveFor(la);
       if (la.classification == LoopClass::Serial) continue;
       ++annotated;
@@ -204,8 +195,8 @@ TEST(CodegenTest, QuantifiedExtensionUnlocksMdg) {
   quantified.quantified = true;
   Annotated a = annotate(mdg->source, quantified);
   bool found = false;
-  for (const LoopAnalysis& la : a.loops) {
-    if (la.loop != findOuterLoop(a.program, "interf", 0)) continue;
+  for (const LoopAnalysis& la : a.pa.loops) {
+    if (la.loop != findOuterLoop(a.pa.program, "interf", 0)) continue;
     std::string d = directiveFor(la);
     found = d.find("rl") != std::string::npos;
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/interp/interpreter.h"
@@ -15,30 +16,21 @@ namespace panorama {
 namespace {
 
 struct CorpusRun {
-  Program program;
-  SemaResult sema;
-  Hsg hsg;
-  std::unique_ptr<SummaryAnalyzer> analyzer;
-  LoopAnalysis loop;
+  ProgramAnalysis pa;
+  LoopAnalysis loop;  ///< the evaluated loop's entry of pa.loops
 };
 
 CorpusRun analyzeCorpusLoop(const CorpusLoop& cl, AnalysisOptions options) {
-  CorpusRun r;
   DiagnosticEngine diags;
   auto p = parseProgram(cl.source, diags);
   EXPECT_TRUE(p.has_value()) << cl.id << ": " << diags.str();
-  r.program = std::move(*p);
-  auto sr = analyze(r.program, diags);
-  EXPECT_TRUE(sr.has_value()) << cl.id << ": " << diags.str();
-  r.sema = std::move(*sr);
-  r.hsg = buildHsg(r.program, r.sema, diags);
-  EXPECT_FALSE(diags.hasErrors()) << cl.id << ": " << diags.str();
-  r.analyzer = std::make_unique<SummaryAnalyzer>(r.program, r.sema, r.hsg, options);
-  r.analyzer->analyzeAll();
-  const Stmt* loop = findOuterLoop(r.program, cl.routine, cl.outerLoopIndex);
+  ThreadPool pool(1);
+  CorpusRun r{analyzeProgramUnit(p ? std::move(*p) : Program{}, options, pool), {}};
+  EXPECT_TRUE(r.pa.ok) << cl.id << ": " << r.pa.error;
+  const Stmt* loop = findOuterLoop(r.pa.program, cl.routine, cl.outerLoopIndex);
   EXPECT_NE(loop, nullptr) << cl.id;
-  LoopParallelizer lp(*r.analyzer);
-  r.loop = lp.analyzeLoop(*loop, *r.program.findProcedure(cl.routine));
+  for (const LoopAnalysis& la : r.pa.loops)
+    if (la.loop == loop) r.loop = la;
   return r;
 }
 
@@ -125,7 +117,7 @@ TEST_P(CorpusMatrixTest, PrivatizedExecutionWitness) {
   // licenses is actually safe on this input.
   const CorpusLoop& cl = perfectCorpus()[GetParam()];
   CorpusRun r = analyzeCorpusLoop(cl, {});
-  const ProcSymbols& sym = r.sema.procs.at(cl.routine);
+  const ProcSymbols& sym = r.pa.sema.procs.at(cl.routine);
   // Privatize the ground-truth set: what the analysis proved plus what the
   // paper says is privatizable even though the base analysis cannot prove
   // it (MDG's RL) — the witness validates that claim semantically.
@@ -143,8 +135,8 @@ TEST_P(CorpusMatrixTest, PrivatizedExecutionWitness) {
   }
   ASSERT_FALSE(privatized.empty()) << cl.id;
 
-  const Stmt* loop = findOuterLoop(r.program, cl.routine, cl.outerLoopIndex);
-  Interpreter serial(r.program, r.sema);
+  const Stmt* loop = findOuterLoop(r.pa.program, cl.routine, cl.outerLoopIndex);
+  Interpreter serial(r.pa.program, r.pa.sema);
   auto sres = serial.run({});
   ASSERT_TRUE(sres.ok) << sres.error;
 
@@ -157,7 +149,7 @@ TEST_P(CorpusMatrixTest, PrivatizedExecutionWitness) {
   (void)sym;
 
   for (unsigned seed : {1u, 7u, 42u}) {
-    Interpreter scrambled(r.program, r.sema);
+    Interpreter scrambled(r.pa.program, r.pa.sema);
     Interpreter::Config cfg;
     cfg.privatizeLoop = loop;
     cfg.privatizedArrays = privatized;

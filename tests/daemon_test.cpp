@@ -8,11 +8,14 @@
 //   * malformed requests get structured error responses, not a dropped
 //     connection;
 //   * a named session persists across connections (the second connection's
-//     byte-identical resubmit rides the whole-file fast path).
+//     byte-identical resubmit rides the whole-file fast path);
+//   * a closed connection's handler thread is joined at the next accept,
+//     so the threads the daemon holds track its open connections.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -559,6 +562,46 @@ TEST(DaemonTest, TelemetryOffKeepsTheRequestPathQuiet) {
   ASSERT_TRUE(ok && ok->isBool() && ok->asBool());
   ASSERT_TRUE(tail.find("events") && tail.find("events")->isArray());
   EXPECT_TRUE(tail.find("events")->items().empty());
+}
+
+/// `connections.<field>` of a status reply, or -1 when absent.
+double connectionsField(const support::JsonValue& status, const char* field) {
+  const support::JsonValue* connections = status.find("connections");
+  const support::JsonValue* v = connections ? connections->find(field) : nullptr;
+  return v && v->isNumber() ? v->asNumber() : -1;
+}
+
+TEST(DaemonTest, ClosedConnectionsReleaseTheirHandlerThreads) {
+  const std::string path = socketPath("churn");
+  store::Daemon daemon(path, AnalysisOptions{});
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+  const std::string status = "{\"id\":1,\"op\":\"status\"}";
+
+  Client resident(path);
+  for (int k = 0; k < 50; ++k) {
+    Client churn(path);
+    rpc(churn.fd, "{\"id\":2,\"op\":\"ping\"}");
+  }
+  // A handler counts its connection closed only after handing its thread
+  // over, so once `resident` is the only active connection, every churned
+  // thread is ready to be joined...
+  for (int tries = 0; connectionsField(rpc(resident.fd, status), "active") != 1; ++tries) {
+    ASSERT_LT(tries, 1000) << "churned connections never closed";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // ...and the next accept joins them all: the threads held fall back to
+  // the two open connections.
+  Client probe(path);
+  support::JsonValue reply = rpc(probe.fd, status);
+  for (int tries = 0; connectionsField(reply, "handler_threads") != 2; ++tries) {
+    ASSERT_LT(tries, 1000) << "closed connections still hold "
+                           << connectionsField(reply, "handler_threads") << " threads";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    reply = rpc(probe.fd, status);
+  }
+  EXPECT_EQ(connectionsField(reply, "active"), 2);
+  EXPECT_EQ(connectionsField(reply, "total"), 52);
 }
 
 }  // namespace

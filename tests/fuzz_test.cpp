@@ -187,6 +187,7 @@ class FuzzTest : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FuzzTest, AnalyzerMatchesInterpreterOnRandomKernels) {
   ProgramGen gen(GetParam() * 2654435761u + 17u);
+  ThreadPool pool(1);
   for (int round = 0; round < 30; ++round) {
     std::string src = gen.generate();
     SCOPED_TRACE(src);
@@ -194,22 +195,19 @@ TEST_P(FuzzTest, AnalyzerMatchesInterpreterOnRandomKernels) {
     DiagnosticEngine diags;
     auto program = parseProgram(src, diags);
     ASSERT_TRUE(program.has_value()) << diags.str() << "\n" << src;
-    auto sema = analyze(*program, diags);
-    ASSERT_TRUE(sema.has_value()) << diags.str() << "\n" << src;
-    Hsg hsg = buildHsg(*program, *sema, diags);
-    SummaryAnalyzer analyzer(*program, *sema, hsg, {});
-    analyzer.analyzeAll();
+    ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), {}, pool);
+    ASSERT_TRUE(pa.ok) << pa.error << "\n" << src;
 
     // The fuzzed loop is the second top-level DO of the main program.
-    const Procedure& main = program->procedures[0];
+    const Procedure& main = pa.program.procedures[0];
     const Stmt* loop = nullptr;
     for (const StmtPtr& s : main.body)
       if (s->kind == Stmt::Kind::Do) loop = s.get();
     ASSERT_NE(loop, nullptr);
-    const LoopSummary* ls = analyzer.loopSummary(loop);
+    const LoopSummary* ls = pa.analyzer->loopSummary(loop);
     ASSERT_NE(ls, nullptr);
 
-    Interpreter interp(*program, *sema);
+    Interpreter interp(pa.program, pa.sema);
     Interpreter::Config cfg;
     cfg.traceLoop = loop;
     auto res = interp.run(cfg);
@@ -218,7 +216,7 @@ TEST_P(FuzzTest, AnalyzerMatchesInterpreterOnRandomKernels) {
     if (!ls->boundsKnown) continue;
 
     std::vector<ArrayId> arrays;
-    for (const auto& [name, id] : sema->procs.at("fz").arrayIds) arrays.push_back(id);
+    for (const auto& [name, id] : pa.sema.procs.at("fz").arrayIds) arrays.push_back(id);
 
     ElementSetMap modSoFar;
     for (std::size_t it = 0; it < t.iterEntry.size(); ++it) {
@@ -253,17 +251,19 @@ TEST_P(FuzzTest, AnalyzerMatchesInterpreterOnRandomKernels) {
 
     // Witness: anything the analyzer privatizes (in a loop it calls
     // parallel) must survive scrambled execution.
-    LoopParallelizer lp(analyzer);
-    LoopAnalysis la = lp.analyzeLoop(*loop, main);
-    if (la.classification == LoopClass::Serial) continue;
+    const LoopAnalysis* la = nullptr;
+    for (const LoopAnalysis& candidate : pa.loops)
+      if (candidate.loop == loop) la = &candidate;
+    ASSERT_NE(la, nullptr);
+    if (la->classification == LoopClass::Serial) continue;
     std::vector<ArrayId> privatized;
     std::set<ArrayId> dead;
-    for (const ArrayPrivatization& ap : la.arrays) {
+    for (const ArrayPrivatization& ap : la->arrays) {
       if (!ap.privatizable) continue;
       privatized.push_back(ap.array);
       if (!ap.needsCopyOut) dead.insert(ap.array);
     }
-    Interpreter scrambled(*program, *sema);
+    Interpreter scrambled(pa.program, pa.sema);
     Interpreter::Config scfg;
     scfg.privatizeLoop = loop;
     scfg.privatizedArrays = privatized;

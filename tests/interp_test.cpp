@@ -4,6 +4,7 @@
 // ground truth exactly when decidable and over-approximate otherwise.
 #include <gtest/gtest.h>
 
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/interp/interpreter.h"
 #include "panorama/machine/machine_model.h"
@@ -229,7 +230,12 @@ TEST(MachineModelTest, SpeedupShapes) {
 
 void validateLoopAgainstTrace(std::string_view src, const char* mainName,
                               std::map<std::string, InterpValue> inputs = {}) {
-  World w = load(src);
+  DiagnosticEngine diags;
+  auto p = parseProgram(src, diags);
+  ASSERT_TRUE(p.has_value()) << diags.str();
+  ThreadPool pool(1);
+  ProgramAnalysis w = analyzeProgramUnit(std::move(*p), {}, pool);
+  ASSERT_TRUE(w.ok) << w.error;
   // Find the first outermost loop of the main program.
   const Procedure* mainProc = w.program.findProcedure(mainName);
   ASSERT_NE(mainProc, nullptr);
@@ -240,12 +246,7 @@ void validateLoopAgainstTrace(std::string_view src, const char* mainName,
       break;
     }
   ASSERT_NE(loop, nullptr);
-
-  DiagnosticEngine diags;
-  Hsg hsg = buildHsg(w.program, w.sema, diags);
-  SummaryAnalyzer analyzer(w.program, w.sema, hsg, {});
-  analyzer.analyzeAll();
-  const LoopSummary* ls = analyzer.loopSummary(loop);
+  const LoopSummary* ls = w.analyzer->loopSummary(loop);
   ASSERT_NE(ls, nullptr);
 
   Interpreter interp(w.program, w.sema);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/interp/interpreter.h"
 
@@ -13,26 +14,13 @@ namespace {
 
 using ElementSet = std::set<std::vector<std::int64_t>>;
 
-struct World {
-  Program program;
-  SemaResult sema;
-  Hsg hsg;
-  std::unique_ptr<SummaryAnalyzer> analyzer;
-};
-
-World load(std::string_view src, AnalysisOptions options = {}) {
-  World w;
+ProgramAnalysis load(std::string_view src, AnalysisOptions options = {}) {
   DiagnosticEngine diags;
   auto p = parseProgram(src, diags);
   EXPECT_TRUE(p.has_value()) << diags.str();
-  w.program = std::move(*p);
-  auto sr = analyze(w.program, diags);
-  EXPECT_TRUE(sr.has_value()) << diags.str();
-  w.sema = std::move(*sr);
-  w.hsg = buildHsg(w.program, w.sema, diags);
-  EXPECT_FALSE(diags.hasErrors()) << diags.str();
-  w.analyzer = std::make_unique<SummaryAnalyzer>(w.program, w.sema, w.hsg, options);
-  w.analyzer->analyzeAll();
+  ThreadPool pool(1);
+  ProgramAnalysis w = analyzeProgramUnit(p ? std::move(*p) : Program{}, options, pool);
+  EXPECT_TRUE(w.ok) << w.error;
   return w;
 }
 
@@ -60,7 +48,7 @@ ElementSet points(std::initializer_list<std::int64_t> xs) {
 TEST(InterprocTest, LowerBoundShiftInMapping) {
   // Formal declared b(0:49), actual a(1:100): formal index f maps to
   // a(f + 1).
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       program p
       real a(100)
       call f(a)
@@ -88,7 +76,7 @@ TEST(InterprocTest, LowerBoundShiftInMapping) {
 TEST(InterprocTest, AssumedSizeFormal) {
   // b(*): the declared shape is open-ended but the accessed region is fully
   // determined by the loop.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       program p
       real a(100)
       integer m
@@ -112,7 +100,7 @@ TEST(InterprocTest, AssumedSizeFormal) {
 TEST(InterprocTest, TwoLevelOffsetChain) {
   // a(20) passed down two levels with a further offset at the second call:
   // the final writes land at a(20+2-1 + j - 1) = a(21 + j - 1).
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       program p
       real a(100)
       call f(a(20))
@@ -145,7 +133,7 @@ TEST(InterprocTest, TwoLevelOffsetChain) {
 
 TEST(InterprocTest, SymbolicElementOffset) {
   // CALL f(a(k)) with symbolic k: regions shift by k - 1.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       subroutine top(a, k)
       real a(200)
       integer k
@@ -167,7 +155,7 @@ TEST(InterprocTest, SymbolicElementOffset) {
 TEST(InterprocTest, ByRefScalarWriteTaintsElement) {
   // CALL f(a(7), ...) where f writes its scalar formal: the element becomes
   // a (tainted) write — present in MOD, never able to kill.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       subroutine top(a, x)
       real a(100), x
       call f(a(7))
@@ -192,7 +180,7 @@ TEST(InterprocTest, ByRefScalarWriteTaintsElement) {
 TEST(InterprocTest, SummaryThroughSharedCalleeTwoSites) {
   // One callee, two call sites with different actuals — the memoized
   // summary must map independently at each site.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       program p
       real a(100), b(100)
       integer m
@@ -219,7 +207,7 @@ TEST(InterprocTest, SummaryThroughSharedCalleeTwoSites) {
 TEST(InterprocTest, RankMismatchDegradesToOmega) {
   // Passing a 2-D actual to a 1-D formal (linearized reshape): Ω on the
   // actual, never a wrong region.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       program p
       real a(10, 10)
       call f(a)
@@ -238,7 +226,7 @@ TEST(InterprocTest, RankMismatchDegradesToOmega) {
 
 TEST(InterprocTest, GuardedCalleeComposesThreeLevels) {
   // The Figure 1(c) implication surviving an extra call level.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       subroutine top(c, n, m)
       real c(100)
       real a(100)

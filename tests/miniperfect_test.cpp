@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/interp/interpreter.h"
@@ -97,17 +98,27 @@ constexpr const char* kMiniPerfect = R"(
       end
 )";
 
-TEST(MiniPerfectTest, AllPatternsClassifyTogether) {
+ProgramAnalysis analyzeMiniPerfect() {
   DiagnosticEngine diags;
   auto p = parseProgram(kMiniPerfect, diags);
-  ASSERT_TRUE(p.has_value()) << diags.str();
-  auto sr = analyze(*p, diags);
-  ASSERT_TRUE(sr.has_value()) << diags.str();
-  Hsg hsg = buildHsg(*p, *sr, diags);
-  ASSERT_FALSE(diags.hasErrors()) << diags.str();
-  SummaryAnalyzer analyzer(*p, *sr, hsg, {});
-  analyzer.analyzeAll();
-  LoopParallelizer lp(analyzer);
+  EXPECT_TRUE(p.has_value()) << diags.str();
+  ThreadPool pool(1);
+  ProgramAnalysis pa = analyzeProgramUnit(p ? std::move(*p) : Program{}, {}, pool);
+  EXPECT_TRUE(pa.ok) << pa.error;
+  return pa;
+}
+
+/// The analysis of `routine`'s first outermost loop (nullptr if absent).
+const LoopAnalysis* outerLoopAnalysis(const ProgramAnalysis& pa, const char* routine) {
+  const Stmt* loop = findOuterLoop(pa.program, routine, 0);
+  for (const LoopAnalysis& la : pa.loops)
+    if (loop && la.loop == loop) return &la;
+  return nullptr;
+}
+
+TEST(MiniPerfectTest, AllPatternsClassifyTogether) {
+  ProgramAnalysis pa = analyzeMiniPerfect();
+  ASSERT_TRUE(pa.ok);
 
   struct Want {
     const char* routine;
@@ -116,9 +127,9 @@ TEST(MiniPerfectTest, AllPatternsClassifyTogether) {
   const Want wants[] = {
       {"filter", "work"}, {"transf", "xrsiq"}, {"pipeln", "cwork"}};
   for (const Want& w : wants) {
-    const Stmt* loop = findOuterLoop(*p, w.routine, 0);
-    ASSERT_NE(loop, nullptr) << w.routine;
-    LoopAnalysis la = lp.analyzeLoop(*loop, *p->findProcedure(w.routine));
+    const LoopAnalysis* found = outerLoopAnalysis(pa, w.routine);
+    ASSERT_NE(found, nullptr) << w.routine;
+    const LoopAnalysis& la = *found;
     bool priv = false;
     for (const ArrayPrivatization& ap : la.arrays)
       if (ap.name == w.array) priv = ap.privatizable;
@@ -131,36 +142,29 @@ TEST(MiniPerfectTest, AllPatternsClassifyTogether) {
 }
 
 TEST(MiniPerfectTest, ExecutesAndWitnesses) {
-  DiagnosticEngine diags;
-  auto p = parseProgram(kMiniPerfect, diags);
-  ASSERT_TRUE(p.has_value()) << diags.str();
-  auto sr = analyze(*p, diags);
-  ASSERT_TRUE(sr.has_value()) << diags.str();
-  Hsg hsg = buildHsg(*p, *sr, diags);
-  SummaryAnalyzer analyzer(*p, *sr, hsg, {});
-  analyzer.analyzeAll();
-  LoopParallelizer lp(analyzer);
+  ProgramAnalysis pa = analyzeMiniPerfect();
+  ASSERT_TRUE(pa.ok);
 
-  Interpreter serial(*p, *sr);
+  Interpreter serial(pa.program, pa.sema);
   auto res = serial.run({});
   ASSERT_TRUE(res.ok) << res.error;
 
   // Scramble each of the three evaluated loops (independently) with its
   // privatized arrays; live-out memory must match.
   for (const char* routine : {"filter", "transf", "pipeln"}) {
-    const Stmt* loop = findOuterLoop(*p, routine, 0);
-    LoopAnalysis la = lp.analyzeLoop(*loop, *p->findProcedure(routine));
+    const LoopAnalysis* la = outerLoopAnalysis(pa, routine);
+    ASSERT_NE(la, nullptr) << routine;
     std::vector<ArrayId> privatized;
     std::set<ArrayId> dead;
-    for (const ArrayPrivatization& ap : la.arrays) {
+    for (const ArrayPrivatization& ap : la->arrays) {
       if (!ap.privatizable) continue;
       privatized.push_back(ap.array);
       if (!ap.needsCopyOut) dead.insert(ap.array);
     }
     ASSERT_FALSE(privatized.empty()) << routine;
-    Interpreter scrambled(*p, *sr);
+    Interpreter scrambled(pa.program, pa.sema);
     Interpreter::Config cfg;
-    cfg.privatizeLoop = loop;
+    cfg.privatizeLoop = la->loop;
     cfg.privatizedArrays = privatized;
     cfg.scrambleSeed = 99;
     auto sres = scrambled.run(cfg);
@@ -169,7 +173,7 @@ TEST(MiniPerfectTest, ExecutesAndWitnesses) {
       if (dead.count(id)) continue;
       auto it = scrambled.arrays().find(id);
       ASSERT_NE(it, scrambled.arrays().end());
-      EXPECT_EQ(it->second, store) << routine << "/" << sr->arrays.name(id);
+      EXPECT_EQ(it->second, store) << routine << "/" << pa.sema.arrays.name(id);
     }
   }
 }

@@ -1,7 +1,7 @@
 // Determinism guarantees of the parallel analysis driver and the query
 // memo cache:
 //   * an 8-thread corpus run produces results identical to the 1-thread
-//     (serial, pre-driver) run;
+//     run (the same wave schedule, run inline on the calling thread);
 //   * memoized verdicts equal cold (cache-disabled) verdicts no matter in
 //     which order the queries arrive;
 //   * a tiny cache capacity — constant eviction — never changes a verdict

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 
@@ -11,31 +12,23 @@ namespace panorama {
 namespace {
 
 struct QRun {
-  Program program;
-  SemaResult sema;
-  Hsg hsg;
-  std::unique_ptr<SummaryAnalyzer> analyzer;
-  LoopAnalysis loop;
+  ProgramAnalysis pa;
+  LoopAnalysis loop;  ///< the first outermost loop of the routine
 };
 
 QRun runQ(std::string_view src, const char* routine, bool quantified = true) {
-  QRun r;
   DiagnosticEngine diags;
   auto p = parseProgram(src, diags);
   EXPECT_TRUE(p.has_value()) << diags.str();
-  r.program = std::move(*p);
-  auto sr = analyze(r.program, diags);
-  EXPECT_TRUE(sr.has_value()) << diags.str();
-  r.sema = std::move(*sr);
-  r.hsg = buildHsg(r.program, r.sema, diags);
   AnalysisOptions options;
   options.quantified = quantified;
-  r.analyzer = std::make_unique<SummaryAnalyzer>(r.program, r.sema, r.hsg, options);
-  r.analyzer->analyzeAll();
-  const Stmt* loop = findOuterLoop(r.program, routine, 0);
+  ThreadPool pool(1);
+  QRun r{analyzeProgramUnit(p ? std::move(*p) : Program{}, options, pool), {}};
+  EXPECT_TRUE(r.pa.ok) << r.pa.error;
+  const Stmt* loop = findOuterLoop(r.pa.program, routine, 0);
   EXPECT_NE(loop, nullptr);
-  LoopParallelizer lp(*r.analyzer);
-  r.loop = lp.analyzeLoop(*loop, *r.program.findProcedure(routine));
+  for (const LoopAnalysis& la : r.pa.loops)
+    if (la.loop == loop) r.loop = la;
   return r;
 }
 

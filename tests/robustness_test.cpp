@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/interp/interpreter.h"
 
@@ -154,16 +155,13 @@ TEST(RobustnessTest, DeepNesting) {
   )",
                         diags);
   ASSERT_TRUE(p.has_value());
-  auto sr = analyze(*p, diags);
-  ASSERT_TRUE(sr.has_value());
-  Hsg hsg = buildHsg(*p, *sr, diags);
-  SummaryAnalyzer analyzer(*p, *sr, hsg, {});
-  LoopParallelizer lp(analyzer);
-  auto loops = lp.analyzeProgram();
-  ASSERT_EQ(loops.size(), 6u);
+  ThreadPool pool(1);
+  ProgramAnalysis pa = analyzeProgramUnit(std::move(*p), {}, pool);
+  ASSERT_TRUE(pa.ok) << pa.error;
+  ASSERT_EQ(pa.loops.size(), 6u);
   // The i4 loop privatizes `a`.
   bool found = false;
-  for (const LoopAnalysis& la : loops) {
+  for (const LoopAnalysis& la : pa.loops) {
     if (la.loop->doVar != "i4") continue;
     for (const ArrayPrivatization& ap : la.arrays)
       if (ap.name == "a") found = ap.privatizable;

@@ -6,13 +6,22 @@
 //     while siblings keep their cached summaries and epochs;
 //   * identical resubmission recomputes nothing;
 //   * procedure add/remove dirties only the affected unit;
-//   * an ablation-relevant options change invalidates everything once.
+//   * an ablation-relevant options change invalidates everything once;
+//   * a cold submit reports exactly what the batch analyzeProgramUnit does,
+//     on every corpus program, at 1 and 4 threads, with and without the
+//     quantified extension.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "panorama/analysis/driver.h"
+#include "panorama/corpus/corpus.h"
+#include "panorama/frontend/parser.h"
 #include "panorama/obs/metrics.h"
 #include "panorama/session/session.h"
 #include "panorama/support/memo_cache.h"
@@ -496,6 +505,45 @@ TEST(SessionTest, FailedSubmitLeavesSessionIntact) {
   EXPECT_FALSE(warm.stats.fullInvalidation);
   EXPECT_EQ(warm.stats.dirty, 4u);
   EXPECT_EQ(warm.stats.summariesReused, 1u);
+}
+
+// The two front doors of the one scheduler — the batch analyzeProgramUnit
+// and a cold session submit — agree on every corpus program, loop for loop.
+TEST(SessionTest, ColdSubmitMatchesBatchAnalysisOnEveryCorpusProgram) {
+  CacheGuard guard;
+  std::vector<std::pair<std::string, const char*>> programs;
+  for (const CorpusLoop& cl : perfectCorpus()) programs.emplace_back(cl.id, cl.source);
+  programs.emplace_back("fig1a", fig1aSource());
+  programs.emplace_back("fig1b", fig1bSource());
+  programs.emplace_back("fig1c", fig1cSource());
+  ASSERT_EQ(programs.size(), 15u);
+
+  for (bool quantified : {false, true}) {
+    for (std::size_t threads : {1u, 4u}) {
+      AnalysisOptions options;
+      options.quantified = quantified;
+      options.numThreads = threads;
+      ThreadPool pool(threads);
+      for (const auto& [id, source] : programs) {
+        SCOPED_TRACE(id + (quantified ? " quantified" : "") + " threads=" +
+                     std::to_string(threads));
+        DiagnosticEngine diags;
+        std::optional<Program> program = parseProgram(source, diags);
+        ASSERT_TRUE(program.has_value()) << diags.str();
+        ProgramAnalysis batch = analyzeProgramUnit(std::move(*program), options, pool);
+        ASSERT_TRUE(batch.ok) << batch.error;
+
+        AnalysisSession session(options);
+        SessionResult cold = session.submit(std::string(source));
+        ASSERT_TRUE(cold.ok) << cold.error;
+        ASSERT_EQ(cold.loops.size(), batch.loops.size());
+        for (std::size_t k = 0; k < cold.loops.size(); ++k) {
+          EXPECT_EQ(cold.loops[k].report, formatLoopAnalysis(batch.loops[k])) << "loop " << k;
+          EXPECT_EQ(cold.loops[k].provenance, formatProvenance(batch.loops[k])) << "loop " << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

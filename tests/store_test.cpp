@@ -256,13 +256,19 @@ TEST(StoreTest, RestoreRejectsVersionMismatchAndBadMagic) {
   ASSERT_TRUE(session.save(snap.path).ok);
   const std::string bytes = slurp(snap.path);
 
-  // Bump the schema version field (offset 4, little-endian u32).
-  std::string versioned = bytes;
-  versioned[4] = 99;
-  spit(snap.path, versioned);
-  store::StoreResult r = session.restore(snap.path);
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("unsupported schema version 99"), std::string::npos) << r.error;
+  // Rewrite the schema version field (offset 4, little-endian u32): a
+  // future version and the retired v1 are both version skew.
+  store::StoreResult r;
+  for (int version : {99, 1}) {
+    std::string versioned = bytes;
+    versioned[4] = static_cast<char>(version);
+    spit(snap.path, versioned);
+    r = session.restore(snap.path);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("unsupported schema version " + std::to_string(version)),
+              std::string::npos)
+        << r.error;
+  }
 
   // Clobber the magic.
   std::string unmagiced = bytes;
@@ -352,58 +358,6 @@ TEST(StoreTest, V2RoundTripRemapsLinesAfterCommentOnlyEdit) {
   ASSERT_EQ(cold.loops.size(), shifted.loops.size());
   for (std::size_t k = 0; k < cold.loops.size(); ++k)
     EXPECT_EQ(cold.loops[k].line + 1, shifted.loops[k].line) << "loop " << k;
-}
-
-TEST(StoreTest, V1SnapshotRestoresWithProcedureGranularFallback) {
-  CacheGuard guard;
-  FileGuard snap{tempPath("store_v1_compat.pano")};
-  AnalysisSession saver;
-  ASSERT_TRUE(saver.submit(nestSource(0)).ok);
-  ASSERT_TRUE(saver.save(snap.path, /*schemaVersion=*/1).ok);
-
-  // A v1 snapshot has no item records: the restored session still reuses
-  // whole clean units, but a dirty unit recomputes all of its loops.
-  AnalysisSession restored;
-  store::StoreResult r = restored.restore(snap.path);
-  ASSERT_TRUE(r.ok) << r.error;
-  SessionResult warm = restored.submit(nestSource(1));
-  ASSERT_TRUE(warm.ok);
-  EXPECT_EQ(warm.stats.loopSkips, 0u);
-
-  AnalysisSession cold;
-  SessionResult coldRun = cold.submit(nestSource(1));
-  ASSERT_TRUE(coldRun.ok);
-  EXPECT_EQ(render(coldRun), render(warm));
-}
-
-TEST(StoreTest, V1RestoreUpgradesToLoopGranularOnFirstRealSubmit) {
-  CacheGuard guard;
-  FileGuard snap{tempPath("store_v1_upgrade.pano")};
-  AnalysisSession saver;
-  ASSERT_TRUE(saver.submit(nestSource(0)).ok);
-  ASSERT_TRUE(saver.save(snap.path, /*schemaVersion=*/1).ok);
-
-  AnalysisSession restored;
-  ASSERT_TRUE(restored.restore(snap.path).ok);
-  // The comment-only edit goes through the diff path (not the byte-identical
-  // fast path) and rebuilds every unit's item records from the new parse...
-  SessionResult shifted = restored.submit(nestSource(0, /*comment=*/true));
-  ASSERT_TRUE(shifted.ok);
-  EXPECT_EQ(shifted.stats.dirty, 0u);
-  // ...so the next single-loop edit reuses at loop granularity again.
-  SessionResult warm = restored.submit(nestSource(1, /*comment=*/true));
-  ASSERT_TRUE(warm.ok);
-  EXPECT_EQ(warm.stats.loopSkips, 6u);
-}
-
-TEST(StoreTest, SaveRejectsUnsupportedSchemaVersion) {
-  CacheGuard guard;
-  FileGuard snap{tempPath("store_bad_version.pano")};
-  AnalysisSession session;
-  ASSERT_TRUE(session.submit(nestSource(0)).ok);
-  store::StoreResult r = session.save(snap.path, /*schemaVersion=*/7);
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("schema version"), std::string::npos) << r.error;
 }
 
 TEST(StoreTest, RestoreRejectsTruncatedV2ItemRecordsAndKeepsSession) {

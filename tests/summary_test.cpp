@@ -4,6 +4,7 @@
 // derivation, checked semantically.
 #include <gtest/gtest.h>
 
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/summary/summary.h"
 
@@ -13,58 +14,39 @@ namespace {
 using ElementSet = std::set<std::vector<std::int64_t>>;
 
 struct Analyzed {
-  Program program;
-  SemaResult sema;
-  Hsg hsg;
-  std::unique_ptr<SummaryAnalyzer> analyzer;
+  ProgramAnalysis pa;
 
   const Procedure& proc(std::string_view name) const {
-    const Procedure* p = program.findProcedure(name);
+    const Procedure* p = pa.program.findProcedure(name);
     EXPECT_NE(p, nullptr);
     return *p;
   }
   VarId var(std::string_view procName, std::string_view local) const {
-    auto id = sema.procs.at(std::string(procName)).scalarId(local);
+    auto id = pa.sema.procs.at(std::string(procName)).scalarId(local);
     EXPECT_TRUE(id.has_value());
     return *id;
   }
   ArrayId arr(std::string_view procName, std::string_view local) const {
-    auto id = sema.procs.at(std::string(procName)).arrayId(local);
+    auto id = pa.sema.procs.at(std::string(procName)).arrayId(local);
     EXPECT_TRUE(id.has_value());
     return *id;
   }
   const LoopSummary& loop(std::string_view procName, std::size_t index = 0) const {
-    const Procedure& p = proc(procName);
-    std::vector<const Stmt*> loops;
-    std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& b) {
-      for (const StmtPtr& s : b) {
-        if (s->kind == Stmt::Kind::Do) loops.push_back(s.get());
-        walk(s->thenBody);
-        walk(s->elseBody);
-        walk(s->body);
-      }
-    };
-    walk(p.body);
+    std::vector<const Stmt*> loops = collectDoLoops(proc(procName).body);
     EXPECT_LT(index, loops.size());
-    const LoopSummary* ls = analyzer->loopSummary(loops[index]);
+    const LoopSummary* ls = pa.analyzer->loopSummary(loops[index]);
     EXPECT_NE(ls, nullptr);
     return *ls;
   }
 };
 
 Analyzed analyzeSource(std::string_view src, AnalysisOptions options = {}) {
-  Analyzed a;
   DiagnosticEngine diags;
   auto p = parseProgram(src, diags);
   EXPECT_TRUE(p.has_value()) << diags.str();
-  a.program = std::move(*p);
-  auto r = analyze(a.program, diags);
-  EXPECT_TRUE(r.has_value()) << diags.str();
-  a.sema = std::move(*r);
-  a.hsg = buildHsg(a.program, a.sema, diags);
-  EXPECT_FALSE(diags.hasErrors()) << diags.str();
-  a.analyzer = std::make_unique<SummaryAnalyzer>(a.program, a.sema, a.hsg, options);
-  a.analyzer->analyzeAll();
+  ThreadPool pool(1);
+  Analyzed a{analyzeProgramUnit(p ? std::move(*p) : Program{}, options, pool)};
+  EXPECT_TRUE(a.pa.ok) << a.pa.error;
   return a;
 }
 
@@ -96,7 +78,7 @@ TEST(SummaryTest, ProcedureModAndUe) {
       a(1) = b(2) + 1
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   EXPECT_EQ(evalList(ps.mod, a.arr("s", "a"), {}), points({1}));
   EXPECT_EQ(evalList(ps.ue, a.arr("s", "b"), {}), points({2}));
   EXPECT_TRUE(evalList(ps.ue, a.arr("s", "a"), {}).empty());
@@ -110,7 +92,7 @@ TEST(SummaryTest, WriteKillsLaterUse) {
       x = a(1) + a(2)
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   // a(1) is written before its use: only a(2) is upward exposed.
   EXPECT_EQ(evalList(ps.ue, a.arr("s", "a"), {}), points({2}));
 }
@@ -122,7 +104,7 @@ TEST(SummaryTest, SelfReferenceIsExposed) {
       a(1) = a(1) + 1
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   EXPECT_EQ(evalList(ps.ue, a.arr("s", "a"), {}), points({1}));
 }
 
@@ -137,7 +119,7 @@ TEST(SummaryTest, IfConditionGuardsKill) {
       x = a(1)
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   VarId n = a.var("s", "n");
   // Exposed exactly when the write did not happen: n <= 0.
   EXPECT_EQ(evalList(ps.ue, a.arr("s", "a"), {{n, 5}}), points({}));
@@ -160,7 +142,7 @@ TEST(SummaryTest, TwoSidedIfMerges) {
       x = a(1)
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   VarId n = a.var("s", "n");
   // Written on both paths: never exposed; MOD unconditional after merge.
   EXPECT_EQ(evalList(ps.ue, a.arr("s", "a"), {{n, 1}}), points({}));
@@ -177,7 +159,7 @@ TEST(SummaryTest, OnTheFlySubstitution) {
       a(k) = 0
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   VarId j = a.var("s", "j");
   EXPECT_EQ(evalList(ps.mod, a.arr("s", "a"), {{j, 4}}), points({5}));
 }
@@ -192,7 +174,7 @@ TEST(SummaryTest, SubstitutionChain) {
       a(m) = 0
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   VarId j = a.var("s", "j");
   EXPECT_EQ(evalList(ps.mod, a.arr("s", "a"), {{j, 4}}), points({10}));
 }
@@ -206,7 +188,7 @@ TEST(SummaryTest, UnlowerableRhsDegradesNotLies) {
       a(k) = 0
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   bool undecided = false;
   evalList(ps.mod, a.arr("s", "a"), {{a.var("s", "j"), 1}}, &undecided);
   EXPECT_TRUE(undecided);  // the write exists but its target is Ω/Δ
@@ -223,7 +205,7 @@ TEST(SummaryTest, SimpleLoopExpansion) {
       enddo
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("s"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("s"));
   VarId n = a.var("s", "n");
   EXPECT_EQ(evalList(ps.mod, a.arr("s", "a"), {{n, 4}}), points({1, 2, 3, 4}));
   EXPECT_EQ(evalList(ps.ue, a.arr("s", "b"), {{n, 3}}), points({2, 3, 4}));
@@ -320,7 +302,7 @@ TEST(SummaryTest, InterproceduralGuardedSummary) {
       enddo
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("in"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("in"));
   ArrayId b = a.arr("in", "b");
   VarId y = a.var("in", "y");
   VarId mm = a.var("in", "mm");
@@ -329,7 +311,7 @@ TEST(SummaryTest, InterproceduralGuardedSummary) {
   EXPECT_EQ(evalList(ps.mod, b, {{y, 101}, {mm, 3}}), points({}));
 
   // And the caller maps b -> a.
-  const ProcSummary& mainPs = a.analyzer->procSummary(a.proc("main"));
+  const ProcSummary& mainPs = a.pa.analyzer->procSummary(a.proc("main"));
   ArrayId arrA = a.arr("main", "a");
   VarId x = a.var("main", "x");
   VarId m = a.var("main", "m");
@@ -350,7 +332,7 @@ TEST(SummaryTest, OffsetArrayPassing) {
       enddo
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("main"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("main"));
   EXPECT_EQ(evalList(ps.modAll, a.arr("main", "a"), {}), points({10, 11, 12, 13, 14}));
 }
 
@@ -371,7 +353,7 @@ TEST(SummaryTest, CommonArraysPassThrough) {
       enddo
       end
   )");
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("main"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("main"));
   ArrayId w = a.arr("main", "w");
   ElementSet mod = evalList(ps.modAll, w, {});
   EXPECT_EQ(mod.size(), 10u);
@@ -397,7 +379,7 @@ TEST(SummaryTest, NonInterproceduralDegradesToOmega) {
       end
   )",
                              opt);
-  const ProcSummary& ps = a.analyzer->procSummary(a.proc("main"));
+  const ProcSummary& ps = a.pa.analyzer->procSummary(a.proc("main"));
   bool undecided = false;
   evalList(ps.modAll, a.arr("main", "a"), {}, &undecided);
   EXPECT_TRUE(undecided);

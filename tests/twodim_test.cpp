@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/analysis.h"
+#include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/interp/interpreter.h"
 
@@ -12,25 +13,13 @@ namespace {
 
 using ElementSet = std::set<std::vector<std::int64_t>>;
 
-struct World {
-  Program program;
-  SemaResult sema;
-  Hsg hsg;
-  std::unique_ptr<SummaryAnalyzer> analyzer;
-};
-
-World load(std::string_view src) {
-  World w;
+ProgramAnalysis load(std::string_view src) {
   DiagnosticEngine diags;
   auto p = parseProgram(src, diags);
   EXPECT_TRUE(p.has_value()) << diags.str();
-  w.program = std::move(*p);
-  auto sr = analyze(w.program, diags);
-  EXPECT_TRUE(sr.has_value()) << diags.str();
-  w.sema = std::move(*sr);
-  w.hsg = buildHsg(w.program, w.sema, diags);
-  w.analyzer = std::make_unique<SummaryAnalyzer>(w.program, w.sema, w.hsg, AnalysisOptions{});
-  w.analyzer->analyzeAll();
+  ThreadPool pool(1);
+  ProgramAnalysis w = analyzeProgramUnit(p ? std::move(*p) : Program{}, AnalysisOptions{}, pool);
+  EXPECT_TRUE(w.ok) << w.error;
   return w;
 }
 
@@ -43,7 +32,7 @@ const Stmt* firstLoop(const Procedure& proc) {
 TEST(TwoDimTest, TwoDimensionalWorkArrayPrivatizes) {
   // work(j, 1..2): a 2-D scratch rewritten per outer iteration — the real
   // ARC2D shape.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       subroutine stepf(q, s, jlow, jup, kup)
       integer jlow, jup, kup
       real q(60, 60), s(60, 60)
@@ -72,7 +61,7 @@ TEST(TwoDimTest, TwoDimensionalWorkArrayPrivatizes) {
 TEST(TwoDimTest, ColumnSweepSummaries) {
   // MOD of the whole nest is the full rectangle; the outer loop's MOD_i is
   // one column.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       subroutine s(q, n, m)
       integer n, m
       real q(60, 60)
@@ -104,7 +93,7 @@ TEST(TwoDimTest, ColumnSweepSummaries) {
 TEST(TwoDimTest, RowVsColumnDisjointness) {
   // Writing row i while reading row i-1: carried flow dependence through
   // dimension 2 must be detected; through dimension 1 it must not.
-  World w = load(R"(
+  ProgramAnalysis w = load(R"(
       subroutine carried(q, n, m)
       integer n, m
       real q(60, 60)
@@ -149,7 +138,7 @@ TEST(TwoDimTest, OracleValidatesTwoDimSets) {
       enddo
       end
   )";
-  World w = load(src);
+  ProgramAnalysis w = load(src);
   const Procedure& proc = w.program.procedures[0];
   const Stmt* loop = nullptr;
   for (const StmtPtr& s : proc.body)
