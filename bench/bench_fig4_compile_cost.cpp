@@ -35,6 +35,7 @@ BenchResult run() {
 
   BenchResult result;
   result.addConfig("corpus", "perfect (Table 1/2 kernels)");
+  result.addConfig("nproc", std::to_string(ThreadPool::defaultConcurrency()));
   double totalParseMs = 0, totalFullMs = 0;
   std::size_t totalGars = 0;
   constexpr int kRepeat = 20;  // timings are sub-millisecond: repeat and average

@@ -103,6 +103,35 @@ void BM_PredEqualityInterned(benchmark::State& state) {
 }
 BENCHMARK(BM_PredEqualityInterned);
 
+// ----- interned atoms -----
+// Every atom factory interns its result in the atom table, which stores the
+// atom's negation the first time negated() derives it: a repeat negation is
+// a table read, and the pairwise simplifier tests built on it
+// (atomImplies = atomsContradict(a, ¬b)) cost one verdict-cache lookup.
+
+void BM_AtomNegated(benchmark::State& state) {
+  Fixture& f = fx();
+  Atom a = Atom::le(f.I.mulConst(2) + f.N, f.M - 3);
+  (void)a.negated();  // derive once; the loop measures the stored read
+  for (auto _ : state) {
+    Atom n = a.negated();
+    benchmark::DoNotOptimize(n);
+  }
+}
+BENCHMARK(BM_AtomNegated);
+
+void BM_AtomImplies(benchmark::State& state) {
+  Fixture& f = fx();
+  Atom strong = Atom::le(f.I, f.N);
+  Atom weak = Atom::le(f.I, f.N + 3);
+  (void)atomImplies(strong, weak);  // the pair's verdict is cached from here on
+  for (auto _ : state) {
+    Truth t = atomImplies(strong, weak);
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_AtomImplies);
+
 void BM_PredicateSimplify(benchmark::State& state) {
   Fixture& f = fx();
   for (auto _ : state) {

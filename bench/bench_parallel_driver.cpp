@@ -7,7 +7,7 @@
 // The headline metric compares the driver's default configuration
 // (4 threads, memo cache on) against the pre-driver behavior (1 thread,
 // cache off). On a single-core host the thread axis cannot improve wall
-// time — the config records hardware_concurrency so readers can tell — and
+// time — the config records nproc so readers can tell — and
 // the speedup there comes from the memoized symbolic queries; on multi-core
 // hosts both axes contribute.
 #include <algorithm>
@@ -103,7 +103,7 @@ bench::BenchResult run() {
 
   bench::BenchResult result;
   result.addConfig("corpus", "perfect (Table 1/2 kernels)");
-  result.addConfig("hardware_concurrency", std::to_string(ThreadPool::defaultConcurrency()));
+  result.addConfig("nproc", std::to_string(ThreadPool::defaultConcurrency()));
   result.addConfig("baseline", "1 thread, cache off (pre-driver behavior)");
   result.addConfig("comparison", "4 threads, cache on (driver default)");
   result.addConfig("prior_snapshot", "mutable SymExpr/Pred values (pre-interning)");

@@ -5,7 +5,8 @@
 #   * a good run writes all three artifacts, and the profile is the §4.5
 #     cost-profile schema;
 #   * --annotate no longer drops the artifacts on the early-return path;
-#   * the single-file path honours --no-prefilter and --no-cache.
+#   * the single-file path honours --no-prefilter and --no-cache;
+#   * --stats reports the atom table's occupancy, with and without the cache.
 # Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir> -DCORPUS_DIR=<corpus/>.
 
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -136,6 +137,11 @@ execute_process(
 if(NOT out MATCHES "query cache: [^\n]*, [1-9][0-9]* entries,")
   message(FATAL_ERROR "--stats shows an empty query cache on a default run: ${out}")
 endif()
+set(atom_table_line
+    "atom table: [1-9][0-9]* distinct atoms, [1-9][0-9]* stored negations, [1-9][0-9]* bytes")
+if(NOT out MATCHES "${atom_table_line}")
+  message(FATAL_ERROR "--stats lacks the atom table's occupancy: ${out}")
+endif()
 execute_process(
   COMMAND "${DRIVER}" --no-cache --stats "${kernel}"
   RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -148,6 +154,10 @@ if(NOT at EQUAL 0)
 endif()
 if(NOT out MATCHES "query cache: [^\n]*, 0 entries,")
   message(FATAL_ERROR "--no-cache --stats shows a populated query cache: ${out}")
+endif()
+# The atom table is not a cache: it stays on under --no-cache.
+if(NOT out MATCHES "${atom_table_line}")
+  message(FATAL_ERROR "--no-cache --stats lacks a populated atom table: ${out}")
 endif()
 
 # The C-like frontend is dispatched by extension and reaches the same

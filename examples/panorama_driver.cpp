@@ -49,6 +49,7 @@
 #include "panorama/obs/trace.h"
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/fm_incremental.h"
+#include "panorama/predicate/intern.h"
 #include "panorama/session/session.h"
 #include "panorama/store/daemon.h"
 #include "panorama/symbolic/arena.h"
@@ -64,6 +65,9 @@ void printArenaStats() {
               es.distinct, es.bytes, es.minShard, es.maxShard);
   std::printf("pred arena: %zu distinct preds, %zu bytes, shard occupancy %zu..%zu\n",
               ps.distinct, ps.bytes, ps.minShard, ps.maxShard);
+  AtomTableStats as = atomTableStats();
+  std::printf("atom table: %zu distinct atoms, %zu stored negations, %zu bytes\n", as.distinct,
+              as.negations, as.bytes);
 }
 
 int usage() {

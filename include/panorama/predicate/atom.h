@@ -7,6 +7,11 @@
 //
 // The negation of an atom is again a single atom, which keeps CNF negation a
 // pure distribution problem.
+//
+// Atoms are interned: every factory registers its canonical result in the
+// atom table (predicate/intern.h) and the atom carries the table key, so
+// equality and memo keys are a field read, and the negation is derived once
+// per distinct atom and then read back from the table.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +23,10 @@
 #include "panorama/symbolic/expr.h"
 
 namespace panorama {
+
+namespace detail {
+struct AtomEntry;
+}  // namespace detail
 
 enum class RelOp : std::uint8_t {
   LE,  ///< expr <= 0 (integer-valued: subject to tightening and FM)
@@ -57,6 +66,9 @@ class Atom {
     /// kc == 0 test).
     Forall,
   };
+
+  /// The relational atom `0 <= 0` (True); containers default-construct it.
+  Atom();
 
   /// Relational atom `e op 0`.
   static Atom rel(SymExpr e, RelOp op);
@@ -103,6 +115,8 @@ class Atom {
   /// True when the relational expression is poisoned (value unknowable).
   bool isPoisoned() const { return kind_ == Kind::Rel && expr_.isPoisoned(); }
 
+  /// The complementary atom. Derived on the first call for each distinct
+  /// atom and stored in the atom table; later calls read it back.
   Atom negated() const;
 
   /// Constant folding: True/False when the atom's truth is independent of any
@@ -117,16 +131,16 @@ class Atom {
   bool containsVar(VarId v) const;
   void collectVars(std::vector<VarId>& out) const;
 
-  /// Total structural order used to canonicalize clause atom lists.
+  /// Total structural order used to canonicalize clause atom lists. Never
+  /// consults the key: keys are allocation order, which depends on thread
+  /// interleaving.
   static int compare(const Atom& a, const Atom& b);
-  /// Field-wise, O(1): every sub-expression is an interned handle, and the
-  /// factory constructors leave unused fields at canonical defaults, so this
-  /// coincides with compare(a, b) == 0.
-  friend bool operator==(const Atom& a, const Atom& b) {
-    return a.kind_ == b.kind_ && a.op_ == b.op_ && a.expr_ == b.expr_ && a.lvar_ == b.lvar_ &&
-           a.lval_ == b.lval_ && a.apArray_ == b.apArray_ && a.apBound_ == b.apBound_ &&
-           a.apRhs_ == b.apRhs_ && a.apLo_ == b.apLo_ && a.apUp_ == b.apUp_;
-  }
+  /// The atom-table key (predicate/intern.h): atomKey(a) == atomKey(b) iff
+  /// every field is equal, which — the factories leave unused fields at
+  /// canonical defaults — coincides with compare(a, b) == 0. Serves equality
+  /// and memo keys only.
+  friend std::uint64_t atomKey(const Atom& a) { return a.key_; }
+  friend bool operator==(const Atom& a, const Atom& b) { return a.key_ == b.key_; }
 
   /// O(1) structural hash combined from the handles' cached identities.
   std::size_t hashValue() const;
@@ -139,16 +153,28 @@ class Atom {
   std::string str(const SymbolTable& symtab) const;
 
  private:
+  friend struct detail::AtomEntry;
+
+  /// A blank atom of `kind`, not yet interned: the factories fill in the
+  /// fields, then intern().
+  explicit Atom(Kind kind) : kind_(kind) {}
+  /// The table's copy of this atom (key and entry set), adding it if new.
+  Atom intern() const;
+  /// negated() without the table: builds the complementary atom.
+  Atom deriveNegation() const;
+
   Kind kind_ = Kind::Rel;
-  SymExpr expr_;  // Rel: the compared expression; ArrayPred/Forall: the subscript
   RelOp op_ = RelOp::LE;
-  VarId lvar_;    // LogVar: the variable; ArrayPred/Forall: the predicate key
   bool lval_ = false;  // LogVar value / ArrayPred polarity
+  VarId lvar_;         // LogVar: the variable; ArrayPred/Forall: the predicate key
   AtomArrayRef apArray_;
   VarId apBound_;  // Forall: the quantified variable
+  SymExpr expr_;   // Rel: the compared expression; ArrayPred/Forall: the subscript
   SymExpr apRhs_;  // ArrayPred/Forall: the comparison's other side
   SymExpr apLo_;   // Forall bounds
   SymExpr apUp_;
+  std::uint64_t key_ = 0;                     // set by intern()
+  const detail::AtomEntry* entry_ = nullptr;  // set by intern()
 };
 
 /// True for the quantified-extension kinds.

@@ -1,21 +1,58 @@
-// Canonical 64-bit keys for atoms and predicates, used by the memo caches.
+// The atom table, and canonical 64-bit keys for atoms and predicates, used
+// by the memo caches.
 //
 // Since the hash-consed arena refactor a predicate's key is simply its arena
-// id (PredRef::id(): structural equality <=> id equality, O(1)); an atom's
-// key is allocated from the exact tuple (kind, op, interned sub-expression
-// ids, flags). Key equality is structural equality, so memo-cache entries
-// keyed this way can never confuse two different queries.
+// id (PredRef::id(): structural equality <=> id equality, O(1)). Atoms are
+// interned in the atom table: every Atom factory looks its canonical result
+// up by the exact field tuple (kind, op, interned sub-expression ids, flags)
+// and carries the entry's key, so atomKey() (atom.h) is a field read and key
+// equality is structural equality — memo-cache entries keyed this way can
+// never confuse two different queries. Keys are allocated like arena ids,
+// (perShardSequence << kShardBits) | shardIndex, so they depend on thread
+// interleaving and never decide an order; every value, 0 included, is some
+// atom's key.
+//
+// The entry also stores the atom's negation once Atom::negated() has
+// derived it. The table is append-only and process-wide like the arenas,
+// and stays on under --no-cache.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "panorama/predicate/predicate.h"
 
 namespace panorama {
 
-/// Canonical key of an atom; atomKey(a) == atomKey(b) iff a == b.
-std::uint64_t atomKey(const Atom& a);
+namespace detail {
+
+/// One atom-table entry, never moved or freed: the canonical atom (its key
+/// and entry set to this entry's) and, once derived, its negation's entry.
+struct AtomEntry {
+  AtomEntry(const Atom& a, std::uint64_t key) : atom(a) {
+    atom.key_ = key;
+    atom.entry_ = this;
+  }
+  Atom atom;
+  mutable std::atomic<const AtomEntry*> negation{nullptr};
+};
+
+/// The entry of the atom whose fields equal `a`'s, added if new.
+const AtomEntry& internAtom(const Atom& a);
+/// Stores `neg` as the negation of `e`. Racing first callers derive the same
+/// atom, hence the same entry; the first store wins.
+void storeNegation(const AtomEntry& e, const AtomEntry& neg);
+
+}  // namespace detail
+
+/// Atom-table occupancy for `--stats` and the daemon's status: distinct
+/// atoms, atoms whose negation is stored, approximate resident bytes.
+struct AtomTableStats {
+  std::size_t distinct = 0;
+  std::size_t negations = 0;
+  std::size_t bytes = 0;
+};
+AtomTableStats atomTableStats();
 
 /// Canonical key of a predicate (clauses + the Δ flag): the arena id.
 std::uint64_t predKey(const PredRef& p);

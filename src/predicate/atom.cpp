@@ -1,15 +1,34 @@
 #include "panorama/predicate/atom.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "panorama/predicate/intern.h"
 #include "panorama/support/memo_cache.h"
 
 namespace panorama {
 
+namespace {
+
+/// GCD of the variable coefficients of an affine expression (0 if constant).
+std::int64_t varCoeffGcd(const SymExpr& e) {
+  std::int64_t g = 0;
+  for (const Term& t : e.terms())
+    if (!t.vars.empty()) g = std::gcd(g, t.coef);
+  return g;
+}
+
+}  // namespace
+
+Atom::Atom() {
+  static const Atom zero = rel(SymExpr(), RelOp::LE);
+  *this = zero;
+}
+
+Atom Atom::intern() const { return detail::internAtom(*this).atom; }
+
 Atom Atom::rel(SymExpr e, RelOp op) {
-  Atom a;
-  a.kind_ = Kind::Rel;
+  Atom a(Kind::Rel);
   a.expr_ = std::move(e);
   a.op_ = op;
   // Canonicalize EQ/NE signs: e == 0 and -e == 0 coincide; pick the variant
@@ -18,41 +37,40 @@ Atom Atom::rel(SymExpr e, RelOp op) {
       a.op_ == RelOp::RNE) {
     SymExpr neg = -a.expr_;
     if (SymExpr::compare(neg, a.expr_) < 0) a.expr_ = std::move(neg);
-  } else if (a.op_ == RelOp::LE && a.expr_.isAffine()) {
+  } else if (a.op_ == RelOp::LE && a.expr_.isAffine() && varCoeffGcd(a.expr_) > 1) {
     // Integer tightening keeps LE atoms canonical: 2x-1<=0 and x<=0 unify.
+    // Without a common factor the form is already tight, and the input
+    // handle is its canonical expression.
     auto f = AffineForm::fromExpr(a.expr_);
     if (f) {
       f->tightenLE();
       if (!f->overflow) a.expr_ = f->toExpr();
     }
   }
-  return a;
+  return a.intern();
 }
 
 Atom Atom::logicalVar(VarId v, bool value) {
-  Atom a;
-  a.kind_ = Kind::LogVar;
+  Atom a(Kind::LogVar);
   a.lvar_ = v;
   a.lval_ = value;
-  return a;
+  return a.intern();
 }
 
 Atom Atom::arrayPred(AtomArrayRef array, VarId predKey, SymExpr subscript, SymExpr rhs,
                      bool positive) {
-  Atom a;
-  a.kind_ = Kind::ArrayPred;
+  Atom a(Kind::ArrayPred);
   a.apArray_ = array;
   a.lvar_ = predKey;
   a.expr_ = std::move(subscript);
   a.apRhs_ = std::move(rhs);
   a.lval_ = positive;
-  return a;
+  return a.intern();
 }
 
 Atom Atom::forallPred(AtomArrayRef array, VarId predKey, VarId boundVar, SymExpr subscript,
                       SymExpr rhs, SymExpr lo, SymExpr up, bool positive) {
-  Atom a;
-  a.kind_ = Kind::Forall;
+  Atom a(Kind::Forall);
   a.apArray_ = array;
   a.lvar_ = predKey;
   a.apBound_ = boundVar;
@@ -61,10 +79,20 @@ Atom Atom::forallPred(AtomArrayRef array, VarId predKey, VarId boundVar, SymExpr
   a.apLo_ = std::move(lo);
   a.apUp_ = std::move(up);
   a.lval_ = positive;
-  return a;
+  return a.intern();
 }
 
 Atom Atom::negated() const {
+  if (const detail::AtomEntry* n = entry_->negation.load(std::memory_order_acquire))
+    return n->atom;
+  // Derived with no table lock held: the negation interns an atom, possibly
+  // into this atom's shard.
+  Atom neg = deriveNegation();
+  detail::storeNegation(*entry_, *neg.entry_);
+  return neg;
+}
+
+Atom Atom::deriveNegation() const {
   if (kind_ == Kind::LogVar) return logicalVar(lvar_, !lval_);
   if (kind_ == Kind::ArrayPred) return arrayPred(apArray_, lvar_, expr_, apRhs_, !lval_);
   if (kind_ == Kind::Forall) {

@@ -1,46 +1,78 @@
-// Atom key-tuple interning. Since the hash-consed arena refactor the
-// expression and predicate keys are the arena ids themselves (see
-// symbolic/arena.h for the authoritative key layout); only atoms still go
-// through a tuple interner, and their key words are O(1) handle ids rather
-// than deep structural encodings. Keys are allocated from exact tuples
-// (never from raw hashes), so distinct atoms always receive distinct keys.
+// The atom table. Since the hash-consed arena refactor the expression and
+// predicate keys are the arena ids themselves (see symbolic/arena.h for the
+// authoritative key layout); atoms are interned here, by their exact fields
+// (never by raw hash), so distinct atoms always receive distinct keys. The
+// sub-expression fields are interned handles, so comparing two atoms'
+// fields is O(1), not a deep structural walk.
 #include "panorama/predicate/intern.h"
 
 #include <array>
+#include <deque>
 #include <mutex>
 #include <shared_mutex>
-#include <unordered_map>
+#include <unordered_set>
 
 namespace panorama {
 
 namespace {
 
-struct TupleHasher {
-  std::size_t operator()(const std::array<std::uint64_t, 10>& words) const {
-    std::size_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t w : words) {
-      h ^= static_cast<std::size_t>(w);
-      h *= 0x100000001b3ull;
-    }
-    return h;
+using detail::AtomEntry;
+
+/// Field-wise identity of two entries' atoms (the index's equality).
+struct SameFields {
+  bool operator()(const AtomEntry* x, const AtomEntry* y) const noexcept {
+    const Atom& a = x->atom;
+    const Atom& b = y->atom;
+    return a.kind() == b.kind() && a.op() == b.op() && a.expr() == b.expr() &&
+           a.logical() == b.logical() && a.logicalValue() == b.logicalValue() &&
+           a.predArray() == b.predArray() && a.boundVar() == b.boundVar() &&
+           a.predRhs() == b.predRhs() && a.forallLo() == b.forallLo() &&
+           a.forallUp() == b.forallUp();
   }
 };
 
-/// Sharded exact-tuple interner for atom keys.
-class TupleInterner {
+struct FieldHash {
+  std::size_t operator()(const AtomEntry* e) const noexcept { return e->atom.hashValue(); }
+};
+
+/// Sharded, append-only table of atom entries. Lookups take the shard's
+/// shared lock, insertions its exclusive lock; nothing else does, so no
+/// lock is held while an atom's negation is derived.
+class AtomTable {
  public:
-  std::uint64_t keyOf(const std::array<std::uint64_t, 10>& words) {
-    const std::size_t s = TupleHasher{}(words) % kShards;
+  const AtomEntry& intern(const Atom& a) {
+    const std::size_t s = a.hashValue() % kShards;
     Shard& shard = shards_[s];
+    const AtomEntry probe(a, 0);
     {
       std::shared_lock<std::shared_mutex> lock(shard.mutex);
-      if (auto it = shard.map.find(words); it != shard.map.end()) return it->second;
+      if (auto it = shard.index.find(&probe); it != shard.index.end()) return **it;
     }
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(words); it != shard.map.end()) return it->second;
-    std::uint64_t key = (shard.next++ << kShardBits) | static_cast<std::uint64_t>(s);
-    shard.map.emplace(words, key);
-    return key;
+    if (auto it = shard.index.find(&probe); it != shard.index.end()) return **it;
+    const std::uint64_t key = (shard.next++ << kShardBits) | static_cast<std::uint64_t>(s);
+    const AtomEntry& entry = shard.entries.emplace_back(a, key);
+    shard.index.insert(&entry);
+    return entry;
+  }
+
+  void storeNegation(const AtomEntry& e, const AtomEntry& neg) {
+    const AtomEntry* unset = nullptr;
+    if (e.negation.compare_exchange_strong(unset, &neg, std::memory_order_acq_rel))
+      negations_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  AtomTableStats stats() const {
+    AtomTableStats out;
+    for (const Shard& shard : shards_) {
+      std::shared_lock<std::shared_mutex> lock(shard.mutex);
+      out.distinct += shard.entries.size();
+      // Entries, plus the index's node (two pointers) and bucket slot.
+      out.bytes += shard.entries.size() * (sizeof(AtomEntry) + 2 * sizeof(void*)) +
+                   shard.index.bucket_count() * sizeof(void*);
+    }
+    out.negations = negations_.load(std::memory_order_relaxed);
+    return out;
   }
 
  private:
@@ -48,26 +80,30 @@ class TupleInterner {
   static constexpr std::size_t kShards = 1u << kShardBits;
   struct Shard {
     mutable std::shared_mutex mutex;
-    std::unordered_map<std::array<std::uint64_t, 10>, std::uint64_t, TupleHasher> map;
+    std::deque<AtomEntry> entries;  // deque: stable entry addresses
+    std::unordered_set<const AtomEntry*, FieldHash, SameFields> index;
     std::uint64_t next = 0;
   };
   std::array<Shard, kShards> shards_;
+  std::atomic<std::size_t> negations_{0};
 };
 
-TupleInterner& atomTable() {
-  static TupleInterner t;
+AtomTable& atomTable() {
+  static AtomTable t;
   return t;
 }
 
 }  // namespace
 
-std::uint64_t atomKey(const Atom& a) {
-  return atomTable().keyOf({static_cast<std::uint64_t>(a.kind()),
-                            static_cast<std::uint64_t>(a.op()), a.expr().id(),
-                            a.logical().value, a.logicalValue() ? 1u : 0u, a.predArray().value,
-                            a.boundVar().value, a.predRhs().id(), a.forallLo().id(),
-                            a.forallUp().id()});
-}
+namespace detail {
+
+const AtomEntry& internAtom(const Atom& a) { return atomTable().intern(a); }
+
+void storeNegation(const AtomEntry& e, const AtomEntry& neg) { atomTable().storeNegation(e, neg); }
+
+}  // namespace detail
+
+AtomTableStats atomTableStats() { return atomTable().stats(); }
 
 std::uint64_t predKey(const PredRef& p) { return p.id(); }
 

@@ -11,6 +11,7 @@
 #include "panorama/obs/metrics.h"
 #include "panorama/obs/trace.h"
 #include "panorama/predicate/arena.h"
+#include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
 #include "panorama/store/protocol.h"
 #include "panorama/support/json.h"
@@ -403,10 +404,12 @@ std::string Daemon::statusResponse(const std::string& id) {
   out += buf;
   const ExprArena::Stats ea = ExprArena::global().stats();
   const PredArena::Stats pa = PredArena::global().stats();
+  const AtomTableStats at = atomTableStats();
   std::snprintf(buf, sizeof(buf),
                 ",\"arenas\":{\"expr\":{\"distinct\":%zu,\"bytes\":%zu},"
-                "\"pred\":{\"distinct\":%zu,\"bytes\":%zu}}",
-                ea.distinct, ea.bytes, pa.distinct, pa.bytes);
+                "\"pred\":{\"distinct\":%zu,\"bytes\":%zu},"
+                "\"atom\":{\"distinct\":%zu,\"negations\":%zu,\"bytes\":%zu}}",
+                ea.distinct, ea.bytes, pa.distinct, pa.bytes, at.distinct, at.negations, at.bytes);
   out += buf;
   out += ",\"caches\":{";
   appendCacheJson(out, "query_cache", QueryCache::global().stats());

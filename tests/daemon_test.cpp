@@ -452,6 +452,25 @@ TEST(DaemonTest, TelemetryOpsAnswerWhileSubmitsAreInFlight) {
   EXPECT_EQ(named.find("epoch")->asNumber(), static_cast<double>(kSubmits));
   EXPECT_TRUE(named.find("live")->asBool());
 
+  // Arena occupancy, the atom table's beside the expression/predicate
+  // arenas: the submits interned atoms and derived some negations.
+  const support::JsonValue* arenas = status.find("arenas");
+  ASSERT_TRUE(arenas && arenas->isObject());
+  for (const char* arena : {"expr", "pred", "atom"}) {
+    const support::JsonValue* a = arenas->find(arena);
+    ASSERT_TRUE(a && a->isObject()) << arena;
+    for (const char* field : {"distinct", "bytes"}) {
+      const support::JsonValue* v = a->find(field);
+      ASSERT_TRUE(v && v->isNumber()) << arena << "." << field;
+      EXPECT_GT(v->asNumber(), 0.0) << arena << "." << field;
+    }
+  }
+  const support::JsonValue* atom = arenas->find("atom");
+  const support::JsonValue* negations = atom->find("negations");
+  ASSERT_TRUE(negations && negations->isNumber());
+  EXPECT_GT(negations->asNumber(), 0.0);
+  EXPECT_LE(negations->asNumber(), atom->find("distinct")->asNumber());
+
   // Per-op latency histograms carry the queue/handle split.
   support::JsonValue metrics = rpc(c.fd, "{\"id\":5,\"op\":\"metrics\"}");
   const support::JsonValue* registry = metrics.find("registry");

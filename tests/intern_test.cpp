@@ -1,15 +1,20 @@
 // Properties of the hash-consing arenas (symbolic/arena.h,
-// predicate/arena.h): handle equality must coincide with structural
-// equality over randomized construction, equal values built through
-// different routes must land on the same node, and the arenas' occupancy
-// counters must be consistent.
+// predicate/arena.h) and the atom table (predicate/intern.h): handle and key
+// equality must coincide with structural equality over randomized
+// construction, equal values built through different routes must land on
+// the same node or key, stored negations must equal freshly built ones, and
+// the occupancy counters must be consistent.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <vector>
 
 #include "panorama/predicate/arena.h"
+#include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
+#include "panorama/support/memo_cache.h"
+#include "panorama/symbolic/affine.h"
 #include "panorama/symbolic/arena.h"
 #include "panorama/symbolic/expr.h"
 
@@ -44,6 +49,55 @@ Pred randomPred(std::mt19937& rng) {
   if (shape(rng) >= 4) p = p || Pred::atom(Atom::ne(randomExpr(rng), randomExpr(rng)));
   if (shape(rng) == 5) p = !p;
   return p;
+}
+
+/// Random atom of any of the four kinds, drawn from a small value space so
+/// that equal atoms recur.
+Atom randomAtom(std::mt19937& rng) {
+  std::uniform_int_distribution<int> kind(0, 3);
+  std::uniform_int_distribution<int> op(0, 6);
+  std::uniform_int_distribution<int> small(0, 1);
+  std::uniform_int_distribution<int> var(1, 4);
+  auto e = [&] { return randomExpr(rng, /*depth=*/2); };
+  const AtomArrayRef array{static_cast<std::uint32_t>(small(rng))};
+  const VarId predKey{static_cast<std::uint32_t>(10 + small(rng))};
+  switch (kind(rng)) {
+    case 0: return Atom::rel(e(), static_cast<RelOp>(op(rng)));
+    case 1: return Atom::logicalVar(VarId{static_cast<std::uint32_t>(var(rng))}, small(rng) == 1);
+    case 2: return Atom::arrayPred(array, predKey, e(), e(), small(rng) == 1);
+    default:
+      return Atom::forallPred(array, predKey, VarId{5}, e(), e(), e(), e(), small(rng) == 1);
+  }
+}
+
+bool sameFields(const Atom& a, const Atom& b) {
+  return a.kind() == b.kind() && a.op() == b.op() && a.expr() == b.expr() &&
+         a.logical() == b.logical() && a.logicalValue() == b.logicalValue() &&
+         a.predArray() == b.predArray() && a.boundVar() == b.boundVar() &&
+         a.predRhs() == b.predRhs() && a.forallLo() == b.forallLo() &&
+         a.forallUp() == b.forallUp();
+}
+
+/// negated() rebuilt from scratch through the factories.
+Atom referenceNegation(const Atom& a) {
+  switch (a.kind()) {
+    case Atom::Kind::LogVar: return Atom::logicalVar(a.logical(), !a.logicalValue());
+    case Atom::Kind::ArrayPred:
+      return Atom::arrayPred(a.predArray(), a.logical(), a.expr(), a.predRhs(),
+                             !a.logicalValue());
+    case Atom::Kind::Forall: return Atom::rel(SymExpr::poisoned(), RelOp::LE);
+    case Atom::Kind::Rel: break;
+  }
+  switch (a.op()) {
+    case RelOp::LE: return Atom::rel(-a.expr() + 1, RelOp::LE);
+    case RelOp::EQ: return Atom::rel(a.expr(), RelOp::NE);
+    case RelOp::NE: return Atom::rel(a.expr(), RelOp::EQ);
+    case RelOp::RLT: return Atom::rel(-a.expr(), RelOp::RLE);
+    case RelOp::RLE: return Atom::rel(-a.expr(), RelOp::RLT);
+    case RelOp::REQ: return Atom::rel(a.expr(), RelOp::RNE);
+    case RelOp::RNE: return Atom::rel(a.expr(), RelOp::REQ);
+  }
+  return a;  // unreachable
 }
 
 TEST(InternPropertyTest, ExprHandleEqualityIffStructuralEquality) {
@@ -109,6 +163,99 @@ TEST(InternPropertyTest, EqualValuesThroughDifferentRoutesShareOneNode) {
   EXPECT_EQ(p || Pred::makeFalse(), p);
 }
 
+TEST(InternPropertyTest, AtomKeyEqualityIffStructuralEquality) {
+  std::mt19937 rng(1995);
+  std::vector<Atom> pool;
+  for (int k = 0; k < 400; ++k) pool.push_back(randomAtom(rng));
+  // Different routes to one atom: a comparison builder vs its relational
+  // form, and an untightened LE form vs its tightened equivalent.
+  SymExpr x = SymExpr::variable(VarId{1});
+  SymExpr y = SymExpr::variable(VarId{2});
+  pool.push_back(Atom::le(x, y));
+  pool.push_back(Atom::rel(x - y, RelOp::LE));
+  pool.push_back(Atom::rel(x.mulConst(2) - 1, RelOp::LE));
+  pool.push_back(Atom::rel(x, RelOp::LE));
+  pool.push_back(Atom::eq(x, y));
+  pool.push_back(Atom::eq(y, x));
+  std::size_t equalPairs = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (std::size_t j = i; j < pool.size(); ++j) {
+      const bool structural = sameFields(pool[i], pool[j]);
+      ASSERT_EQ(Atom::compare(pool[i], pool[j]) == 0, structural) << "i=" << i << " j=" << j;
+      ASSERT_EQ(atomKey(pool[i]) == atomKey(pool[j]), structural) << "i=" << i << " j=" << j;
+      ASSERT_EQ(pool[i] == pool[j], structural) << "i=" << i << " j=" << j;
+      if (structural) {
+        EXPECT_EQ(pool[i].hashValue(), pool[j].hashValue());
+        if (i != j) ++equalPairs;
+      }
+    }
+  }
+  EXPECT_GT(equalPairs, 0u) << "the pool never repeated an atom";
+  const std::size_t n = pool.size();
+  EXPECT_EQ(pool[n - 6], pool[n - 5]);  // le(x, y) vs rel(x - y, LE)
+  EXPECT_EQ(pool[n - 4], pool[n - 3]);  // 2x - 1 <= 0 vs x <= 0
+  EXPECT_EQ(pool[n - 2], pool[n - 1]);  // x == y vs y == x
+}
+
+TEST(InternPropertyTest, RelKeepsTheTightLeFormItWasGiven) {
+  // rel() skips the AffineForm round trip when tightening is a no-op; the
+  // round trip must then reproduce the input handle exactly.
+  std::mt19937 rng(314);
+  for (int k = 0; k < 500; ++k) {
+    SymExpr e = randomExpr(rng);
+    auto form = AffineForm::fromExpr(e);
+    if (!form) continue;
+    form->tightenLE();
+    ASSERT_FALSE(form->overflow);
+    EXPECT_EQ(Atom::rel(e, RelOp::LE).expr(), form->toExpr()) << "k=" << k;
+  }
+}
+
+TEST(InternPropertyTest, NegatedMatchesAFreshlyBuiltNegation) {
+  std::mt19937 rng(1729);
+  for (int k = 0; k < 600; ++k) {
+    const Atom a = randomAtom(rng);
+    const Atom reference = referenceNegation(a);
+    const Atom first = a.negated();
+    const Atom again = a.negated();
+    ASSERT_TRUE(sameFields(first, reference)) << "k=" << k;
+    ASSERT_TRUE(sameFields(again, reference)) << "k=" << k;
+    EXPECT_EQ(atomKey(first), atomKey(reference));
+    EXPECT_EQ(atomKey(again), atomKey(reference));
+    if (a.kind() == Atom::Kind::Forall) {
+      EXPECT_TRUE(first.isPoisoned());
+    }
+  }
+  const AtomTableStats stats = atomTableStats();
+  EXPECT_GT(stats.negations, 0u);
+  EXPECT_LE(stats.negations, stats.distinct);
+}
+
+TEST(InternPropertyTest, AtomQueriesDoNotDependOnTheQueryCache) {
+  // The stored negations feed atomImplies/atomsExhaustive whether or not
+  // the verdict cache is on; the verdicts must agree either way, and on a
+  // second, cache-hitting pass.
+  std::mt19937 rng(2718);
+  std::vector<std::pair<Atom, Atom>> pairs;
+  for (int k = 0; k < 2000; ++k) pairs.emplace_back(randomAtom(rng), randomAtom(rng));
+  using Verdicts = std::vector<std::array<Truth, 3>>;
+  auto ask = [&] {
+    Verdicts out;
+    for (const auto& [a, b] : pairs)
+      out.push_back({atomImplies(a, b), atomsExhaustive(a, b), atomsContradict(a, b)});
+    return out;
+  };
+  QueryCache& cache = QueryCache::global();
+  cache.configure(0);
+  const Verdicts uncached = ask();
+  cache.configure(QueryCache::kDefaultCapacity);
+  const Verdicts cold = ask();
+  const Verdicts warm = ask();
+  EXPECT_EQ(uncached, cold);
+  EXPECT_EQ(uncached, warm);
+  EXPECT_GT(cache.stats().hits, 0u);
+}
+
 TEST(InternPropertyTest, RandomizedSubstituteMatchesHandleIdentity) {
   // substitute() is memoized at node level; the memo must be invisible:
   // repeating a substitution yields the identical handle, and equal inputs
@@ -149,12 +296,24 @@ TEST(InternPropertyTest, ArenaStatsAreConsistent) {
   EXPECT_LE(ps.minShard, ps.maxShard);
   EXPECT_LE(ps.maxShard, ps.distinct);
 
+  const AtomTableStats as = atomTableStats();
+  EXPECT_GT(as.distinct, 0u);
+  EXPECT_GT(as.bytes, 0u);
+  EXPECT_LE(as.negations, as.distinct);
+
   // Interning an already-present value must not grow the arena.
   SymExpr x = SymExpr::variable(VarId{1});
   (void)(x + x);
   std::size_t before = ExprArena::global().stats().distinct;
   for (int k = 0; k < 32; ++k) (void)(x + x);
   EXPECT_EQ(ExprArena::global().stats().distinct, before);
+  // Nor the atom table, nor asking for a stored negation again.
+  const Atom a = Atom::le(x, SymExpr::constant(3));
+  (void)a.negated();
+  const AtomTableStats atomsBefore = atomTableStats();
+  for (int k = 0; k < 32; ++k) (void)Atom::le(x, SymExpr::constant(3)).negated();
+  EXPECT_EQ(atomTableStats().distinct, atomsBefore.distinct);
+  EXPECT_EQ(atomTableStats().negations, atomsBefore.negations);
 }
 
 }  // namespace

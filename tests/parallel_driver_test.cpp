@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "panorama/analysis/driver.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/predicate/arena.h"
+#include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
 #include "panorama/support/memo_cache.h"
 #include "panorama/symbolic/arena.h"
@@ -224,17 +226,22 @@ TEST(ParallelDriverTest, ConcurrentInterningYieldsOneNodePerValue) {
   // Hash-consing under contention: eight threads race to build the same
   // deterministic value stream (plus a thread-private prefix so insertions
   // interleave with lookups). Every thread must observe the identical node
-  // ids — one node per value, no torn publications. The TSan CI job runs
-  // this binary, so any locking mistake in the arenas surfaces here.
+  // ids and atom keys — one node or table entry per value, no torn
+  // publications — and the first negated() call on each shared atom races
+  // across threads to store the negation. The TSan CI job runs this binary,
+  // so any locking mistake in the arenas or the atom table surfaces here.
   constexpr int kThreads = 8;
   constexpr int kValues = 2000;
   std::vector<std::vector<std::uint64_t>> exprIds(kThreads);
   std::vector<std::vector<std::uint64_t>> predIds(kThreads);
+  std::vector<std::vector<std::uint64_t>> atomKeys(kThreads);
+  std::latch start(kThreads);
 
   auto worker = [&](int t) {
     std::mt19937 rng(20260806);  // same seed: same value stream everywhere
     std::uniform_int_distribution<int> c(-40, 40);
     std::uniform_int_distribution<int> var(1, 6);
+    start.arrive_and_wait();
     // Thread-private warmup desynchronizes the shards' insertion order.
     for (int k = 0; k < 64; ++k)
       (void)(SymExpr::variable(VarId{static_cast<std::uint32_t>(var(rng))}) +
@@ -244,7 +251,11 @@ TEST(ParallelDriverTest, ConcurrentInterningYieldsOneNodePerValue) {
       SymExpr y = SymExpr::variable(VarId{static_cast<std::uint32_t>(var(rng))});
       SymExpr e = x * SymExpr::constant(c(rng)) + y + SymExpr::constant(c(rng));
       exprIds[t].push_back(e.id());
-      Pred p = Pred::atom(Atom::le(e, y)) && Pred::atom(Atom::ne(x, SymExpr::constant(c(rng))));
+      Atom le = Atom::le(e, y);
+      Atom ne = Atom::ne(x, SymExpr::constant(c(rng)));
+      for (const Atom& a : {le, le.negated(), ne, ne.negated()})
+        atomKeys[t].push_back(atomKey(a));
+      Pred p = Pred::atom(le) && Pred::atom(ne);
       predIds[t].push_back(p.id());
     }
   };
@@ -255,10 +266,12 @@ TEST(ParallelDriverTest, ConcurrentInterningYieldsOneNodePerValue) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(exprIds[0], exprIds[t]) << "thread " << t;
     EXPECT_EQ(predIds[0], predIds[t]) << "thread " << t;
+    EXPECT_EQ(atomKeys[0], atomKeys[t]) << "thread " << t;
   }
   // Occupancy stayed sane (stats take the shard locks — also TSan-checked).
   EXPECT_GT(ExprArena::global().stats().distinct, 0u);
   EXPECT_GT(PredArena::global().stats().distinct, 0u);
+  EXPECT_GT(atomTableStats().negations, 0u);
 }
 
 TEST(ParallelDriverTest, CallGraphWavesRespectCallDepth) {
