@@ -58,10 +58,10 @@ ConfigResult runConfig(std::size_t threads, bool cache, int repeats) {
   cr.threads = threads;
   cr.cache = cache;
   cr.bestMs = 1e18;
+  QueryCache::global().configure(cache ? QueryCache::kDefaultCapacity : 0);
   for (int r = 0; r < repeats; ++r) {
     AnalysisOptions options;
     options.numThreads = threads;
-    options.cacheCapacity = cache ? QueryCache::kDefaultCapacity : 0;
     auto t0 = std::chrono::steady_clock::now();
     CorpusAnalysisResult result = analyzeCorpusParallel(options);
     double ms =
@@ -80,6 +80,7 @@ bench::BenchResult run() {
   std::vector<ConfigResult> matrix;
   for (std::size_t threads : {1u, 2u, 4u, 8u})
     for (bool cache : {false, true}) matrix.push_back(runConfig(threads, cache, kRepeats));
+  QueryCache::global().configure(QueryCache::kDefaultCapacity);
 
   bool identical = true;
   for (const ConfigResult& c : matrix)

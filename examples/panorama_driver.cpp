@@ -137,10 +137,9 @@ bool writeObsArtifacts(const std::string& tracePath, const std::string& metricsP
     obs::CostProfile profile = obs::buildCostProfile(obs::Tracer::global().snapshot());
     const QueryCache::Stats qc = QueryCache::global().stats();
     const QueryCache::Stats memo = simplifyMemoStats();
-    profile.caches.push_back({"query cache", qc.hits, qc.misses, qc.entries, qc.evictions,
-                              qc.evictedStale, qc.evictedLive});
-    profile.caches.push_back({"simplify memo", memo.hits, memo.misses, memo.entries,
-                              memo.evictions, memo.evictedStale, memo.evictedLive});
+    profile.caches.push_back({"query cache", qc.hits, qc.misses, qc.entries, qc.evictions});
+    profile.caches.push_back(
+        {"simplify memo", memo.hits, memo.misses, memo.entries, memo.evictions});
     profile.sessions = sessions;
     const std::string json = obs::renderCostProfileJson(profile);
     FILE* f = std::fopen(profilePath.c_str(), "w");
@@ -208,8 +207,6 @@ void publishFileRunMetrics(const SummaryStats& s, const QueryCache::Stats& qc,
   reg.counter("query_cache.misses").set(qc.misses);
   reg.counter("query_cache.entries").set(qc.entries);
   reg.counter("query_cache.evictions").set(qc.evictions);
-  reg.counter("query_cache.evicted_stale").set(qc.evictedStale);
-  reg.counter("query_cache.evicted_live").set(qc.evictedLive);
   reg.counter("simplify_memo.hits").set(memo.hits);
   reg.counter("simplify_memo.misses").set(memo.misses);
   reg.counter("simplify_memo.entries").set(memo.entries);
@@ -253,6 +250,7 @@ bool writeIrDump(const std::string& path, const Program& program) {
 int main(int argc, char** argv) {
   AnalysisOptions options;
   options.numThreads = 1;  // interactive default: analyze on the calling thread
+  std::size_t memoCapacity = QueryCache::kDefaultCapacity;
   bool showSummaries = false;
   bool showHsg = false;
   bool annotateOutput = false;
@@ -294,7 +292,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!parseCountFlag(arg, "--threads=", options.numThreads)) return 2;
     } else if (arg.rfind("--cache-capacity=", 0) == 0) {
-      if (!parseCountFlag(arg, "--cache-capacity=", options.cacheCapacity)) return 2;
+      if (!parseCountFlag(arg, "--cache-capacity=", memoCapacity)) return 2;
     } else if (arg.rfind("--reanalyze=", 0) == 0) {
       reanalyzePath = std::string(arg.substr(12));
       if (reanalyzePath.empty()) {
@@ -337,7 +335,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--no-cache") {
-      options.cacheCapacity = 0;
+      memoCapacity = 0;
     } else if (arg == "--stats") {
       showStats = true;
     } else if (arg == "--explain") {
@@ -390,6 +388,8 @@ int main(int argc, char** argv) {
       inputName = arg;
     }
   }
+  // The memo capacity is a process setting: made once here, for every mode.
+  QueryCache::global().configure(memoCapacity);
   // The cost profile aggregates span buffers, so --profile implies tracing.
   if (!tracePath.empty() || !profilePath.empty()) obs::Tracer::global().enable();
 
@@ -559,10 +559,7 @@ int main(int argc, char** argv) {
     program = std::move(rebuilt.program);
   }
 
-  QueryCache::global().configure(options.cacheCapacity);
   setQueryTierEnabled(options.prefilter);
-  clearSimplifyMemo();
-  clearFmEliminationCache();
   ThreadPool pool(options.numThreads);
   ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), options, pool);
   if (!pa.ok) {

@@ -48,10 +48,15 @@ struct LoopSite {
 std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool,
                                                  const std::vector<LoopSite>& loops);
 
-/// Everything one analyzed program owns. The analyzer keeps references into
-/// program/sema/hsg, so the four live (and die) together; `loops` holds every
-/// DO loop, procedures in bottom-up order and loops in collectDoLoops order.
+/// Everything one analyzed program owns. The analyzer points into
+/// program/sema/hsg, so the four live (and die) together; the move
+/// operations re-point it at the moved-to members. `loops` holds every DO
+/// loop, procedures in bottom-up order and loops in collectDoLoops order.
 struct ProgramAnalysis {
+  ProgramAnalysis() = default;
+  ProgramAnalysis(ProgramAnalysis&& other) { *this = std::move(other); }
+  ProgramAnalysis& operator=(ProgramAnalysis&& other);
+
   Program program;
   SemaResult sema;
   Hsg hsg;
@@ -99,14 +104,15 @@ struct CorpusAnalysisResult {
 
 /// Parses and analyzes every Table 1/2 corpus kernel under `options`,
 /// scheduling kernels — and the call-graph waves inside each — on one
-/// shared pool sized by options.numThreads, with the global query cache
-/// configured to options.cacheCapacity. Kernel and loop order in the
-/// result is fixed (corpus order, then ProgramAnalysis::loops order)
-/// regardless of thread count. Quantified runs parallelize like any other:
-/// each analyzer carries its own ψ binding (PsiDims in CmpCtx), so kernels
-/// never share mutable symbolic state. `ingest` selects the direct parser
-/// path or the builder round-trip replay (`--via-builder`); both must produce
-/// identical loop reports — CI diffs them.
+/// shared pool sized by options.numThreads. The verdict cache and the
+/// simplify memo are cleared first, so the result's counters cover this run
+/// only. Kernel and loop order in the result is fixed (corpus order, then
+/// ProgramAnalysis::loops order) regardless of thread count. Quantified
+/// runs parallelize like any other: each analyzer carries its own ψ binding
+/// (PsiDims in CmpCtx), so kernels never share mutable symbolic state.
+/// `ingest` selects the direct parser path or the builder round-trip replay
+/// (`--via-builder`); both must produce identical loop reports — CI diffs
+/// them.
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options = {},
                                            CorpusIngest ingest = CorpusIngest::Parse);
 

@@ -87,8 +87,6 @@ struct CacheLine {
   std::uint64_t misses = 0;
   std::uint64_t entries = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t evictedStale = 0;
-  std::uint64_t evictedLive = 0;
   double hitRate() const {
     const double total = static_cast<double>(hits + misses);
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;

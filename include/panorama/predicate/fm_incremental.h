@@ -15,15 +15,14 @@
 // the eliminator (greedy choice, combination order, tightening, overflow
 // and budget checks all depend only on relative variable order), so a
 // memoized verdict is always the verdict `fourierMotzkinInfeasible` would
-// produce on the same input. Entries are tagged with the global QueryCache
-// epoch: a session options change bumps the epoch and retires every cached
-// elimination in O(1).
+// produce on the same input, and entries never need invalidating.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "panorama/support/memo_cache.h"
 #include "panorama/symbolic/constraint.h"
 
 namespace panorama {
@@ -34,14 +33,9 @@ namespace panorama {
 bool queryTierEnabled();
 void setQueryTierEnabled(bool on);
 
-/// Counters of the elimination cache (entries counts live canonical-system
-/// handles; evictions counts inserts dropped at capacity).
-struct FmCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t evictions = 0;
-};
+/// Counters of the elimination cache (entries counts resident
+/// canonical-system handles, bounded at 2^17).
+using FmCacheStats = MemoStats;
 FmCacheStats fmEliminationStats();
 
 /// Drops every interned system and zeroes the counters (fresh corpus run).

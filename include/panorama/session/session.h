@@ -156,8 +156,9 @@ class AnalysisSession {
   SessionResult submit(Program program);
 
   /// Replaces the analysis options. Ablation-relevant changes invalidate
-  /// every unit on the next submit and bump the query-cache epoch (O(1)
-  /// verdict invalidation); execution-only changes (threads) do not.
+  /// every unit on the next submit; execution-only changes (threads) do
+  /// not. The shared query memos are never touched: their keys carry every
+  /// knob a verdict depends on.
   void setOptions(const AnalysisOptions& options);
   const AnalysisOptions& options() const { return options_; }
 
@@ -198,8 +199,8 @@ class AnalysisSession {
   /// saved in-process session: byte-identical reports at any thread count.
   /// A truncated, corrupted, or version-mismatched snapshot fails with a
   /// structured diagnostic and leaves the session untouched (the same
-  /// atomicity contract as a failed submit). numThreads/cacheCapacity keep
-  /// their current values; the snapshot's ablation options are adopted.
+  /// atomicity contract as a failed submit). numThreads keeps its current
+  /// value; the snapshot's ablation options are adopted.
   store::StoreResult restore(const std::string& path);
 
  private:
@@ -241,8 +242,8 @@ class AnalysisSession {
   };
 
   /// Hash of the ablation-relevant options (everything that changes
-  /// analysis results; numThreads/cacheCapacity deliberately excluded —
-  /// the driver guarantees identical results across both).
+  /// analysis results; numThreads deliberately excluded — the driver
+  /// guarantees identical results at every thread count).
   static std::uint64_t optionsKey(const AnalysisOptions& options);
 
   void resetState();

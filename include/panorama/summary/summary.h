@@ -17,7 +17,6 @@
 
 #include "panorama/hsg/hsg.h"
 #include "panorama/region/gar.h"
-#include "panorama/support/memo_cache.h"
 
 namespace panorama {
 
@@ -48,9 +47,6 @@ struct AnalysisOptions {
   /// excludes it from the options key); false restores procedure-granular
   /// reuse, kept as the bench_incremental comparison baseline.
   bool loopGranularReuse = true;
-  /// Entry capacity of the global FM/implication memo cache; 0 disables
-  /// memoization (every query is answered cold).
-  std::size_t cacheCapacity = QueryCache::kDefaultCapacity;
 };
 
 /// Everything the applications need about one DO loop.
@@ -152,8 +148,12 @@ class SummaryAnalyzer {
   const PsiDims& psi() const { return psi_; }
   /// Snapshot of the cost counters (safe to call while analysis runs).
   SummaryStats stats() const;
-  SemaResult& sema() { return sema_; }
-  const SemaResult& sema() const { return sema_; }
+  SemaResult& sema() { return *sema_; }
+  const SemaResult& sema() const { return *sema_; }
+  /// Re-points the analyzer at program/sema/hsg objects its own ones were
+  /// moved into (the memo keys — procedure and statement addresses — live
+  /// on the heap and survive the move).
+  void rebind(const Program& program, SemaResult& sema, const Hsg& hsg);
 
   // ----- internal building blocks, exposed for white-box tests -----
 
@@ -234,9 +234,11 @@ class SummaryAnalyzer {
   void poisonScalars(GarList& list, const std::vector<VarId>& vars) const;
   void note(const GarList& list);
 
-  const Program& program_;
-  SemaResult& sema_;
-  const Hsg& hsg_;
+  // Pointers, not references: ProgramAnalysis's move operations rebind()
+  // them to the moved-to program/sema/hsg.
+  const Program* program_;
+  SemaResult* sema_;
+  const Hsg* hsg_;
   AnalysisOptions options_;
   PsiDims psi_;  // this analyzer's §5.3 ψ binding (invalid unless quantified)
   CmpCtx ctx_;   // empty hypothesis context carrying psi_

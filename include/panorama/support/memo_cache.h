@@ -1,41 +1,11 @@
-// A bounded, sharded memo table for symbolic query verdicts.
-//
-// The analyzer answers the same Fourier-Motzkin feasibility checks,
-// atom-pair queries, and predicate-implication tests over and over as
-// guards flow through the propagation. Verdicts are pure functions of the
-// query structure, so they memoize safely: this cache maps an exact query
-// encoding — a tag plus a word vector built from interned expression /
-// atom / predicate keys and the query budget — to its Truth verdict.
-//
-// Properties the parallel driver and its tests rely on:
-//   * Exact keys. Entries are stored under the full encoded key (word
-//     vector compare, not its hash), so two different queries can never
-//     alias: a cached verdict is always the verdict a cold evaluation
-//     would produce, regardless of query order or thread interleaving.
-//   * Bounded. Capacity is split across shards; each shard evicts once
-//     full. Eviction is session-aware: victims are preferred among *stale*
-//     entries — stored under an earlier epoch (bumpEpoch) or before the
-//     last noteUnitsRetired() call (procedures left the session's unit
-//     table) — falling back to plain FIFO among live entries only when no
-//     stale entry remains in the shard. Eviction only forgets — the next
-//     lookup recomputes and re-stores the identical verdict.
-//   * Sharded locking. A key's shard is chosen by its hash; each shard has
-//     its own mutex, so concurrent analysis threads rarely contend.
-//   * Observable. Hit/miss/eviction counters are surfaced through the
-//     report layer (formatQueryCacheStats) and the parallel-driver bench.
-//
-//   * Epoch-tagged. Every entry carries the cache epoch it was stored
-//     under; lookups only hit current-epoch entries. bumpEpoch() is an O(1)
-//     whole-cache invalidation — the incremental session uses it when
-//     analysis options change (a verdict is a pure function of its key, so
-//     entries stay valid across re-submits; only an options change warrants
-//     dropping them). Stale entries are overwritten in place on the next
-//     store of their key.
-//
-// configure(0) disables the cache entirely: every lookup misses and
-// nothing is stored, which restores the seed's cold-query behavior.
+// One bounded, sharded memo table for the symbolic queries the analyzer
+// asks over and over as guards flow through the HSG (§5.2): Fourier-Motzkin
+// feasibility, atom-pair and implication verdicts (QueryCache), the
+// Pred::simplify and ExprRef::substitute results, and the memoized FM
+// eliminator's canonical systems are all ShardedMemo instances.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -50,127 +20,174 @@
 
 namespace panorama {
 
+/// Counters of one memo table.
+struct MemoStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t entries = 0;
+
+  double hitRate() const {
+    const double total = static_cast<double>(hits + misses);
+    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
+  }
+};
+
+/// FNV-1a over a sequence of 64-bit words: the hash of every memo key.
+struct WordHash {
+  template <class Words>
+  std::size_t operator()(const Words& words) const {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint64_t w : words) {
+      h ^= w;
+      h *= 0x100000001b3ull;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+/// The memo table: 16 mutex-guarded shards (a key's shard is picked by its
+/// hash) under one FIFO bound. `capacity` is read on every call, so
+/// resizing it applies at once; 0 disables the memo — lookups miss without
+/// counting and stores are dropped. Each key is stored once: the FIFO
+/// queue points at the map's own keys, whose nodes never move.
+///
+/// Why one policy suffices. A memoized value is a pure function of its key,
+/// so an entry stored under one set of analysis options is still the right
+/// answer under any other, and nothing ever has to be invalidated:
+///   * FM feasibility keys (QueryCache::FmContradictory) carry the
+///     constraints, the budget and the tier bit. The tier may answer False
+///     (verified witness) where the classic engine answers Unknown, so the
+///     two modes keep apart.
+///   * Atom-pair, implication and simplify keys carry interned ids plus
+///     every budget and knob. Those families act only on True, and the tier
+///     reproduces True bit for bit, so they need no tier bit.
+///   * Substitute keys are three ids: expression, variable, replacement.
+///   * FM elimination keys are canonical systems plus the budget, and the
+///     memoized eliminator is verdict-identical to the classic one
+///     (fm_incremental.h).
+/// Keys are compared whole, never by hash alone, so two queries cannot
+/// alias; eviction only forgets, and the next lookup recomputes and
+/// re-stores the identical value. Results are therefore the same at every
+/// capacity, in every query order and thread interleaving.
+template <class Key, class Value, class Hash = WordHash>
+class ShardedMemo {
+ public:
+  static constexpr std::size_t kShards = 16;
+
+  explicit ShardedMemo(const std::atomic<std::size_t>& capacity) : capacity_(capacity) {}
+
+  std::optional<Value> lookup(const Key& key) {
+    if (capacity_.load(std::memory_order_acquire) == 0) return std::nullopt;
+    Shard& shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.map.find(key);
+    if (it == shard.map.end()) {
+      ++shard.misses;
+      return std::nullopt;
+    }
+    ++shard.hits;
+    return it->second;
+  }
+
+  /// Stores a value, evicting the shard's oldest entries past its share of
+  /// the capacity. A key already present keeps its entry: a racing thread
+  /// stored the identical value.
+  void store(Key key, Value value) {
+    const std::size_t capacity = capacity_.load(std::memory_order_acquire);
+    if (capacity == 0) return;
+    const std::size_t perShard = std::max<std::size_t>(capacity / kShards, 1);
+    Shard& shard = shardFor(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto [it, inserted] = shard.map.try_emplace(std::move(key), std::move(value));
+    if (!inserted) return;
+    shard.order.push_back(&it->first);
+    while (shard.map.size() > perShard) {
+      shard.map.erase(shard.map.find(*shard.order.front()));
+      shard.order.pop_front();
+      ++shard.evictions;
+    }
+  }
+
+  MemoStats stats() const {
+    MemoStats out;
+    for (Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      out.hits += shard.hits;
+      out.misses += shard.misses;
+      out.evictions += shard.evictions;
+      out.entries += shard.map.size();
+    }
+    return out;
+  }
+
+  /// Drops every entry and zeroes the counters.
+  void clear() {
+    for (Shard& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      shard.map.clear();
+      shard.order.clear();
+      shard.hits = shard.misses = shard.evictions = 0;
+    }
+  }
+
+  /// The shard `key` routes to; lets tests pin eviction order on one shard.
+  static std::size_t shardOf(const Key& key) { return Hash{}(key) % kShards; }
+
+ private:
+  struct Shard {
+    std::mutex mutex;
+    std::unordered_map<Key, Value, Hash> map;
+    std::deque<const Key*> order;  ///< insertion order; victims leave from the front
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+  };
+
+  Shard& shardFor(const Key& key) const { return shards_[shardOf(key)]; }
+
+  const std::atomic<std::size_t>& capacity_;
+  mutable std::array<Shard, kShards> shards_;
+};
+
+/// The process-wide verdict cache every analysis thread shares. Its
+/// capacity is the process memo capacity: it also bounds (and at 0 turns
+/// off) the simplify and substitute memos. Whoever owns the process sets it
+/// once — panorama_driver from `--cache-capacity`/`--no-cache`, tests that
+/// need an uncached reference — and sessions never touch it.
 class QueryCache {
  public:
   /// Namespaces for the memoized query families. Every key starts with its
   /// tag, so families can never collide.
-  enum class Tag : std::uint64_t {
+  enum Tag : std::uint64_t {
     FmContradictory = 1,  ///< ConstraintSet::contradictory
     AtomsContradict = 2,  ///< atomsContradict (also serves atomImplies)
     PredImplies = 3,      ///< Pred::implies
   };
+  using Key = std::vector<std::uint64_t>;  ///< tag, then the query words
+  using Stats = MemoStats;
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t entries = 0;
-    std::uint64_t evictedStale = 0;  ///< victims that were already invalid
-    std::uint64_t evictedLive = 0;   ///< victims that could still have hit
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
 
-    double hitRate() const {
-      const double total = static_cast<double>(hits + misses);
-      return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-    }
-  };
-
-  /// The process-wide cache every analysis thread shares.
   static QueryCache& global();
 
-  /// Sets the entry capacity. 0 disables the cache. Existing entries and
-  /// counters are dropped either way.
+  /// Sets the process memo capacity (0 disables memoization) and drops the
+  /// verdicts and counters.
   void configure(std::size_t capacity);
-  std::size_t capacity() const;
+  std::size_t capacity() const { return capacity_.load(std::memory_order_acquire); }
   bool enabled() const { return capacity() > 0; }
+  /// The capacity the simplify and substitute memos share with this cache.
+  const std::atomic<std::size_t>& sharedCapacity() const { return capacity_; }
 
-  /// The memoized verdict for (tag, words), or nullopt (also counts the
-  /// miss). Disabled caches always return nullopt.
-  std::optional<Truth> lookup(Tag tag, const std::vector<std::uint64_t>& words);
-
-  /// Stores a verdict, evicting the shard's oldest entries when full.
-  /// No-op when disabled.
-  void store(Tag tag, std::vector<std::uint64_t> words, Truth verdict);
-
-  Stats stats() const;
-  /// Drops entries and counters but keeps the capacity.
-  void clear();
-
-  /// The current epoch. Entries stored under earlier epochs never hit.
-  std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-  /// O(1) invalidation of every resident entry (they become stale, not
-  /// freed; the next store of a stale key overwrites it in place).
-  void bumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
-
-  /// Marks every currently resident entry eviction-preferred. The session
-  /// calls this when procedures leave its unit table: their verdicts stay
-  /// *correct* (keys are pure), so entries still hit — but they are the
-  /// first to go under capacity pressure. Coarse by design: tracking exact
-  /// per-procedure key ownership would cost more than the cache saves.
-  void noteUnitsRetired() { retire_.fetch_add(1, std::memory_order_acq_rel); }
-  std::uint64_t retireGeneration() const { return retire_.load(std::memory_order_acquire); }
-
-  /// The shard a key routes to — lets tests construct same-shard key sets
-  /// to pin down eviction order deterministically.
-  static std::size_t shardIndexForTesting(Tag tag, const std::vector<std::uint64_t>& words);
+  std::optional<Truth> lookup(const Key& key) { return verdicts_.lookup(key); }
+  void store(Key key, Truth verdict) { verdicts_.store(std::move(key), verdict); }
+  Stats stats() const { return verdicts_.stats(); }
+  /// Drops verdicts and counters but keeps the capacity.
+  void clear() { verdicts_.clear(); }
 
  private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Key {
-    std::uint64_t tag = 0;
-    std::vector<std::uint64_t> words;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHasher {
-    std::size_t operator()(const Key& k) const {
-      std::size_t h = 0xcbf29ce484222325ull ^ static_cast<std::size_t>(k.tag);
-      for (std::uint64_t w : k.words) {
-        h ^= static_cast<std::size_t>(w);
-        h *= 0x100000001b3ull;
-      }
-      return h;
-    }
-  };
-  struct Entry {
-    Truth verdict = Truth::Unknown;
-    std::uint64_t epoch = 0;   ///< store-time epoch; stale entries never hit
-    std::uint64_t retire = 0;  ///< store-time retire generation
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<Key, Entry, KeyHasher> map;
-    std::deque<Key> order;  ///< insertion order; victims scanned from front
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t evictedStale = 0;
-    std::uint64_t evictedLive = 0;
-    /// Entries stored before the last observed epoch/retire change (all of
-    /// them are eviction-preferred). Refreshed lazily under the shard lock:
-    /// when the global (epoch, retire) pair moved since the shard last
-    /// looked, every resident entry predates the move.
-    std::uint64_t staleCount = 0;
-    std::uint64_t seenEpoch = 0;
-    std::uint64_t seenRetire = 0;
-  };
-
-  Shard& shardFor(const Key& k) const;
-  /// Refreshes `staleCount` against the current (epoch, retire) pair; must
-  /// hold the shard lock.
-  void refreshStale(Shard& shard, std::uint64_t epochNow, std::uint64_t retireNow);
-  static bool entryStale(const Entry& e, std::uint64_t epochNow, std::uint64_t retireNow) {
-    return e.epoch != epochNow || e.retire != retireNow;
-  }
-
-  mutable std::array<Shard, kShards> shards_;
-  /// Default mirrors the seed's always-on (but unbounded, single-threaded)
-  /// atom-pair memo; AnalysisOptions::cacheCapacity overrides per run.
   std::atomic<std::size_t> capacity_{kDefaultCapacity};
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> retire_{0};
-
- public:
-  static constexpr std::size_t kDefaultCapacity = 1u << 18;
+  ShardedMemo<Key, Truth> verdicts_{capacity_};
 };
 
 /// One-line rendering of the global cache counters for reports and benches.

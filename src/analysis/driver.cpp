@@ -80,6 +80,18 @@ std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, Thre
   return out;
 }
 
+ProgramAnalysis& ProgramAnalysis::operator=(ProgramAnalysis&& other) {
+  program = std::move(other.program);
+  sema = std::move(other.sema);
+  hsg = std::move(other.hsg);
+  analyzer = std::move(other.analyzer);
+  loops = std::move(other.loops);
+  ok = other.ok;
+  error = std::move(other.error);
+  if (analyzer) analyzer->rebind(program, sema, hsg);
+  return *this;
+}
+
 ProgramAnalysis analyzeProgramUnit(Program program, const AnalysisOptions& options,
                                    ThreadPool& pool) {
   ProgramAnalysis out;
@@ -145,15 +157,14 @@ void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool& pool,
 
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, CorpusIngest ingest) {
   obs::Span span("corpus.run", "perfect corpus");
-  QueryCache::global().configure(options.cacheCapacity);
   setQueryTierEnabled(options.prefilter);
-  clearSimplifyMemo();  // fresh counters; the memo is capacity-gated too
-  // The FM elimination cache is deliberately NOT cleared here: its verdicts
-  // are pure functions of (system, budget), so entries from earlier runs in
-  // the same process are always reusable (capacity and the QueryCache epoch
-  // bound it). Long-lived processes analyzing repeatedly get warm
-  // eliminations; tests and benches call clearFmEliminationCache() when
-  // they need a cold run.
+  // Fresh counters per run. The FM elimination cache is deliberately NOT
+  // cleared: its verdicts are pure functions of (system, budget), so
+  // entries from earlier runs in the same process are always reusable.
+  // Tests and benches call clearFmEliminationCache() when they need a cold
+  // run.
+  QueryCache::global().clear();
+  clearSimplifyMemo();
   ThreadPool pool(options.numThreads);
 
   const std::vector<CorpusLoop>& corpus = perfectCorpus();

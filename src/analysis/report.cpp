@@ -136,8 +136,6 @@ void publishCorpusMetrics(const CorpusAnalysisResult& result, obs::MetricsRegist
   registry.counter("query_cache.misses").set(result.cacheStats.misses);
   registry.counter("query_cache.entries").set(result.cacheStats.entries);
   registry.counter("query_cache.evictions").set(result.cacheStats.evictions);
-  registry.counter("query_cache.evicted_stale").set(result.cacheStats.evictedStale);
-  registry.counter("query_cache.evicted_live").set(result.cacheStats.evictedLive);
 
   registry.counter("simplify_memo.hits").set(result.simplifyStats.hits);
   registry.counter("simplify_memo.misses").set(result.simplifyStats.misses);

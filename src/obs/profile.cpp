@@ -350,9 +350,7 @@ std::string renderCostProfileText(const CostProfile& profile) {
       std::snprintf(buf, sizeof(buf), "%.1f%%", c.hitRate() * 100.0);
       out += "  " + c.label + ": " + std::to_string(c.hits) + " hits / " +
              std::to_string(c.misses) + " misses (" + buf + "), " + std::to_string(c.entries) +
-             " entries, " + std::to_string(c.evictions) + " evictions (" +
-             std::to_string(c.evictedStale) + " stale, " + std::to_string(c.evictedLive) +
-             " live)\n";
+             " entries, " + std::to_string(c.evictions) + " evictions\n";
     }
   }
 
@@ -461,9 +459,7 @@ std::string renderCostProfileJson(const CostProfile& profile) {
     out += ", \"hits\": " + std::to_string(c.hits);
     out += ", \"misses\": " + std::to_string(c.misses);
     out += ", \"entries\": " + std::to_string(c.entries);
-    out += ", \"evictions\": " + std::to_string(c.evictions);
-    out += ", \"evicted_stale\": " + std::to_string(c.evictedStale);
-    out += ", \"evicted_live\": " + std::to_string(c.evictedLive) + "}";
+    out += ", \"evictions\": " + std::to_string(c.evictions) + "}";
   }
   out += "],\n";
 

@@ -395,13 +395,13 @@ Truth atomsContradict(const Atom& a, const Atom& b, const FmBudget& budget) {
   // are interned atom keys (exact structural identity, no collision risk),
   // symmetric-normalized, plus the budget.
   QueryCache& cache = QueryCache::global();
-  std::vector<std::uint64_t> key;
+  QueryCache::Key key;
   if (cache.enabled()) {
     std::uint64_t ka = atomKey(a);
     std::uint64_t kb = atomKey(b);
     if (kb < ka) std::swap(ka, kb);  // contradiction is symmetric
-    key = {ka, kb, budget.maxConstraints, budget.maxVariables};
-    if (auto hit = cache.lookup(QueryCache::Tag::AtomsContradict, key)) return *hit;
+    key = {QueryCache::AtomsContradict, ka, kb, budget.maxConstraints, budget.maxVariables};
+    if (auto hit = cache.lookup(key)) return *hit;
   }
   Truth result = [&] {
   if (a.kind() == Atom::Kind::LogVar && b.kind() == Atom::Kind::LogVar) {
@@ -448,7 +448,7 @@ Truth atomsContradict(const Atom& a, const Atom& b, const FmBudget& budget) {
   Truth t = cs.contradictory(budget);
   return t == Truth::True ? Truth::True : Truth::Unknown;
   }();
-  if (cache.enabled()) cache.store(QueryCache::Tag::AtomsContradict, std::move(key), result);
+  if (cache.enabled()) cache.store(std::move(key), result);
   return result;
 }
 

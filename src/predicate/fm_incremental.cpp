@@ -1,20 +1,14 @@
 // Elimination cache behind fourierMotzkinInfeasibleMemo (see the header for
 // the canonical-form and exactness story).
 //
-// The cache is a sharded hash-cons: the canonical word encoding of a
-// (system, budget) pair is the handle, and each handle maps to the verdict
-// full elimination from that system produces plus the QueryCache epoch it
-// was computed under. A chain walk (query system, then each intermediate
-// system) stops at the first fresh handle hit; on a terminal verdict every
-// handle visited on the way is backpatched, so the whole chain answers in
-// one lookup next time.
+// The cache is a ShardedMemo from the canonical word encoding of a
+// (system, budget) pair to the verdict full elimination from that system
+// produces. A chain walk (query system, then each intermediate system)
+// stops at the first hit; on a terminal verdict every handle visited on the
+// way is backpatched, so the whole chain answers in one lookup next time.
 #include "panorama/predicate/fm_incremental.h"
 
 #include <atomic>
-#include <mutex>
-#include <unordered_map>
-
-#include "panorama/support/memo_cache.h"
 
 namespace panorama {
 
@@ -24,44 +18,12 @@ std::atomic<bool> gTierEnabled{true};
 
 using Key = std::vector<std::uint64_t>;
 
-struct KeyHash {
-  std::size_t operator()(const Key& key) const {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t w : key) {
-      h ^= w;
-      h *= 0x100000001b3ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-struct Entry {
-  std::uint64_t epoch = 0;
-  Truth verdict = Truth::Unknown;
-};
-
-constexpr std::size_t kShards = 16;
-constexpr std::size_t kShardCapacity = (std::size_t{1} << 17) / kShards;
-
-struct Shard {
-  std::mutex mutex;
-  std::unordered_map<Key, Entry, KeyHash> map;
-};
-
-struct Cache {
-  Shard shards[kShards];
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> evictions{0};
-};
-
-Cache& cache() {
-  static Cache c;
-  return c;
-}
-
-Shard& shardFor(const Key& key) {
-  return cache().shards[KeyHash{}(key) % kShards];
+/// A fixed bound, independent of the process memo capacity: `--no-cache`
+/// leaves the eliminator's memo on (the tier switch gates it instead).
+ShardedMemo<Key, Truth>& eliminationMemo() {
+  static const std::atomic<std::size_t> capacity{std::size_t{1} << 17};
+  static ShardedMemo<Key, Truth> memo(capacity);
+  return memo;
 }
 
 Key encode(const std::vector<AffineForm>& system, const FmBudget& budget) {
@@ -83,75 +45,29 @@ Key encode(const std::vector<AffineForm>& system, const FmBudget& budget) {
   return key;
 }
 
-std::optional<Truth> lookup(const Key& key, std::uint64_t epoch) {
-  Shard& shard = shardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end() || it->second.epoch != epoch) return std::nullopt;
-  return it->second.verdict;
-}
-
-void store(Key key, std::uint64_t epoch, Truth verdict) {
-  Shard& shard = shardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    it->second = {epoch, verdict};
-    return;
-  }
-  if (shard.map.size() >= kShardCapacity) {
-    cache().evictions.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  shard.map.emplace(std::move(key), Entry{epoch, verdict});
-}
-
 }  // namespace
 
 bool queryTierEnabled() { return gTierEnabled.load(std::memory_order_relaxed); }
 void setQueryTierEnabled(bool on) { gTierEnabled.store(on, std::memory_order_relaxed); }
 
-FmCacheStats fmEliminationStats() {
-  FmCacheStats out;
-  Cache& c = cache();
-  out.hits = c.hits.load(std::memory_order_relaxed);
-  out.misses = c.misses.load(std::memory_order_relaxed);
-  out.evictions = c.evictions.load(std::memory_order_relaxed);
-  for (Shard& shard : c.shards) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    out.entries += shard.map.size();
-  }
-  return out;
-}
+FmCacheStats fmEliminationStats() { return eliminationMemo().stats(); }
 
-void clearFmEliminationCache() {
-  Cache& c = cache();
-  for (Shard& shard : c.shards) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-  }
-  c.hits.store(0, std::memory_order_relaxed);
-  c.misses.store(0, std::memory_order_relaxed);
-  c.evictions.store(0, std::memory_order_relaxed);
-}
+void clearFmEliminationCache() { eliminationMemo().clear(); }
 
 Truth fourierMotzkinInfeasibleMemo(std::vector<AffineForm> system, const FmBudget& budget) {
   if (auto verdict = fmdetail::screen(system)) return *verdict;
   if (fmdetail::countVars(system) > budget.maxVariables) return Truth::Unknown;
 
-  const std::uint64_t epoch = QueryCache::global().epoch();
-  Cache& c = cache();
+  ShardedMemo<Key, Truth>& memo = eliminationMemo();
   std::vector<Key> chain;  // handles visited before the verdict was known
   Truth verdict = Truth::False;
   fmdetail::anonymizeVars(system);
   while (!system.empty()) {
     Key key = encode(system, budget);
-    if (auto hit = lookup(key, epoch)) {
-      c.hits.fetch_add(1, std::memory_order_relaxed);
+    if (auto hit = memo.lookup(key)) {
       verdict = *hit;
       break;
     }
-    c.misses.fetch_add(1, std::memory_order_relaxed);
     chain.push_back(std::move(key));
     fmdetail::StepResult step = fmdetail::eliminateOne(std::move(system), budget);
     if (step.verdict) {
@@ -161,7 +77,7 @@ Truth fourierMotzkinInfeasibleMemo(std::vector<AffineForm> system, const FmBudge
     system = std::move(step.next);
     fmdetail::anonymizeVars(system);
   }
-  for (Key& key : chain) store(std::move(key), epoch, verdict);
+  for (Key& key : chain) memo.store(std::move(key), verdict);
   return verdict;
 }
 

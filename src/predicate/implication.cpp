@@ -48,11 +48,12 @@ Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
   // Memoized in the global query cache under interned predicate keys (exact
   // structural identity) plus the simplifier knobs the verdict depends on.
   QueryCache& cache = QueryCache::global();
-  std::vector<std::uint64_t> key;
+  QueryCache::Key key;
   if (cache.enabled()) {
-    key = {predKey(*this), predKey(other), opts.useFourierMotzkin ? 1u : 0u,
-           opts.fmBudget.maxConstraints, opts.fmBudget.maxVariables};
-    if (auto hit = cache.lookup(QueryCache::Tag::PredImplies, key)) return *hit;
+    key = {QueryCache::PredImplies, predKey(*this), predKey(other),
+           opts.useFourierMotzkin ? 1u : 0u, opts.fmBudget.maxConstraints,
+           opts.fmBudget.maxVariables};
+    if (auto hit = cache.lookup(key)) return *hit;
   }
 
   // Cold evaluation below: traced as a query span, and an Unknown verdict
@@ -105,7 +106,7 @@ Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
     obs::ProvenanceScope::note("implies",
                                "predicate implication undecided (clause not subsumed and FM "
                                "refutation inconclusive)");
-  if (cache.enabled()) cache.store(QueryCache::Tag::PredImplies, std::move(key), verdict);
+  if (cache.enabled()) cache.store(std::move(key), verdict);
   return verdict;
 }
 

@@ -4,10 +4,6 @@
 // unit clauses second, then a shallow case split over one non-unit clause).
 #include <algorithm>
 #include <array>
-#include <deque>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
 
 #include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
@@ -16,110 +12,21 @@ namespace panorama {
 
 namespace {
 
-/// Bounded, sharded memo for Pred::simplify: maps the interned pre-simplify
-/// predicate (plus every SimplifyOptions knob) to the simplified value.
-/// Keys are exact word vectors, so a memoized result is always the result a
-/// cold run would produce; eviction (FIFO per shard) only forgets. Enabled
-/// and sized through QueryCache::global()'s capacity, like the verdict
-/// cache — configure(0) turns both off. Entries are tagged with the verdict
-/// cache's epoch too, so QueryCache::bumpEpoch() invalidates both memos in
-/// one O(1) step.
-class SimplifyMemo {
- public:
-  static SimplifyMemo& global() {
-    static SimplifyMemo memo;
-    return memo;
-  }
+/// The interned pre-simplify predicate plus every SimplifyOptions knob.
+using SimplifyKey = std::array<std::uint64_t, 6>;
 
-  std::optional<Pred> lookup(const std::vector<std::uint64_t>& key) {
-    const std::uint64_t now = QueryCache::global().epoch();
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(key); it != shard.map.end() && it->second.epoch == now) {
-      ++shard.stats.hits;
-      return it->second.value;
-    }
-    ++shard.stats.misses;
-    return std::nullopt;
-  }
-
-  void store(std::vector<std::uint64_t> key, const Pred& value) {
-    const std::size_t cap = QueryCache::global().capacity();
-    if (cap == 0) return;
-    const std::size_t perShard = cap / kShards > 0 ? cap / kShards : 1;
-    const std::uint64_t now = QueryCache::global().epoch();
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(key); it != shard.map.end()) {
-      it->second = Entry{value, now};  // raced twin or stale entry: refresh
-      return;
-    }
-    while (shard.map.size() >= perShard && !shard.order.empty()) {
-      shard.map.erase(shard.order.front());
-      shard.order.pop_front();
-      ++shard.stats.evictions;
-    }
-    shard.order.push_back(key);
-    shard.map.emplace(std::move(key), Entry{value, now});
-  }
-
-  QueryCache::Stats stats() const {
-    QueryCache::Stats out;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      out.hits += shard.stats.hits;
-      out.misses += shard.stats.misses;
-      out.evictions += shard.stats.evictions;
-      out.entries += shard.map.size();
-    }
-    return out;
-  }
-
-  void clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.map.clear();
-      shard.order.clear();
-      shard.stats = {};
-    }
-  }
-
- private:
-  static constexpr std::size_t kShards = 16;
-
-  struct KeyHasher {
-    std::size_t operator()(const std::vector<std::uint64_t>& key) const {
-      std::size_t h = 0xcbf29ce484222325ull;
-      for (std::uint64_t w : key) {
-        h ^= static_cast<std::size_t>(w);
-        h *= 0x100000001b3ull;
-      }
-      return h;
-    }
-  };
-  struct Entry {
-    Pred value = Pred::makeTrue();
-    std::uint64_t epoch = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::vector<std::uint64_t>, Entry, KeyHasher> map;
-    std::deque<std::vector<std::uint64_t>> order;
-    QueryCache::Stats stats;
-  };
-
-  Shard& shardFor(const std::vector<std::uint64_t>& key) {
-    return shards_[KeyHasher{}(key) % kShards];
-  }
-
-  mutable std::array<Shard, kShards> shards_;
-};
+/// Pred::simplify results, sized by the process memo capacity like the
+/// verdict cache, so `--no-cache` turns both off.
+ShardedMemo<SimplifyKey, Pred>& simplifyMemo() {
+  static ShardedMemo<SimplifyKey, Pred> memo(QueryCache::global().sharedCapacity());
+  return memo;
+}
 
 }  // namespace
 
-QueryCache::Stats simplifyMemoStats() { return SimplifyMemo::global().stats(); }
+QueryCache::Stats simplifyMemoStats() { return simplifyMemo().stats(); }
 
-void clearSimplifyMemo() { SimplifyMemo::global().clear(); }
+void clearSimplifyMemo() { simplifyMemo().clear(); }
 
 namespace {
 
@@ -205,24 +112,15 @@ void PredRef::simplify(const SimplifyOptions& opts) {
   }
   if (clauses().empty()) return;  // True / Δ: nothing to do
 
-  if (!QueryCache::global().enabled()) {
-    *this = simplifyUncached(clauses(), isUnknown(), opts);
-    return;
-  }
-  std::vector<std::uint64_t> key;
-  key.reserve(6);
-  key.push_back(predKey(*this));
-  key.push_back(opts.maxClauses);
-  key.push_back(opts.maxAtomsPerClause);
-  key.push_back(opts.useFourierMotzkin ? 1 : 0);
-  key.push_back(opts.fmBudget.maxConstraints);
-  key.push_back(opts.fmBudget.maxVariables);
-  if (auto hit = SimplifyMemo::global().lookup(key)) {
+  const SimplifyKey key{predKey(*this), opts.maxClauses, opts.maxAtomsPerClause,
+                        opts.useFourierMotzkin ? 1u : 0u, opts.fmBudget.maxConstraints,
+                        opts.fmBudget.maxVariables};
+  if (auto hit = simplifyMemo().lookup(key)) {
     *this = *hit;
     return;
   }
   *this = simplifyUncached(clauses(), isUnknown(), opts);
-  SimplifyMemo::global().store(std::move(key), *this);
+  simplifyMemo().store(key, *this);
 }
 
 PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown,

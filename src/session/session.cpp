@@ -41,13 +41,11 @@
 #include "panorama/obs/metrics.h"
 #include "panorama/obs/trace.h"
 #include "panorama/predicate/fm_incremental.h"
-#include "panorama/support/memo_cache.h"
 
 namespace panorama {
 
 AnalysisSession::AnalysisSession(AnalysisOptions options) : options_(options) {
   optionsKey_ = optionsKey(options_);
-  QueryCache::global().configure(options_.cacheCapacity);
   setQueryTierEnabled(options_.prefilter);
   ownedPool_ = std::make_unique<ThreadPool>(options_.numThreads);
   pool_ = ownedPool_.get();
@@ -56,7 +54,6 @@ AnalysisSession::AnalysisSession(AnalysisOptions options) : options_(options) {
 AnalysisSession::AnalysisSession(AnalysisOptions options, ThreadPool* sharedPool)
     : options_(options) {
   optionsKey_ = optionsKey(options_);
-  QueryCache::global().configure(options_.cacheCapacity);
   setQueryTierEnabled(options_.prefilter);
   pool_ = sharedPool;
 }
@@ -81,8 +78,8 @@ std::uint64_t AnalysisSession::optionsKey(const AnalysisOptions& options) {
   mix(options.simplify.useFourierMotzkin);
   mix(options.simplify.fmBudget.maxConstraints);
   mix(options.simplify.fmBudget.maxVariables);
-  // numThreads, cacheCapacity, and loopGranularReuse are execution options:
-  // the driver guarantees identical results across all of them.
+  // numThreads and loopGranularReuse are execution options: the driver
+  // guarantees identical results across both.
   return h;
 }
 
@@ -90,25 +87,17 @@ void AnalysisSession::setOptions(const AnalysisOptions& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t key = optionsKey(options);
   const bool threadsChanged = options.numThreads != options_.numThreads;
-  const bool capacityChanged = options.cacheCapacity != options_.cacheCapacity;
-  const bool ablationChanged = key != optionsKey_;
   options_ = options;
+  // units_ carries unitsOptionsKey_: after an ablation change the mismatch
+  // with optionsKey_ makes the next submit a full invalidation. Memoized
+  // query verdicts stay valid — their keys carry every knob they depend on.
   optionsKey_ = key;
   // With a shared pool the daemon owns concurrency; numThreads is advisory.
   if (threadsChanged && ownedPool_) {
     ownedPool_ = std::make_unique<ThreadPool>(options_.numThreads);
     pool_ = ownedPool_.get();
   }
-  if (capacityChanged) QueryCache::global().configure(options_.cacheCapacity);
   setQueryTierEnabled(options_.prefilter);
-  if (ablationChanged) {
-    // Cached verdicts were answered under the old budgets: one epoch bump
-    // retires every entry of the query cache, the simplify memo, and the FM
-    // elimination cache (all tagged with the same epoch) in O(1).
-    QueryCache::global().bumpEpoch();
-    // units_ carries unitsOptionsKey_; the mismatch with optionsKey_ makes
-    // the next submit a full invalidation.
-  }
 }
 
 void AnalysisSession::resetState() {
@@ -700,9 +689,6 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   epoch_ = newEpoch;
   unitsOptionsKey_ = optionsKey_;
   live_ = true;
-  // Verdicts cached on behalf of removed procedures stay correct (keys are
-  // pure) but become eviction-preferred under capacity pressure.
-  if (stats.removed > 0) QueryCache::global().noteUnitsRetired();
 
   // Assemble the report in the batch drivers' order: procedures bottom-up,
   // loops in walk order within each.

@@ -811,7 +811,6 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   // Execution knobs are not part of the snapshot; the restoring session
   // keeps its own.
   opts.numThreads = options_.numThreads;
-  opts.cacheCapacity = options_.cacheCapacity;
 
   const std::uint64_t epoch = r.u64();
   const std::uint64_t lastSourceHash = r.u64();

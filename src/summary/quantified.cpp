@@ -112,7 +112,7 @@ Pred SummaryAnalyzer::lowerGuardQuantified(const Expr& e, const ProcSymbols& sym
             case BinOp::Eq: rel = ApRel::Eq; positive = true; break;
             default: rel = ApRel::Eq; positive = false; break;  // Ne
           }
-          VarId key = sema_.symbols.intern(apRelName(rel));
+          VarId key = sema_->symbols.intern(apRelName(rel));
           return Pred::atom(Atom::arrayPred(AtomArrayRef{arrayId->value}, key, std::move(sub),
                                             std::move(other), positive));
         }

@@ -15,16 +15,16 @@ void SummaryAnalyzer::foldBlockBackward(const HsgNode& block, const ProcSymbols&
     if (s.lhs->kind == Expr::Kind::ArrayRef) {
       GarList write = GarList::single(Gar::make(Pred::makeTrue(), lowerRef(*s.lhs, sym), psi_));
       ue = garSubtract(ue, write, ctx_);  // this write kills later exposure
-      mod = garUnion(mod, write, ctx_, &sema_.arrays);
+      mod = garUnion(mod, write, ctx_, &sema_->arrays);
       GarList uses;
       addUses(*s.rhs, sym, uses);
       for (const ExprPtr& sub : s.lhs->args) addUses(*sub, sym, uses);  // subscripts read
-      ue = garUnion(ue, uses, ctx_, &sema_.arrays);
+      ue = garUnion(ue, uses, ctx_, &sema_->arrays);
       if (de) {
         // DE (§3.2.2): a use survives only past the writes that follow it —
         // which is exactly `mod` at this point (own write included, so the
         // read of A(i) = A(i)+1 is not downward exposed).
-        *de = garUnion(*de, garSubtract(uses, mod, ctx_), ctx_, &sema_.arrays);
+        *de = garUnion(*de, garSubtract(uses, mod, ctx_), ctx_, &sema_->arrays);
       }
       if (options_.quantified) {
         if (auto id = sym.arrayId(s.lhs->name)) {
@@ -52,8 +52,8 @@ void SummaryAnalyzer::foldBlockBackward(const HsgNode& block, const ProcSymbols&
       }
       GarList uses;
       addUses(*s.rhs, sym, uses);  // RHS reads happen in the pre-assignment state
-      ue = garUnion(ue, uses, ctx_, &sema_.arrays);
-      if (de) *de = garUnion(*de, garSubtract(uses, mod, ctx_), ctx_, &sema_.arrays);
+      ue = garUnion(ue, uses, ctx_, &sema_->arrays);
+      if (de) *de = garUnion(*de, garSubtract(uses, mod, ctx_), ctx_, &sema_->arrays);
     }
   }
 }

@@ -27,7 +27,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
   // uses (this also covers by-reference element actuals, over-approximately).
   for (const ExprPtr& a : call.args) addUses(*a, sym, out.ue);
 
-  const Procedure* callee = program_.findProcedure(call.callee);
+  const Procedure* callee = program_->findProcedure(call.callee);
   auto degradeAll = [&]() {
     // No usable summary: Ω on every array actual and every COMMON array the
     // callee (transitively) could reach. Without interprocedural analysis we
@@ -38,20 +38,20 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
                                   : std::string_view();
       if (name.empty()) continue;
       if (auto id = sym.arrayId(name)) {
-        int rank = sema_.arrays.shape(*id).rank();
+        int rank = sema_->arrays.shape(*id).rank();
         out.mod.add(Gar::omega(*id, rank));
         out.ue.add(Gar::omega(*id, rank));
       }
     }
-    for (std::size_t k = 0; k < sema_.arrays.size(); ++k) {
+    for (std::size_t k = 0; k < sema_->arrays.size(); ++k) {
       ArrayId id{static_cast<std::uint32_t>(k)};
-      const std::string& gname = sema_.arrays.name(id);
+      const std::string& gname = sema_->arrays.name(id);
       bool procLocal = false;
-      for (const Procedure& pr : program_.procedures)
+      for (const Procedure& pr : program_->procedures)
         if (gname.starts_with(pr.name + "::")) procLocal = true;
       if (!procLocal) {  // COMMON naming convention: "blk::var"
-        out.mod.add(Gar::omega(id, sema_.arrays.shape(id).rank()));
-        out.ue.add(Gar::omega(id, sema_.arrays.shape(id).rank()));
+        out.mod.add(Gar::omega(id, sema_->arrays.shape(id).rank()));
+        out.ue.add(Gar::omega(id, sema_->arrays.shape(id).rank()));
       }
     }
   };
@@ -70,7 +70,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
   }
 
   const ProcSummary& cs = procSummary(*callee);
-  const ProcSymbols& calleeSym = sema_.of(*callee);
+  const ProcSymbols& calleeSym = sema_->of(*callee);
 
   // Build the real-to-formal maps.
   std::map<VarId, SymExpr> scalarMap;
@@ -80,7 +80,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
     const Expr& actual = *call.args[i];
     if (calleeSym.isArray(formal)) {
       ArrayId fid = *calleeSym.arrayId(formal);
-      const ArrayShape& fshape = sema_.arrays.shape(fid);
+      const ArrayShape& fshape = sema_->arrays.shape(fid);
       ArrayMap m;
       if ((actual.kind == Expr::Kind::VarRef || actual.kind == Expr::Kind::ArrayRef) &&
           sym.isArray(actual.name)) {
@@ -90,7 +90,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
       }
       if (actual.kind == Expr::Kind::VarRef && sym.isArray(actual.name)) {
         ArrayId aid = *sym.arrayId(actual.name);
-        const ArrayShape& ashape = sema_.arrays.shape(aid);
+        const ArrayShape& ashape = sema_->arrays.shape(aid);
         if (ashape.rank() == fshape.rank()) {
           m.kind = ArrayMap::Kind::Shifted;
           for (int d = 0; d < fshape.rank(); ++d) {
@@ -105,7 +105,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
         // 1-D offset passing: CALL f(A(k)) — formal index f maps to
         // A(f - lb(formal) + k).
         ArrayId aid = *sym.arrayId(actual.name);
-        if (sema_.arrays.shape(aid).rank() == 1) {
+        if (sema_->arrays.shape(aid).rank() == 1) {
           SymExpr k = lowerValue(*actual.args[0], sym);
           if (!k.isPoisoned()) {
             m.kind = ArrayMap::Kind::Shifted;
@@ -141,7 +141,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
       }
       if (am->second.kind == ArrayMap::Kind::Drop) continue;  // no aliasable actual
       if (am->second.kind == ArrayMap::Kind::OmegaOnCaller) {
-        dst.add(Gar::omega(am->second.caller, sema_.arrays.shape(am->second.caller).rank()));
+        dst.add(Gar::omega(am->second.caller, sema_->arrays.shape(am->second.caller).rank()));
         continue;
       }
       Region r = mapped.region();
@@ -168,9 +168,9 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
     taintAllQuantified(calleeUe);
     taintAllQuantified(calleeDe);
   }
-  out.mod = garUnion(out.mod, calleeMod, ctx_, &sema_.arrays);
-  out.ue = garUnion(out.ue, calleeUe, ctx_, &sema_.arrays);
-  out.de = garUnion(out.de, calleeDe, ctx_, &sema_.arrays);
+  out.mod = garUnion(out.mod, calleeMod, ctx_, &sema_->arrays);
+  out.ue = garUnion(out.ue, calleeUe, ctx_, &sema_->arrays);
+  out.de = garUnion(out.de, calleeDe, ctx_, &sema_->arrays);
   note(out.mod);
   note(out.ue);
   return out;

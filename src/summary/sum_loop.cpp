@@ -45,7 +45,7 @@ std::map<VarId, SymExpr> SummaryAnalyzer::recognizeInductionVars(const Stmt& loo
     if (s.kind == Stmt::Kind::Do) ++writeCounts[s.doVar];
     if (s.kind == Stmt::Kind::Call) {
       // Calls may write by-ref scalars; disqualify everything they touch.
-      const Procedure* callee = program_.findProcedure(s.callee);
+      const Procedure* callee = program_->findProcedure(s.callee);
       if (callee) {
         for (const ExprPtr& a : s.args)
           if (a->kind == Expr::Kind::VarRef && sym.isScalar(a->name))
@@ -200,7 +200,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
 
   // MOD_{<i} / MOD_{>i}: rename i to a fresh index and expand over the
   // prior/following iteration windows (step-aligned endpoints).
-  VarId ii = sema_.symbols.fresh(s.doVar);
+  VarId ii = sema_->symbols.fresh(s.doVar);
   GarList renamed = modI.substituted(*idxId, SymExpr::variable(ii));
   SymExpr I = SymExpr::variable(*idxId);
   ls.modBefore = expandByIndex(renamed, LoopBounds{ii, lo, I - st, st}, inLoop);
@@ -233,16 +233,16 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
     GarList variantExpanded = expandByIndex(variant, ls.bounds, ctx_);
     modExpanded =
         garUnion(modExpanded, variantExpanded.withGuard(Pred::makeUnknown()), ctx_,
-                 &sema_.arrays);
+                 &sema_->arrays);
   }
   GarList deExpanded;
   if (options_.computeDE) {
     GarList deOutIter = garSubtract(deI, ls.modAfter, inLoop);
     deExpanded = expandByIndex(deOutIter, ls.bounds, ctx_);
   }
-  out.mod = garUnion(out.mod, modExpanded, ctx_, &sema_.arrays);
-  out.ue = garUnion(out.ue, ueExpanded, ctx_, &sema_.arrays);
-  out.de = garUnion(out.de, deExpanded, ctx_, &sema_.arrays);
+  out.mod = garUnion(out.mod, modExpanded, ctx_, &sema_->arrays);
+  out.ue = garUnion(out.ue, ueExpanded, ctx_, &sema_->arrays);
+  out.de = garUnion(out.de, deExpanded, ctx_, &sema_->arrays);
   ls.mod = out.mod;
   ls.ue = out.ue;
   ls.de = out.de;

@@ -10,14 +10,20 @@ namespace panorama {
 
 SummaryAnalyzer::SummaryAnalyzer(const Program& program, SemaResult& sema, const Hsg& hsg,
                                  AnalysisOptions options)
-    : program_(program), sema_(sema), hsg_(hsg), options_(options) {
+    : program_(&program), sema_(&sema), hsg_(&hsg), options_(options) {
   // Activate (or deactivate) the ψ1 dimension symbol for this analyzer.
   // VarIds are per-SymbolTable: each analyzer resolves its own binding from
   // its kernel's symbol table and threads it through every CmpCtx and
   // Gar::make call, so concurrent analyses of different kernels never share
   // ψ state and the parallel driver needs no serialization.
-  psi_.dim1 = options_.quantified ? sema_.symbols.intern("psi$1") : VarId{};
+  psi_.dim1 = options_.quantified ? sema_->symbols.intern("psi$1") : VarId{};
   ctx_ = CmpCtx(ConstraintSet{}, FmBudget{}, psi_);
+}
+
+void SummaryAnalyzer::rebind(const Program& program, SemaResult& sema, const Hsg& hsg) {
+  program_ = &program;
+  sema_ = &sema;
+  hsg_ = &hsg;
 }
 
 const LoopSummary* SummaryAnalyzer::loopSummary(const Stmt* doStmt) const {
@@ -151,10 +157,10 @@ void SummaryAnalyzer::collectAssignedScalars(const std::vector<const Stmt*>& stm
       }
       case Stmt::Kind::Call: {
         if (!throughCalls) break;
-        const Procedure* callee = program_.findProcedure(s.callee);
+        const Procedure* callee = program_->findProcedure(s.callee);
         if (!callee) break;
         const std::vector<VarId>& calleeMods = scalarsModifiedBy(*callee);
-        const ProcSymbols& calleeSym = sema_.of(*callee);
+        const ProcSymbols& calleeSym = sema_->of(*callee);
         for (VarId v : calleeMods) {
           // Formal scalars map to scalar VarRef actuals; commons pass as-is.
           bool mapped = false;
@@ -195,16 +201,16 @@ const std::vector<VarId>& SummaryAnalyzer::scalarsModifiedBy(const Procedure& pr
   std::vector<const Stmt*> roots;
   for (const StmtPtr& s : proc.body) roots.push_back(s.get());
   std::vector<VarId> all;
-  collectAssignedScalars(roots, sema_.of(proc), all, /*throughCalls=*/true);
+  collectAssignedScalars(roots, sema_->of(proc), all, /*throughCalls=*/true);
   // Only formal and common scalars escape the procedure.
-  const ProcSymbols& sym = sema_.of(proc);
+  const ProcSymbols& sym = sema_->of(proc);
   std::vector<VarId> escaping;
   for (VarId v : all) {
     bool isFormal = false;
     for (const std::string& p : proc.params) {
       if (auto fid = sym.scalarId(p); fid && *fid == v) isFormal = true;
     }
-    bool isLocal = sema_.symbols.name(v).starts_with(proc.name + "::");
+    bool isLocal = sema_->symbols.name(v).starts_with(proc.name + "::");
     if (isFormal || !isLocal) escaping.push_back(v);
   }
   std::unique_lock<std::shared_mutex> lock(scalarCacheMutex_);
@@ -221,7 +227,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
   std::map<int, NodeSets> in;
 
   auto simplified = [&](GarList list) {
-    if (options_.garSimplifier) simplifyGarList(list, ctx_, &sema_.arrays);
+    if (options_.garSimplifier) simplifyGarList(list, ctx_, &sema_->arrays);
     note(list);
     return list;
   };
@@ -234,7 +240,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
       note(out);
       return out;
     }
-    return garUnion(a, b, ctx_, &sema_.arrays);
+    return garUnion(a, b, ctx_, &sema_->arrays);
   };
 
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
@@ -356,11 +362,11 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   // summary already exists, so the recursive lookups below are read-only;
   // a direct call outside the scheduler is plain memoization.
   obs::Span span("summary.proc", proc.name);
-  const ProcSymbols& sym = sema_.of(proc);
+  const ProcSymbols& sym = sema_->of(proc);
   GarList mod;
   GarList ue;
   GarList de;
-  sumSegment(hsg_.of(proc).graph, sym, mod, ue, &de);
+  sumSegment(hsg_->of(proc).graph, sym, mod, ue, &de);
 
   ProcSummary summary;
   summary.modAll = mod;
@@ -371,7 +377,7 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
       if (aid != id) continue;
       bool isFormal =
           std::find(proc.params.begin(), proc.params.end(), name) != proc.params.end();
-      bool isLocal = sema_.arrays.name(id).starts_with(proc.name + "::");
+      bool isLocal = sema_->arrays.name(id).starts_with(proc.name + "::");
       return isFormal || !isLocal;
     }
     return false;
@@ -388,7 +394,7 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   std::vector<VarId> locals;
   for (const auto& [name, vid] : sym.scalars) {
     bool isFormal = std::find(proc.params.begin(), proc.params.end(), name) != proc.params.end();
-    bool isLocal = sema_.symbols.name(vid).starts_with(proc.name + "::");
+    bool isLocal = sema_->symbols.name(vid).starts_with(proc.name + "::");
     if (isLocal && !isFormal) locals.push_back(vid);
   }
   poisonScalars(summary.mod, locals);
@@ -462,7 +468,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCondensed(const HsgNode& node, con
       if (x.kind == Expr::Kind::ArrayRef) {
         auto id = sym.arrayId(x.name);
         if (id) {
-          int rank = sema_.arrays.shape(*id).rank();
+          int rank = sema_->arrays.shape(*id).rank();
           out.ue.add(Gar::omega(*id, rank));
         }
       }
@@ -473,7 +479,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCondensed(const HsgNode& node, con
     if (s->kind == Stmt::Kind::Assign) {
       if (s->lhs->kind == Expr::Kind::ArrayRef) {
         if (auto id = sym.arrayId(s->lhs->name))
-          out.mod.add(Gar::omega(*id, sema_.arrays.shape(*id).rank()));
+          out.mod.add(Gar::omega(*id, sema_->arrays.shape(*id).rank()));
         for (const ExprPtr& sub : s->lhs->args) touch(*sub, false);
       }
       touch(*s->rhs, false);
@@ -484,22 +490,22 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCondensed(const HsgNode& node, con
         touch(*a, false);
         if (a->kind == Expr::Kind::VarRef) {
           if (auto id = sym.arrayId(a->name)) {
-            int rank = sema_.arrays.shape(*id).rank();
+            int rank = sema_->arrays.shape(*id).rank();
             out.mod.add(Gar::omega(*id, rank));
             out.ue.add(Gar::omega(*id, rank));
           }
         }
       }
-      for (std::size_t k = 0; k < sema_.arrays.size(); ++k) {
+      for (std::size_t k = 0; k < sema_->arrays.size(); ++k) {
         ArrayId id{static_cast<std::uint32_t>(k)};
-        if (sema_.arrays.name(id).find("::") != std::string::npos &&
-            !sema_.arrays.name(id).starts_with(sym.proc->name + "::")) {
+        if (sema_->arrays.name(id).find("::") != std::string::npos &&
+            !sema_->arrays.name(id).starts_with(sym.proc->name + "::")) {
           bool isCommon = true;
-          for (const Procedure& pr : program_.procedures)
-            if (sema_.arrays.name(id).starts_with(pr.name + "::")) isCommon = false;
+          for (const Procedure& pr : program_->procedures)
+            if (sema_->arrays.name(id).starts_with(pr.name + "::")) isCommon = false;
           if (isCommon) {
-            out.mod.add(Gar::omega(id, sema_.arrays.shape(id).rank()));
-            out.ue.add(Gar::omega(id, sema_.arrays.shape(id).rank()));
+            out.mod.add(Gar::omega(id, sema_->arrays.shape(id).rank()));
+            out.ue.add(Gar::omega(id, sema_->arrays.shape(id).rank()));
           }
         }
       }

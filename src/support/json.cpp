@@ -52,7 +52,7 @@ namespace {
 struct Parser {
   std::string_view text;
   std::size_t pos = 0;
-  std::string error;
+  std::string error{};
 
   bool atEnd() const { return pos >= text.size(); }
   char peek() const { return text[pos]; }

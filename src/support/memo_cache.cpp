@@ -1,7 +1,5 @@
 #include "panorama/support/memo_cache.h"
 
-#include <cstdio>
-
 #include "panorama/obs/metrics.h"
 
 namespace panorama {
@@ -11,120 +9,9 @@ QueryCache& QueryCache::global() {
   return cache;
 }
 
-QueryCache::Shard& QueryCache::shardFor(const Key& k) const {
-  return shards_[KeyHasher{}(k) % kShards];
-}
-
-std::size_t QueryCache::shardIndexForTesting(Tag tag, const std::vector<std::uint64_t>& words) {
-  Key key{static_cast<std::uint64_t>(tag), words};
-  return KeyHasher{}(key) % kShards;
-}
-
-void QueryCache::refreshStale(Shard& shard, std::uint64_t epochNow, std::uint64_t retireNow) {
-  if (shard.seenEpoch != epochNow || shard.seenRetire != retireNow) {
-    // The global (epoch, retire) pair moved since this shard last looked:
-    // every resident entry predates the move and is eviction-preferred.
-    shard.staleCount = shard.map.size();
-    shard.seenEpoch = epochNow;
-    shard.seenRetire = retireNow;
-  }
-}
-
 void QueryCache::configure(std::size_t capacity) {
   clear();
   capacity_.store(capacity, std::memory_order_release);
-}
-
-std::size_t QueryCache::capacity() const {
-  return capacity_.load(std::memory_order_acquire);
-}
-
-std::optional<Truth> QueryCache::lookup(Tag tag, const std::vector<std::uint64_t>& words) {
-  if (!enabled()) return std::nullopt;
-  const std::uint64_t now = epoch();
-  Key key{static_cast<std::uint64_t>(tag), words};
-  Shard& shard = shardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (auto it = shard.map.find(key); it != shard.map.end() && it->second.epoch == now) {
-    ++shard.hits;
-    return it->second.verdict;
-  }
-  ++shard.misses;
-  return std::nullopt;
-}
-
-void QueryCache::store(Tag tag, std::vector<std::uint64_t> words, Truth verdict) {
-  const std::size_t cap = capacity();
-  if (cap == 0) return;
-  const std::size_t perShard = cap / kShards > 0 ? cap / kShards : 1;
-  const std::uint64_t now = epoch();
-  const std::uint64_t retireNow = retireGeneration();
-  Key key{static_cast<std::uint64_t>(tag), std::move(words)};
-  Shard& shard = shardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  refreshStale(shard, now, retireNow);
-  if (auto it = shard.map.find(key); it != shard.map.end()) {
-    // Current-epoch twin: a racing thread stored the same verdict. Stale
-    // entry: refresh in place (the key already sits in the order deque).
-    if (entryStale(it->second, now, retireNow) && shard.staleCount > 0) --shard.staleCount;
-    it->second = Entry{verdict, now, retireNow};
-    return;
-  }
-  while (shard.map.size() >= perShard && !shard.order.empty()) {
-    // Victim selection: the oldest *stale* entry when one exists (an
-    // epoch-stale entry can never hit again; a retired-unit entry is the
-    // least likely to be asked again), plain FIFO among live entries
-    // otherwise. The scan only runs while staleCount > 0 and stops at the
-    // first stale entry, so live-only shards stay O(1) per eviction.
-    std::size_t victimIdx = 0;
-    if (shard.staleCount > 0) {
-      for (std::size_t k = 0; k < shard.order.size(); ++k) {
-        if (entryStale(shard.map.at(shard.order[k]), now, retireNow)) {
-          victimIdx = k;
-          break;
-        }
-      }
-    }
-    const bool wasStale = entryStale(shard.map.at(shard.order[victimIdx]), now, retireNow);
-    shard.map.erase(shard.order[victimIdx]);
-    shard.order.erase(shard.order.begin() + static_cast<std::ptrdiff_t>(victimIdx));
-    ++shard.evictions;
-    if (wasStale) {
-      ++shard.evictedStale;
-      if (shard.staleCount > 0) --shard.staleCount;
-    } else {
-      ++shard.evictedLive;
-    }
-  }
-  shard.order.push_back(key);
-  shard.map.emplace(std::move(key), Entry{verdict, now, retireNow});
-}
-
-QueryCache::Stats QueryCache::stats() const {
-  Stats out;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.evictions += shard.evictions;
-    out.entries += shard.map.size();
-    out.evictedStale += shard.evictedStale;
-    out.evictedLive += shard.evictedLive;
-  }
-  return out;
-}
-
-void QueryCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-    shard.order.clear();
-    shard.hits = shard.misses = shard.evictions = 0;
-    shard.evictedStale = shard.evictedLive = 0;
-    shard.staleCount = 0;
-    shard.seenEpoch = epoch();
-    shard.seenRetire = retireGeneration();
-  }
 }
 
 std::string formatQueryCacheStats(const QueryCache::Stats& stats) {

@@ -19,7 +19,12 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true, std::memory_order_release);
+  // Publish under wakeMutex_: a worker between its predicate check and its
+  // wait would otherwise miss the notify and never exit, hanging the join.
+  {
+    std::lock_guard<std::mutex> lock(wakeMutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   wake_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
@@ -99,6 +104,7 @@ void ThreadPool::runBatch(std::vector<std::function<void()>> tasks) {
       std::lock_guard<std::mutex> lock(slot.m);
       slot.q.push_back(Task{std::move(tasks[i]), &remaining, &done, &doneMutex});
     }
+    std::lock_guard<std::mutex> lock(wakeMutex_);  // no lost wake-up (see ~ThreadPool)
     queued_.fetch_add(tasks.size(), std::memory_order_relaxed);
   }
   wake_.notify_all();

@@ -1,6 +1,7 @@
 #include "panorama/symbolic/arena.h"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 
 #include "panorama/support/memo_cache.h"
@@ -75,78 +76,22 @@ ExprArena::Stats ExprArena::stats() const {
 
 namespace {
 
-/// Sharded bounded FIFO memo for ExprRef::substitute. Same discipline as the
-/// predicate SimplifyMemo: exact keys, eviction only forgets.
-class SubstituteMemo {
- public:
-  static SubstituteMemo& global() {
-    static SubstituteMemo memo;
-    return memo;
-  }
-
-  struct Key {
-    std::uint64_t expr;
-    std::uint32_t var;
-    std::uint64_t repl;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-
-  std::optional<ExprRef> find(const Key& key) {
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.map.find(key); it != shard.map.end()) return it->second;
-    return std::nullopt;
-  }
-
-  void store(const Key& key, const ExprRef& value) {
-    const std::size_t cap = QueryCache::global().capacity();
-    if (cap == 0) return;
-    const std::size_t perShard = cap / kShards > 0 ? cap / kShards : 1;
-    Shard& shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.map.contains(key)) return;  // raced: identical value anyway
-    while (shard.map.size() >= perShard && !shard.order.empty()) {
-      shard.map.erase(shard.order.front());
-      shard.order.pop_front();
-    }
-    shard.order.push_back(key);
-    shard.map.emplace(key, value);
-  }
-
- private:
-  static constexpr std::size_t kShards = 16;
-
-  struct KeyHasher {
-    std::size_t operator()(const Key& k) const {
-      std::size_t h = 0xcbf29ce484222325ull;
-      for (std::uint64_t w : {k.expr, static_cast<std::uint64_t>(k.var), k.repl}) {
-        h ^= static_cast<std::size_t>(w);
-        h *= 0x100000001b3ull;
-      }
-      return h;
-    }
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<Key, ExprRef, KeyHasher> map;
-    std::deque<Key> order;
-  };
-
-  Shard& shardFor(const Key& key) { return shards_[KeyHasher{}(key) % kShards]; }
-
-  std::array<Shard, kShards> shards_;
-};
+/// ExprRef::substitute results keyed on (expression id, variable, replacement
+/// id), sized by the process memo capacity like the verdict cache.
+ShardedMemo<std::array<std::uint64_t, 3>, ExprRef>& substituteMemo() {
+  static ShardedMemo<std::array<std::uint64_t, 3>, ExprRef> memo(
+      QueryCache::global().sharedCapacity());
+  return memo;
+}
 
 }  // namespace
 
 std::optional<ExprRef> substituteMemoLookup(const ExprRef& e, VarId v, const ExprRef& r) {
-  if (!QueryCache::global().enabled()) return std::nullopt;
-  return SubstituteMemo::global().find({e.id(), v.value, r.id()});
+  return substituteMemo().lookup({e.id(), v.value, r.id()});
 }
 
 void substituteMemoStore(const ExprRef& e, VarId v, const ExprRef& r, const ExprRef& result) {
-  if (!QueryCache::global().enabled()) return;
-  SubstituteMemo::global().store({e.id(), v.value, r.id()}, result);
+  substituteMemo().store({e.id(), v.value, r.id()}, result);
 }
 
 }  // namespace panorama

@@ -102,9 +102,10 @@ Truth ConstraintSet::contradictory(const FmBudget& budget) const {
   // exact constraint vector and the budget (both encoded in the key), so a
   // cached answer is always the answer a cold evaluation would produce.
   QueryCache& cache = QueryCache::global();
-  std::vector<std::uint64_t> key;
+  QueryCache::Key key;
   if (cache.enabled()) {
-    key.reserve(3 + constraints_.size() * 6);
+    key.reserve(4 + constraints_.size() * 6);
+    key.push_back(QueryCache::FmContradictory);
     key.push_back(budget.maxConstraints);
     key.push_back(budget.maxVariables);
     // The tier mode is part of the key: the pre-filter may answer False
@@ -122,10 +123,10 @@ Truth ConstraintSet::contradictory(const FmBudget& budget) const {
         key.push_back(static_cast<std::uint64_t>(coeff));
       }
     }
-    if (auto hit = cache.lookup(QueryCache::Tag::FmContradictory, key)) return *hit;
+    if (auto hit = cache.lookup(key)) return *hit;
   }
   Truth verdict = contradictoryUncached(budget);
-  if (cache.enabled()) cache.store(QueryCache::Tag::FmContradictory, std::move(key), verdict);
+  if (cache.enabled()) cache.store(std::move(key), verdict);
   return verdict;
 }
 

@@ -269,7 +269,7 @@ TEST_F(AbsDomTest, MemoEngineMatchesClassicOnRandomSystems) {
   }
 }
 
-TEST_F(AbsDomTest, EliminationCacheHitsOnRepeatAndInvalidatesOnEpochBump) {
+TEST_F(AbsDomTest, EliminationCacheHitsOnRepeat) {
   clearFmEliminationCache();
   std::vector<AffineForm> system{*AffineForm::fromExpr(X - Y), *AffineForm::fromExpr(Y - Z),
                                  *AffineForm::fromExpr(Z - X + 1)};
@@ -282,13 +282,6 @@ TEST_F(AbsDomTest, EliminationCacheHitsOnRepeatAndInvalidatesOnEpochBump) {
   FmCacheStats warm = fmEliminationStats();
   EXPECT_EQ(warm.hits, cold.hits + 1) << "repeat query must hit the root handle";
   EXPECT_EQ(warm.misses, cold.misses);
-
-  // Epoch invalidation: stale entries never hit, in O(1), without freeing.
-  QueryCache::global().bumpEpoch();
-  ASSERT_EQ(fourierMotzkinInfeasibleMemo(system, FmBudget{}), Truth::True);
-  FmCacheStats bumped = fmEliminationStats();
-  EXPECT_EQ(bumped.hits, warm.hits);
-  EXPECT_GT(bumped.misses, warm.misses);
 }
 
 TEST_F(AbsDomTest, TierModeBitKeepsQueryCacheVerdictsApart) {

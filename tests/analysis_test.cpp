@@ -3,8 +3,11 @@
 // (Figure 1) and the T1/T2/T3 ablation behaviour.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "panorama/analysis/analysis.h"
 #include "panorama/analysis/driver.h"
+#include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 
 namespace panorama {
@@ -561,6 +564,44 @@ TEST(AnalysisTest, ReportFormatting) {
   std::string report = formatLoopAnalysis(r.loop("filerx"));
   EXPECT_NE(report.find("filerx"), std::string::npos);
   EXPECT_NE(report.find("privatizable"), std::string::npos);
+}
+
+// A moved ProgramAnalysis keeps a working analyzer: after move-assignment
+// and after move-construction it points at its own program/sema/hsg, and
+// re-running every loop through it reproduces the copy-initialized reports.
+TEST(AnalysisTest, MovedProgramAnalysisRerunsEveryLoopIdentically) {
+  ThreadPool pool(1);
+  for (const CorpusLoop& cl : perfectCorpus()) {
+    SCOPED_TRACE(cl.id);
+    auto analyze = [&] {
+      DiagnosticEngine diags;
+      std::optional<Program> p = parseProgram(cl.source, diags);
+      EXPECT_TRUE(p.has_value()) << diags.str();
+      return analyzeProgramUnit(p ? std::move(*p) : Program{}, AnalysisOptions{}, pool);
+    };
+    const ProgramAnalysis reference = analyze();
+    ASSERT_TRUE(reference.ok) << reference.error;
+    auto rerunMatchesReference = [&](ProgramAnalysis& pa) {
+      ASSERT_TRUE(pa.ok) << pa.error;
+      ASSERT_EQ(&pa.analyzer->sema(), &pa.sema);
+      LoopParallelizer lp(*pa.analyzer);
+      std::size_t k = 0;
+      for (const Procedure* proc : pa.sema.bottomUpOrder) {
+        for (const Stmt* loop : collectDoLoops(proc->body)) {
+          ASSERT_LT(k, reference.loops.size());
+          EXPECT_EQ(formatLoopAnalysis(lp.analyzeLoop(*loop, *proc)),
+                    formatLoopAnalysis(reference.loops[k++]));
+        }
+      }
+      EXPECT_EQ(k, reference.loops.size());
+    };
+
+    ProgramAnalysis assigned;
+    assigned = analyze();
+    rerunMatchesReference(assigned);
+    ProgramAnalysis constructed(std::move(assigned));
+    rerunMatchesReference(constructed);
+  }
 }
 
 }  // namespace

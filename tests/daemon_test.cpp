@@ -10,7 +10,9 @@
 //   * a named session persists across connections (the second connection's
 //     byte-identical resubmit rides the whole-file fast path);
 //   * a closed connection's handler thread is joined at the next accept,
-//     so the threads the daemon holds track its open connections.
+//     so the threads the daemon holds track its open connections;
+//   * connection churn leaves the shared verdict cache and its counters
+//     as warm as it found them.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -588,6 +590,37 @@ double connectionsField(const support::JsonValue& status, const char* field) {
   const support::JsonValue* connections = status.find("connections");
   const support::JsonValue* v = connections ? connections->find(field) : nullptr;
   return v && v->isNumber() ? v->asNumber() : -1;
+}
+
+/// `caches.query_cache.<field>` of a status reply, or -1 when absent.
+double queryCacheField(const support::JsonValue& status, const char* field) {
+  const support::JsonValue* caches = status.find("caches");
+  const support::JsonValue* qc = caches ? caches->find("query_cache") : nullptr;
+  const support::JsonValue* v = qc ? qc->find(field) : nullptr;
+  return v && v->isNumber() ? v->asNumber() : -1;
+}
+
+TEST(DaemonTest, ConnectionChurnKeepsTheSharedVerdictCacheWarm) {
+  CacheGuard guard;
+  const std::string path = socketPath("warmcache");
+  store::Daemon daemon(path, AnalysisOptions{});
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+  const std::string status = "{\"id\":1,\"op\":\"status\"}";
+
+  // Every connection builds its own session; none of them may wipe the
+  // verdicts (or reset the counters) the resident named session warmed.
+  Client resident(path);
+  reportOf(rpc(resident.fd, submitRequest(kProgA, "a.f", "warm")));
+  const support::JsonValue before = rpc(resident.fd, status);
+  ASSERT_GT(queryCacheField(before, "entries"), 0);
+  for (int k = 0; k < 20; ++k) {
+    Client churn(path);
+    rpc(churn.fd, "{\"id\":2,\"op\":\"ping\"}");
+  }
+  const support::JsonValue after = rpc(resident.fd, status);
+  for (const char* field : {"entries", "hits", "misses"})
+    EXPECT_GE(queryCacheField(after, field), queryCacheField(before, field)) << field;
 }
 
 TEST(DaemonTest, ClosedConnectionsReleaseTheirHandlerThreads) {

@@ -554,16 +554,17 @@ TEST(ProvenanceTest, TrailFiltersByKind) {
 TEST(ProvenanceTest, EvidenceIsIdenticalAcrossThreadCountsAndCaching) {
   // The determinism contract of the evidence tier: same trails regardless
   // of thread count or cache configuration (notes are exempt by design).
+  struct CacheGuard {
+    ~CacheGuard() { QueryCache::global().configure(QueryCache::kDefaultCapacity); }
+  } guard;
   AnalysisOptions serial;
   serial.numThreads = 1;
   AnalysisOptions parallel4;
   parallel4.numThreads = 4;
-  AnalysisOptions uncached;
-  uncached.numThreads = 4;
-  uncached.cacheCapacity = 0;
   CorpusAnalysisResult base = analyzeCorpusParallel(serial);
-  for (const AnalysisOptions& options : {parallel4, uncached}) {
-    CorpusAnalysisResult other = analyzeCorpusParallel(options);
+  for (std::size_t capacity : {QueryCache::kDefaultCapacity, std::size_t{0}}) {
+    QueryCache::global().configure(capacity);
+    CorpusAnalysisResult other = analyzeCorpusParallel(parallel4);
     ASSERT_EQ(other.loops.size(), base.loops.size());
     for (std::size_t k = 0; k < base.loops.size(); ++k) {
       EXPECT_EQ(other.loops[k].provenanceSummary, base.loops[k].provenanceSummary)

@@ -84,16 +84,15 @@ TEST(ParallelDriverTest, QuantifiedKernelsParallelizeIdentically) {
 
 TEST(ParallelDriverTest, CacheDisabledIdenticalToDefault) {
   CacheGuard guard;
-  AnalysisOptions cold;
-  cold.numThreads = 1;
-  cold.cacheCapacity = 0;
-  CorpusAnalysisResult uncached = analyzeCorpusParallel(cold);
+  AnalysisOptions options;
+  options.numThreads = 1;
+  QueryCache::global().configure(0);
+  CorpusAnalysisResult uncached = analyzeCorpusParallel(options);
   EXPECT_EQ(uncached.cacheStats.hits, 0u);
   EXPECT_EQ(uncached.cacheStats.entries, 0u);
 
-  AnalysisOptions warm;
-  warm.numThreads = 1;
-  CorpusAnalysisResult cached = analyzeCorpusParallel(warm);
+  QueryCache::global().configure(QueryCache::kDefaultCapacity);
+  CorpusAnalysisResult cached = analyzeCorpusParallel(options);
   EXPECT_GT(cached.cacheStats.hits, 0u);
 
   EXPECT_EQ(renderCorpus(uncached), renderCorpus(cached));

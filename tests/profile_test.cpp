@@ -160,7 +160,7 @@ TEST(ProfileBuildTest, EmptySnapshotYieldsEmptyProfile) {
 
 TEST(ProfileRenderTest, JsonParsesAndCarriesTheSchema) {
   CostProfile p = buildCostProfile(syntheticForest());
-  p.caches.push_back({"query cache", 10, 5, 5, 2, 1, 1});
+  p.caches.push_back({"query cache", 10, 5, 5, 2});
   obs::SessionReuse reuse;
   reuse.epoch = 2;
   reuse.warm = true;
@@ -189,7 +189,7 @@ TEST(ProfileRenderTest, JsonParsesAndCarriesTheSchema) {
 
   const JsonValue* caches = v->find("caches");
   ASSERT_NE(caches, nullptr);
-  EXPECT_EQ(caches->items()[0].find("evicted_stale")->asNumber(), 1);
+  EXPECT_EQ(caches->items()[0].find("evictions")->asNumber(), 2);
 
   const JsonValue* sessions = v->find("sessions");
   ASSERT_NE(sessions, nullptr);
@@ -233,6 +233,7 @@ class ProfilePipelineTest : public ::testing::Test {
   void TearDown() override {
     obs::Tracer::global().disable();
     obs::Tracer::global().clear();
+    QueryCache::global().configure(QueryCache::kDefaultCapacity);
   }
 
   CostProfile profileCorpusRun(std::size_t threads) {
@@ -240,7 +241,7 @@ class ProfilePipelineTest : public ::testing::Test {
     obs::Tracer::global().enable();
     AnalysisOptions options;
     options.numThreads = threads;
-    options.cacheCapacity = 0;  // cache off: every query runs cold
+    QueryCache::global().configure(0);  // cache off: every query runs cold
     analyzeCorpusParallel(options);
     obs::Tracer::global().disable();
     CostProfile p = buildCostProfile(obs::Tracer::global().snapshot());

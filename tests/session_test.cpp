@@ -7,12 +7,14 @@
 //   * identical resubmission recomputes nothing;
 //   * procedure add/remove dirties only the affected unit;
 //   * an ablation-relevant options change invalidates everything once;
+//   * sessions never reset the process-wide verdict cache or its counters;
 //   * a cold submit reports exactly what the batch analyzeProgramUnit does,
 //     on every corpus program, at 1 and 4 threads, with and without the
 //     quantified extension.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -505,6 +507,36 @@ TEST(SessionTest, FailedSubmitLeavesSessionIntact) {
   EXPECT_FALSE(warm.stats.fullInvalidation);
   EXPECT_EQ(warm.stats.dirty, 4u);
   EXPECT_EQ(warm.stats.summariesReused, 1u);
+}
+
+// Sessions that share a process share its memo tables but never reset
+// them: constructing sessions and changing one session's ablation options
+// leave the verdict cache's entries and counters as they were, and a fresh
+// session's submit of an already-analyzed source is served from the cache.
+TEST(SessionTest, SessionsNeverResetTheSharedVerdictCache) {
+  CacheGuard guard;
+  const char* source = perfectCorpus().front().source;
+  AnalysisOptions options;
+  options.numThreads = 1;
+  AnalysisSession resident(options);
+  ASSERT_TRUE(resident.submit(std::string(source)).ok);
+  const QueryCache::Stats before = QueryCache::global().stats();
+  ASSERT_GT(before.entries, 0u);
+
+  std::vector<std::unique_ptr<AnalysisSession>> others;
+  for (int k = 0; k < 4; ++k) others.push_back(std::make_unique<AnalysisSession>(options));
+  AnalysisOptions ablated = options;
+  ablated.ifConditions = false;
+  others[0]->setOptions(ablated);
+  const QueryCache::Stats after = QueryCache::global().stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+
+  ASSERT_TRUE(others[1]->submit(std::string(source)).ok);
+  const QueryCache::Stats resubmitted = QueryCache::global().stats();
+  EXPECT_GT(resubmitted.hits, after.hits);
+  EXPECT_EQ(resubmitted.misses, after.misses) << "an analyzed source's verdicts are all cached";
 }
 
 // The two front doors of the one scheduler — the batch analyzeProgramUnit
