@@ -26,8 +26,8 @@ BenchResult run() {
   noT2.ifConditions = false;
   AnalysisOptions noT3;
   noT3.interprocedural = false;
-  AnalysisOptions noDe;
-  noDe.computeDE = false;
+  AnalysisOptions withDe;
+  withDe.computeDE = true;
   AnalysisOptions withQuant;
   withQuant.quantified = true;
 
@@ -37,7 +37,7 @@ BenchResult run() {
       {"no symbolic analysis", "no_symbolic", noT1},
       {"no IF conditions", "no_if_conditions", noT2},
       {"no interprocedural", "no_interprocedural", noT3},
-      {"no DE sets", "no_de_sets", noDe},
+      {"with DE sets", "with_de_sets", withDe},
       {"+ quantified ext", "quantified_ext", withQuant},
   };
 

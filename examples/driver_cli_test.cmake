@@ -6,7 +6,8 @@
 #     cost-profile schema;
 #   * --annotate no longer drops the artifacts on the early-return path;
 #   * the single-file path honours --no-prefilter and --no-cache;
-#   * --stats reports the atom table's occupancy, with and without the cache.
+#   * --stats reports the atom table's occupancy, with and without the cache;
+#   * --summaries computes the on-demand DE sets for its DE_i lines.
 # Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir> -DCORPUS_DIR=<corpus/>.
 
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -158,6 +159,18 @@ endif()
 # The atom table is not a cache: it stays on under --no-cache.
 if(NOT out MATCHES "${atom_table_line}")
   message(FATAL_ERROR "--no-cache --stats lacks a populated atom table: ${out}")
+endif()
+
+# DE sets are computed on demand: the analysis runs without them, and
+# --summaries turns them on for its DE_i lines.
+execute_process(
+  COMMAND "${DRIVER}" --summaries "${CORPUS_DIR}/MDG_interf_1000.f"
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "--summaries run failed (${code}): ${err}")
+endif()
+if(NOT out MATCHES "\n      DE_i   = \\[")
+  message(FATAL_ERROR "--summaries printed no non-empty DE_i line: ${out}")
 endif()
 
 # The C-like frontend is dispatched by extension and reaches the same

@@ -285,6 +285,7 @@ int main(int argc, char** argv) {
       options.prefilter = false;
     } else if (arg == "--summaries") {
       showSummaries = true;
+      options.computeDE = true;  // for the DE_i line; no verdict reads DE
     } else if (arg == "--hsg") {
       showHsg = true;
     } else if (arg == "--annotate") {

@@ -56,9 +56,6 @@ struct LoopAnalysis {
   Truth noCarriedFlow = Truth::Unknown;
   Truth noCarriedOutput = Truth::Unknown;
   Truth noCarriedAnti = Truth::Unknown;
-  /// §3.2.2's note: anti dependences tested with DE_i instead of UE_i —
-  /// valid independently of the output-dependence result.
-  Truth noCarriedAntiDE = Truth::Unknown;
   std::vector<ArrayPrivatization> arrays;
   std::vector<ScalarInfo> scalars;
   std::string serialReason;

@@ -27,7 +27,13 @@ struct AnalysisOptions {
   bool ifConditions = true;      ///< T2: IF conditions become guards
   bool interprocedural = true;   ///< T3: CALL summaries instead of Ω
   bool quantified = false;       ///< §5.2 ∀-guard extension (MDG `RL`)
-  bool computeDE = true;         ///< §3.2.2 DE sets (skippable to save time)
+  /// §3.2.2 DE (downward-exposed use) sets, computed on demand: no verdict
+  /// or report reads them, since the anti-dependence test uses UE_i. Only
+  /// `panorama_driver --summaries`, the DE oracle tests and the ablation
+  /// bench's "with DE sets" row turn them on. Off, every DE list
+  /// (LoopSummary::deIter/de, ProcSummary::de) stays empty, and snapshots
+  /// store those empty lists in the unchanged v2 layout.
+  bool computeDE = false;
   bool garSimplifier = true;     ///< ablation: GAR list cleanup
   /// Two-level query tier in front of Fourier-Motzkin: the interval/
   /// congruence pre-filter plus the memoized eliminator. Verdict-preserving
@@ -60,9 +66,11 @@ struct LoopSummary {
   GarList modBefore;              ///< MOD_{<i}
   GarList modAfter;               ///< MOD_{>i}
   GarList deIter;                 ///< DE_i: uses not followed by an in-iteration write
+                                  ///< (empty unless options.computeDE)
   GarList mod;                    ///< expanded whole-loop MOD
   GarList ue;                     ///< expanded whole-loop UE
-  GarList de;                     ///< expanded whole-loop DE (uses exposed at loop exit)
+  GarList de;                     ///< expanded whole-loop DE (uses exposed at loop exit;
+                                  ///< empty unless options.computeDE)
   GarList ueAfter;                ///< UE at the loop's exit edge (live-out probe)
   std::vector<VarId> bodyAssignedScalars;  ///< loop-variant scalars (incl. index)
 };
@@ -73,7 +81,7 @@ struct LoopSummary {
 struct ProcSummary {
   GarList mod;
   GarList ue;
-  GarList de;  ///< downward-exposed uses (formal/COMMON arrays)
+  GarList de;  ///< downward-exposed uses (formal/COMMON arrays; empty unless computeDE)
   GarList modAll;
   GarList ueAll;
   std::vector<VarId> modifiedScalars;  ///< globals + formals the proc may write
@@ -169,7 +177,7 @@ class SummaryAnalyzer {
   struct NodeSets {
     GarList mod;
     GarList ue;
-    GarList de;  ///< §3.2.2: downward-exposed uses
+    GarList de;  ///< §3.2.2: downward-exposed uses (computeDE only)
   };
 
   void sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarList& mod, GarList& ue,

@@ -190,7 +190,6 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
     return out;
   };
   GarList ueRem = remainder(ls.ueIter);
-  GarList deRem = remainder(ls.deIter);
   GarList modRem = remainder(ls.modIter);
   GarList beforeRem = remainder(ls.modBefore);
   GarList afterRem = remainder(ls.modAfter);
@@ -219,10 +218,11 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
                         : std::string("MOD_i overlaps ") +
                               (out1 != Truth::True ? "MOD_<i" : "MOD_>i") +
                               " on the remainder: MOD_i = " + listText(modRem, analyzer_.sema()));
+  // The anti test uses UE_i. §3.2.2's DE_i refinement is not applied, so
+  // the analysis runs without DE sets (AnalysisOptions::computeDE).
   {
     obs::ProvenanceScope scope(la.provenance, "carried-anti");
     la.noCarriedAnti = intersectionEmpty(ueRem, afterRem, ctx);
-    la.noCarriedAntiDE = intersectionEmpty(deRem, afterRem, ctx);
   }
   la.provenance.add(EvidenceKind::DependenceTest, "anti", la.noCarriedAnti,
                     la.noCarriedAnti == Truth::True

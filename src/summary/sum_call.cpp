@@ -58,7 +58,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
 
   if (!callee || !options_.interprocedural) {
     degradeAll();
-    out.de = out.ue;
+    if (options_.computeDE) out.de = out.ue;
     return out;
   }
 
@@ -129,8 +129,11 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
     }
   }
 
-  // Map the callee's summaries into the caller's frame.
-  auto mapList = [&](const GarList& list, GarList& dst) {
+  // Map the callee's summaries into the caller's frame. Quantified atoms
+  // name callee-frame arrays; remapping them is future work — they degrade
+  // to Δ at the boundary.
+  auto mapList = [&](const GarList& list) {
+    GarList dst;
     for (const Gar& g : list.gars()) {
       Gar mapped = g.substituted(scalarMap);
       auto am = arrayMap.find(mapped.array());
@@ -154,23 +157,12 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
       }
       dst.add(Gar::make(mapped.guard(), std::move(r), psi_));
     }
+    if (options_.quantified) taintAllQuantified(dst);
+    return dst;
   };
-  GarList calleeMod;
-  GarList calleeUe;
-  GarList calleeDe;
-  mapList(cs.mod, calleeMod);
-  mapList(cs.ue, calleeUe);
-  mapList(cs.de, calleeDe);
-  if (options_.quantified) {
-    // Quantified atoms name callee-frame arrays; remapping them is future
-    // work — degrade to Δ at the boundary.
-    taintAllQuantified(calleeMod);
-    taintAllQuantified(calleeUe);
-    taintAllQuantified(calleeDe);
-  }
-  out.mod = garUnion(out.mod, calleeMod, ctx_, &sema_->arrays);
-  out.ue = garUnion(out.ue, calleeUe, ctx_, &sema_->arrays);
-  out.de = garUnion(out.de, calleeDe, ctx_, &sema_->arrays);
+  out.mod = garUnion(out.mod, mapList(cs.mod), ctx_, &sema_->arrays);
+  out.ue = garUnion(out.ue, mapList(cs.ue), ctx_, &sema_->arrays);
+  if (options_.computeDE) out.de = garUnion(out.de, mapList(cs.de), ctx_, &sema_->arrays);
   note(out.mod);
   note(out.ue);
   return out;

@@ -129,10 +129,14 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   // to Δ/Ω on its own. Lower bound and step are indispensable.
   ls.boundsKnown = idxId.has_value() && !lo.isPoisoned() && !st.isPoisoned();
 
+  const bool withDE = options_.computeDE;
   GarList modI;
   GarList ueI;
   GarList deI;
-  sumSegment(*n.body, sym, modI, ueI, &deI);
+  sumSegment(*n.body, sym, modI, ueI, withDE ? &deI : nullptr);
+  // The per-iteration lists every rewrite below applies to.
+  std::vector<GarList*> iterLists{&modI, &ueI};
+  if (withDE) iterLists.push_back(&deI);
 
   // Loop-variant scalars other than the index refer to previous-iteration
   // values at body entry. Basic induction variables (§5.2: "for induction
@@ -146,23 +150,16 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
       ls.boundsKnown && st == SymExpr::constant(1) && options_.symbolicAnalysis
           ? recognizeInductionVars(s, sym, *idxId, lo)
           : std::map<VarId, SymExpr>{};
-  if (!induction.empty()) {
-    modI = modI.substituted(induction);
-    ueI = ueI.substituted(induction);
-    deI = deI.substituted(induction);
-  }
+  if (!induction.empty())
+    for (GarList* list : iterLists) *list = list->substituted(induction);
   std::vector<VarId> variant;
   for (VarId v : ls.bodyAssignedScalars)
     if ((!idxId || v != *idxId) && !induction.contains(v)) variant.push_back(v);
-  poisonScalars(modI, variant);
-  poisonScalars(ueI, variant);
-  poisonScalars(deI, variant);
+  for (GarList* list : iterLists) poisonScalars(*list, variant);
   if (options_.quantified && idxId) {
     // §5.3: per-iteration element conditions on the moving point become ψ1
     // dimension predicates, which expand exactly.
-    psiRewrite(modI, *idxId);
-    psiRewrite(ueI, *idxId);
-    psiRewrite(deI, *idxId);
+    for (GarList* list : iterLists) psiRewrite(*list, *idxId);
   }
 
   ls.modIter = modI;
@@ -181,7 +178,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
       out.mod.add(Gar::omega(g.array(), g.region().rank()));
     for (const Gar& g : ueI.gars())
       out.ue.add(Gar::omega(g.array(), g.region().rank()));
-    out.de = out.ue;
+    if (withDE) out.de = out.ue;
     // Keep the stored sets equal to the returned ones so the seeded fast
     // path above reproduces this result exactly. (analyzeLoop never reads
     // mod/ue/de of an unanalyzable-header loop — it bails on boundsKnown.)
@@ -236,13 +233,13 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
                  &sema_->arrays);
   }
   GarList deExpanded;
-  if (options_.computeDE) {
+  if (withDE) {
     GarList deOutIter = garSubtract(deI, ls.modAfter, inLoop);
     deExpanded = expandByIndex(deOutIter, ls.bounds, ctx_);
   }
   out.mod = garUnion(out.mod, modExpanded, ctx_, &sema_->arrays);
   out.ue = garUnion(out.ue, ueExpanded, ctx_, &sema_->arrays);
-  out.de = garUnion(out.de, deExpanded, ctx_, &sema_->arrays);
+  if (withDE) out.de = garUnion(out.de, deExpanded, ctx_, &sema_->arrays);
   ls.mod = out.mod;
   ls.ue = out.ue;
   ls.de = out.de;

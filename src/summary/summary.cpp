@@ -225,6 +225,9 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
                                  GarList& ue, GarList* de) {
   std::vector<int> topo = g.topoOrder();
   std::map<int, NodeSets> in;
+  // DE lists propagate only when the caller asks for them (computeDE);
+  // otherwise every node's de stays empty and costs nothing.
+  const bool withDE = de != nullptr;
 
   auto simplified = [&](GarList list) {
     if (options_.garSimplifier) simplifyGarList(list, ctx_, &sema_->arrays);
@@ -255,12 +258,13 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
       Pred notC = !c;
       modOut = unite(in[n.succs[0]].mod.withGuard(c), in[n.succs[1]].mod.withGuard(notC));
       ueOut = unite(in[n.succs[0]].ue.withGuard(c), in[n.succs[1]].ue.withGuard(notC));
-      deOut = unite(in[n.succs[0]].de.withGuard(c), in[n.succs[1]].de.withGuard(notC));
+      if (withDE)
+        deOut = unite(in[n.succs[0]].de.withGuard(c), in[n.succs[1]].de.withGuard(notC));
     } else {
       for (int s : n.succs) {
         modOut = unite(modOut, in[s].mod);
         ueOut = unite(ueOut, in[s].ue);
-        deOut = unite(deOut, in[s].de);
+        if (withDE) deOut = unite(deOut, in[s].de);
       }
     }
 
@@ -276,8 +280,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
         sets.mod = std::move(modOut);
         sets.ue = std::move(ueOut);
         sets.de = std::move(deOut);
-        foldBlockBackward(n, sym, sets.mod, sets.ue,
-                          options_.computeDE ? &sets.de : nullptr);
+        foldBlockBackward(n, sym, sets.mod, sets.ue, withDE ? &sets.de : nullptr);
         break;
       }
       case HsgNode::Kind::Cond: {
@@ -288,8 +291,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
           GarList uses;
           addUses(*n.cond, sym, uses);  // the condition reads arrays
           sets.ue = unite(sets.ue, uses);
-          if (options_.computeDE)
-            sets.de = unite(sets.de, garSubtract(uses, sets.mod, ctx_));
+          if (withDE) sets.de = unite(sets.de, garSubtract(uses, sets.mod, ctx_));
         }
         break;
       }
@@ -316,7 +318,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
         collectAssignedScalars(roots, sym, killed, /*throughCalls=*/true);
         poisonScalars(modOut, killed);
         poisonScalars(ueOut, killed);
-        poisonScalars(deOut, killed);
+        if (withDE) poisonScalars(deOut, killed);
         if (n.kind == HsgNode::Kind::Loop) {
           // Record the downstream exposure for the live-out (copy-out) test.
           // Shared lock suffices: only this thread summarizes this
@@ -328,7 +330,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
         sets.ue = unite(own.ue, garSubtract(ueOut, own.mod, ctx_));
         // The node's own uses are downward exposed only past the writes
         // that follow the node.
-        if (options_.computeDE) sets.de = unite(garSubtract(own.de, modOut, ctx_), deOut);
+        if (withDE) sets.de = unite(garSubtract(own.de, modOut, ctx_), deOut);
         sets.mod = unite(own.mod, modOut);
         if (options_.quantified) {
           // Values of tested arrays are only stable up to the node that
@@ -336,14 +338,14 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
           std::vector<ArrayId> written = own.mod.arrays();
           taintQuantified(sets.ue, written);
           taintQuantified(sets.mod, written);
-          taintQuantified(sets.de, written);
+          if (withDE) taintQuantified(sets.de, written);
         }
         break;
       }
     }
     sets.mod = simplified(std::move(sets.mod));
     sets.ue = simplified(std::move(sets.ue));
-    sets.de = simplified(std::move(sets.de));
+    if (withDE) sets.de = simplified(std::move(sets.de));
     in[*it] = std::move(sets);
   }
 
@@ -366,7 +368,7 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   GarList mod;
   GarList ue;
   GarList de;
-  sumSegment(hsg_->of(proc).graph, sym, mod, ue, &de);
+  sumSegment(hsg_->of(proc).graph, sym, mod, ue, options_.computeDE ? &de : nullptr);
 
   ProcSummary summary;
   summary.modAll = mod;
@@ -399,7 +401,7 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   }
   poisonScalars(summary.mod, locals);
   poisonScalars(summary.ue, locals);
-  poisonScalars(summary.de, locals);
+  if (options_.computeDE) poisonScalars(summary.de, locals);
   summary.modifiedScalars = scalarsModifiedBy(proc);
 
   std::unique_lock<std::shared_mutex> lock(procMutex_);

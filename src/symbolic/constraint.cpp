@@ -143,8 +143,12 @@ Truth ConstraintSet::contradictoryUncached(const FmBudget& budget) const {
         obs::MetricsRegistry::global().counter("query.prefilter.fallbacks");
     attempts.add();
     obs::Span prefilterSpan("query.prefilter", "ConstraintSet::contradictory");
-    if (prefilterSpan.active())
+    if (prefilterSpan.active()) {
       prefilterSpan.arg("constraints", std::to_string(constraints_.size()));
+      // Rendered like query.fm's, so every top query in a profile names its
+      // system, even a preempted prefilter span that outranks the FM spans.
+      prefilterSpan.arg("expr", renderConstraints(constraints_));
+    }
     if (auto verdict = absdom::tryDischarge(constraints_, budget)) {
       hits.add();
       if (prefilterSpan.active()) prefilterSpan.arg("verdict", toString(*verdict));

@@ -188,6 +188,8 @@ class FuzzTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(FuzzTest, AnalyzerMatchesInterpreterOnRandomKernels) {
   ProgramGen gen(GetParam() * 2654435761u + 17u);
   ThreadPool pool(1);
+  AnalysisOptions options;
+  options.computeDE = true;  // DE_i is checked below
   for (int round = 0; round < 30; ++round) {
     std::string src = gen.generate();
     SCOPED_TRACE(src);
@@ -195,7 +197,7 @@ TEST_P(FuzzTest, AnalyzerMatchesInterpreterOnRandomKernels) {
     DiagnosticEngine diags;
     auto program = parseProgram(src, diags);
     ASSERT_TRUE(program.has_value()) << diags.str() << "\n" << src;
-    ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), {}, pool);
+    ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), options, pool);
     ASSERT_TRUE(pa.ok) << pa.error << "\n" << src;
 
     // The fuzzed loop is the second top-level DO of the main program.

@@ -234,7 +234,9 @@ void validateLoopAgainstTrace(std::string_view src, const char* mainName,
   auto p = parseProgram(src, diags);
   ASSERT_TRUE(p.has_value()) << diags.str();
   ThreadPool pool(1);
-  ProgramAnalysis w = analyzeProgramUnit(std::move(*p), {}, pool);
+  AnalysisOptions options;
+  options.computeDE = true;  // DE_i is checked below
+  ProgramAnalysis w = analyzeProgramUnit(std::move(*p), options, pool);
   ASSERT_TRUE(w.ok) << w.error;
   // Find the first outermost loop of the main program.
   const Procedure* mainProc = w.program.findProcedure(mainName);

@@ -188,7 +188,9 @@ TEST(MiniPerfectTest, ProcSummaryDeThroughCalls) {
   auto sr = analyze(*p, diags);
   ASSERT_TRUE(sr.has_value());
   Hsg hsg = buildHsg(*p, *sr, diags);
-  SummaryAnalyzer analyzer(*p, *sr, hsg, {});
+  AnalysisOptions options;
+  options.computeDE = true;
+  SummaryAnalyzer analyzer(*p, *sr, hsg, options);
   const ProcSummary& ps = analyzer.procSummary(*p->findProcedure("fread"));
   ArrayId b = *sr->procs.at("fread").arrayId("b");
   ArrayId grid = *sr->procs.at("fread").arrayId("grid");

@@ -82,6 +82,31 @@ TEST(ParallelDriverTest, QuantifiedKernelsParallelizeIdentically) {
   EXPECT_EQ(renderCorpus(one), renderCorpus(eight));
 }
 
+TEST(ParallelDriverTest, DeSetsNeverChangeAReport) {
+  // DE sets are on demand because no verdict reads them. Computing them
+  // anyway — serially or on 8 threads, which also keeps the DE path under
+  // TSan — must leave every report and decision trail byte-identical.
+  CacheGuard guard;
+  for (bool quantified : {false, true}) {
+    std::string golden;
+    for (bool computeDE : {false, true}) {
+      for (std::size_t threads : {1u, 8u}) {
+        AnalysisOptions options;
+        options.quantified = quantified;
+        options.computeDE = computeDE;
+        options.numThreads = threads;
+        CorpusAnalysisResult run = analyzeCorpusParallel(options);
+        ASSERT_FALSE(run.loops.empty());
+        std::string rendered = renderCorpus(run);
+        for (const CorpusRoutineResult& loop : run.loops) rendered += loop.provenance;
+        if (golden.empty()) golden = rendered;
+        EXPECT_EQ(golden, rendered) << "quantified=" << quantified
+                                    << " computeDE=" << computeDE << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(ParallelDriverTest, CacheDisabledIdenticalToDefault) {
   CacheGuard guard;
   AnalysisOptions options;

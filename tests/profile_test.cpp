@@ -305,14 +305,15 @@ TEST_F(ProfilePipelineTest, AggregateCountsAreThreadShapeIndependent) {
 TEST_F(ProfilePipelineTest, TopQueriesCarryRenderedExpressionsFromTheRealPipeline) {
   CostProfile p = profileCorpusRun(1);
   ASSERT_FALSE(p.topQueries.empty());
-  bool anyExpr = false;
+  // Every query kind renders its expression, so whichever spans win the
+  // top-K (a preempted prefilter span can outrank every FM span on a busy
+  // machine), each one names its query.
   for (const obs::QueryCost& qc : p.topQueries) {
     EXPECT_TRUE(qc.kind == "query.fm" || qc.kind == "query.implies" ||
                 qc.kind == "query.prefilter")
         << qc.kind;
-    anyExpr = anyExpr || !qc.expr.empty();
+    EXPECT_FALSE(qc.expr.empty()) << qc.kind << " top query carries no rendered expression";
   }
-  EXPECT_TRUE(anyExpr) << "no top query carried a rendered expression";
 }
 
 }  // namespace

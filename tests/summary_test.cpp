@@ -385,6 +385,59 @@ TEST(SummaryTest, NonInterproceduralDegradesToOmega) {
   EXPECT_TRUE(undecided);
 }
 
+AnalysisOptions withDE() {
+  AnalysisOptions options;
+  options.computeDE = true;
+  return options;
+}
+
+TEST(SummaryTest, DeOffLeavesEveryDeListEmpty) {
+  // DE sets are on demand. Off, no path may fill a DE list — including the
+  // two that degrade to Ω: a loop whose header reads an array, and a call
+  // summarized without interprocedural analysis.
+  EXPECT_FALSE(AnalysisOptions{}.computeDE);
+  AnalysisOptions opt;
+  opt.computeDE = false;
+  opt.interprocedural = false;
+  Analyzed a = analyzeSource(R"(
+      subroutine s(a, b, m, n)
+      real a(100), b(100)
+      integer m(10)
+      integer n
+      do i = m(1), n
+        b(i) = a(i)
+        call t(a, i)
+      enddo
+      do j = 1, n
+        call t(b, j)
+        a(j) = b(j)
+      enddo
+      call t(a, n)
+      end
+      subroutine t(c, k)
+      real c(100)
+      integer k
+      c(k) = c(k) + 1
+      end
+  )",
+                             opt);
+  EXPECT_FALSE(a.loop("s", 0).boundsKnown);  // the unanalyzable header
+  for (const Procedure& proc : a.pa.program.procedures) {
+    SCOPED_TRACE(proc.name);
+    const ProcSummary& ps = a.pa.analyzer->procSummary(proc);
+    EXPECT_FALSE(ps.ue.empty());
+    EXPECT_TRUE(ps.de.empty());
+    for (const Stmt* loop : collectDoLoops(proc.body)) {
+      SCOPED_TRACE(loop->loc.line);
+      const LoopSummary* ls = a.pa.analyzer->loopSummary(loop);
+      ASSERT_NE(ls, nullptr);
+      EXPECT_FALSE(ls->ue.empty());
+      EXPECT_TRUE(ls->deIter.empty());
+      EXPECT_TRUE(ls->de.empty());
+    }
+  }
+}
+
 TEST(SummaryTest, DownwardExposedUses) {
   // DE (§3.2.2): a read followed by a same-iteration write of the same
   // element is not downward exposed; a read that is never overwritten is.
@@ -397,7 +450,8 @@ TEST(SummaryTest, DownwardExposedUses) {
         a(5) = x * 2
       enddo
       end
-  )");
+  )",
+                             withDE());
   const LoopSummary& ls = a.loop("s");
   VarId i = ls.bounds.index;
   VarId n = a.var("s", "n");
@@ -412,21 +466,26 @@ TEST(SummaryTest, DownwardExposedUses) {
 }
 
 TEST(SummaryTest, DeBasedAntiTest) {
-  // t = a(5); a(5) = t + i: the UE-based anti test fires (a(5) is read and
-  // written by every other iteration), the DE-based one does not — the anti
-  // dependence is subsumed by the output dependence, exactly §3.2.2's note.
+  // t = a(5) + ...; a(5) = t + i: the UE-based anti test fires (a(5) is read
+  // and written by every other iteration), the DE-based one does not — the
+  // anti dependence is subsumed by the output dependence, exactly §3.2.2's
+  // note.
   Analyzed a = analyzeSource(R"(
       subroutine s(a, n)
       real a(100)
       real t
       integer n
       do i = 1, n
-        t = a(5)
+        t = a(5) + a(i + 50)
         a(5) = t + i
       enddo
       end
-  )");
+  )",
+                             withDE());
   const LoopSummary& ls = a.loop("s");
+  // DE_i = {a(i+50)}: the write kills a(5), and the never-written a(i+50)
+  // keeps DE_i non-empty, so the disjointness below is a real query on a.
+  ASSERT_FALSE(ls.deIter.empty());
   ConstraintSet cs;
   cs.addExprLE0(ls.bounds.lo - SymExpr::variable(ls.bounds.index));
   cs.addExprLE0(SymExpr::variable(ls.bounds.index) - ls.bounds.up);
