@@ -105,7 +105,7 @@ ModeTiming timeMode(bool prefilter) {
   ModeTiming t;
   AnalysisOptions options;
   options.numThreads = 1;
-  options.prefilter = prefilter;
+  setQueryTierEnabled(prefilter);
   clearFmEliminationCache();
   std::vector<std::int64_t> fmFloor;
   std::vector<std::int64_t> prefilterFloor;
@@ -126,6 +126,7 @@ ModeTiming timeMode(bool prefilter) {
   t.fmSelfMs = sumMs(fmFloor);
   t.prefilterSelfMs = sumMs(prefilterFloor);
   obs::Tracer::global().clear();
+  setQueryTierEnabled(true);  // the process default
   return t;
 }
 
@@ -134,8 +135,10 @@ ModeTiming timeMode(bool prefilter) {
 std::string fingerprintAt(bool prefilter, int threads) {
   AnalysisOptions options;
   options.numThreads = threads;
-  options.prefilter = prefilter;
-  return fingerprintOf(analyzeCorpusParallel(options));
+  setQueryTierEnabled(prefilter);
+  std::string fingerprint = fingerprintOf(analyzeCorpusParallel(options));
+  setQueryTierEnabled(true);  // the process default
+  return fingerprint;
 }
 
 bench::BenchResult run() {

@@ -10,7 +10,9 @@
 #     submit_begin/submit_end events, and `panorama_top --once --json`
 #     round-trips all three against the live daemon;
 #   * telemetry flags without --daemon are a usage error (exit 2);
-#   * a client shutdown request stops the daemon and removes the socket.
+#   * a client shutdown request stops the daemon and removes the socket;
+#   * `--daemon --no-prefilter` serves the same report with the query tier
+#     off: its `metrics` reply shows no prefilter attempts.
 # Invoked with -DDRIVER=<path> -DCLIENT=<path> -DTOP=<path>
 # -DWORKDIR=<scratch dir>.
 
@@ -47,27 +49,40 @@ if(NOT code EQUAL 0)
   message(FATAL_ERROR "batch run failed (${code}): ${err}")
 endif()
 
-# Start the daemon in the background and wait for it to answer ping.
-execute_process(
-  COMMAND sh -c "exec '${DRIVER}' --daemon='${SOCK}' > '${WORKDIR}/daemon.log' 2>&1 &"
-  RESULT_VARIABLE code)
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "could not launch the daemon (${code})")
-endif()
-set(up FALSE)
-foreach(attempt RANGE 100)
-  execute_process(COMMAND "${CLIENT}" "${SOCK}" ping
-                  RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
-  if(code EQUAL 0)
-    set(up TRUE)
-    break()
+# Starts a daemon in the background (extra driver flags in ARGN) and waits
+# for it to answer ping.
+function(start_daemon)
+  string(JOIN " " flags ${ARGN})
+  execute_process(
+    COMMAND sh -c "exec '${DRIVER}' --daemon='${SOCK}' ${flags} > '${WORKDIR}/daemon.log' 2>&1 &"
+    RESULT_VARIABLE code)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "could not launch the daemon (${code})")
   endif()
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E sleep 0.1)
-endforeach()
-if(NOT up)
+  foreach(attempt RANGE 100)
+    execute_process(COMMAND "${CLIENT}" "${SOCK}" ping
+                    RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+    if(code EQUAL 0)
+      return()
+    endif()
+    execute_process(COMMAND "${CMAKE_COMMAND}" -E sleep 0.1)
+  endforeach()
   file(READ "${WORKDIR}/daemon.log" log)
   message(FATAL_ERROR "daemon never answered ping: ${log}")
-endif()
+endfunction()
+
+# Waits until a shut-down daemon has removed its socket.
+function(expect_socket_gone)
+  foreach(attempt RANGE 100)
+    if(NOT EXISTS "${SOCK}")
+      return()
+    endif()
+    execute_process(COMMAND "${CMAKE_COMMAND}" -E sleep 0.1)
+  endforeach()
+  message(FATAL_ERROR "daemon did not remove its socket after shutdown")
+endfunction()
+
+start_daemon()
 
 # Client submit == batch driver, byte for byte. --name sets the report
 # heading to the same input name the batch run printed.
@@ -135,6 +150,10 @@ if(NOT metrics_out MATCHES "\"p95\"")
   stop_daemon()
   message(FATAL_ERROR "metrics histograms lack quantiles:\n${metrics_out}")
 endif()
+if(NOT metrics_out MATCHES "\"query.prefilter.attempts\": *[1-9]")
+  stop_daemon()
+  message(FATAL_ERROR "the default daemon made no prefilter attempts:\n${metrics_out}")
+endif()
 
 # `tail` streams the structured event log: both submits left begin/end
 # records tagged with the session name.
@@ -186,14 +205,34 @@ execute_process(
 if(NOT code EQUAL 0)
   message(FATAL_ERROR "client shutdown failed (${code}): ${err}")
 endif()
-set(gone FALSE)
-foreach(attempt RANGE 100)
-  if(NOT EXISTS "${SOCK}")
-    set(gone TRUE)
-    break()
-  endif()
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E sleep 0.1)
-endforeach()
-if(NOT gone)
-  message(FATAL_ERROR "daemon did not remove its socket after shutdown")
+expect_socket_gone()
+
+# The query tier is a process setting the daemon's owner picks once:
+# --no-prefilter turns it off for every session the daemon serves, so the
+# report is unchanged and the registry records no prefilter attempt.
+start_daemon(--no-prefilter)
+execute_process(
+  COMMAND "${CLIENT}" "${SOCK}" submit "${SRC}" "--name=${SRC}"
+  RESULT_VARIABLE code OUTPUT_VARIABLE fm_only_out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  stop_daemon()
+  message(FATAL_ERROR "--no-prefilter daemon submit failed (${code}): ${err}")
 endif()
+if(NOT fm_only_out STREQUAL batch_out)
+  stop_daemon()
+  message(FATAL_ERROR "--no-prefilter daemon report diverges:\n${fm_only_out}\n-- vs --\n${batch_out}")
+endif()
+execute_process(
+  COMMAND "${CLIENT}" "${SOCK}" metrics --timeout-ms=5000
+  RESULT_VARIABLE code OUTPUT_VARIABLE metrics_out ERROR_VARIABLE err)
+stop_daemon()
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "--no-prefilter daemon metrics failed (${code}): ${err}")
+endif()
+if(NOT metrics_out MATCHES "daemon.op.submit.wall_us")
+  message(FATAL_ERROR "--no-prefilter daemon metrics lack the submit histogram:\n${metrics_out}")
+endif()
+if(metrics_out MATCHES "\"query.prefilter.attempts\": *[1-9]")
+  message(FATAL_ERROR "--no-prefilter daemon still ran the prefilter tier:\n${metrics_out}")
+endif()
+expect_socket_gone()

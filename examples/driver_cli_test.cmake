@@ -5,7 +5,11 @@
 #   * a good run writes all three artifacts, and the profile is the §4.5
 #     cost-profile schema;
 #   * --annotate no longer drops the artifacts on the early-return path;
-#   * the single-file path honours --no-prefilter and --no-cache;
+#   * --no-prefilter turns the query tier off in every mode (single file,
+#     --corpus-run, --reanalyze, --save-session, --load-session), and the
+#     single-file path honours --no-cache;
+#   * --corpus NAME takes an exact id or a unique substring, and exits 2
+#     naming every match when NAME is ambiguous;
 #   * --stats reports the atom table's occupancy, with and without the cache;
 #   * --summaries computes the on-demand DE sets for its DE_i lines.
 # Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir> -DCORPUS_DIR=<corpus/>.
@@ -104,10 +108,9 @@ if(NOT ir MATCHES "program main" OR NOT ir MATCHES "loop i")
   message(FATAL_ERROR "IR dump lacks the program/loop structure: ${ir}")
 endif()
 
-# The single-file path applies --no-prefilter and --no-cache to the
-# process-wide query tier and cache before analyzing: the reports do not
-# change, the prefilter counters vanish from --metrics, and --stats shows a
-# query cache that kept nothing.
+# --no-prefilter and --no-cache set the process-wide query tier and cache
+# before analyzing: the reports do not change, the prefilter counters vanish
+# from --metrics, and --stats shows a query cache that kept nothing.
 set(kernel "${CORPUS_DIR}/ARC2D_filerx_15.f")
 execute_process(
   COMMAND "${DRIVER}" "--metrics=${WORKDIR}/default.json" "${kernel}"
@@ -132,6 +135,34 @@ file(READ "${WORKDIR}/no-prefilter.json" metrics)
 if(metrics MATCHES "\"query.prefilter.attempts\": [1-9]")
   message(FATAL_ERROR "--no-prefilter still ran the prefilter tier: ${metrics}")
 endif()
+
+# The same contract in the other modes: a default run records prefilter
+# attempts, the --no-prefilter run of the same arguments records none.
+function(expect_tier_switch label)
+  execute_process(
+    COMMAND "${DRIVER}" "--metrics=${WORKDIR}/${label}-tiered.json" ${ARGN}
+    RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "${label} run failed (${code}): ${err}")
+  endif()
+  file(READ "${WORKDIR}/${label}-tiered.json" metrics)
+  if(NOT metrics MATCHES "\"query.prefilter.attempts\": [1-9]")
+    message(FATAL_ERROR "default ${label} run made no prefilter attempts: ${metrics}")
+  endif()
+  execute_process(
+    COMMAND "${DRIVER}" --no-prefilter "--metrics=${WORKDIR}/${label}-fm-only.json" ${ARGN}
+    RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "--no-prefilter ${label} run failed (${code}): ${err}")
+  endif()
+  file(READ "${WORKDIR}/${label}-fm-only.json" metrics)
+  if(metrics MATCHES "\"query.prefilter.attempts\": [1-9]")
+    message(FATAL_ERROR "--no-prefilter ${label} run still ran the prefilter tier: ${metrics}")
+  endif()
+endfunction()
+expect_tier_switch(corpus-run --corpus-run)
+expect_tier_switch(reanalyze "${kernel}" "--reanalyze=${kernel}")
+expect_tier_switch(save-session "--save-session=${WORKDIR}/tier.pano" "${kernel}")
 execute_process(
   COMMAND "${DRIVER}" --stats "${kernel}"
   RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -282,3 +313,49 @@ endif()
 if(NOT load_out STREQUAL batch_out)
   message(FATAL_ERROR "--load-session output diverges from the batch run:\n${load_out}\n-- vs --\n${batch_out}")
 endif()
+# A restored session keeps the process's tier: the snapshot was saved with
+# the tier on, and the new kernel's procedures are analyzed after the load.
+expect_tier_switch(load-session "--load-session=${WORKDIR}/tiny.pano" "${kernel}")
+
+# --corpus NAME: an exact id or a unique substring picks one kernel; an
+# ambiguous substring exits 2 and names every match.
+execute_process(
+  COMMAND "${DRIVER}" --corpus ocean
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 2)
+  message(FATAL_ERROR "--corpus ocean should exit 2 (ambiguous), got ${code}: ${out}")
+endif()
+foreach(id "OCEAN ocean/270" "OCEAN ocean/480" "OCEAN ocean/500")
+  string(FIND "${err}" "${id}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "--corpus ocean does not name '${id}': ${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${DRIVER}" --corpus no-such-kernel
+  RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT code EQUAL 2 OR NOT err MATCHES "unknown corpus kernel")
+  message(FATAL_ERROR "--corpus no-such-kernel should exit 2 as unknown (${code}): ${err}")
+endif()
+# A unique substring and the exact id both analyze TRACK nlfilt/300: their
+# loop reports equal the corpus file's (only the heading line names the
+# input differently).
+execute_process(
+  COMMAND "${DRIVER}" "${CORPUS_DIR}/TRACK_nlfilt_300.f"
+  RESULT_VARIABLE code OUTPUT_VARIABLE file_out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "TRACK_nlfilt_300.f run failed (${code}): ${err}")
+endif()
+string(REGEX REPLACE "^[^\n]*\n" "" file_reports "${file_out}")
+foreach(name nlfilt "TRACK nlfilt/300")
+  execute_process(
+    COMMAND "${DRIVER}" --corpus "${name}"
+    RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "--corpus '${name}' failed (${code}): ${err}")
+  endif()
+  string(REGEX REPLACE "^[^\n]*\n" "" reports "${out}")
+  if(NOT reports STREQUAL file_reports)
+    message(FATAL_ERROR "--corpus '${name}' did not analyze TRACK nlfilt/300:\n${out}")
+  endif()
+endforeach()

@@ -4,7 +4,8 @@
 //
 //   panorama_driver file.f                analyze a file
 //   panorama_driver --corpus              list built-in kernels
-//   panorama_driver --corpus NAME         analyze a built-in kernel
+//   panorama_driver --corpus NAME         analyze a built-in kernel (an exact id,
+//                                         fig1a/b/c, or a unique substring)
 //   panorama_driver --corpus-run          analyze the whole Table 1/2 corpus
 //   panorama_driver file.f --reanalyze=EDITED.f
 //                                         warm re-analysis: analyze file.f,
@@ -13,8 +14,7 @@
 //                                         what the dirty cone recomputed
 //   flags: --no-symbolic --no-if-conditions --no-interprocedural
 //          --quantified --summaries --hsg
-//          --threads=N --cache-capacity=N --no-cache --stats
-//          --via-builder (parse -> builder IR round-trip -> analyze)
+//          --threads=N --cache-capacity=N --no-cache --no-prefilter --stats
 //   observability: --trace=FILE  (Chrome trace-event JSON, chrome://tracing)
 //                  --metrics=FILE (unified metrics-registry JSON dump)
 //                  --profile=FILE (hierarchical cost profile, DESIGN.md §4.5)
@@ -77,10 +77,9 @@ int usage() {
                "       panorama_driver --corpus-run\n"
                "       panorama_driver [flags] <file.f> --reanalyze=EDITED.f\n"
                "flags: --no-symbolic --no-if-conditions --no-interprocedural\n"
-               "       --no-prefilter (FM-only queries: disable the abstract-domain tier)\n"
+               "       --no-prefilter (FM-only queries in every mode: disable the query tier)\n"
                "       --quantified --summaries --hsg --annotate\n"
                "       --threads=N (0 = all cores) --cache-capacity=N --no-cache --stats\n"
-               "       --via-builder (ingest through the builder IR round-trip)\n"
                "       --trace=FILE --metrics=FILE --profile=FILE --dump-ir=FILE --explain\n"
                "service: --daemon=SOCKET (serve clients; see panorama_client)\n"
                "         --slow-ms=N (slow-request event threshold, default 500)\n"
@@ -158,10 +157,10 @@ bool writeObsArtifacts(const std::string& tracePath, const std::string& metricsP
 /// --corpus-run: the whole Table 1/2 corpus through the parallel driver, with
 /// per-loop reports (plus provenance under --explain) and the registry-driven
 /// stats block.
-int runWholeCorpus(const AnalysisOptions& options, bool explain, CorpusIngest ingest,
-                   const std::string& tracePath, const std::string& metricsPath,
-                   const std::string& profilePath, const std::string& dumpIrPath) {
-  CorpusAnalysisResult result = analyzeCorpusParallel(options, ingest);
+int runWholeCorpus(const AnalysisOptions& options, bool explain, const std::string& tracePath,
+                   const std::string& metricsPath, const std::string& profilePath,
+                   const std::string& dumpIrPath) {
+  CorpusAnalysisResult result = analyzeCorpusParallel(options);
   for (const CorpusRoutineResult& r : result.loops) {
     std::printf("[%s]\n%s", r.kernelId.c_str(), r.report.c_str());
     if (explain) std::printf("%s", r.provenance.c_str());
@@ -213,6 +212,33 @@ void publishFileRunMetrics(const SummaryStats& s, const QueryCache::Stats& qc,
   reg.counter("simplify_memo.evictions").set(memo.evictions);
 }
 
+/// --corpus NAME: an exact kernel id, or a substring of exactly one id.
+/// Anything else prints a diagnostic, naming every match when NAME is
+/// ambiguous, and returns false.
+bool findCorpusKernel(std::string_view name, std::string& source) {
+  std::vector<const CorpusLoop*> matches;
+  for (const CorpusLoop& cl : perfectCorpus()) {
+    if (cl.id == name) {
+      source = cl.source;
+      return true;
+    }
+    if (cl.id.find(name) != std::string::npos) matches.push_back(&cl);
+  }
+  if (matches.size() == 1) {
+    source = matches.front()->source;
+    return true;
+  }
+  const int len = static_cast<int>(name.size());
+  if (matches.empty()) {
+    std::fprintf(stderr, "unknown corpus kernel '%.*s'\n", len, name.data());
+    return false;
+  }
+  std::fprintf(stderr, "ambiguous corpus kernel '%.*s' matches %zu kernels:\n", len,
+               name.data(), matches.size());
+  for (const CorpusLoop* cl : matches) std::fprintf(stderr, "  %s\n", cl->id.c_str());
+  return false;
+}
+
 /// True for inputs the C-like frontend owns (see clike.h).
 bool isCLikeInput(std::string_view name) {
   auto endsWith = [&](std::string_view suffix) {
@@ -251,13 +277,13 @@ int main(int argc, char** argv) {
   AnalysisOptions options;
   options.numThreads = 1;  // interactive default: analyze on the calling thread
   std::size_t memoCapacity = QueryCache::kDefaultCapacity;
+  bool queryTier = true;
   bool showSummaries = false;
   bool showHsg = false;
   bool annotateOutput = false;
   bool showStats = false;
   bool explain = false;
   bool corpusRun = false;
-  bool viaBuilder = false;
   std::string tracePath;
   std::string metricsPath;
   std::string profilePath;
@@ -282,7 +308,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--quantified") {
       options.quantified = true;
     } else if (arg == "--no-prefilter") {
-      options.prefilter = false;
+      queryTier = false;
     } else if (arg == "--summaries") {
       showSummaries = true;
       options.computeDE = true;  // for the DE_i line; no verdict reads DE
@@ -353,8 +379,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--dump-ir needs a file argument\n");
         return 2;
       }
-    } else if (arg == "--via-builder") {
-      viaBuilder = true;
     } else if (arg == "--corpus-run") {
       corpusRun = true;
     } else if (arg == "--corpus") {
@@ -367,13 +391,7 @@ int main(int argc, char** argv) {
       if (name == "fig1a") source = fig1aSource();
       else if (name == "fig1b") source = fig1bSource();
       else if (name == "fig1c") source = fig1cSource();
-      else
-        for (const CorpusLoop& cl : perfectCorpus())
-          if (cl.id.find(name) != std::string::npos) source = cl.source;
-      if (source.empty()) {
-        std::fprintf(stderr, "unknown corpus kernel '%s'\n", argv[k]);
-        return 2;
-      }
+      else if (!findCorpusKernel(name, source)) return 2;
       inputName = name;
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
@@ -389,8 +407,10 @@ int main(int argc, char** argv) {
       inputName = arg;
     }
   }
-  // The memo capacity is a process setting: made once here, for every mode.
+  // The memo capacity and the query tier are process settings: made once
+  // here, for every mode.
   QueryCache::global().configure(memoCapacity);
+  setQueryTierEnabled(queryTier);
   // The cost profile aggregates span buffers, so --profile implies tracing.
   if (!tracePath.empty() || !profilePath.empty()) obs::Tracer::global().enable();
 
@@ -418,9 +438,7 @@ int main(int argc, char** argv) {
   }
 
   if (corpusRun)
-    return runWholeCorpus(options, explain,
-                          viaBuilder ? CorpusIngest::BuilderRoundTrip : CorpusIngest::Parse,
-                          tracePath, metricsPath, profilePath, dumpIrPath);
+    return runWholeCorpus(options, explain, tracePath, metricsPath, profilePath, dumpIrPath);
   if (source.empty()) return usage();
 
   if (!saveSessionPath.empty() || !loadSessionPath.empty()) {
@@ -550,17 +568,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!writeIrDump(dumpIrPath, *program)) return 1;
-  if (viaBuilder) {
-    builder::BuildResult rebuilt = builder::rebuild(*program);
-    if (!rebuilt.ok()) {
-      std::fprintf(stderr, "%s: builder round-trip failed\n%s", inputName.c_str(),
-                   rebuilt.error().c_str());
-      return 1;
-    }
-    program = std::move(rebuilt.program);
-  }
 
-  setQueryTierEnabled(options.prefilter);
   ThreadPool pool(options.numThreads);
   ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), options, pool);
   if (!pa.ok) {

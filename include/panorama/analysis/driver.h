@@ -111,8 +111,8 @@ struct CorpusAnalysisResult {
 /// runs parallelize like any other: each analyzer carries its own ψ binding
 /// (PsiDims in CmpCtx), so kernels never share mutable symbolic state.
 /// `ingest` selects the direct parser path or the builder round-trip replay
-/// (`--via-builder`); both must produce identical loop reports — CI diffs
-/// them.
+/// (bench_ingest, and test_builder's corpus round-trip test); both must
+/// produce identical loop reports and provenance.
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options = {},
                                            CorpusIngest ingest = CorpusIngest::Parse);
 

@@ -306,10 +306,10 @@ class ProgramBuilder {
 };
 
 /// Replays an existing (pre-sema) AST through a fresh ProgramBuilder — the
-/// parse → IR → rebuild round-trip used by `--via-builder`, the ingestion
-/// bench and the fuzz tests. The rebuilt Program is structurally identical
-/// to the input (same fingerprints), but every statement has passed the
-/// builder's validation layer.
+/// parse → IR → rebuild round-trip used by the corpus round-trip test, the
+/// ingestion bench and the fuzz tests. The rebuilt Program is structurally
+/// identical to the input (same fingerprints), but every statement has
+/// passed the builder's validation layer.
 BuildResult rebuild(const Program& program);
 
 /// Pretty-prints the frontend-neutral IR of a (pre- or post-sema) program:

@@ -183,13 +183,13 @@ inline bool isQuantifiedKind(Atom::Kind k) {
 }
 
 /// Is `a ∧ b` unsatisfiable? (True = provably contradictory.)
-Truth atomsContradict(const Atom& a, const Atom& b, const FmBudget& budget = {});
+Truth atomsContradict(const Atom& a, const Atom& b);
 
 /// Is `a ∨ b` a tautology? (True = provably exhaustive.)
-Truth atomsExhaustive(const Atom& a, const Atom& b, const FmBudget& budget = {});
+Truth atomsExhaustive(const Atom& a, const Atom& b);
 
 /// Does `a` entail `b`?
-Truth atomImplies(const Atom& a, const Atom& b, const FmBudget& budget = {});
+Truth atomImplies(const Atom& a, const Atom& b);
 
 /// Solves `forallAtom.expr()(boundVar) == target` for the bound variable
 /// (affine, coefficient ±1). Shared by the atom- and predicate-level

@@ -27,9 +27,12 @@
 
 namespace panorama {
 
-/// Process-global switch for the two-level query tier (absdom pre-filter +
-/// memoized elimination). Drivers configure it from
-/// AnalysisOptions::prefilter; `--no-prefilter` turns it off.
+/// The two-level query tier (absdom pre-filter + memoized elimination), on
+/// by default. It never changes a verdict, so it is a process setting like
+/// the memo capacity, not an analysis option: whoever owns the process sets
+/// it once — panorama_driver from `--no-prefilter`, in every mode — and
+/// sessions never touch it. Tests and benches that compare tiered with
+/// FM-only runs flip it and restore the default afterwards.
 bool queryTierEnabled();
 void setQueryTierEnabled(bool on);
 

@@ -48,13 +48,10 @@ struct Disjunct {
   friend bool operator==(const Disjunct& a, const Disjunct& b) { return a.atoms == b.atoms; }
 };
 
-/// Tuning knobs shared by the predicate and GAR simplifiers.
-struct SimplifyOptions {
-  std::size_t maxClauses = 48;        ///< CNF size valve: beyond this, degrade to Δ
-  std::size_t maxAtomsPerClause = 12;
-  bool useFourierMotzkin = true;      ///< allow FM fallbacks beyond pairwise rules
-  FmBudget fmBudget;
-};
+/// CNF size valves of the §5.2 simplifier: a guard that would grow past
+/// either bound degrades to Δ. Fixed limits, not analysis options.
+inline constexpr std::size_t kMaxClauses = 48;
+inline constexpr std::size_t kMaxAtomsPerClause = 12;
 
 namespace detail {
 /// One interned predicate value (arena-owned, immutable, stable address).
@@ -92,18 +89,18 @@ class PredRef {
 
   /// Rebinds this handle to the cleaned-up value: constant folding,
   /// clause/atom dedup, pairwise subsumption, contradiction detection (the
-  /// paper's predicate simplifier). The result is a pure function of
-  /// (predicate, opts) and is memoized — keyed by the 8-byte arena id — in
-  /// a bounded global value cache gated by QueryCache::global()'s capacity.
-  void simplify(const SimplifyOptions& opts = {});
+  /// paper's predicate simplifier). The result is a pure function of the
+  /// predicate and is memoized — keyed by the 8-byte arena id — in a
+  /// bounded global value cache gated by QueryCache::global()'s capacity.
+  void simplify();
 
   /// Deep check: is the CNF part unsatisfiable? Uses pairwise rules first,
   /// then a Fourier-Motzkin pass over the unit clauses.
-  Truth provablyFalse(const SimplifyOptions& opts = {}) const;
+  Truth provablyFalse() const;
 
   /// Does this predicate entail `other`? Δ on `this` weakens nothing (a
   /// stronger hypothesis still entails); Δ on `other` forces Unknown.
-  Truth implies(const PredRef& other, const SimplifyOptions& opts = {}) const;
+  Truth implies(const PredRef& other) const;
 
   /// Evaluation under a concrete binding. nullopt when any atom cannot be
   /// evaluated or the predicate is Δ-tainted (its truth is unknowable).
@@ -145,8 +142,7 @@ class PredRef {
   static PredRef makeRaw(std::vector<Disjunct> clauses, bool unknown);
   static void normalizeClauses(std::vector<Disjunct>& clauses);
   /// The actual simplifier passes; simplify() wraps this in the memo.
-  static PredRef simplifyUncached(std::vector<Disjunct> clauses, bool unknown,
-                                  const SimplifyOptions& opts);
+  static PredRef simplifyUncached(std::vector<Disjunct> clauses, bool unknown);
 
   const detail::PredNode* node_;
 };

@@ -199,8 +199,9 @@ class AnalysisSession {
   /// saved in-process session: byte-identical reports at any thread count.
   /// A truncated, corrupted, or version-mismatched snapshot fails with a
   /// structured diagnostic and leaves the session untouched (the same
-  /// atomicity contract as a failed submit). numThreads keeps its current
-  /// value; the snapshot's ablation options are adopted.
+  /// atomicity contract as a failed submit). The snapshot's ablation
+  /// switches are adopted; the execution options (numThreads,
+  /// loopGranularReuse) keep the session's current values.
   store::StoreResult restore(const std::string& path);
 
  private:

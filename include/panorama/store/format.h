@@ -20,11 +20,12 @@
 namespace panorama::store {
 
 inline constexpr std::uint32_t kMagic = 0x4f4e4150u;  // "PANO", little-endian
-/// The one schema this build reads and writes. v2 carries per-unit
+/// The one schema this build reads and writes. v3 carries per-unit
 /// declaration-frame hashes, item records (the loop-granular reuse keys of
-/// DESIGN.md §4.9), and headerless cached reports; any other version is
-/// rejected as version skew.
-inline constexpr std::uint32_t kSchemaVersion = 2;
+/// DESIGN.md §4.9), headerless cached reports, and six option bytes (the
+/// ablation switches); any other version, v1 and v2 included, is rejected
+/// as version skew.
+inline constexpr std::uint32_t kSchemaVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
 
 /// FNV-1a over a byte range — the payload integrity hash (and the session's

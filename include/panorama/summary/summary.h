@@ -20,8 +20,11 @@
 
 namespace panorama {
 
-/// Ablation switches — these are exactly the T1/T2/T3 columns of Table 1
-/// plus the simplifier knobs the §5.2 discussion motivates.
+/// Ablation switches — the T1/T2/T3 columns of Table 1 plus the quantified,
+/// DE and GAR-simplifier switches — and two execution options. The §5.2
+/// simplifier's CNF valves and Fourier-Motzkin budget are engine constants
+/// (predicate.h, constraint.h), and the query tier is a process setting
+/// (setQueryTierEnabled in fm_incremental.h).
 struct AnalysisOptions {
   bool symbolicAnalysis = true;  ///< T1: symbolic bounds/subscripts + substitution
   bool ifConditions = true;      ///< T2: IF conditions become guards
@@ -32,14 +35,9 @@ struct AnalysisOptions {
   /// `panorama_driver --summaries`, the DE oracle tests and the ablation
   /// bench's "with DE sets" row turn them on. Off, every DE list
   /// (LoopSummary::deIter/de, ProcSummary::de) stays empty, and snapshots
-  /// store those empty lists in the unchanged v2 layout.
+  /// store those empty lists.
   bool computeDE = false;
   bool garSimplifier = true;     ///< ablation: GAR list cleanup
-  /// Two-level query tier in front of Fourier-Motzkin: the interval/
-  /// congruence pre-filter plus the memoized eliminator. Verdict-preserving
-  /// by construction; `--no-prefilter` turns it off for differential runs.
-  bool prefilter = true;
-  SimplifyOptions simplify;      ///< predicate-simplifier budgets
 
   // ----- execution options (the analysis scheduler) -----
   /// Analysis workers, calling thread included. 0 = hardware_concurrency().

@@ -56,12 +56,12 @@ struct WordHash {
 /// so an entry stored under one set of analysis options is still the right
 /// answer under any other, and nothing ever has to be invalidated:
 ///   * FM feasibility keys (QueryCache::FmContradictory) carry the
-///     constraints, the budget and the tier bit. The tier may answer False
-///     (verified witness) where the classic engine answers Unknown, so the
-///     two modes keep apart.
-///   * Atom-pair, implication and simplify keys carry interned ids plus
-///     every budget and knob. Those families act only on True, and the tier
-///     reproduces True bit for bit, so they need no tier bit.
+///     constraints and the tier bit. The tier may answer False (verified
+///     witness) where the classic engine answers Unknown, so the two modes
+///     keep apart. The FM budget is an engine constant, so no key needs it.
+///   * Atom-pair, implication and simplify keys are interned ids. Those
+///     families act only on True, and the tier reproduces True bit for bit,
+///     so they need no tier bit.
 ///   * Substitute keys are three ids: expression, variable, replacement.
 ///   * FM elimination keys are canonical systems plus the budget, and the
 ///     memoized eliminator is verdict-identical to the classic one

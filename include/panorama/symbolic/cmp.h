@@ -27,26 +27,25 @@ struct PsiDims {
 class CmpCtx {
  public:
   CmpCtx() = default;
-  explicit CmpCtx(ConstraintSet context, FmBudget budget = {}, PsiDims psi = {})
-      : context_(std::move(context)), budget_(budget), psi_(psi) {}
+  explicit CmpCtx(ConstraintSet context, PsiDims psi = {})
+      : context_(std::move(context)), psi_(psi) {}
 
   const ConstraintSet& context() const { return context_; }
-  FmBudget budget() const { return budget_; }
   const PsiDims& psi() const { return psi_; }
 
-  /// Same budget and ψ binding, different hypothesis constraints — used when
-  /// region operations extend the context with a piece's guard.
-  CmpCtx withContext(ConstraintSet cs) const { return CmpCtx(std::move(cs), budget_, psi_); }
+  /// Same ψ binding, different hypothesis constraints — used when region
+  /// operations extend the context with a piece's guard.
+  CmpCtx withContext(ConstraintSet cs) const { return CmpCtx(std::move(cs), psi_); }
 
   /// a <= b ?
   Truth le(const SymExpr& a, const SymExpr& b) const {
     // Constant fast path.
     SymExpr d = a - b;
     if (auto c = d.constantValue()) return *c <= 0 ? Truth::True : Truth::False;
-    Truth yes = context_.impliesLE0(d, budget_);
+    Truth yes = context_.impliesLE0(d);
     if (yes == Truth::True) return Truth::True;
     // Provably false when the strict opposite is entailed.
-    Truth no = context_.impliesLE0(-d + 1, budget_);
+    Truth no = context_.impliesLE0(-d + 1);
     if (no == Truth::True) return Truth::False;
     return Truth::Unknown;
   }
@@ -58,7 +57,7 @@ class CmpCtx {
   Truth eq(const SymExpr& a, const SymExpr& b) const {
     SymExpr d = a - b;
     if (auto c = d.constantValue()) return *c == 0 ? Truth::True : Truth::False;
-    Truth t = context_.impliesEQ0(d, budget_);
+    Truth t = context_.impliesEQ0(d);
     if (t == Truth::True) return Truth::True;
     if (le(a, b) == Truth::False || le(b, a) == Truth::False) return Truth::False;
     return Truth::Unknown;
@@ -66,7 +65,6 @@ class CmpCtx {
 
  private:
   ConstraintSet context_;
-  FmBudget budget_;
   PsiDims psi_;
 };
 

@@ -29,7 +29,10 @@ struct LinearConstraint {
   friend bool operator==(const LinearConstraint&, const LinearConstraint&) = default;
 };
 
-/// Resource limits for the Fourier-Motzkin elimination.
+/// Resource limits for the Fourier-Motzkin elimination. A fixed valve, not
+/// an analysis option: every ConstraintSet query hands the engine the
+/// default-constructed budget. Only the engine's own entry points take one,
+/// so their unit tests can reach the Unknown paths with tighter limits.
 struct FmBudget {
   std::size_t maxConstraints = 256;
   std::size_t maxVariables = 24;
@@ -54,22 +57,22 @@ class ConstraintSet {
   /// Truth::True  => the conjunction has no rational/integer solution.
   /// Truth::False => a rational solution exists (so not provably empty).
   /// Truth::Unknown => budget exhausted or non-affine data encountered.
-  /// Memoized in QueryCache::global() under the exact (constraints, budget)
-  /// encoding; `contradictoryUncached` is the cold path (exposed for the
-  /// cache-consistency tests).
-  Truth contradictory(const FmBudget& budget = {}) const;
-  Truth contradictoryUncached(const FmBudget& budget = {}) const;
+  /// Memoized in QueryCache::global() under the exact constraint encoding
+  /// plus the query-tier bit; `contradictoryUncached` is the cold path
+  /// (exposed for the cache-consistency tests).
+  Truth contradictory() const;
+  Truth contradictoryUncached() const;
 
   /// Does this set entail `e <= 0`? True only when (set ∧ e > 0) is
   /// contradictory.
-  Truth impliesLE0(const SymExpr& e, const FmBudget& budget = {}) const;
+  Truth impliesLE0(const SymExpr& e) const;
   /// Entailment of e == 0 (both e <= 0 and -e <= 0 must be entailed).
-  Truth impliesEQ0(const SymExpr& e, const FmBudget& budget = {}) const;
+  Truth impliesEQ0(const SymExpr& e) const;
 
  private:
   /// The decision procedure itself; contradictoryUncached wraps it with the
   /// obs query span and provenance reporting.
-  Truth contradictoryCold(const FmBudget& budget) const;
+  Truth contradictoryCold() const;
 
   std::vector<LinearConstraint> constraints_;
 };

@@ -12,7 +12,6 @@
 #include "panorama/frontend/parser.h"
 #include "panorama/hsg/hsg.h"
 #include "panorama/obs/trace.h"
-#include "panorama/predicate/fm_incremental.h"
 
 namespace panorama {
 
@@ -157,7 +156,6 @@ void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool& pool,
 
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, CorpusIngest ingest) {
   obs::Span span("corpus.run", "perfect corpus");
-  setQueryTierEnabled(options.prefilter);
   // Fresh counters per run. The FM elimination cache is deliberately NOT
   // cleared: its verdicts are pure functions of (system, budget), so
   // entries from earlier runs in the same process are always reusable.

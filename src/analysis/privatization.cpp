@@ -39,7 +39,7 @@ Truth LoopParallelizer::intersectionEmpty(const GarList& a, const GarList& b,
 
 CmpCtx LoopParallelizer::loopCtx(const LoopSummary& ls) const {
   ConstraintSet cs;
-  if (!ls.boundsKnown) return CmpCtx{ConstraintSet{}, FmBudget{}, analyzer_.psi()};
+  if (!ls.boundsKnown) return CmpCtx{ConstraintSet{}, analyzer_.psi()};
   SymExpr I = SymExpr::variable(ls.bounds.index);
   auto sc = ls.bounds.step.constantValue();
   if (sc && *sc > 0) {
@@ -49,7 +49,7 @@ CmpCtx LoopParallelizer::loopCtx(const LoopSummary& ls) const {
     cs.addExprLE0(ls.bounds.up - I);
     cs.addExprLE0(I - ls.bounds.lo);
   }
-  return CmpCtx{std::move(cs), FmBudget{}, analyzer_.psi()};
+  return CmpCtx{std::move(cs), analyzer_.psi()};
 }
 
 LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& proc) {
@@ -156,7 +156,7 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
       }
       Truth liveOut =
           intersectionEmpty(ls.mod.forArray(array), ls.ueAfter.forArray(array),
-                            CmpCtx{ConstraintSet{}, FmBudget{}, analyzer_.psi()});
+                            CmpCtx{ConstraintSet{}, analyzer_.psi()});
       ap.needsCopyOut = escapes || liveOut != Truth::True;
       if (ap.needsCopyOut) {
         // Last-value copy (LASTPRIVATE) reproduces serial results only when

@@ -1,9 +1,9 @@
 // rebuild(): replays an existing pre-sema AST through a fresh ProgramBuilder.
-// This is the parse → IR → rebuild round-trip behind `--via-builder`, the
-// ingestion bench and the fuzz tests: the result must be structurally
-// identical to the input (same `fingerprintProcedure` hash), which makes the
-// replay a continuous proof that the fluent API spans everything the F77
-// parser can produce.
+// This is the parse → IR → rebuild round-trip behind the corpus round-trip
+// test, the ingestion bench and the fuzz tests: the result must be
+// structurally identical to the input (same `fingerprintProcedure` hash),
+// which makes the replay a continuous proof that the fluent API spans
+// everything the F77 parser can produce.
 #include "panorama/builder/builder.h"
 
 namespace panorama::builder {

@@ -121,7 +121,10 @@ std::uint64_t EventLog::append(EventKind kind, std::string fields) {
   Slot& slot = slots_[seq & mask_];
   {
     SlotLatch latch(slot.busy);
-    slot.rec = std::move(rec);
+    // A writer preempted for a whole ring lap must not bury the newer record
+    // a later append already published here: tails would stop at this slot
+    // for good. Its own record was lapped, so tails count it as dropped.
+    if (!slot.rec || slot.rec->seq < seq) slot.rec = std::move(rec);
   }
   return seq;
 }

@@ -388,19 +388,19 @@ Truth realPairImplies(const Atom& a, const Atom& b) {
 
 }  // namespace
 
-Truth atomsContradict(const Atom& a, const Atom& b, const FmBudget& budget) {
+Truth atomsContradict(const Atom& a, const Atom& b) {
   if (a.isPoisoned() || b.isPoisoned()) return Truth::Unknown;
   // Memoized in the global query cache: the simplifier asks about the same
   // atom pairs over and over as guards flow through the propagation. Keys
   // are interned atom keys (exact structural identity, no collision risk),
-  // symmetric-normalized, plus the budget.
+  // symmetric-normalized.
   QueryCache& cache = QueryCache::global();
   QueryCache::Key key;
   if (cache.enabled()) {
     std::uint64_t ka = atomKey(a);
     std::uint64_t kb = atomKey(b);
     if (kb < ka) std::swap(ka, kb);  // contradiction is symmetric
-    key = {QueryCache::AtomsContradict, ka, kb, budget.maxConstraints, budget.maxVariables};
+    key = {QueryCache::AtomsContradict, ka, kb};
     if (auto hit = cache.lookup(key)) return *hit;
   }
   Truth result = [&] {
@@ -445,19 +445,19 @@ Truth atomsContradict(const Atom& a, const Atom& b, const FmBudget& budget) {
   }
   ConstraintSet cs;
   if (!a.addToConstraints(cs) || !b.addToConstraints(cs)) return Truth::Unknown;
-  Truth t = cs.contradictory(budget);
+  Truth t = cs.contradictory();
   return t == Truth::True ? Truth::True : Truth::Unknown;
   }();
   if (cache.enabled()) cache.store(std::move(key), result);
   return result;
 }
 
-Truth atomsExhaustive(const Atom& a, const Atom& b, const FmBudget& budget) {
+Truth atomsExhaustive(const Atom& a, const Atom& b) {
   // a ∨ b is a tautology iff ¬a ∧ ¬b is unsatisfiable.
-  return atomsContradict(a.negated(), b.negated(), budget);
+  return atomsContradict(a.negated(), b.negated());
 }
 
-Truth atomImplies(const Atom& a, const Atom& b, const FmBudget& budget) {
+Truth atomImplies(const Atom& a, const Atom& b) {
   if (a == b) return Truth::True;
   if (a.kind() == Atom::Kind::Rel && b.kind() == Atom::Kind::Rel && isRealOp(a.op()) &&
       isRealOp(b.op())) {
@@ -465,7 +465,7 @@ Truth atomImplies(const Atom& a, const Atom& b, const FmBudget& budget) {
     if (direct == Truth::True) return Truth::True;
   }
   // a => b iff a ∧ ¬b is unsatisfiable.
-  return atomsContradict(a, b.negated(), budget);
+  return atomsContradict(a, b.negated());
 }
 
 }  // namespace panorama

@@ -14,14 +14,13 @@ namespace {
 
 /// Syntactic entailment of a clause: some hypothesis clause whose every atom
 /// implies an atom of `goal`.
-bool clauseSubsumed(const std::vector<Disjunct>& hyp, const Disjunct& goal,
-                    const SimplifyOptions& opts) {
+bool clauseSubsumed(const std::vector<Disjunct>& hyp, const Disjunct& goal) {
   for (const Disjunct& h : hyp) {
     bool all = true;
     for (const Atom& a : h.atoms) {
       bool covered = false;
       for (const Atom& b : goal.atoms) {
-        if (atomImplies(a, b, opts.fmBudget) == Truth::True) {
+        if (atomImplies(a, b) == Truth::True) {
           covered = true;
           break;
         }
@@ -38,7 +37,7 @@ bool clauseSubsumed(const std::vector<Disjunct>& hyp, const Disjunct& goal,
 
 }  // namespace
 
-Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
+Truth Pred::implies(const Pred& other) const {
   // A false hypothesis implies anything; anything implies True.
   if (isFalse()) return Truth::True;
   if (other.isTrue()) return Truth::True;
@@ -46,13 +45,11 @@ Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
   if (other.isUnknown()) return compare(*this, other) == 0 ? Truth::True : Truth::Unknown;
 
   // Memoized in the global query cache under interned predicate keys (exact
-  // structural identity) plus the simplifier knobs the verdict depends on.
+  // structural identity).
   QueryCache& cache = QueryCache::global();
   QueryCache::Key key;
   if (cache.enabled()) {
-    key = {QueryCache::PredImplies, predKey(*this), predKey(other),
-           opts.useFourierMotzkin ? 1u : 0u, opts.fmBudget.maxConstraints,
-           opts.fmBudget.maxVariables};
+    key = {QueryCache::PredImplies, predKey(*this), predKey(other)};
     if (auto hit = cache.lookup(key)) return *hit;
   }
 
@@ -84,8 +81,7 @@ Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
     ConstraintSet context = unitConstraints();
 
     for (const Disjunct& goal : other.clauses()) {
-      if (clauseSubsumed(clauses(), goal, opts)) continue;
-      if (!opts.useFourierMotzkin) return Truth::Unknown;
+      if (clauseSubsumed(clauses(), goal)) continue;
       // FM refutation: context ∧ ¬goal must be infeasible. ¬goal is the
       // conjunction of the negated atoms of the clause.
       ConstraintSet cs = context;
@@ -97,7 +93,7 @@ Truth Pred::implies(const Pred& other, const SimplifyOptions& opts) const {
         }
       }
       if (!representable) return Truth::Unknown;
-      if (cs.contradictory(opts.fmBudget) != Truth::True) return Truth::Unknown;
+      if (cs.contradictory() != Truth::True) return Truth::Unknown;
     }
     return Truth::True;
   }();

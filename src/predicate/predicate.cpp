@@ -81,8 +81,7 @@ PredRef operator||(const PredRef& a, const PredRef& b) {
   }
   const bool unknown = a.node_->unknown || b.node_->unknown;
   // CNF ∨ CNF: clause-pair distribution. (over-approximations stay such)
-  SimplifyOptions opts;
-  if (a.node_->clauses.size() * b.node_->clauses.size() > opts.maxClauses)
+  if (a.node_->clauses.size() * b.node_->clauses.size() > kMaxClauses)
     return PredRef::makeUnknown();
   std::vector<Disjunct> clauses;
   for (const Disjunct& da : a.node_->clauses) {
@@ -90,7 +89,7 @@ PredRef operator||(const PredRef& a, const PredRef& b) {
       Disjunct merged;
       merged.atoms = da.atoms;
       merged.atoms.insert(merged.atoms.end(), db.atoms.begin(), db.atoms.end());
-      if (merged.atoms.size() > opts.maxAtomsPerClause) return PredRef::makeUnknown();
+      if (merged.atoms.size() > kMaxAtomsPerClause) return PredRef::makeUnknown();
       clauses.push_back(std::move(merged));
     }
   }
@@ -103,7 +102,6 @@ PredRef PredRef::operator!() const {
   if (node_->clauses.empty()) return makeFalse();
   // ¬(∧ Cj) = ∨ ¬Cj; each ¬Cj is a conjunction of negated atoms. Distribute
   // clause by clause, bounding the intermediate size.
-  SimplifyOptions opts;
   std::vector<Disjunct> result;  // CNF under construction, starts as True
   for (const Disjunct& clause : node_->clauses) {
     // next = result ∨ (∧_k ¬atom_k): distribute each negated atom.
@@ -111,18 +109,18 @@ PredRef PredRef::operator!() const {
     if (result.empty()) {
       for (const Atom& a : clause.atoms) next.push_back(Disjunct::single(a.negated()));
     } else {
-      if (result.size() * clause.atoms.size() > opts.maxClauses) return makeUnknown();
+      if (result.size() * clause.atoms.size() > kMaxClauses) return makeUnknown();
       for (const Disjunct& d : result) {
         for (const Atom& a : clause.atoms) {
           Disjunct merged = d;
           merged.atoms.push_back(a.negated());
-          if (merged.atoms.size() > opts.maxAtomsPerClause) return makeUnknown();
+          if (merged.atoms.size() > kMaxAtomsPerClause) return makeUnknown();
           next.push_back(std::move(merged));
         }
       }
     }
     result = std::move(next);
-    if (result.size() > opts.maxClauses) return makeUnknown();
+    if (result.size() > kMaxClauses) return makeUnknown();
   }
   PredRef p = make(std::move(result), false);
   p.simplify();

@@ -12,8 +12,8 @@ namespace panorama {
 
 namespace {
 
-/// The interned pre-simplify predicate plus every SimplifyOptions knob.
-using SimplifyKey = std::array<std::uint64_t, 6>;
+/// The interned pre-simplify predicate.
+using SimplifyKey = std::array<std::uint64_t, 1>;
 
 /// Pred::simplify results, sized by the process memo capacity like the
 /// verdict cache, so `--no-cache` turns both off.
@@ -32,11 +32,11 @@ namespace {
 
 /// c1 => c2 when every atom of c1 implies some atom of c2 (then any model of
 /// c1 satisfies c2 as well).
-bool clauseImplies(const Disjunct& c1, const Disjunct& c2, const SimplifyOptions& opts) {
+bool clauseImplies(const Disjunct& c1, const Disjunct& c2) {
   for (const Atom& a : c1.atoms) {
     bool covered = false;
     for (const Atom& b : c2.atoms) {
-      if (atomImplies(a, b, opts.fmBudget) == Truth::True) {
+      if (atomImplies(a, b) == Truth::True) {
         covered = true;
         break;
       }
@@ -48,7 +48,7 @@ bool clauseImplies(const Disjunct& c1, const Disjunct& c2, const SimplifyOptions
 
 /// Satisfiability of a CNF with a small case-split budget. Returns True when
 /// provably unsatisfiable.
-Truth cnfUnsat(const std::vector<Disjunct>& clauses, const SimplifyOptions& opts, int depth) {
+Truth cnfUnsat(const std::vector<Disjunct>& clauses, int depth) {
   ConstraintSet cs;
   const Disjunct* split = nullptr;
   std::vector<const Atom*> units;
@@ -65,7 +65,7 @@ Truth cnfUnsat(const std::vector<Disjunct>& clauses, const SimplifyOptions& opts
   // and logical-variable clashes surface (they never enter the FM system).
   for (std::size_t i = 0; i < units.size(); ++i)
     for (std::size_t j = i + 1; j < units.size(); ++j)
-      if (atomsContradict(*units[i], *units[j], opts.fmBudget) == Truth::True)
+      if (atomsContradict(*units[i], *units[j]) == Truth::True)
         return Truth::True;
   // Quantifier instantiation with context: ∀bv∈[lo,up] (¬)q(f(bv)) clashes
   // with an opposite q(t) when lo <= solve(f(bv)=t) <= up is *entailed by
@@ -79,13 +79,12 @@ Truth cnfUnsat(const std::vector<Disjunct>& clauses, const SimplifyOptions& opts
         continue;
       auto t = solveForallInstance(*fa, ap->expr());
       if (!t) continue;
-      if (cs.impliesLE0(fa->forallLo() - *t, opts.fmBudget) == Truth::True &&
-          cs.impliesLE0(*t - fa->forallUp(), opts.fmBudget) == Truth::True)
+      if (cs.impliesLE0(fa->forallLo() - *t) == Truth::True &&
+          cs.impliesLE0(*t - fa->forallUp()) == Truth::True)
         return Truth::True;
     }
   }
-  if (!opts.useFourierMotzkin) return Truth::Unknown;
-  Truth base = cs.contradictory(opts.fmBudget);
+  Truth base = cs.contradictory();
   if (base == Truth::True) return Truth::True;
   if (!split || depth <= 0) return base == Truth::False && !split ? Truth::False : Truth::Unknown;
   // Case split: unsat iff every branch (clauses ∧ atom) is unsat.
@@ -95,36 +94,33 @@ Truth cnfUnsat(const std::vector<Disjunct>& clauses, const SimplifyOptions& opts
     for (const Disjunct& d : clauses)
       if (&d != split) branch.push_back(d);
     branch.push_back(Disjunct::single(a));
-    if (cnfUnsat(branch, opts, depth - 1) != Truth::True) return Truth::Unknown;
+    if (cnfUnsat(branch, depth - 1) != Truth::True) return Truth::Unknown;
   }
   return Truth::True;
 }
 
 }  // namespace
 
-void PredRef::simplify(const SimplifyOptions& opts) {
+void PredRef::simplify() {
   // Handles are always canonical, so a False predicate is already the single
   // empty clause — nothing to rewrite.
   if (isFalse()) return;
-  if (clauses().size() > opts.maxClauses) {
+  if (clauses().size() > kMaxClauses) {
     *this = makeUnknown();
     return;
   }
   if (clauses().empty()) return;  // True / Δ: nothing to do
 
-  const SimplifyKey key{predKey(*this), opts.maxClauses, opts.maxAtomsPerClause,
-                        opts.useFourierMotzkin ? 1u : 0u, opts.fmBudget.maxConstraints,
-                        opts.fmBudget.maxVariables};
+  const SimplifyKey key{predKey(*this)};
   if (auto hit = simplifyMemo().lookup(key)) {
     *this = *hit;
     return;
   }
-  *this = simplifyUncached(clauses(), isUnknown(), opts);
+  *this = simplifyUncached(clauses(), isUnknown());
   simplifyMemo().store(key, *this);
 }
 
-PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown,
-                                  const SimplifyOptions& opts) {
+PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown) {
   // Pass 1: constant folding and poisoned-atom quarantine, per clause.
   std::vector<Disjunct> kept;
   for (Disjunct& d : clauses) {
@@ -165,11 +161,11 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown,
       if (dead[i]) continue;
       for (std::size_t j = 0; j < d.atoms.size(); ++j) {
         if (i == j || dead[j]) continue;
-        if (atomsExhaustive(d.atoms[i], d.atoms[j], opts.fmBudget) == Truth::True) {
+        if (atomsExhaustive(d.atoms[i], d.atoms[j]) == Truth::True) {
           clauseTrue = true;
           break;
         }
-        if (atomImplies(d.atoms[i], d.atoms[j], opts.fmBudget) == Truth::True) {
+        if (atomImplies(d.atoms[i], d.atoms[j]) == Truth::True) {
           dead[i] = true;  // weaker atom j absorbs i within a disjunction
           break;
         }
@@ -199,11 +195,11 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown,
         bool clauseRedundant = false;
         std::size_t before = d.atoms.size();
         std::erase_if(d.atoms, [&](const Atom& b) {
-          return atomsContradict(unit, b, opts.fmBudget) == Truth::True;
+          return atomsContradict(unit, b) == Truth::True;
         });
         if (!(d.atoms.size() == 1 && d.atoms[0] == unit)) {
           for (const Atom& b : d.atoms) {
-            if (atomImplies(unit, b, opts.fmBudget) == Truth::True) {
+            if (atomImplies(unit, b) == Truth::True) {
               clauseRedundant = true;
               break;
             }
@@ -231,7 +227,7 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown,
     if (drop[i]) continue;
     for (std::size_t j = 0; j < clauses.size(); ++j) {
       if (i == j || drop[j] || drop[i]) continue;
-      if (clauseImplies(clauses[i], clauses[j], opts)) drop[j] = true;
+      if (clauseImplies(clauses[i], clauses[j])) drop[j] = true;
     }
   }
   std::vector<Disjunct> kept3;
@@ -243,15 +239,15 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown,
   // Pass 5: global satisfiability of what remains.
   const bool falseNow =
       std::any_of(clauses.begin(), clauses.end(), [](const Disjunct& d) { return d.isFalse(); });
-  if (falseNow || (!clauses.empty() && cnfUnsat(clauses, opts, /*depth=*/2) == Truth::True))
+  if (falseNow || (!clauses.empty() && cnfUnsat(clauses, /*depth=*/2) == Truth::True))
     return makeRaw({Disjunct{}}, false);  // False ∧ Δ = False
   return makeRaw(std::move(clauses), unknown);
 }
 
-Truth PredRef::provablyFalse(const SimplifyOptions& opts) const {
+Truth PredRef::provablyFalse() const {
   if (isFalse()) return Truth::True;
   if (clauses().empty()) return Truth::False;  // True (possibly ∧ Δ — still satisfiable info-wise)
-  Truth t = cnfUnsat(clauses(), opts, /*depth=*/2);
+  Truth t = cnfUnsat(clauses(), /*depth=*/2);
   if (t == Truth::True) return Truth::True;
   return t == Truth::False && !isUnknown() ? Truth::False : Truth::Unknown;
 }

@@ -40,13 +40,11 @@
 #include "panorama/frontend/parser.h"
 #include "panorama/obs/metrics.h"
 #include "panorama/obs/trace.h"
-#include "panorama/predicate/fm_incremental.h"
 
 namespace panorama {
 
 AnalysisSession::AnalysisSession(AnalysisOptions options) : options_(options) {
   optionsKey_ = optionsKey(options_);
-  setQueryTierEnabled(options_.prefilter);
   ownedPool_ = std::make_unique<ThreadPool>(options_.numThreads);
   pool_ = ownedPool_.get();
 }
@@ -54,7 +52,6 @@ AnalysisSession::AnalysisSession(AnalysisOptions options) : options_(options) {
 AnalysisSession::AnalysisSession(AnalysisOptions options, ThreadPool* sharedPool)
     : options_(options) {
   optionsKey_ = optionsKey(options_);
-  setQueryTierEnabled(options_.prefilter);
   pool_ = sharedPool;
 }
 
@@ -72,12 +69,6 @@ std::uint64_t AnalysisSession::optionsKey(const AnalysisOptions& options) {
   mix(options.quantified);
   mix(options.computeDE);
   mix(options.garSimplifier);
-  mix(options.prefilter);
-  mix(options.simplify.maxClauses);
-  mix(options.simplify.maxAtomsPerClause);
-  mix(options.simplify.useFourierMotzkin);
-  mix(options.simplify.fmBudget.maxConstraints);
-  mix(options.simplify.fmBudget.maxVariables);
   // numThreads and loopGranularReuse are execution options: the driver
   // guarantees identical results across both.
   return h;
@@ -97,7 +88,6 @@ void AnalysisSession::setOptions(const AnalysisOptions& options) {
     ownedPool_ = std::make_unique<ThreadPool>(options_.numThreads);
     pool_ = ownedPool_.get();
   }
-  setQueryTierEnabled(options_.prefilter);
 }
 
 void AnalysisSession::resetState() {

@@ -32,7 +32,6 @@
 
 #include "panorama/analysis/driver.h"
 #include "panorama/predicate/arena.h"
-#include "panorama/predicate/fm_incremental.h"
 #include "panorama/session/session.h"
 #include "panorama/symbolic/arena.h"
 
@@ -636,12 +635,6 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
   head.u8(options_.quantified ? 1 : 0);
   head.u8(options_.computeDE ? 1 : 0);
   head.u8(options_.garSimplifier ? 1 : 0);
-  head.u8(options_.prefilter ? 1 : 0);
-  head.u64(options_.simplify.maxClauses);
-  head.u64(options_.simplify.maxAtomsPerClause);
-  head.u8(options_.simplify.useFourierMotzkin ? 1 : 0);
-  head.u64(options_.simplify.fmBudget.maxConstraints);
-  head.u64(options_.simplify.fmBudget.maxVariables);
 
   head.u64(epoch_);
   head.u64(lastSourceHash_);
@@ -795,22 +788,15 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
     return res;
   };
 
-  AnalysisOptions opts;
+  // The snapshot carries the ablation switches only; the execution options
+  // (numThreads, loopGranularReuse) stay the restoring session's own.
+  AnalysisOptions opts = options_;
   opts.symbolicAnalysis = r.u8() != 0;
   opts.ifConditions = r.u8() != 0;
   opts.interprocedural = r.u8() != 0;
   opts.quantified = r.u8() != 0;
   opts.computeDE = r.u8() != 0;
   opts.garSimplifier = r.u8() != 0;
-  opts.prefilter = r.u8() != 0;
-  opts.simplify.maxClauses = static_cast<std::size_t>(r.u64());
-  opts.simplify.maxAtomsPerClause = static_cast<std::size_t>(r.u64());
-  opts.simplify.useFourierMotzkin = r.u8() != 0;
-  opts.simplify.fmBudget.maxConstraints = static_cast<std::size_t>(r.u64());
-  opts.simplify.fmBudget.maxVariables = static_cast<std::size_t>(r.u64());
-  // Execution knobs are not part of the snapshot; the restoring session
-  // keeps its own.
-  opts.numThreads = options_.numThreads;
 
   const std::uint64_t epoch = r.u64();
   const std::uint64_t lastSourceHash = r.u64();
@@ -1018,7 +1004,6 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   lastStats_.epoch = epoch_;
   lastStats_.procedures = program_.procedures.size();
   lastStats_.fileSkips = fileSkips_;
-  setQueryTierEnabled(options_.prefilter);
 
   out.ok = true;
   return out;

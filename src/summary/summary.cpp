@@ -17,7 +17,7 @@ SummaryAnalyzer::SummaryAnalyzer(const Program& program, SemaResult& sema, const
   // Gar::make call, so concurrent analyses of different kernels never share
   // ψ state and the parallel driver needs no serialization.
   psi_.dim1 = options_.quantified ? sema_->symbols.intern("psi$1") : VarId{};
-  ctx_ = CmpCtx(ConstraintSet{}, FmBudget{}, psi_);
+  ctx_ = CmpCtx(ConstraintSet{}, psi_);
 }
 
 void SummaryAnalyzer::rebind(const Program& program, SemaResult& sema, const Hsg& hsg) {

@@ -67,8 +67,10 @@ void appendAffine(std::string& out, const AffineForm& f) {
 }
 
 /// The whole constraint system, " && "-joined, capped so pathological sets
-/// do not bloat the trace buffers.
+/// do not bloat the trace buffers. The empty system renders as "true", so a
+/// profile's top queries always name their system.
 std::string renderConstraints(const std::vector<LinearConstraint>& constraints) {
+  if (constraints.empty()) return "true";
   constexpr std::size_t kMaxChars = 400;
   std::string out;
   for (const LinearConstraint& c : constraints) {
@@ -88,26 +90,27 @@ std::string renderConstraints(const std::vector<LinearConstraint>& constraints) 
   return out;
 }
 
+/// The one budget every ConstraintSet query hands the engine.
+constexpr FmBudget kBudget{};
+
 /// Tier 2 dispatch: with the tier on, eliminations go through the memoizing
 /// entry point (verdict-identical to the classic one by construction).
-Truth fmDecide(std::vector<AffineForm> system, const FmBudget& budget) {
-  return queryTierEnabled() ? fourierMotzkinInfeasibleMemo(std::move(system), budget)
-                            : fourierMotzkinInfeasible(std::move(system), budget);
+Truth fmDecide(std::vector<AffineForm> system) {
+  return queryTierEnabled() ? fourierMotzkinInfeasibleMemo(std::move(system), kBudget)
+                            : fourierMotzkinInfeasible(std::move(system), kBudget);
 }
 
 }  // namespace
 
-Truth ConstraintSet::contradictory(const FmBudget& budget) const {
+Truth ConstraintSet::contradictory() const {
   // Memoized across the whole run: the verdict is a pure function of the
-  // exact constraint vector and the budget (both encoded in the key), so a
-  // cached answer is always the answer a cold evaluation would produce.
+  // exact constraint vector and the tier mode (both encoded in the key), so
+  // a cached answer is always the answer a cold evaluation would produce.
   QueryCache& cache = QueryCache::global();
   QueryCache::Key key;
   if (cache.enabled()) {
-    key.reserve(4 + constraints_.size() * 6);
+    key.reserve(2 + constraints_.size() * 6);
     key.push_back(QueryCache::FmContradictory);
-    key.push_back(budget.maxConstraints);
-    key.push_back(budget.maxVariables);
     // The tier mode is part of the key: the pre-filter may answer False
     // (witness found) where the classic engine answers Unknown, and raw
     // verdicts must never leak across modes (differential runs share the
@@ -125,12 +128,12 @@ Truth ConstraintSet::contradictory(const FmBudget& budget) const {
     }
     if (auto hit = cache.lookup(key)) return *hit;
   }
-  Truth verdict = contradictoryUncached(budget);
+  Truth verdict = contradictoryUncached();
   if (cache.enabled()) cache.store(std::move(key), verdict);
   return verdict;
 }
 
-Truth ConstraintSet::contradictoryUncached(const FmBudget& budget) const {
+Truth ConstraintSet::contradictoryUncached() const {
   // Tier 1: the interval/congruence pre-filter. It either discharges the
   // query (exact mirror of the classic screening, or a verified integer
   // witness — never a weaker verdict) or declines, in which case the
@@ -149,7 +152,7 @@ Truth ConstraintSet::contradictoryUncached(const FmBudget& budget) const {
       // system, even a preempted prefilter span that outranks the FM spans.
       prefilterSpan.arg("expr", renderConstraints(constraints_));
     }
-    if (auto verdict = absdom::tryDischarge(constraints_, budget)) {
+    if (auto verdict = absdom::tryDischarge(constraints_, kBudget)) {
       hits.add();
       if (prefilterSpan.active()) prefilterSpan.arg("verdict", toString(*verdict));
       return *verdict;
@@ -166,17 +169,18 @@ Truth ConstraintSet::contradictoryUncached(const FmBudget& budget) const {
     if (std::string ctx = obs::ProvenanceScope::currentLabel(); !ctx.empty())
       span.arg("ctx", std::move(ctx));
   }
-  Truth verdict = contradictoryCold(budget);
+  Truth verdict = contradictoryCold();
   if (span.active()) span.arg("verdict", toString(verdict));
   if (verdict == Truth::Unknown && obs::ProvenanceScope::active())
     obs::ProvenanceScope::note(
         "fm", "Fourier-Motzkin inconclusive on " + std::to_string(constraints_.size()) +
-                  " constraints (budget " + std::to_string(budget.maxConstraints) + " constraints/" +
-                  std::to_string(budget.maxVariables) + " variables, or non-affine data)");
+                  " constraints (budget " + std::to_string(kBudget.maxConstraints) +
+                  " constraints/" + std::to_string(kBudget.maxVariables) +
+                  " variables, or non-affine data)");
   return verdict;
 }
 
-Truth ConstraintSet::contradictoryCold(const FmBudget& budget) const {
+Truth ConstraintSet::contradictoryCold() const {
   std::vector<AffineForm> system;
   std::vector<AffineForm> disequalities;
   system.reserve(constraints_.size() * 2);
@@ -214,19 +218,19 @@ Truth ConstraintSet::contradictoryCold(const FmBudget& budget) const {
       AffineForm dl = d;
       dl.constant += 1;  // d + 1 <= 0, i.e. d <= -1
       lower.push_back(std::move(dl));
-      if (fmDecide(std::move(lower), budget) != Truth::True) continue;
+      if (fmDecide(std::move(lower)) != Truth::True) continue;
       std::vector<AffineForm> upper = system;
       AffineForm du = d.scaled(-1);
       du.constant += 1;  // -d + 1 <= 0, i.e. d >= 1
       upper.push_back(std::move(du));
-      if (fmDecide(std::move(upper), budget) == Truth::True)
+      if (fmDecide(std::move(upper)) == Truth::True)
         return Truth::True;  // pinned to the excluded value
     }
   }
-  return fmDecide(std::move(system), budget);
+  return fmDecide(std::move(system));
 }
 
-Truth ConstraintSet::impliesLE0(const SymExpr& e, const FmBudget& budget) const {
+Truth ConstraintSet::impliesLE0(const SymExpr& e) const {
   auto f = AffineForm::fromExpr(e);
   if (!f) return Truth::Unknown;
   // negation of (e <= 0) over the integers: e >= 1, i.e. -e + 1 <= 0
@@ -234,15 +238,15 @@ Truth ConstraintSet::impliesLE0(const SymExpr& e, const FmBudget& budget) const 
   neg.constant += 1;
   ConstraintSet augmented = *this;
   augmented.add({std::move(neg), ConstraintKind::LE0});
-  Truth infeasible = augmented.contradictory(budget);
+  Truth infeasible = augmented.contradictory();
   if (infeasible == Truth::True) return Truth::True;
   return Truth::Unknown;  // feasible negation does not refute entailment over all models
 }
 
-Truth ConstraintSet::impliesEQ0(const SymExpr& e, const FmBudget& budget) const {
-  Truth a = impliesLE0(e, budget);
+Truth ConstraintSet::impliesEQ0(const SymExpr& e) const {
+  Truth a = impliesLE0(e);
   if (a != Truth::True) return Truth::Unknown;
-  Truth b = impliesLE0(-e, budget);
+  Truth b = impliesLE0(-e);
   if (b != Truth::True) return Truth::Unknown;
   return Truth::True;
 }

@@ -312,9 +312,9 @@ TEST_F(AbsDomTest, TierModeBitKeepsQueryCacheVerdictsApart) {
 /// the tier on vs off, at 1, 4, and 8 threads.
 TEST_F(AbsDomTest, CorpusReportsAreByteIdenticalAcrossModesAndThreadCounts) {
   auto fingerprint = [](bool prefilter, int threads) {
+    setQueryTierEnabled(prefilter);  // TearDown restores the default
     AnalysisOptions options;
     options.numThreads = threads;
-    options.prefilter = prefilter;
     std::string out;
     for (const CorpusRoutineResult& loop : analyzeCorpusParallel(options).loops) {
       out += loop.kernelId;

@@ -6,6 +6,9 @@
 //     an incremental session treats the two frontends as one cache: a
 //     builder-built fig1a warm-resubmitted (or resubmitted as parsed text)
 //     recomputes nothing;
+//   * replaying every parsed corpus kernel through builder::rebuild()
+//     reproduces the direct parser path's reports, provenance and counters,
+//     at 1 and 4 threads, with and without the quantified extension;
 //   * `>>` edge chains order blocks, overriding creation order;
 //   * every misuse — cyclic or malformed edge chains, duplicate block
 //     names, undeclared subscript symbols, unclosed regions, rank
@@ -214,6 +217,42 @@ TEST(BuilderFig1aTest, SessionTreatsBuilderAndParserAsOneFrontend) {
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.stats.dirty, 0u);
   EXPECT_EQ(renderSession(first), renderSession(parsed));
+}
+
+/// Every loop of a corpus run: kernel, position, verdict, report and the
+/// full provenance, so any drift between two ingest paths shows.
+std::string renderCorpus(const CorpusAnalysisResult& result) {
+  std::ostringstream os;
+  for (const CorpusRoutineResult& loop : result.loops) {
+    os << '[' << loop.kernelId << "] " << loop.procName << " line " << loop.line << ' '
+       << toString(loop.classification) << '\n'
+       << loop.report << loop.provenance << loop.provenanceSummary << " ("
+       << loop.provenanceEvidenceCount << " evidence)\n";
+  }
+  return os.str();
+}
+
+TEST(BuilderTest, CorpusRoundTripReproducesEveryReport) {
+  CacheGuard guard;
+  for (bool quantified : {false, true}) {
+    for (std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(quantified ? "quantified" : "default") +
+                   " threads=" + std::to_string(threads));
+      AnalysisOptions options;
+      options.quantified = quantified;
+      options.numThreads = threads;
+      CorpusAnalysisResult direct = analyzeCorpusParallel(options, CorpusIngest::Parse);
+      CorpusAnalysisResult rebuilt =
+          analyzeCorpusParallel(options, CorpusIngest::BuilderRoundTrip);
+      ASSERT_FALSE(direct.loops.empty());
+      EXPECT_EQ(renderCorpus(direct), renderCorpus(rebuilt));
+      // On one thread the query stream is deterministic, so the summary and
+      // cache counters of the two paths must agree as well.
+      if (threads == 1) {
+        EXPECT_EQ(formatCorpusStats(direct), formatCorpusStats(rebuilt));
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- fluent basics

@@ -388,7 +388,7 @@ class PsiRegionTest : public GarTest {
     // ψ is per-context now (no process-global slot): list operations pick
     // it up from the comparison context, direct Gar::make calls take it as
     // an argument.
-    ctx = CmpCtx(ConstraintSet{}, FmBudget{}, psi);
+    ctx = CmpCtx(ConstraintSet{}, psi);
   }
 };
 

@@ -182,7 +182,7 @@ struct QueryBatch {
         verdicts[q] = systems[q].contradictory();
       else {
         const auto& [hyp, goal] = implications[q - systems.size()];
-        verdicts[q] = hyp.implies(goal, SimplifyOptions{});
+        verdicts[q] = hyp.implies(goal);
       }
     }
     return verdicts;

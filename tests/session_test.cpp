@@ -7,12 +7,14 @@
 //   * identical resubmission recomputes nothing;
 //   * procedure add/remove dirties only the affected unit;
 //   * an ablation-relevant options change invalidates everything once;
-//   * sessions never reset the process-wide verdict cache or its counters;
+//   * sessions never reset the process-wide verdict cache or its counters,
+//     and never change the process-wide query tier;
 //   * a cold submit reports exactly what the batch analyzeProgramUnit does,
 //     on every corpus program, at 1 and 4 threads, with and without the
 //     quantified extension.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,6 +27,7 @@
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/obs/metrics.h"
+#include "panorama/predicate/fm_incremental.h"
 #include "panorama/session/session.h"
 #include "panorama/support/memo_cache.h"
 
@@ -537,6 +540,54 @@ TEST(SessionTest, SessionsNeverResetTheSharedVerdictCache) {
   const QueryCache::Stats resubmitted = QueryCache::global().stats();
   EXPECT_GT(resubmitted.hits, after.hits);
   EXPECT_EQ(resubmitted.misses, after.misses) << "an analyzed source's verdicts are all cached";
+}
+
+// The query tier is a process setting (fm_incremental.h) that no session
+// entry point may change: with the tier turned off, building a standalone
+// and a shared-pool session, setOptions, save, restore and submit all leave
+// it off, run no prefilter query, and report what a tier-on session does.
+TEST(SessionTest, SessionsNeverChangeTheQueryTier) {
+  CacheGuard guard;
+  struct TierGuard {
+    ~TierGuard() { setQueryTierEnabled(true); }  // the process default
+  } tierGuard;
+  AnalysisOptions options;
+  options.numThreads = 1;
+  AnalysisSession tiered(options);
+  ASSERT_TRUE(tiered.submit(kBase).ok);
+  SessionResult want = tiered.submit(kLeafEdited);
+  ASSERT_TRUE(want.ok);
+
+  setQueryTierEnabled(false);
+  obs::Counter& prefilterAttempts =
+      obs::MetricsRegistry::global().counter("query.prefilter.attempts");
+  const std::uint64_t attemptsBefore = prefilterAttempts.value();
+  ThreadPool pool(2);
+  AnalysisSession standalone(options);
+  AnalysisSession shared(options, &pool);
+  EXPECT_FALSE(queryTierEnabled()) << "a session constructor changed the tier";
+  AnalysisOptions changed = options;
+  changed.numThreads = 2;
+  standalone.setOptions(changed);
+  shared.setOptions(changed);
+  EXPECT_FALSE(queryTierEnabled()) << "setOptions changed the tier";
+
+  ASSERT_TRUE(standalone.submit(kBase).ok);
+  const std::string snapshot = testing::TempDir() + "session_tier.pano";
+  ASSERT_TRUE(standalone.save(snapshot).ok);
+  store::StoreResult restored = shared.restore(snapshot);
+  std::remove(snapshot.c_str());
+  ASSERT_TRUE(restored.ok) << restored.error;
+  EXPECT_FALSE(queryTierEnabled()) << "save or restore changed the tier";
+
+  SessionResult warm = standalone.submit(kLeafEdited);
+  SessionResult restoredWarm = shared.submit(kLeafEdited);
+  ASSERT_TRUE(warm.ok);
+  ASSERT_TRUE(restoredWarm.ok);
+  EXPECT_FALSE(queryTierEnabled()) << "a submit changed the tier";
+  EXPECT_EQ(prefilterAttempts.value(), attemptsBefore) << "a prefilter query ran";
+  EXPECT_EQ(render(warm), render(want));
+  EXPECT_EQ(render(restoredWarm), render(want));
 }
 
 // The two front doors of the one scheduler — the batch analyzeProgramUnit

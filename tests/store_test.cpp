@@ -4,7 +4,11 @@
 //   * a restored session serves a byte-identical resubmit through the
 //     whole-file fast path (the snapshot carries the source hash);
 //   * truncated / corrupted / version-mismatched snapshots are rejected
-//     with a structured diagnostic and leave the session untouched;
+//     with a structured diagnostic and leave the session untouched — at
+//     every payload offset, even when the header is re-signed over the
+//     damage;
+//   * restore() adopts the snapshot's ablation switches but keeps the
+//     session's execution options;
 //   * save() under concurrent submits always snapshots one consistent
 //     epoch — every file written while another thread edits restores.
 #include <gtest/gtest.h>
@@ -123,6 +127,20 @@ void spit(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// `payload` behind a header re-signed over it (size and FNV-1a hash), so
+/// the integrity check passes and only the reader's structural checks can
+/// catch damage to the payload.
+std::string signedSnapshot(const std::string& header, const std::string& payload) {
+  std::string out = header + payload;
+  const std::uint64_t size = payload.size();
+  const std::uint64_t hash = store::fnv1a(payload);
+  for (int k = 0; k < 8; ++k) {
+    out[8 + k] = static_cast<char>((size >> (8 * k)) & 0xff);
+    out[16 + k] = static_cast<char>((hash >> (8 * k)) & 0xff);
+  }
+  return out;
+}
+
 TEST(StoreTest, RestoredWarmRunByteIdenticalAcrossThreadCounts) {
   CacheGuard guard;
   for (std::size_t threads : {1u, 4u, 8u}) {
@@ -195,9 +213,10 @@ TEST(StoreTest, SaveFailsOnUnwritablePathWithDiagnostic) {
 /// A failed restore must leave the session exactly as it was: same epoch,
 /// and the next byte-identical resubmit still rides the fast path (proof
 /// that units, hashes, and cached reports all survived).
-void expectSessionUntouched(AnalysisSession& session, const std::string& coldRender) {
+void expectSessionUntouched(AnalysisSession& session, const std::string& coldRender,
+                            const std::string& source = kBase) {
   EXPECT_EQ(session.epoch(), 1u);
-  SessionResult again = session.submit(kBase);
+  SessionResult again = session.submit(source);
   ASSERT_TRUE(again.ok);
   EXPECT_GE(again.stats.fileSkips, 1u);
   EXPECT_EQ(coldRender, render(again));
@@ -257,9 +276,9 @@ TEST(StoreTest, RestoreRejectsVersionMismatchAndBadMagic) {
   const std::string bytes = slurp(snap.path);
 
   // Rewrite the schema version field (offset 4, little-endian u32): a
-  // future version and the retired v1 are both version skew.
+  // future version and the retired v1 and v2 are all version skew.
   store::StoreResult r;
-  for (int version : {99, 1}) {
+  for (int version : {99, 1, 2}) {
     std::string versioned = bytes;
     versioned[4] = static_cast<char>(version);
     spit(snap.path, versioned);
@@ -290,7 +309,7 @@ TEST(StoreTest, RestoreRejectsMissingFile) {
   EXPECT_TRUE(session.submit(kBase).ok);
 }
 
-// ----- schema v2: loop-granular reuse across save/restore (§4.9) -----------
+// ----- loop-granular reuse across save/restore (§4.9) ----------------------
 
 /// Four independent doubly-nested loop nests; `editedNest` (1-based, 0 =
 /// none) changes a constant inside that nest, `comment` shifts every
@@ -330,8 +349,8 @@ TEST(StoreTest, V2RoundTripFastPathsLoopGranularReuse) {
   ASSERT_TRUE(inProcess.ok);
   ASSERT_EQ(inProcess.stats.loopSkips, 6u);
 
-  // The v2 snapshot carries the per-item fingerprints and reuse edges, so
-  // the restored session reuses exactly the same loops.
+  // The snapshot carries the per-item fingerprints and reuse edges, so the
+  // restored session reuses exactly the same loops.
   AnalysisSession restored;
   ASSERT_TRUE(restored.restore(snap.path).ok);
   SessionResult warm = restored.submit(nestSource(1));
@@ -375,14 +394,7 @@ TEST(StoreTest, RestoreRejectsTruncatedV2ItemRecordsAndKeepsSession) {
   // READER's structural bounds checks must catch it, not just the hash.
   std::string payload = bytes.substr(store::kHeaderBytes);
   payload.resize(payload.size() - 48);
-  std::string doctored = bytes.substr(0, store::kHeaderBytes) + payload;
-  const std::uint64_t size = payload.size();
-  const std::uint64_t hash = store::fnv1a(payload);
-  for (int k = 0; k < 8; ++k) {
-    doctored[8 + k] = static_cast<char>((size >> (8 * k)) & 0xff);
-    doctored[16 + k] = static_cast<char>((hash >> (8 * k)) & 0xff);
-  }
-  spit(snap.path, doctored);
+  spit(snap.path, signedSnapshot(bytes.substr(0, store::kHeaderBytes), payload));
 
   store::StoreResult r = session.restore(snap.path);
   EXPECT_FALSE(r.ok);
@@ -394,6 +406,106 @@ TEST(StoreTest, RestoreRejectsTruncatedV2ItemRecordsAndKeepsSession) {
   ASSERT_TRUE(again.ok);
   EXPECT_GE(again.stats.fileSkips, 1u);
   EXPECT_EQ(render(cold), render(again));
+}
+
+// The snapshot carries the ablation switches, not the execution options: a
+// session built without loop-granular reuse keeps it off after restoring a
+// snapshot that a default session saved.
+TEST(StoreTest, RestoreKeepsTheSessionsExecutionOptions) {
+  CacheGuard guard;
+  FileGuard snap{tempPath("store_exec_options.pano")};
+  AnalysisSession saver;
+  ASSERT_TRUE(saver.submit(nestSource(0)).ok);
+  ASSERT_TRUE(saver.save(snap.path).ok);
+
+  AnalysisOptions unitGranular;
+  unitGranular.numThreads = 2;
+  unitGranular.loopGranularReuse = false;
+  AnalysisSession restored(unitGranular);
+  ASSERT_TRUE(restored.restore(snap.path).ok);
+  EXPECT_FALSE(restored.options().loopGranularReuse);
+  EXPECT_EQ(restored.options().numThreads, 2u);
+  SessionResult unitReuse = restored.submit(nestSource(1));
+  ASSERT_TRUE(unitReuse.ok);
+  EXPECT_EQ(unitReuse.stats.loopSkips, 0u);
+
+  AnalysisSession defaultRestored;
+  ASSERT_TRUE(defaultRestored.restore(snap.path).ok);
+  SessionResult loopReuse = defaultRestored.submit(nestSource(1));
+  ASSERT_TRUE(loopReuse.ok);
+  EXPECT_GT(loopReuse.stats.loopSkips, 0u);
+  EXPECT_EQ(render(unitReuse), render(loopReuse));
+}
+
+/// A one-procedure kernel (a 5 KB snapshot) whose loop item survives an
+/// edit to the statement before it, so a warm submit of
+/// `kernelSource("1.0")` after a restore seeds the loop summary read from
+/// the snapshot into the analysis. It accesses arrays of rank 1 and 2, so a
+/// flipped region array id can name an array of the other rank.
+std::string kernelSource(const std::string& init) {
+  return "      subroutine smoke(a, b, n)\n"
+         "      integer n\n"
+         "      real a(n), b(n)\n"
+         "      real t(100), w(10, 10)\n"
+         "      b(1) = " + init + "\n"
+         "      do i = 1, n\n"
+         "        t(i) = a(i) * 2.0\n"
+         "        w(i, 2) = t(i)\n"
+         "        b(i) = t(i) + w(i, 2)\n"
+         "      enddo\n"
+         "      end\n";
+}
+
+// Fault injection over a whole snapshot of a one-procedure kernel: at every
+// payload offset, a truncation there and (separately) a one-bit flip there,
+// each behind a re-signed header. Every truncation fails with a diagnostic
+// and leaves the session serving its previous warm result; every flip
+// either does the same or restores a session that warm-submits cleanly.
+TEST(StoreTest, EveryTruncationAndBitFlipFailsCleanlyOrRestores) {
+  CacheGuard guard;
+  const std::string source = kernelSource("0.0");
+  FileGuard pristine{tempPath("store_sweep_pristine.pano")};
+  FileGuard snap{tempPath("store_sweep.pano")};
+  AnalysisOptions options;
+  options.numThreads = 1;
+  AnalysisSession session(options);
+  SessionResult cold = session.submit(source);
+  ASSERT_TRUE(cold.ok);
+  ASSERT_TRUE(session.save(pristine.path).ok);
+  const std::string bytes = slurp(pristine.path);
+  const std::string header = bytes.substr(0, store::kHeaderBytes);
+  const std::string payload = bytes.substr(store::kHeaderBytes);
+  const std::string want = render(cold);
+  {
+    AnalysisSession probe(options);
+    ASSERT_TRUE(probe.restore(pristine.path).ok);
+    SessionResult warm = probe.submit(kernelSource("1.0"));
+    ASSERT_TRUE(warm.ok);
+    ASSERT_EQ(warm.stats.loopSkips, 1u) << "the warm edit must reuse the restored loop";
+  }
+
+  for (std::size_t offset = 0; offset < payload.size(); ++offset) {
+    SCOPED_TRACE("payload offset " + std::to_string(offset));
+    spit(snap.path, signedSnapshot(header, payload.substr(0, offset)));
+    store::StoreResult r = session.restore(snap.path);
+    ASSERT_FALSE(r.ok) << "a truncated snapshot restored";
+    EXPECT_NE(r.error.find("snapshot"), std::string::npos) << r.error;
+    expectSessionUntouched(session, want, source);
+
+    std::string flipped = payload;
+    flipped[offset] = static_cast<char>(flipped[offset] ^ (1 << (offset % 8)));
+    spit(snap.path, signedSnapshot(header, flipped));
+    r = session.restore(snap.path);
+    if (!r.ok) {
+      EXPECT_NE(r.error.find("snapshot"), std::string::npos) << r.error;
+      expectSessionUntouched(session, want, source);
+      continue;
+    }
+    SessionResult warm = session.submit(kernelSource("1.0"));
+    EXPECT_TRUE(warm.ok) << warm.error;
+    // Back to the pristine state for the next offset.
+    ASSERT_TRUE(session.restore(pristine.path).ok);
+  }
 }
 
 TEST(StoreTest, SaveUnderConcurrentSubmitsSnapshotsOneConsistentEpoch) {
