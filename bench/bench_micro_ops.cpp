@@ -154,6 +154,37 @@ void BM_PredicateImplies(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateImplies);
 
+// ----- allocation-free hits -----
+// A repeat comparison builds its FM key in a reused per-thread buffer and
+// looks it up borrowed; a repeat conjunction merges two canonical clause
+// lists in a reused buffer and lands on the interned node.
+
+void BM_CmpLeHit(benchmark::State& state) {
+  Fixture& f = fx();
+  ConstraintSet cs;
+  cs.addExprLE0(f.I - f.N);    // i <= n
+  cs.addExprLE0(f.one - f.I);  // i >= 1
+  const CmpCtx ctx(cs);
+  (void)ctx.le(f.I, f.N + 1);  // the verdict is cached from here on
+  for (auto _ : state) {
+    Truth t = ctx.le(f.I, f.N + 1);
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_CmpLeHit);
+
+void BM_PredAndHit(benchmark::State& state) {
+  Fixture& f = fx();
+  Pred a = Pred::atom(Atom::le(f.I, f.N)) && Pred::atom(Atom::ge(f.I, f.one));
+  Pred b = Pred::atom(Atom::le(f.N, f.M));
+  (void)(a && b);  // interned from here on
+  for (auto _ : state) {
+    Pred p = a && b;
+    benchmark::DoNotOptimize(p);
+  }
+}
+BENCHMARK(BM_PredAndHit);
+
 void BM_FourierMotzkin(benchmark::State& state) {
   Fixture& f = fx();
   ConstraintSet cs;

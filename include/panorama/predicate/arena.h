@@ -3,13 +3,17 @@
 // id layout shared by both arenas: shard index in the low bits, per-shard
 // sequence above). Append-only, process lifetime, stable node addresses;
 // atom equality inside the dedup compare is O(1) because atoms hold interned
-// expression handles.
+// expression handles. Hits allocate nothing and usually take no lock, as in
+// the expression arena: `intern` compares a borrowed candidate in place,
+// copies it only on a miss, and a per-thread front cache
+// (support/front_cache.h) answers a thread's repeat hits.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,8 +27,9 @@ class PredArena {
   static PredArena& global();
 
   /// Interns a *canonical* clause list (see predicate.h for the invariant)
-  /// and returns the unique handle.
-  PredRef intern(std::vector<Disjunct> clauses, bool unknown);
+  /// and returns the unique handle. The clauses are copied only when the
+  /// value is new.
+  PredRef intern(std::span<const Disjunct> clauses, bool unknown);
 
   /// Arena occupancy for `--stats` (see ExprArena::Stats).
   struct Stats {
@@ -36,6 +41,9 @@ class PredArena {
   Stats stats() const;
 
  private:
+  // One instance only: the per-thread front cache is keyed by node type.
+  PredArena() = default;
+
   static constexpr std::size_t kShardBits = 4;
   static constexpr std::size_t kShards = 1u << kShardBits;
 

@@ -14,7 +14,9 @@
 //
 // The entry also stores the atom's negation once Atom::negated() has
 // derived it. The table is append-only and process-wide like the arenas,
-// and stays on under --no-cache.
+// and stays on under --no-cache. Like the arenas, it answers a thread's
+// repeat lookups from a per-thread front cache (support/front_cache.h)
+// without the shard lock; other lookups and every insert take the lock.
 #pragma once
 
 #include <atomic>

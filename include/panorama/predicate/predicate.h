@@ -25,6 +25,7 @@
 // simplify() rebind the handle to the simplified value's node.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -136,11 +137,16 @@ class PredRef {
   friend class PredArena;
   explicit PredRef(const detail::PredNode* node) : node_(node) {}
 
-  /// Normalizes `clauses` (the old in-place normalize()) and interns.
-  static PredRef make(std::vector<Disjunct> clauses, bool unknown);
-  /// Interns an already-canonical clause list.
-  static PredRef makeRaw(std::vector<Disjunct> clauses, bool unknown);
-  static void normalizeClauses(std::vector<Disjunct>& clauses);
+  /// Normalizes `clauses` in place and interns the canonical result.
+  static PredRef make(std::span<Disjunct> clauses, bool unknown);
+  /// Interns an already-canonical clause list (copied only if new).
+  static PredRef makeRaw(std::span<const Disjunct> clauses, bool unknown);
+  /// The False clause list (one empty clause), with or without Δ.
+  static PredRef makeFalse(bool unknown);
+  /// Normalizes in place — False absorbs the conjunction, atoms and clauses
+  /// sorted and deduplicated — and returns the canonical prefix's length.
+  /// Slots are only ever swapped, so a reused buffer keeps its capacity.
+  static std::size_t normalizeClauses(std::span<Disjunct> clauses);
   /// The actual simplifier passes; simplify() wraps this in the memo.
   static PredRef simplifyUncached(std::vector<Disjunct> clauses, bool unknown);
 

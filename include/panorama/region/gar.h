@@ -19,6 +19,8 @@
 
 namespace panorama {
 
+class GarList;
+
 class Gar {
  public:
   Gar() = default;
@@ -67,6 +69,8 @@ class Gar {
   }
 
  private:
+  friend void simplifyGarList(GarList&, const CmpCtx&, const ArrayTable*);
+
   Pred guard_;     // defaults to True
   Region region_;  // empty dims means "no region" (invalid; use make())
 };

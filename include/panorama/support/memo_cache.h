@@ -3,6 +3,11 @@
 // feasibility, atom-pair and implication verdicts (QueryCache), the
 // Pred::simplify and ExprRef::substitute results, and the memoized FM
 // eliminator's canonical systems are all ShardedMemo instances.
+//
+// A hit allocates nothing: callers build a key's words on the stack or in a
+// reused per-thread buffer and look them up as a borrowed word range
+// (heterogeneous lookup through the transparent WordHash/WordEq); only a
+// miss copies the words into an owned Key, once, for store().
 #pragma once
 
 #include <algorithm>
@@ -10,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -34,7 +40,9 @@ struct MemoStats {
 };
 
 /// FNV-1a over a sequence of 64-bit words: the hash of every memo key.
+/// Transparent, so a borrowed word range hashes like the stored key.
 struct WordHash {
+  using is_transparent = void;
   template <class Words>
   std::size_t operator()(const Words& words) const {
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -43,6 +51,16 @@ struct WordHash {
       h *= 0x100000001b3ull;
     }
     return static_cast<std::size_t>(h);
+  }
+};
+
+/// Word-wise equality of any two word ranges (a stored key against a
+/// borrowed candidate); transparent like WordHash.
+struct WordEq {
+  using is_transparent = void;
+  template <class A, class B>
+  bool operator()(const A& a, const B& b) const {
+    return std::equal(std::begin(a), std::end(a), std::begin(b), std::end(b));
   }
 };
 
@@ -77,11 +95,14 @@ class ShardedMemo {
 
   explicit ShardedMemo(const std::atomic<std::size_t>& capacity) : capacity_(capacity) {}
 
-  std::optional<Value> lookup(const Key& key) {
+  /// Looks up `words`: a Key, or (with the transparent WordHash) any
+  /// borrowed word range equal to a stored key, so a hit builds no Key.
+  template <class Words = Key>
+  std::optional<Value> lookup(const Words& words) {
     if (capacity_.load(std::memory_order_acquire) == 0) return std::nullopt;
-    Shard& shard = shardFor(key);
+    Shard& shard = shardFor(words);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
+    auto it = shard.map.find(words);
     if (it == shard.map.end()) {
       ++shard.misses;
       return std::nullopt;
@@ -137,14 +158,17 @@ class ShardedMemo {
  private:
   struct Shard {
     std::mutex mutex;
-    std::unordered_map<Key, Value, Hash> map;
+    std::unordered_map<Key, Value, Hash, WordEq> map;
     std::deque<const Key*> order;  ///< insertion order; victims leave from the front
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
   };
 
-  Shard& shardFor(const Key& key) const { return shards_[shardOf(key)]; }
+  template <class Words>
+  Shard& shardFor(const Words& words) const {
+    return shards_[Hash{}(words) % kShards];
+  }
 
   const std::atomic<std::size_t>& capacity_;
   mutable std::array<Shard, kShards> shards_;
@@ -179,7 +203,11 @@ class QueryCache {
   /// The capacity the simplify and substitute memos share with this cache.
   const std::atomic<std::size_t>& sharedCapacity() const { return capacity_; }
 
-  std::optional<Truth> lookup(const Key& key) { return verdicts_.lookup(key); }
+  /// A Key, or any borrowed word range (a stack array, a reused buffer).
+  template <class Words = Key>
+  std::optional<Truth> lookup(const Words& words) {
+    return verdicts_.lookup(words);
+  }
   void store(Key key, Truth verdict) { verdicts_.store(std::move(key), verdict); }
   Stats stats() const { return verdicts_.stats(); }
   /// Drops verdicts and counters but keeps the capacity.

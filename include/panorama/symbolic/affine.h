@@ -26,9 +26,14 @@ struct AffineForm {
 
   /// Extraction; nullopt when `e` is poisoned or has degree > 1.
   static std::optional<AffineForm> fromExpr(const SymExpr& e);
+  /// fromExpr into `out`, reusing its capacity; false (and `out`
+  /// unspecified) when `e` is poisoned or has degree > 1.
+  static bool fromExprInto(const SymExpr& e, AffineForm& out);
   SymExpr toExpr() const;
 
   AffineForm scaled(std::int64_t k) const;
+  /// scaled(k) into `out`, reusing its capacity.
+  void scaledInto(std::int64_t k, AffineForm& out) const;
   friend AffineForm operator+(const AffineForm& a, const AffineForm& b);
   friend AffineForm operator-(const AffineForm& a, const AffineForm& b);
 

@@ -20,6 +20,13 @@
 // for the life of the process. Analyzer runs are short-lived batch jobs
 // (the driver analyzes a corpus and exits), so retiring dead nodes is not
 // worth the synchronization it would cost the parallel driver.
+//
+// Hits allocate nothing and usually take no lock. `intern` takes a borrowed
+// candidate (callers build it in a reused per-thread buffer,
+// support/slot_scratch.h), hashes it and compares it against the bucket in
+// place; only a miss copies it into a node. A per-thread front cache
+// (support/front_cache.h) answers a thread's repeat hits without the shard
+// lock; inserts always take it.
 #pragma once
 
 #include <array>
@@ -27,6 +34,7 @@
 #include <deque>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -40,8 +48,9 @@ class ExprArena {
   static ExprArena& global();
 
   /// Interns a *canonical* term list (sorted, merged, zero-coefficient free;
-  /// poisoned values carry no terms) and returns the unique handle.
-  ExprRef intern(std::vector<Term> terms, bool poisoned);
+  /// poisoned values carry no terms) and returns the unique handle. The
+  /// terms are copied only when the value is new.
+  ExprRef intern(std::span<const Term> terms, bool poisoned);
 
   /// Arena occupancy for `--stats`: distinct values, approximate resident
   /// bytes, and the least/most populated shard (balance check).
@@ -54,6 +63,9 @@ class ExprArena {
   Stats stats() const;
 
  private:
+  // One instance only: the per-thread front cache is keyed by node type.
+  ExprArena() = default;
+
   static constexpr std::size_t kShardBits = 4;
   static constexpr std::size_t kShards = 1u << kShardBits;
 

@@ -138,11 +138,6 @@ class ExprRef {
   friend class ExprArena;
   explicit ExprRef(const detail::ExprNode* node) : node_(node) {}
 
-  /// Sorts/merges `terms` (poisoning on coefficient overflow) and interns.
-  static ExprRef makeNormalized(std::vector<Term> terms);
-  /// Interns an already-canonical term list.
-  static ExprRef makeCanonical(std::vector<Term> terms, bool poisoned);
-
   const detail::ExprNode* node_;
 };
 

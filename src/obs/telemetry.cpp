@@ -3,6 +3,7 @@
 // latch is hand-rolled instead of std::atomic<shared_ptr>).
 #include "panorama/obs/telemetry.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -23,6 +24,14 @@ std::size_t roundUpPow2(std::size_t n) {
   std::size_t p = 2;
   while (p < n) p <<= 1;
   return p;
+}
+
+/// Appends the decimal rendering of an integer (std::to_chars, no
+/// temporary string; 24 chars hold any 64-bit value).
+template <class Int>
+void appendDecimal(std::string& out, Int value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 }  // namespace
@@ -61,18 +70,20 @@ const char* eventKindName(EventKind kind) {
 }
 
 EventFields& EventFields::num(std::string_view key, std::uint64_t value) {
+  text_.reserve(text_.size() + key.size() + 24);
   text_ += ",\"";
   text_ += key;
   text_ += "\":";
-  text_ += std::to_string(value);
+  appendDecimal(text_, value);
   return *this;
 }
 
 EventFields& EventFields::num(std::string_view key, std::int64_t value) {
+  text_.reserve(text_.size() + key.size() + 25);
   text_ += ",\"";
   text_ += key;
   text_ += "\":";
-  text_ += std::to_string(value);
+  appendDecimal(text_, value);
   return *this;
 }
 
@@ -111,13 +122,23 @@ std::uint64_t EventLog::append(EventKind kind, std::string fields) {
   const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
   auto rec = std::make_shared<Rec>();
   rec->seq = seq;
-  char head[96];
-  std::snprintf(head, sizeof(head), "{\"seq\":%llu,\"ts_ms\":%.3f,\"kind\":\"%s\"",
-                static_cast<unsigned long long>(seq),
-                static_cast<double>(steadyNowNs() - epochNs_) / 1e6, eventKindName(kind));
-  rec->json = head;
-  rec->json += fields;
-  rec->json += '}';
+  // ts_ms: milliseconds with three decimals, rounded to the microsecond.
+  const std::int64_t us = (steadyNowNs() - epochNs_ + 500) / 1000;
+  const std::string_view kindName = eventKindName(kind);
+  std::string& json = rec->json;
+  json.reserve(64 + kindName.size() + fields.size());
+  json += "{\"seq\":";
+  appendDecimal(json, seq);
+  json += ",\"ts_ms\":";
+  appendDecimal(json, us / 1000);
+  const char frac[4] = {'.', static_cast<char>('0' + us / 100 % 10),
+                        static_cast<char>('0' + us / 10 % 10), static_cast<char>('0' + us % 10)};
+  json.append(frac, sizeof(frac));
+  json += ",\"kind\":\"";
+  json += kindName;
+  json += '"';
+  json += fields;
+  json += '}';
   Slot& slot = slots_[seq & mask_];
   {
     SlotLatch latch(slot.busy);

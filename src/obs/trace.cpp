@@ -174,27 +174,28 @@ bool Tracer::writeChromeTrace(const std::string& path) const {
 }
 
 void Span::arg(std::string_view key, std::string value) {
-  if (active_) event_.args.emplace_back(std::string(key), std::move(value));
+  if (event_) event_->args.emplace_back(std::string(key), std::move(value));
 }
 
 void Span::begin(const char* category, std::string_view name) {
-  event_.category = category;
-  event_.name = std::string(name);
-  event_.startNs = Tracer::global().nowNs();
-  active_ = true;
+  TraceEvent& event = event_.emplace();
+  event.category = category;
+  event.name = std::string(name);
+  event.startNs = Tracer::global().nowNs();
 }
 
 void Span::end() {
   Tracer& tracer = Tracer::global();
-  event_.durNs = tracer.nowNs() - event_.startNs;
+  TraceEvent& event = *event_;
+  event.durNs = tracer.nowNs() - event.startNs;
   // A span that straddles clear() measures against a re-based epoch and can
   // come out negative; clamp so consumers (profile builder, Chrome export)
   // never see a negative duration.
-  if (event_.durNs < 0) event_.durNs = 0;
+  if (event.durNs < 0) event.durNs = 0;
   // A span that straddles disable() is still recorded: the buffer always
   // accepts; only *construction* consults the enabled flag.
-  tracer.localBuffer().append(std::move(event_));
-  active_ = false;
+  tracer.localBuffer().append(std::move(event));
+  event_.reset();
 }
 
 }  // namespace panorama::obs

@@ -125,9 +125,14 @@ bool Interval::clampLo(std::int64_t bound) {
   return true;
 }
 
-std::vector<std::pair<VarId, Interval>> intervalFixpoint(
-    const std::vector<LinearConstraint>& constraints) {
-  std::vector<VarSlot> slots;
+namespace {
+
+/// The interval fixpoint of `constraints` into `slots` (one per distinct
+/// variable, ascending), reusing its capacity. False when a derived bound
+/// escaped int64 in the emptying direction: no int64 witness can exist.
+bool fixpointInto(const std::vector<LinearConstraint>& constraints,
+                  std::vector<VarSlot>& slots) {
+  slots.clear();
   for (const LinearConstraint& c : constraints)
     for (const auto& [v, coeff] : c.form.coeffs) {
       std::size_t at = slotOf(slots, v);
@@ -135,22 +140,27 @@ std::vector<std::pair<VarId, Interval>> intervalFixpoint(
         slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(at), {v, Interval::top()});
     }
 
-  bool representable = true;
-  for (std::size_t round = 0; round < kMaxRounds && representable; ++round) {
+  thread_local AffineForm flipped;  // an equality's second half, -form <= 0
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     bool changed = false;
     for (const LinearConstraint& c : constraints) {
       if (c.kind == ConstraintKind::NE0) continue;
-      if (!refineLE(c.form, slots, changed)) {
-        representable = false;
-        break;
-      }
-      if (c.kind == ConstraintKind::EQ0 && !refineLE(c.form.scaled(-1), slots, changed)) {
-        representable = false;
-        break;
-      }
+      if (!refineLE(c.form, slots, changed)) return false;
+      if (c.kind != ConstraintKind::EQ0) continue;
+      c.form.scaledInto(-1, flipped);
+      if (!refineLE(flipped, slots, changed)) return false;
     }
     if (!changed) break;
   }
+  return true;
+}
+
+}  // namespace
+
+std::vector<std::pair<VarId, Interval>> intervalFixpoint(
+    const std::vector<LinearConstraint>& constraints) {
+  std::vector<VarSlot> slots;
+  const bool representable = fixpointInto(constraints, slots);
   std::vector<std::pair<VarId, Interval>> out;
   out.reserve(slots.size());
   for (const VarSlot& s : slots) out.emplace_back(s.var, s.itv);
@@ -197,8 +207,15 @@ std::optional<Truth> tryDischarge(const std::vector<LinearConstraint>& constrain
     if (g > 1 && (c.form.constant % g) != 0) return std::nullopt;
   }
 
-  std::vector<std::pair<VarId, Interval>> intervals = intervalFixpoint(constraints);
-  const std::size_t varCount = intervals.size();
+  // Per-thread buffers, reused through assign and swap so a query copies
+  // no constraint vector per candidate value.
+  thread_local std::vector<VarSlot> slots;
+  thread_local std::vector<LinearConstraint> working;
+  thread_local std::vector<LinearConstraint> trial;
+  thread_local std::vector<std::pair<VarId, std::int64_t>> assignment;
+
+  bool representable = fixpointInto(constraints, slots);
+  const std::size_t varCount = slots.size();
   if (varCount > budget.maxVariables) return std::nullopt;
 
   // Greedy witness search in ascending variable order: pinned equality
@@ -207,18 +224,19 @@ std::optional<Truth> tryDischarge(const std::vector<LinearConstraint>& constrain
   // the reduced system before every choice, so earlier assignments steer
   // later candidates (1 <= i <= n first pins i = 1, then bounds n). No
   // backtracking — a dead end declines to the precise engine.
-  std::vector<LinearConstraint> working = constraints;
-  std::vector<std::pair<VarId, std::int64_t>> assignment;
-  assignment.reserve(varCount);
+  working.assign(constraints.begin(), constraints.end());
+  assignment.clear();
 
   for (std::size_t round = 0; round < varCount; ++round) {
-    for (const auto& [v, itv] : intervals)
-      if (itv.empty()) return std::nullopt;
+    if (!representable) return std::nullopt;
+    for (const VarSlot& s : slots)
+      if (s.itv.empty()) return std::nullopt;
 
     // The fixpoint only covers variables still present in the working
     // system; assigned (and vanished) variables are gone from it.
-    if (intervals.empty()) break;
-    const auto [v, itv] = intervals.front();
+    if (slots.empty()) break;
+    const VarId v = slots.front().var;
+    const Interval itv = slots.front().itv;
 
     std::int64_t pinned = 0;
     bool hasPinned = false;
@@ -254,15 +272,15 @@ std::optional<Truth> tryDischarge(const std::vector<LinearConstraint>& constrain
     bool assigned = false;
     for (std::size_t k = 0; k < n && !assigned; ++k) {
       if (k > 0 && candidates[k] == candidates[k - 1]) continue;
-      std::vector<LinearConstraint> trial = working;
+      trial.assign(working.begin(), working.end());
       if (substitute(trial, v, candidates[k])) {
-        working = std::move(trial);
+        working.swap(trial);
         assignment.emplace_back(v, candidates[k]);
         assigned = true;
       }
     }
     if (!assigned) return std::nullopt;
-    intervals = intervalFixpoint(working);
+    representable = fixpointInto(working, slots);
   }
 
   if (assignment.size() != varCount) return std::nullopt;

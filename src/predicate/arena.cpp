@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <mutex>
 
+#include "panorama/support/front_cache.h"
+
 namespace panorama {
 
 namespace {
 
-std::size_t hashClauses(const std::vector<Disjunct>& clauses, bool unknown) {
+std::size_t hashClauses(std::span<const Disjunct> clauses, bool unknown) {
   std::size_t h = unknown ? 0x9e3779b9u : 0;
   for (const Disjunct& d : clauses) {
     h = h * 131 + d.atoms.size();
@@ -29,31 +31,37 @@ PredArena& PredArena::global() {
   return arena;
 }
 
-PredRef PredArena::intern(std::vector<Disjunct> clauses, bool unknown) {
+PredRef PredArena::intern(std::span<const Disjunct> clauses, bool unknown) {
   const std::size_t h = hashClauses(clauses, unknown);
+  auto same = [&](const detail::PredNode* n) {
+    return n->hash == h && n->unknown == unknown &&
+           std::equal(n->clauses.begin(), n->clauses.end(), clauses.begin(), clauses.end());
+  };
+  const detail::PredNode*& front = frontCacheSlot<detail::PredNode>(h);
+  if (front && same(front)) return PredRef(front);
   const std::size_t s = h % kShards;
   Shard& shard = shards_[s];
   auto find = [&]() -> const detail::PredNode* {
     auto it = shard.index.find(h);
     if (it == shard.index.end()) return nullptr;
     for (const detail::PredNode* n : it->second)
-      if (n->unknown == unknown && n->clauses == clauses) return n;
+      if (same(n)) return n;
     return nullptr;
   };
   {
     std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    if (const detail::PredNode* n = find()) return PredRef(n);
+    if (const detail::PredNode* n = find()) return PredRef(front = n);
   }
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  if (const detail::PredNode* n = find()) return PredRef(n);
+  if (const detail::PredNode* n = find()) return PredRef(front = n);
   detail::PredNode& node = shard.nodes.emplace_back();
-  node.clauses = std::move(clauses);
+  node.clauses.assign(clauses.begin(), clauses.end());
   node.unknown = unknown;
   node.hash = h;
   node.id = (shard.next++ << kShardBits) | static_cast<std::uint64_t>(s);
   shard.index[h].push_back(&node);
   shard.bytes += footprint(node);
-  return PredRef(&node);
+  return PredRef(front = &node);
 }
 
 PredArena::Stats PredArena::stats() const {

@@ -1,6 +1,7 @@
 #include "panorama/predicate/atom.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "panorama/predicate/intern.h"
@@ -395,14 +396,12 @@ Truth atomsContradict(const Atom& a, const Atom& b) {
   // are interned atom keys (exact structural identity, no collision risk),
   // symmetric-normalized.
   QueryCache& cache = QueryCache::global();
-  QueryCache::Key key;
-  if (cache.enabled()) {
-    std::uint64_t ka = atomKey(a);
-    std::uint64_t kb = atomKey(b);
-    if (kb < ka) std::swap(ka, kb);  // contradiction is symmetric
-    key = {QueryCache::AtomsContradict, ka, kb};
+  std::uint64_t ka = atomKey(a);
+  std::uint64_t kb = atomKey(b);
+  if (kb < ka) std::swap(ka, kb);  // contradiction is symmetric
+  const std::array<std::uint64_t, 3> key{QueryCache::AtomsContradict, ka, kb};
+  if (cache.enabled())
     if (auto hit = cache.lookup(key)) return *hit;
-  }
   Truth result = [&] {
   if (a.kind() == Atom::Kind::LogVar && b.kind() == Atom::Kind::LogVar) {
     if (a.logical() == b.logical() && a.logicalValue() != b.logicalValue()) return Truth::True;
@@ -448,7 +447,7 @@ Truth atomsContradict(const Atom& a, const Atom& b) {
   Truth t = cs.contradictory();
   return t == Truth::True ? Truth::True : Truth::Unknown;
   }();
-  if (cache.enabled()) cache.store(std::move(key), result);
+  if (cache.enabled()) cache.store(QueryCache::Key(key.begin(), key.end()), result);
   return result;
 }
 

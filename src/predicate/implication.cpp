@@ -3,6 +3,8 @@
 // privatizability proofs.
 #include "panorama/predicate/predicate.h"
 
+#include <array>
+
 #include "panorama/obs/provenance.h"
 #include "panorama/obs/trace.h"
 #include "panorama/predicate/intern.h"
@@ -47,11 +49,9 @@ Truth Pred::implies(const Pred& other) const {
   // Memoized in the global query cache under interned predicate keys (exact
   // structural identity).
   QueryCache& cache = QueryCache::global();
-  QueryCache::Key key;
-  if (cache.enabled()) {
-    key = {QueryCache::PredImplies, predKey(*this), predKey(other)};
+  const std::array<std::uint64_t, 3> key{QueryCache::PredImplies, predKey(*this), predKey(other)};
+  if (cache.enabled())
     if (auto hit = cache.lookup(key)) return *hit;
-  }
 
   // Cold evaluation below: traced as a query span, and an Unknown verdict
   // is reported to the active provenance scope (cached verdicts skip both —
@@ -102,7 +102,7 @@ Truth Pred::implies(const Pred& other) const {
     obs::ProvenanceScope::note("implies",
                                "predicate implication undecided (clause not subsumed and FM "
                                "refutation inconclusive)");
-  if (cache.enabled()) cache.store(std::move(key), verdict);
+  if (cache.enabled()) cache.store(QueryCache::Key(key.begin(), key.end()), verdict);
   return verdict;
 }
 

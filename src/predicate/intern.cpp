@@ -12,6 +12,8 @@
 #include <shared_mutex>
 #include <unordered_set>
 
+#include "panorama/support/front_cache.h"
+
 namespace panorama {
 
 namespace {
@@ -35,25 +37,30 @@ struct FieldHash {
   std::size_t operator()(const AtomEntry* e) const noexcept { return e->atom.hashValue(); }
 };
 
-/// Sharded, append-only table of atom entries. Lookups take the shard's
-/// shared lock, insertions its exclusive lock; nothing else does, so no
-/// lock is held while an atom's negation is derived.
+/// Sharded, append-only table of atom entries. A thread's repeat lookups
+/// are answered by its front cache (support/front_cache.h) without a lock;
+/// other lookups take the shard's shared lock, insertions its exclusive
+/// lock. Nothing else locks, so no lock is held while an atom's negation is
+/// derived.
 class AtomTable {
  public:
   const AtomEntry& intern(const Atom& a) {
-    const std::size_t s = a.hashValue() % kShards;
-    Shard& shard = shards_[s];
+    const std::size_t h = a.hashValue();
     const AtomEntry probe(a, 0);
+    const AtomEntry*& front = frontCacheSlot<AtomEntry>(h);
+    if (front && SameFields{}(front, &probe)) return *front;
+    const std::size_t s = h % kShards;
+    Shard& shard = shards_[s];
     {
       std::shared_lock<std::shared_mutex> lock(shard.mutex);
-      if (auto it = shard.index.find(&probe); it != shard.index.end()) return **it;
+      if (auto it = shard.index.find(&probe); it != shard.index.end()) return *(front = *it);
     }
     std::unique_lock<std::shared_mutex> lock(shard.mutex);
-    if (auto it = shard.index.find(&probe); it != shard.index.end()) return **it;
+    if (auto it = shard.index.find(&probe); it != shard.index.end()) return *(front = *it);
     const std::uint64_t key = (shard.next++ << kShardBits) | static_cast<std::uint64_t>(s);
     const AtomEntry& entry = shard.entries.emplace_back(a, key);
     shard.index.insert(&entry);
-    return entry;
+    return *(front = &entry);
   }
 
   void storeNegation(const AtomEntry& e, const AtomEntry& neg) {

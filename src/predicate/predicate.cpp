@@ -3,8 +3,16 @@
 #include <algorithm>
 
 #include "panorama/predicate/arena.h"
+#include "panorama/support/slot_scratch.h"
 
 namespace panorama {
+
+namespace {
+
+/// The calling thread's candidate clause list (support/slot_scratch.h).
+using ClauseScratch = SlotScratch<Disjunct, &Disjunct::atoms>;
+
+}  // namespace
 
 PredRef::PredRef() {
   static const detail::PredNode* trueNode =
@@ -12,13 +20,17 @@ PredRef::PredRef() {
   node_ = trueNode;
 }
 
-PredRef PredRef::makeRaw(std::vector<Disjunct> clauses, bool unknown) {
-  return PredArena::global().intern(std::move(clauses), unknown);
+PredRef PredRef::makeRaw(std::span<const Disjunct> clauses, bool unknown) {
+  return PredArena::global().intern(clauses, unknown);
+}
+
+PredRef PredRef::makeFalse(bool unknown) {
+  static const Disjunct emptyClause;
+  return makeRaw({&emptyClause, 1}, unknown);
 }
 
 PredRef PredRef::makeFalse() {
-  static const detail::PredNode* falseNode =
-      PredArena::global().intern({Disjunct{}}, /*unknown=*/false).node_;
+  static const detail::PredNode* falseNode = makeFalse(/*unknown=*/false).node_;
   return PredRef(falseNode);
 }
 
@@ -35,7 +47,9 @@ PredRef PredRef::atom(Atom a) {
     case Truth::False: return makeFalse();
     case Truth::Unknown: break;
   }
-  return makeRaw({Disjunct::single(std::move(a))}, false);
+  ClauseScratch& scratch = ClauseScratch::local();
+  scratch.push().atoms.push_back(std::move(a));
+  return makeRaw(scratch.items(), false);
 }
 
 bool PredRef::isFalse() const {
@@ -45,31 +59,47 @@ bool PredRef::isFalse() const {
   return false;
 }
 
-void PredRef::normalizeClauses(std::vector<Disjunct>& clauses) {
-  for (const Disjunct& d : clauses) {
+std::size_t PredRef::normalizeClauses(std::span<Disjunct> clauses) {
+  for (Disjunct& d : clauses) {
     if (d.isFalse()) {
-      clauses.assign(1, Disjunct{});
-      return;
+      std::swap(clauses.front(), d);
+      return 1;
     }
   }
   for (Disjunct& d : clauses) d.normalize();
   std::sort(clauses.begin(), clauses.end(),
             [](const Disjunct& a, const Disjunct& b) { return Disjunct::compare(a, b) < 0; });
-  clauses.erase(std::unique(clauses.begin(), clauses.end()), clauses.end());
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < clauses.size(); ++k)
+    if (kept == 0 || !(clauses[kept - 1] == clauses[k])) std::swap(clauses[kept++], clauses[k]);
+  return kept;
 }
 
-PredRef PredRef::make(std::vector<Disjunct> clauses, bool unknown) {
-  normalizeClauses(clauses);
-  return makeRaw(std::move(clauses), unknown);
+PredRef PredRef::make(std::span<Disjunct> clauses, bool unknown) {
+  return makeRaw(clauses.first(normalizeClauses(clauses)), unknown);
 }
 
 PredRef operator&&(const PredRef& a, const PredRef& b) {
   if (a.isFalse() || b.isFalse()) return PredRef::makeFalse();
   if (a.isTrue()) return b;  // conjunction with True is identity
   if (b.isTrue()) return a;
-  std::vector<Disjunct> clauses = a.node_->clauses;
-  clauses.insert(clauses.end(), b.node_->clauses.begin(), b.node_->clauses.end());
-  return PredRef::make(std::move(clauses), a.node_->unknown || b.node_->unknown);
+  // Both clause lists are canonical, so merging them (one copy of a clause
+  // both share) yields the normalized conjunction.
+  ClauseScratch& scratch = ClauseScratch::local();
+  const std::vector<Disjunct>& ca = a.node_->clauses;
+  const std::vector<Disjunct>& cb = b.node_->clauses;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < ca.size() || j < cb.size()) {
+    const int c = i == ca.size()   ? 1
+                  : j == cb.size() ? -1
+                                   : Disjunct::compare(ca[i], cb[j]);
+    const Disjunct& src = c <= 0 ? ca[i] : cb[j];
+    scratch.push().atoms.assign(src.atoms.begin(), src.atoms.end());
+    if (c <= 0) ++i;
+    if (c >= 0) ++j;
+  }
+  return PredRef::makeRaw(scratch.items(), a.node_->unknown || b.node_->unknown);
 }
 
 PredRef operator||(const PredRef& a, const PredRef& b) {
@@ -83,17 +113,16 @@ PredRef operator||(const PredRef& a, const PredRef& b) {
   // CNF ∨ CNF: clause-pair distribution. (over-approximations stay such)
   if (a.node_->clauses.size() * b.node_->clauses.size() > kMaxClauses)
     return PredRef::makeUnknown();
-  std::vector<Disjunct> clauses;
+  ClauseScratch& scratch = ClauseScratch::local();
   for (const Disjunct& da : a.node_->clauses) {
     for (const Disjunct& db : b.node_->clauses) {
-      Disjunct merged;
-      merged.atoms = da.atoms;
+      if (da.atoms.size() + db.atoms.size() > kMaxAtomsPerClause) return PredRef::makeUnknown();
+      Disjunct& merged = scratch.push();
+      merged.atoms.assign(da.atoms.begin(), da.atoms.end());
       merged.atoms.insert(merged.atoms.end(), db.atoms.begin(), db.atoms.end());
-      if (merged.atoms.size() > kMaxAtomsPerClause) return PredRef::makeUnknown();
-      clauses.push_back(std::move(merged));
     }
   }
-  return PredRef::make(std::move(clauses), unknown);
+  return PredRef::make(scratch.items(), unknown);
 }
 
 PredRef PredRef::operator!() const {
@@ -122,7 +151,7 @@ PredRef PredRef::operator!() const {
     result = std::move(next);
     if (result.size() > kMaxClauses) return makeUnknown();
   }
-  PredRef p = make(std::move(result), false);
+  PredRef p = make(result, false);
   p.simplify();
   return p;
 }
@@ -148,35 +177,31 @@ std::optional<bool> PredRef::evaluate(const Binding& binding) const {
 }
 
 PredRef PredRef::substituted(VarId v, const ExprRef& replacement) const {
-  std::vector<Disjunct> clauses;
-  clauses.reserve(node_->clauses.size());
+  ClauseScratch& scratch = ClauseScratch::local();
   for (const Disjunct& d : node_->clauses) {
-    Disjunct nd;
+    Disjunct& nd = scratch.push();
     for (const Atom& a : d.atoms) {
       Atom na = a.substituted(v, replacement);
       if (na.isPoisoned()) return makeUnknown();
       nd.atoms.push_back(std::move(na));
     }
-    clauses.push_back(std::move(nd));
   }
-  PredRef r = make(std::move(clauses), node_->unknown);
+  PredRef r = make(scratch.items(), node_->unknown);
   r.simplify();
   return r;
 }
 
 PredRef PredRef::substituted(const std::map<VarId, ExprRef>& replacements) const {
-  std::vector<Disjunct> clauses;
-  clauses.reserve(node_->clauses.size());
+  ClauseScratch& scratch = ClauseScratch::local();
   for (const Disjunct& d : node_->clauses) {
-    Disjunct nd;
+    Disjunct& nd = scratch.push();
     for (const Atom& a : d.atoms) {
       Atom na = a.substituted(replacements);
       if (na.isPoisoned()) return makeUnknown();
       nd.atoms.push_back(std::move(na));
     }
-    clauses.push_back(std::move(nd));
   }
-  PredRef r = make(std::move(clauses), node_->unknown);
+  PredRef r = make(scratch.items(), node_->unknown);
   r.simplify();
   return r;
 }

@@ -145,7 +145,7 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown) {
       continue;
     }
     if (nd.atoms.empty())  // all atoms false: whole predicate is False
-      return makeRaw({Disjunct{}}, unknown);
+      return makeFalse(unknown);
     nd.normalize();
     kept.push_back(std::move(nd));
   }
@@ -182,7 +182,7 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown) {
   // Pass 3: unit resolution. A unit clause {a} removes any atom b with
   // a ∧ b contradictory from other clauses, and deletes clauses containing an
   // atom implied by a.
-  normalizeClauses(clauses);
+  clauses.resize(normalizeClauses(clauses));
   bool changed = true;
   while (changed) {
     changed = false;
@@ -211,13 +211,13 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown) {
           changed = true;
         } else if (d.atoms.empty()) {
           // every literal of the clause clashed with the unit: contradiction
-          return makeRaw({Disjunct{}}, unknown);
+          return makeFalse(unknown);
         } else if (d.atoms.size() != before) {
           changed = true;
         }
       }
     }
-    if (changed) normalizeClauses(clauses);
+    if (changed) clauses.resize(normalizeClauses(clauses));
   }
 
   // Pass 4: clause subsumption (c1 => c2 lets us drop c2 from the
@@ -234,14 +234,14 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown) {
   for (std::size_t i = 0; i < clauses.size(); ++i)
     if (!drop[i]) kept3.push_back(std::move(clauses[i]));
   clauses = std::move(kept3);
-  normalizeClauses(clauses);
+  clauses.resize(normalizeClauses(clauses));
 
   // Pass 5: global satisfiability of what remains.
   const bool falseNow =
       std::any_of(clauses.begin(), clauses.end(), [](const Disjunct& d) { return d.isFalse(); });
   if (falseNow || (!clauses.empty() && cnfUnsat(clauses, /*depth=*/2) == Truth::True))
-    return makeRaw({Disjunct{}}, false);  // False ∧ Δ = False
-  return makeRaw(std::move(clauses), unknown);
+    return makeFalse();  // False ∧ Δ = False
+  return makeRaw(clauses, unknown);
 }
 
 Truth PredRef::provablyFalse() const {

@@ -30,18 +30,20 @@ bool coversWholeArray(const Gar& g, const CmpCtx& ctx, const ArrayTable& arrays)
 }  // namespace
 
 void simplifyGarList(GarList& list, const CmpCtx& ctx, const ArrayTable* arrays) {
-  std::vector<Gar> gars(list.begin(), list.end());
+  // Works on the list's own vector: members and their regions move through
+  // the passes, and each pass compacts in place.
+  std::vector<Gar>& gars = list.gars_;
 
   // Pass 1: guard simplification and dead-piece removal.
   {
-    std::vector<Gar> kept;
+    std::size_t kept = 0;
     for (Gar& g : gars) {
       Pred guard = g.guard();
       guard.simplify();
       if (guard.isFalse()) continue;
-      kept.push_back(Gar::make(std::move(guard), g.region(), ctx.psi()));
+      gars[kept++] = Gar::make(std::move(guard), std::move(g.region_), ctx.psi());
     }
-    gars = std::move(kept);
+    gars.resize(kept);
   }
 
   // Pass 2: merge same-region members ([P1,R] ∪ [P2,R] = [P1 ∨ P2, R]) and
@@ -98,15 +100,16 @@ void simplifyGarList(GarList& list, const CmpCtx& ctx, const ArrayTable* arrays)
           drop[i] = true;
       }
     }
-    std::vector<Gar> kept;
-    for (std::size_t i = 0; i < gars.size(); ++i)
-      if (!drop[i]) kept.push_back(std::move(gars[i]));
-    gars = std::move(kept);
+    // Compact the survivors, leaving out the pieces whose guard became
+    // False along the way (what GarList::add would refuse).
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < gars.size(); ++i) {
+      if (drop[i] || gars[i].isEmpty()) continue;
+      if (kept != i) gars[kept] = std::move(gars[i]);
+      ++kept;
+    }
+    gars.resize(kept);
   }
-
-  GarList out;
-  for (Gar& g : gars) out.add(std::move(g));
-  list = std::move(out);
 }
 
 }  // namespace panorama

@@ -4,13 +4,14 @@
 #include <array>
 #include <mutex>
 
+#include "panorama/support/front_cache.h"
 #include "panorama/support/memo_cache.h"
 
 namespace panorama {
 
 namespace {
 
-std::size_t hashTerms(const std::vector<Term>& terms, bool poisoned) {
+std::size_t hashTerms(std::span<const Term> terms, bool poisoned) {
   std::size_t h = poisoned ? 0x9e3779b9u : 0;
   for (const Term& t : terms) {
     h = h * 131 + static_cast<std::size_t>(t.coef);
@@ -32,31 +33,37 @@ ExprArena& ExprArena::global() {
   return arena;
 }
 
-ExprRef ExprArena::intern(std::vector<Term> terms, bool poisoned) {
+ExprRef ExprArena::intern(std::span<const Term> terms, bool poisoned) {
   const std::size_t h = hashTerms(terms, poisoned);
+  auto same = [&](const detail::ExprNode* n) {
+    return n->hash == h && n->poisoned == poisoned &&
+           std::equal(n->terms.begin(), n->terms.end(), terms.begin(), terms.end());
+  };
+  const detail::ExprNode*& front = frontCacheSlot<detail::ExprNode>(h);
+  if (front && same(front)) return ExprRef(front);
   const std::size_t s = h % kShards;
   Shard& shard = shards_[s];
   auto find = [&]() -> const detail::ExprNode* {
     auto it = shard.index.find(h);
     if (it == shard.index.end()) return nullptr;
     for (const detail::ExprNode* n : it->second)
-      if (n->poisoned == poisoned && n->terms == terms) return n;
+      if (same(n)) return n;
     return nullptr;
   };
   {
     std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    if (const detail::ExprNode* n = find()) return ExprRef(n);
+    if (const detail::ExprNode* n = find()) return ExprRef(front = n);
   }
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  if (const detail::ExprNode* n = find()) return ExprRef(n);
+  if (const detail::ExprNode* n = find()) return ExprRef(front = n);
   detail::ExprNode& node = shard.nodes.emplace_back();
-  node.terms = std::move(terms);
+  node.terms.assign(terms.begin(), terms.end());
   node.poisoned = poisoned;
   node.hash = h;
   node.id = (shard.next++ << kShardBits) | static_cast<std::uint64_t>(s);
   shard.index[h].push_back(&node);
   shard.bytes += footprint(node);
-  return ExprRef(&node);
+  return ExprRef(front = &node);
 }
 
 ExprArena::Stats ExprArena::stats() const {

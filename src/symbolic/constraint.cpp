@@ -93,6 +93,42 @@ std::string renderConstraints(const std::vector<LinearConstraint>& constraints) 
 /// The one budget every ConstraintSet query hands the engine.
 constexpr FmBudget kBudget{};
 
+/// The calling thread's FM-feasibility key buffer (capacity reused across
+/// queries), started with the family tag and the tier bit. The tier mode is
+/// part of the key: the pre-filter may answer False (witness found) where
+/// the classic engine answers Unknown, and raw verdicts must never leak
+/// across modes (differential runs share the process-global cache).
+std::vector<std::uint64_t>& startFmKey() {
+  thread_local std::vector<std::uint64_t> key;
+  key.clear();
+  key.push_back(QueryCache::FmContradictory);
+  key.push_back(queryTierEnabled() ? 1 : 0);
+  return key;
+}
+
+/// The verdict cached under `key`, or on a miss `cold()`'s, stored. The
+/// miss copies the key before anything can reuse the buffer it lives in.
+template <class Cold>
+Truth cachedFmVerdict(QueryCache& cache, const std::vector<std::uint64_t>& key, Cold cold) {
+  if (auto hit = cache.lookup(key)) return *hit;
+  QueryCache::Key owned(key.begin(), key.end());
+  const Truth verdict = cold();
+  cache.store(std::move(owned), verdict);
+  return verdict;
+}
+
+void appendConstraintWords(std::vector<std::uint64_t>& key, ConstraintKind kind,
+                           const AffineForm& form) {
+  key.push_back(static_cast<std::uint64_t>(kind));
+  key.push_back(form.overflow ? 1 : 0);
+  key.push_back(static_cast<std::uint64_t>(form.constant));
+  key.push_back(form.coeffs.size());
+  for (const auto& [v, coeff] : form.coeffs) {
+    key.push_back(v.value);
+    key.push_back(static_cast<std::uint64_t>(coeff));
+  }
+}
+
 /// Tier 2 dispatch: with the tier on, eliminations go through the memoizing
 /// entry point (verdict-identical to the classic one by construction).
 Truth fmDecide(std::vector<AffineForm> system) {
@@ -107,30 +143,10 @@ Truth ConstraintSet::contradictory() const {
   // exact constraint vector and the tier mode (both encoded in the key), so
   // a cached answer is always the answer a cold evaluation would produce.
   QueryCache& cache = QueryCache::global();
-  QueryCache::Key key;
-  if (cache.enabled()) {
-    key.reserve(2 + constraints_.size() * 6);
-    key.push_back(QueryCache::FmContradictory);
-    // The tier mode is part of the key: the pre-filter may answer False
-    // (witness found) where the classic engine answers Unknown, and raw
-    // verdicts must never leak across modes (differential runs share the
-    // process-global cache).
-    key.push_back(queryTierEnabled() ? 1 : 0);
-    for (const LinearConstraint& c : constraints_) {
-      key.push_back(static_cast<std::uint64_t>(c.kind));
-      key.push_back(c.form.overflow ? 1 : 0);
-      key.push_back(static_cast<std::uint64_t>(c.form.constant));
-      key.push_back(c.form.coeffs.size());
-      for (const auto& [v, coeff] : c.form.coeffs) {
-        key.push_back(v.value);
-        key.push_back(static_cast<std::uint64_t>(coeff));
-      }
-    }
-    if (auto hit = cache.lookup(key)) return *hit;
-  }
-  Truth verdict = contradictoryUncached();
-  if (cache.enabled()) cache.store(std::move(key), verdict);
-  return verdict;
+  if (!cache.enabled()) return contradictoryUncached();
+  std::vector<std::uint64_t>& key = startFmKey();
+  for (const LinearConstraint& c : constraints_) appendConstraintWords(key, c.kind, c.form);
+  return cachedFmVerdict(cache, key, [this] { return contradictoryUncached(); });
 }
 
 Truth ConstraintSet::contradictoryUncached() const {
@@ -213,14 +229,17 @@ Truth ConstraintSet::contradictoryCold() const {
   if (disequalities.size() <= 4) {
     for (const AffineForm& d : disequalities) {
       if (d.coeffs.empty()) continue;
-      // system ⊨ d == 0 iff both (d <= -1) and (d >= 1) are infeasible.
+      // system ⊨ d == 0 iff both (d <= -1) and (d >= 1) are infeasible. A
+      // bound whose constant would overflow leaves the step inconclusive.
+      if (d.constant == INT64_MAX) continue;
       std::vector<AffineForm> lower = system;
       AffineForm dl = d;
       dl.constant += 1;  // d + 1 <= 0, i.e. d <= -1
       lower.push_back(std::move(dl));
       if (fmDecide(std::move(lower)) != Truth::True) continue;
-      std::vector<AffineForm> upper = system;
       AffineForm du = d.scaled(-1);
+      if (du.constant == INT64_MAX) continue;
+      std::vector<AffineForm> upper = system;
       du.constant += 1;  // -d + 1 <= 0, i.e. d >= 1
       upper.push_back(std::move(du));
       if (fmDecide(std::move(upper)) == Truth::True)
@@ -231,14 +250,33 @@ Truth ConstraintSet::contradictoryCold() const {
 }
 
 Truth ConstraintSet::impliesLE0(const SymExpr& e) const {
-  auto f = AffineForm::fromExpr(e);
-  if (!f) return Truth::Unknown;
-  // negation of (e <= 0) over the integers: e >= 1, i.e. -e + 1 <= 0
-  AffineForm neg = f->scaled(-1);
+  // The negation of (e <= 0) over the integers: e >= 1, i.e. -e + 1 <= 0.
+  // e's form and the negation live in reused per-thread forms.
+  thread_local AffineForm form;
+  thread_local AffineForm neg;
+  if (!AffineForm::fromExprInto(e, form)) return Truth::Unknown;
+  form.scaledInto(-1, neg);
+  // -e + 1 is not representable: the entailment is inconclusive.
+  if (neg.constant == INT64_MAX) return Truth::Unknown;
   neg.constant += 1;
-  ConstraintSet augmented = *this;
-  augmented.add({std::move(neg), ConstraintKind::LE0});
-  Truth infeasible = augmented.contradictory();
+
+  // The augmented set's key is this set's words plus the negation's, so a
+  // hit copies nothing; only a miss builds the augmented set.
+  auto cold = [&] {
+    ConstraintSet augmented = *this;
+    augmented.add({neg, ConstraintKind::LE0});
+    return augmented.contradictoryUncached();
+  };
+  QueryCache& cache = QueryCache::global();
+  Truth infeasible = Truth::Unknown;
+  if (cache.enabled()) {
+    std::vector<std::uint64_t>& key = startFmKey();
+    for (const LinearConstraint& c : constraints_) appendConstraintWords(key, c.kind, c.form);
+    appendConstraintWords(key, ConstraintKind::LE0, neg);
+    infeasible = cachedFmVerdict(cache, key, cold);
+  } else {
+    infeasible = cold();
+  }
   if (infeasible == Truth::True) return Truth::True;
   return Truth::Unknown;  // feasible negation does not refute entailment over all models
 }

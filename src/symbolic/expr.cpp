@@ -1,8 +1,11 @@
 #include "panorama/symbolic/expr.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
+#include <span>
 
+#include "panorama/support/slot_scratch.h"
 #include "panorama/symbolic/arena.h"
 
 namespace panorama {
@@ -22,11 +25,67 @@ std::optional<std::int64_t> checkedMul(std::int64_t a, std::int64_t b) {
   return r;
 }
 
+/// The calling thread's candidate term list. Sorting a product's terms
+/// permutes the slots' `vars` buffers, so every slot starts with room for a
+/// monomial of 8 variables.
+using TermScratch = SlotScratch<Term, &Term::vars, 8>;
+
+/// Appends the term `coef * (no variables yet)` to `scratch`.
+Term& pushTerm(TermScratch& scratch, std::int64_t coef) {
+  Term& t = scratch.push();
+  t.coef = coef;
+  return t;
+}
+
+/// -1, 0 or 1 as monomial `a` orders before, like or after `b`: by degree,
+/// then lexicographically by variable.
+int monomialCompare(const std::vector<VarId>& a, const std::vector<VarId>& b) {
+  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+  for (std::size_t k = 0; k < a.size(); ++k)
+    if (a[k] != b[k]) return a[k] < b[k] ? -1 : 1;
+  return 0;
+}
+
+ExprRef internCanonical(std::span<const Term> terms) {
+  return ExprArena::global().intern(terms, /*poisoned=*/false);
+}
+
+/// Sorts and merges `terms` in place (poisoning on coefficient overflow),
+/// drops zero coefficients and interns the result. Slots are only ever
+/// swapped, never freed, so the scratch keeps its capacity.
+ExprRef internNormalized(std::span<Term> terms) {
+  std::sort(terms.begin(), terms.end(),
+            [](const Term& a, const Term& b) { return monomialLess(a.vars, b.vars); });
+  std::size_t merged = 0;
+  for (std::size_t k = 0; k < terms.size(); ++k) {
+    if (merged > 0 && terms[merged - 1].vars == terms[k].vars) {
+      auto sum = checkedAdd(terms[merged - 1].coef, terms[k].coef);
+      if (!sum) return ExprRef::poisoned();
+      terms[merged - 1].coef = *sum;
+    } else {
+      std::swap(terms[merged++], terms[k]);
+    }
+  }
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < merged; ++k)
+    if (terms[k].coef != 0) std::swap(terms[kept++], terms[k]);
+  return internCanonical(terms.first(kept));
+}
+
+/// The single term `coef * vars` with every occurrence of `drop` removed
+/// (`coef` is non-zero).
+ExprRef monomial(std::int64_t coef, const std::vector<VarId>& vars, VarId drop) {
+  TermScratch& scratch = TermScratch::local();
+  Term& t = pushTerm(scratch, coef);
+  for (VarId w : vars)
+    if (w != drop) t.vars.push_back(w);
+  return internCanonical(scratch.items());
+}
+
 }  // namespace
 
 bool monomialLess(const std::vector<VarId>& a, const std::vector<VarId>& b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+  return monomialCompare(a, b) < 0;
 }
 
 ExprRef::ExprRef() {
@@ -35,35 +94,18 @@ ExprRef::ExprRef() {
   node_ = zero;
 }
 
-ExprRef ExprRef::makeCanonical(std::vector<Term> terms, bool poisoned) {
-  if (poisoned) terms.clear();
-  return ExprArena::global().intern(std::move(terms), poisoned);
-}
-
-ExprRef ExprRef::makeNormalized(std::vector<Term> terms) {
-  std::sort(terms.begin(), terms.end(),
-            [](const Term& a, const Term& b) { return monomialLess(a.vars, b.vars); });
-  std::vector<Term> merged;
-  merged.reserve(terms.size());
-  for (Term& t : terms) {
-    if (!merged.empty() && merged.back().vars == t.vars) {
-      auto sum = checkedAdd(merged.back().coef, t.coef);
-      if (!sum) return poisoned();
-      merged.back().coef = *sum;
-    } else {
-      merged.push_back(std::move(t));
-    }
-  }
-  std::erase_if(merged, [](const Term& t) { return t.coef == 0; });
-  return makeCanonical(std::move(merged), false);
-}
-
 ExprRef ExprRef::constant(std::int64_t c) {
   if (c == 0) return ExprRef();
-  return makeCanonical({Term{c, {}}}, false);
+  TermScratch& scratch = TermScratch::local();
+  pushTerm(scratch, c);
+  return internCanonical(scratch.items());
 }
 
-ExprRef ExprRef::variable(VarId v) { return makeCanonical({Term{1, {v}}}, false); }
+ExprRef ExprRef::variable(VarId v) {
+  TermScratch& scratch = TermScratch::local();
+  pushTerm(scratch, 1).vars.push_back(v);
+  return internCanonical(scratch.items());
+}
 
 ExprRef ExprRef::poisoned() {
   static const detail::ExprNode* node =
@@ -112,57 +154,74 @@ ExprRef operator+(const ExprRef& a, const ExprRef& b) {
   if (a.isPoisoned() || b.isPoisoned()) return ExprRef::poisoned();
   if (a.isZero()) return b;
   if (b.isZero()) return a;
-  std::vector<Term> terms = a.terms();
-  terms.insert(terms.end(), b.terms().begin(), b.terms().end());
-  return ExprRef::makeNormalized(std::move(terms));
+  // Both term lists are canonical, so merging them (adding the coefficients
+  // of a shared monomial) yields the canonical sum.
+  TermScratch& scratch = TermScratch::local();
+  const std::vector<Term>& ta = a.terms();
+  const std::vector<Term>& tb = b.terms();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < ta.size() || j < tb.size()) {
+    const int c = i == ta.size()   ? 1
+                  : j == tb.size() ? -1
+                                   : monomialCompare(ta[i].vars, tb[j].vars);
+    const Term& src = c <= 0 ? ta[i] : tb[j];
+    std::int64_t coef = src.coef;
+    if (c == 0) {
+      auto sum = checkedAdd(ta[i].coef, tb[j].coef);
+      if (!sum) return ExprRef::poisoned();
+      coef = *sum;
+    }
+    if (coef != 0) {
+      Term& t = pushTerm(scratch, coef);
+      t.vars.assign(src.vars.begin(), src.vars.end());
+    }
+    if (c <= 0) ++i;
+    if (c >= 0) ++j;
+  }
+  return internCanonical(scratch.items());
 }
 
 ExprRef operator-(const ExprRef& a, const ExprRef& b) { return a + (-b); }
 
 ExprRef operator*(const ExprRef& a, const ExprRef& b) {
   if (a.isPoisoned() || b.isPoisoned()) return ExprRef::poisoned();
-  std::vector<Term> terms;
-  terms.reserve(a.terms().size() * b.terms().size());
+  TermScratch& scratch = TermScratch::local();
   for (const Term& ta : a.terms()) {
     for (const Term& tb : b.terms()) {
       auto coef = checkedMul(ta.coef, tb.coef);
       if (!coef) return ExprRef::poisoned();
-      Term t;
-      t.coef = *coef;
-      t.vars = ta.vars;
-      t.vars.insert(t.vars.end(), tb.vars.begin(), tb.vars.end());
-      std::sort(t.vars.begin(), t.vars.end());
-      terms.push_back(std::move(t));
+      Term& t = pushTerm(scratch, *coef);
+      std::merge(ta.vars.begin(), ta.vars.end(), tb.vars.begin(), tb.vars.end(),
+                 std::back_inserter(t.vars));
     }
   }
-  return ExprRef::makeNormalized(std::move(terms));
+  return internNormalized(scratch.items());
 }
 
 ExprRef ExprRef::mulConst(std::int64_t k) const {
   if (node_->poisoned) return poisoned();
   if (k == 0) return ExprRef();
   if (k == 1) return *this;
-  std::vector<Term> terms;
-  terms.reserve(node_->terms.size());
+  TermScratch& scratch = TermScratch::local();
   for (const Term& t : node_->terms) {
     auto coef = checkedMul(t.coef, k);
     if (!coef) return poisoned();
-    terms.push_back(Term{*coef, t.vars});
+    pushTerm(scratch, *coef).vars.assign(t.vars.begin(), t.vars.end());
   }
   // Scaling by a non-zero constant preserves order and uniqueness.
-  return makeCanonical(std::move(terms), false);
+  return internCanonical(scratch.items());
 }
 
 std::optional<ExprRef> ExprRef::divExact(std::int64_t k) const {
   if (node_->poisoned || k == 0) return std::nullopt;
-  std::vector<Term> terms;
-  terms.reserve(node_->terms.size());
+  TermScratch& scratch = TermScratch::local();
   for (const Term& t : node_->terms) {
     if (t.coef % k != 0) return std::nullopt;
-    terms.push_back(Term{t.coef / k, t.vars});
+    pushTerm(scratch, t.coef / k).vars.assign(t.vars.begin(), t.vars.end());
   }
   // Monomial keys are untouched, so the sorted invariant holds.
-  return makeCanonical(std::move(terms), false);
+  return internCanonical(scratch.items());
 }
 
 std::int64_t ExprRef::coeffGcd() const {
@@ -179,15 +238,7 @@ ExprRef ExprRef::substitute(VarId v, const ExprRef& replacement) const {
   ExprRef result;
   for (const Term& t : node_->terms) {
     int power = static_cast<int>(std::count(t.vars.begin(), t.vars.end(), v));
-    if (power == 0) {
-      result = result + makeCanonical({t}, false);
-      continue;
-    }
-    Term rest;
-    rest.coef = t.coef;
-    for (VarId w : t.vars)
-      if (w != v) rest.vars.push_back(w);
-    ExprRef piece = makeCanonical({std::move(rest)}, false);
+    ExprRef piece = monomial(t.coef, t.vars, v);
     for (int p = 0; p < power; ++p) piece = piece * replacement;
     result = result + piece;
     if (result.isPoisoned()) return poisoned();

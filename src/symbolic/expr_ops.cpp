@@ -24,8 +24,16 @@ std::int64_t AffineForm::coeffOf(VarId v) const {
 }
 
 std::optional<AffineForm> AffineForm::fromExpr(const SymExpr& e) {
-  if (e.isPoisoned() || e.degree() > 1) return std::nullopt;
   AffineForm f;
+  if (!fromExprInto(e, f)) return std::nullopt;
+  return f;
+}
+
+bool AffineForm::fromExprInto(const SymExpr& e, AffineForm& f) {
+  if (e.isPoisoned() || e.degree() > 1) return false;
+  f.coeffs.clear();
+  f.constant = 0;
+  f.overflow = false;
   for (const Term& t : e.terms()) {
     if (t.vars.empty())
       f.constant = t.coef;
@@ -33,7 +41,7 @@ std::optional<AffineForm> AffineForm::fromExpr(const SymExpr& e) {
       f.coeffs.emplace_back(t.vars[0], t.coef);
   }
   std::sort(f.coeffs.begin(), f.coeffs.end());
-  return f;
+  return true;
 }
 
 SymExpr AffineForm::toExpr() const {
@@ -45,18 +53,24 @@ SymExpr AffineForm::toExpr() const {
 
 AffineForm AffineForm::scaled(std::int64_t k) const {
   AffineForm r;
+  scaledInto(k, r);
+  return r;
+}
+
+void AffineForm::scaledInto(std::int64_t k, AffineForm& r) const {
+  r.coeffs.clear();
+  r.constant = 0;
   r.overflow = overflow;
-  if (k == 0 || overflow) return r;
+  if (k == 0 || overflow) return;
   for (const auto& [var, c] : coeffs) {
     std::int64_t nc;
     if (!mulChecked(c, k, nc)) {
       r.overflow = true;
-      return r;
+      return;
     }
     r.coeffs.emplace_back(var, nc);
   }
   if (!mulChecked(constant, k, r.constant)) r.overflow = true;
-  return r;
 }
 
 AffineForm operator+(const AffineForm& a, const AffineForm& b) {

@@ -169,6 +169,32 @@ TEST(RobustnessTest, DeepNesting) {
   EXPECT_TRUE(found);
 }
 
+TEST(RobustnessTest, GuardAtInt64MaxAnalyzes) {
+  // Comparing the loop index against the largest int64 constant asks
+  // whether i <= MAX is entailed, whose negation -i + MAX + 1 is not
+  // representable: the entailment is inconclusive, never an overflow.
+  DiagnosticEngine diags;
+  auto p = parseProgram(R"(
+      subroutine big(a, n)
+      integer n
+      real a(n)
+      do i = 1, n
+        if (i .le. 9223372036854775807) then
+          a(i) = 1.0
+        endif
+      enddo
+      end
+  )",
+                        diags);
+  ASSERT_TRUE(p.has_value()) << diags.str();
+  ThreadPool pool(1);
+  ProgramAnalysis pa = analyzeProgramUnit(std::move(*p), {}, pool);
+  ASSERT_TRUE(pa.ok) << pa.error;
+  ASSERT_EQ(pa.loops.size(), 1u);
+  ASSERT_EQ(pa.loops[0].arrays.size(), 1u);
+  EXPECT_EQ(pa.loops[0].arrays[0].name, "a");
+}
+
 TEST(RobustnessTest, LongCallChain) {
   // Summaries must compose down an 8-deep call chain.
   std::string src = "program p\n real a(50)\n call f1(a)\n end\n";

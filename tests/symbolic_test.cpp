@@ -2,8 +2,10 @@
 // bounded Fourier-Motzkin constraint engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 
+#include "panorama/predicate/fm_incremental.h"
 #include "panorama/symbolic/affine.h"
 #include "panorama/symbolic/constraint.h"
 #include "panorama/symbolic/expr.h"
@@ -186,6 +188,39 @@ TEST_F(SymbolicTest, ImpliesEQ0) {
   ASSERT_TRUE(cs.addExprLE0(X - Y));
   ASSERT_TRUE(cs.addExprLE0(Y - X));
   EXPECT_EQ(cs.impliesEQ0(X - Y), Truth::True);
+}
+
+// The `+ 1` bumps that turn a strict bound into a non-strict one leave the
+// step inconclusive when the constant would overflow (UBSan reports each of
+// these otherwise).
+TEST_F(SymbolicTest, ImpliesLE0AnswersUnknownWhenTheNegationOverflows) {
+  ConstraintSet cs;
+  ASSERT_TRUE(cs.addExprLE0(X - 3));
+  // not(x - MAX <= 0) would be -x + MAX + 1 <= 0.
+  EXPECT_EQ(cs.impliesLE0(X - INT64_MAX), Truth::Unknown);
+  EXPECT_EQ(cs.impliesLE0(X - (INT64_MAX - 1)), Truth::True);
+}
+
+TEST_F(SymbolicTest, DisequalityUpperBumpOverflowSkipsTheDisequality) {
+  // x >= MAX pins x - MAX != 0's lower half; its upper half -x + MAX + 1
+  // would overflow, so the disequality drops out of the decision.
+  ConstraintSet cs;
+  ASSERT_TRUE(cs.addExprLE0(SymExpr::constant(INT64_MAX) - X));
+  ConstraintSet withoutNe = cs;
+  ASSERT_TRUE(cs.addExprNE0(X - INT64_MAX));
+  EXPECT_EQ(cs.contradictoryUncached(), withoutNe.contradictoryUncached());
+}
+
+TEST_F(SymbolicTest, DisequalityLowerBumpOverflowSkipsTheDisequality) {
+  // With the pre-filter off, x + MAX != 0 reaches the disequality loop,
+  // whose lower half x + MAX + 1 <= 0 would overflow.
+  struct TierOff {
+    TierOff() { setQueryTierEnabled(false); }
+    ~TierOff() { setQueryTierEnabled(true); }  // the process default
+  } tierOff;
+  ConstraintSet cs;
+  ASSERT_TRUE(cs.addExprNE0(X + INT64_MAX));
+  EXPECT_EQ(cs.contradictoryUncached(), Truth::False);
 }
 
 TEST_F(SymbolicTest, NonAffineRejected) {
