@@ -483,8 +483,8 @@ int main(int argc, char** argv) {
       // --stats prints these inside the full stats block; under --explain
       // alone, still surface why each cached loop verdict was reusable.
       for (const LoopReuse& lr : result.stats.loopReuse)
-        std::printf("session.loop_reuse_cause: %s (line %d): %s -- %s\n", lr.unit.c_str(),
-                    lr.line, lr.cause.c_str(), lr.detail.c_str());
+        std::printf("session.loop_reuse_cause: %s (line %lld): %s -- %s\n", lr.unit.c_str(),
+                    static_cast<long long>(lr.line), lr.cause.c_str(), lr.detail.c_str());
     }
     if (showStats) {
       std::printf("%s", formatSessionStats(result.stats).c_str());

@@ -1,22 +1,18 @@
 // The atom table, and canonical 64-bit keys for atoms and predicates, used
 // by the memo caches.
 //
-// Since the hash-consed arena refactor a predicate's key is simply its arena
-// id (PredRef::id(): structural equality <=> id equality, O(1)). Atoms are
-// interned in the atom table: every Atom factory looks its canonical result
-// up by the exact field tuple (kind, op, interned sub-expression ids, flags)
-// and carries the entry's key, so atomKey() (atom.h) is a field read and key
-// equality is structural equality — memo-cache entries keyed this way can
-// never confuse two different queries. Keys are allocated like arena ids,
-// (perShardSequence << kShardBits) | shardIndex, so they depend on thread
-// interleaving and never decide an order; every value, 0 included, is some
-// atom's key.
+// A predicate's key is simply its arena id (PredRef::id(): structural
+// equality <=> id equality, O(1)). Atoms are interned in the atom table, the
+// process-wide table of `AtomEntry` nodes (support/intern_table.h, which
+// states the id layout): every Atom factory looks its canonical result up by
+// the exact field tuple (kind, op, interned sub-expression ids, flags) and
+// carries the entry's id as its key, so atomKey() (atom.h) is a field read
+// and key equality is structural equality — memo-cache entries keyed this
+// way can never confuse two different queries.
 //
 // The entry also stores the atom's negation once Atom::negated() has
-// derived it. The table is append-only and process-wide like the arenas,
-// and stays on under --no-cache. Like the arenas, it answers a thread's
-// repeat lookups from a per-thread front cache (support/front_cache.h)
-// without the shard lock; other lookups and every insert take the lock.
+// derived it. Like the arenas, the table is append-only and stays on under
+// --no-cache.
 #pragma once
 
 #include <atomic>
@@ -31,7 +27,12 @@ namespace detail {
 /// One atom-table entry, never moved or freed: the canonical atom (its key
 /// and entry set to this entry's) and, once derived, its negation's entry.
 struct AtomEntry {
-  AtomEntry(const Atom& a, std::uint64_t key) : atom(a) {
+  /// A blank entry, as the table builds it. Its atom is deliberately not
+  /// `Atom()`, which interns the zero atom into this very table.
+  AtomEntry() : atom(Atom::Kind::Rel) {}
+  /// Makes this entry the home of `a`, under `key`.
+  void hold(const Atom& a, std::uint64_t key) {
+    atom = a;
     atom.key_ = key;
     atom.entry_ = this;
   }

@@ -134,13 +134,11 @@ class PredRef {
   std::uint64_t id() const { return node_->id; }
 
  private:
-  friend class PredArena;
+  friend PredRef internPred(std::span<const Disjunct> clauses, bool unknown);
   explicit PredRef(const detail::PredNode* node) : node_(node) {}
 
   /// Normalizes `clauses` in place and interns the canonical result.
   static PredRef make(std::span<Disjunct> clauses, bool unknown);
-  /// Interns an already-canonical clause list (copied only if new).
-  static PredRef makeRaw(std::span<const Disjunct> clauses, bool unknown);
   /// The False clause list (one empty clause), with or without Δ.
   static PredRef makeFalse(bool unknown);
   /// Normalizes in place — False absorbs the conjunction, atoms and clauses

@@ -61,21 +61,11 @@ namespace panorama {
 
 /// Why one unit landed in the dirty cone — the provenance record the cost
 /// profiler renders for warm runs ("which edit cost me this recompute").
-struct UnitInvalidation {
-  std::string unit;
-  std::string cause;  ///< "fingerprint" | "added" | "callee-epoch" |
-                      ///< "options-change" | "first-submit"
-  std::string detail;
-};
+using UnitInvalidation = obs::InvalidationCause;
 
 /// Why one loop inside a *dirty* unit was served from cache anyway — the
 /// `session.loop_reuse_cause` provenance rendered by --stats/--explain.
-struct LoopReuse {
-  std::string unit;
-  int line = 0;       ///< post-edit line of the reused loop
-  std::string cause;  ///< "item-match" | "line-remap"
-  std::string detail;
-};
+using LoopReuse = obs::LoopReuseCause;
 
 /// Per-submit recomputation accounting — the `session.*` metrics source and
 /// the hook the lifecycle tests assert dirty-cone sizes through.

@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,7 +136,7 @@ class ExprRef {
   std::uint64_t id() const { return node_->id; }
 
  private:
-  friend class ExprArena;
+  friend ExprRef internExpr(std::span<const Term> terms, bool poisoned);
   explicit ExprRef(const detail::ExprNode* node) : node_(node) {}
 
   const detail::ExprNode* node_;

@@ -15,6 +15,8 @@
 #include <memory>
 #include <set>
 
+#include "panorama/support/json.h"
+
 namespace panorama::obs {
 
 namespace {
@@ -78,29 +80,9 @@ void appendMs(std::string& out, std::int64_t ns) {
   out += buf;
 }
 
-void appendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void appendQuoted(std::string& out, std::string_view s) {
   out += '"';
-  appendEscaped(out, s);
+  support::appendJsonEscaped(out, s);
   out += '"';
 }
 

@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "panorama/support/json.h"
+
 namespace panorama::obs {
 
 namespace {
@@ -14,28 +16,6 @@ std::int64_t steadyNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// JSON string escaping for names and arg values (the categories are static
-/// identifiers and never need escaping, but names may carry source text).
-void appendEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -143,18 +123,18 @@ std::string Tracer::chromeTraceJson() const {
                   static_cast<double>(ev.startNs) / 1000.0, static_cast<double>(ev.durNs) / 1000.0);
     out += buf;
     out += "\"cat\": \"";
-    appendEscaped(out, ev.category);
+    support::appendJsonEscaped(out, ev.category);
     out += "\", \"name\": \"";
-    appendEscaped(out, ev.name);
+    support::appendJsonEscaped(out, ev.name);
     out += '"';
     if (!ev.args.empty()) {
       out += ", \"args\": {";
       for (std::size_t a = 0; a < ev.args.size(); ++a) {
         if (a) out += ", ";
         out += '"';
-        appendEscaped(out, ev.args[a].first);
+        support::appendJsonEscaped(out, ev.args[a].first);
         out += "\": \"";
-        appendEscaped(out, ev.args[a].second);
+        support::appendJsonEscaped(out, ev.args[a].second);
         out += '"';
       }
       out += '}';

@@ -15,18 +15,13 @@ using ClauseScratch = SlotScratch<Disjunct, &Disjunct::atoms>;
 }  // namespace
 
 PredRef::PredRef() {
-  static const detail::PredNode* trueNode =
-      PredArena::global().intern({}, /*unknown=*/false).node_;
+  static const detail::PredNode* trueNode = internPred({}, /*unknown=*/false).node_;
   node_ = trueNode;
-}
-
-PredRef PredRef::makeRaw(std::span<const Disjunct> clauses, bool unknown) {
-  return PredArena::global().intern(clauses, unknown);
 }
 
 PredRef PredRef::makeFalse(bool unknown) {
   static const Disjunct emptyClause;
-  return makeRaw({&emptyClause, 1}, unknown);
+  return internPred({&emptyClause, 1}, unknown);
 }
 
 PredRef PredRef::makeFalse() {
@@ -35,8 +30,7 @@ PredRef PredRef::makeFalse() {
 }
 
 PredRef PredRef::makeUnknown() {
-  static const detail::PredNode* unknownNode =
-      PredArena::global().intern({}, /*unknown=*/true).node_;
+  static const detail::PredNode* unknownNode = internPred({}, /*unknown=*/true).node_;
   return PredRef(unknownNode);
 }
 
@@ -49,7 +43,7 @@ PredRef PredRef::atom(Atom a) {
   }
   ClauseScratch& scratch = ClauseScratch::local();
   scratch.push().atoms.push_back(std::move(a));
-  return makeRaw(scratch.items(), false);
+  return internPred(scratch.items(), false);
 }
 
 bool PredRef::isFalse() const {
@@ -76,7 +70,7 @@ std::size_t PredRef::normalizeClauses(std::span<Disjunct> clauses) {
 }
 
 PredRef PredRef::make(std::span<Disjunct> clauses, bool unknown) {
-  return makeRaw(clauses.first(normalizeClauses(clauses)), unknown);
+  return internPred(clauses.first(normalizeClauses(clauses)), unknown);
 }
 
 PredRef operator&&(const PredRef& a, const PredRef& b) {
@@ -99,7 +93,7 @@ PredRef operator&&(const PredRef& a, const PredRef& b) {
     if (c <= 0) ++i;
     if (c >= 0) ++j;
   }
-  return PredRef::makeRaw(scratch.items(), a.node_->unknown || b.node_->unknown);
+  return internPred(scratch.items(), a.node_->unknown || b.node_->unknown);
 }
 
 PredRef operator||(const PredRef& a, const PredRef& b) {

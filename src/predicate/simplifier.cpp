@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 
+#include "panorama/predicate/arena.h"
 #include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
 
@@ -241,7 +242,7 @@ PredRef PredRef::simplifyUncached(std::vector<Disjunct> clauses, bool unknown) {
       std::any_of(clauses.begin(), clauses.end(), [](const Disjunct& d) { return d.isFalse(); });
   if (falseNow || (!clauses.empty() && cnfUnsat(clauses, /*depth=*/2) == Truth::True))
     return makeFalse();  // False ∧ Δ = False
-  return makeRaw(clauses, unknown);
+  return internPred(clauses, unknown);
 }
 
 Truth PredRef::provablyFalse() const {

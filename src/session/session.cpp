@@ -756,10 +756,8 @@ obs::SessionReuse sessionReuseFor(const SessionStats& stats) {
   out.unitsCleanLoops = stats.unitsCleanLoops;
   out.unitsDirtyLoops = stats.unitsDirtyLoops;
   out.lineRemaps = stats.lineRemaps;
-  for (const UnitInvalidation& inv : stats.invalidations)
-    out.causes.push_back({inv.unit, inv.cause, inv.detail});
-  for (const LoopReuse& lr : stats.loopReuse)
-    out.loopCauses.push_back({lr.unit, lr.line, lr.cause, lr.detail});
+  out.causes = stats.invalidations;
+  out.loopCauses = stats.loopReuse;
   return out;
 }
 

@@ -309,7 +309,7 @@ struct PoolReader {
       if (r.ok() && poisoned && !terms.empty())
         r.fail("corrupted snapshot: poisoned expression carries terms");
       if (!r.ok()) return false;
-      exprs.push_back(ExprArena::global().intern(std::move(terms), poisoned));
+      exprs.push_back(internExpr(terms, poisoned));
     }
     return r.ok();
   }
@@ -392,7 +392,7 @@ struct PoolReader {
         clauses.push_back(std::move(d));
       }
       if (!r.ok()) return false;
-      preds.push_back(PredArena::global().intern(std::move(clauses), unknown));
+      preds.push_back(internPred(clauses, unknown));
     }
     return r.ok();
   }

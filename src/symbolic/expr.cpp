@@ -47,7 +47,7 @@ int monomialCompare(const std::vector<VarId>& a, const std::vector<VarId>& b) {
 }
 
 ExprRef internCanonical(std::span<const Term> terms) {
-  return ExprArena::global().intern(terms, /*poisoned=*/false);
+  return internExpr(terms, /*poisoned=*/false);
 }
 
 /// Sorts and merges `terms` in place (poisoning on coefficient overflow),
@@ -89,8 +89,7 @@ bool monomialLess(const std::vector<VarId>& a, const std::vector<VarId>& b) {
 }
 
 ExprRef::ExprRef() {
-  static const detail::ExprNode* zero =
-      ExprArena::global().intern({}, /*poisoned=*/false).node_;
+  static const detail::ExprNode* zero = internExpr({}, /*poisoned=*/false).node_;
   node_ = zero;
 }
 
@@ -108,8 +107,7 @@ ExprRef ExprRef::variable(VarId v) {
 }
 
 ExprRef ExprRef::poisoned() {
-  static const detail::ExprNode* node =
-      ExprArena::global().intern({}, /*poisoned=*/true).node_;
+  static const detail::ExprNode* node = internExpr({}, /*poisoned=*/true).node_;
   return ExprRef(node);
 }
 

@@ -3,16 +3,25 @@
 // equality must coincide with structural equality over randomized
 // construction, equal values built through different routes must land on
 // the same node or key, stored negations must equal freshly built ones, and
-// the occupancy counters must be consistent.
+// the occupancy counters must be consistent. The InternTableTest cases check
+// the table they share (support/intern_table.h) directly, on test-only node
+// types: one node per value under contention, the id layout, front-cache
+// slot sharing and the occupancy counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <latch>
+#include <map>
 #include <random>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
+#include "panorama/support/intern_table.h"
 #include "panorama/support/memo_cache.h"
 #include "panorama/symbolic/affine.h"
 #include "panorama/symbolic/arena.h"
@@ -314,6 +323,129 @@ TEST(InternPropertyTest, ArenaStatsAreConsistent) {
   for (int k = 0; k < 32; ++k) (void)Atom::le(x, SymExpr::constant(3)).negated();
   EXPECT_EQ(atomTableStats().distinct, atomsBefore.distinct);
   EXPECT_EQ(atomTableStats().negations, atomsBefore.negations);
+}
+
+/// A test-only node: one integer value. Each test passes its own `Tag`, so
+/// it gets a table of its own (one instance per node type), empty at start
+/// however many tests ran before it in this process.
+template <int Tag>
+struct TestNode {
+  std::uint64_t value = 0;
+  std::uint64_t id = 0;
+};
+
+/// Interns `value` under the caller-chosen `hash`, so a test can steer
+/// values into shards, buckets and front-cache slots.
+template <int Tag>
+const TestNode<Tag>& internValue(std::uint64_t value, std::size_t hash) {
+  return InternTable<TestNode<Tag>>::global().intern(
+      hash, [&](const TestNode<Tag>& n) { return n.value == value; },
+      [&](TestNode<Tag>& n, std::uint64_t id) {
+        n.value = value;
+        n.id = id;
+        return sizeof(TestNode<Tag>);
+      });
+}
+
+/// A well-spread hash of a test value (splitmix64's finalizer).
+std::size_t mixHash(std::uint64_t v) {
+  v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
+  v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
+  return static_cast<std::size_t>(v ^ (v >> 31));
+}
+
+/// Every id's low bits name the shard its hash picks, and each shard's
+/// sequence numbers are exactly 0, 1, ..., n-1.
+template <int Tag>
+void expectIdLayout(const std::map<std::uint64_t, const TestNode<Tag>*>& nodes) {
+  using Table = InternTable<TestNode<Tag>>;
+  std::array<std::set<std::uint64_t>, Table::kShards> sequences;
+  for (const auto& [value, node] : nodes) {
+    const std::size_t shard = mixHash(value) % Table::kShards;
+    EXPECT_EQ(node->id & (Table::kShards - 1), shard) << "value " << value;
+    EXPECT_TRUE(sequences[shard].insert(node->id >> Table::kShardBits).second)
+        << "two nodes share id " << node->id;
+  }
+  for (std::size_t s = 0; s < Table::kShards; ++s) {
+    if (sequences[s].empty()) continue;
+    EXPECT_EQ(*sequences[s].begin(), 0u) << "shard " << s;
+    EXPECT_EQ(*sequences[s].rbegin(), sequences[s].size() - 1) << "shard " << s << " has a gap";
+  }
+}
+
+TEST(InternTableTest, ConcurrentInternsYieldOneNodePerValue) {
+  // Eight threads intern overlapping value ranges, each in its own order,
+  // so inserts race lookups of the same value in every shard.
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kPerThread = 600;
+  constexpr std::uint64_t kStride = 200;  // thread t covers [t*200, t*200+600)
+  std::vector<std::vector<std::pair<std::uint64_t, const TestNode<1>*>>> seen(kThreads);
+  std::latch start(kThreads);
+  auto worker = [&](int t) {
+    std::vector<std::uint64_t> values(kPerThread);
+    for (std::uint64_t k = 0; k < kPerThread; ++k) values[k] = t * kStride + k;
+    std::shuffle(values.begin(), values.end(), std::mt19937(t));
+    start.arrive_and_wait();
+    for (int round = 0; round < 2; ++round)
+      for (std::uint64_t v : values) seen[t].emplace_back(v, &internValue<1>(v, mixHash(v)));
+  };
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) pool.emplace_back(worker, t);
+  for (std::thread& th : pool) th.join();
+
+  std::map<std::uint64_t, const TestNode<1>*> nodes;
+  for (const auto& thread : seen) {
+    for (const auto& [value, node] : thread) {
+      EXPECT_EQ(node->value, value);
+      const auto it = nodes.emplace(value, node).first;
+      EXPECT_EQ(it->second, node) << "value " << value << " got two nodes";
+    }
+  }
+  const std::size_t distinct = (kThreads - 1) * kStride + kPerThread;
+  EXPECT_EQ(nodes.size(), distinct);
+  EXPECT_EQ(InternTable<TestNode<1>>::global().stats().distinct, distinct);
+  expectIdLayout<1>(nodes);
+}
+
+TEST(InternTableTest, IdsCarryTheShardInTheLowBitsAndADenseSequence) {
+  std::map<std::uint64_t, const TestNode<2>*> nodes;
+  for (std::uint64_t v = 0; v < 500; ++v) nodes.emplace(v, &internValue<2>(v, mixHash(v)));
+  expectIdLayout<2>(nodes);
+  // A repeat finds the node it built, id unchanged.
+  for (const auto& [value, node] : nodes) EXPECT_EQ(&internValue<2>(value, mixHash(value)), node);
+}
+
+TEST(InternTableTest, ValuesSharingAFrontSlotEachKeepTheirOwnNode) {
+  // One hash for two different values: the same front-cache slot, shard and
+  // bucket. Alternating lookups keep evicting each other's slot, and every
+  // lookup must still answer with the looked-up value's own node.
+  constexpr std::size_t kHash = 0x5eed;
+  const TestNode<3>& a = internValue<3>(1, kHash);
+  const TestNode<3>& b = internValue<3>(2, kHash);
+  EXPECT_NE(&a, &b);
+  EXPECT_NE(a.id, b.id);
+  for (int k = 0; k < 100; ++k) {
+    ASSERT_EQ(&internValue<3>(1, kHash), &a) << "lookup " << k;
+    ASSERT_EQ(&internValue<3>(2, kHash), &b) << "lookup " << k;
+  }
+  EXPECT_EQ(InternTable<TestNode<3>>::global().stats().distinct, 2u);
+}
+
+TEST(InternTableTest, StatsCountDistinctValuesAndShardBalance) {
+  using Table = InternTable<TestNode<4>>;
+  // Shard s receives s + 1 values, each interned three times.
+  std::size_t distinct = 0;
+  for (std::size_t s = 0; s < Table::kShards; ++s) {
+    for (std::size_t k = 0; k <= s; ++k, ++distinct) {
+      const std::size_t hash = k * Table::kShards + s;
+      for (int repeat = 0; repeat < 3; ++repeat) (void)internValue<4>(distinct, hash);
+    }
+  }
+  const Table::Stats stats = Table::global().stats();
+  EXPECT_EQ(stats.distinct, distinct);
+  EXPECT_EQ(stats.bytes, distinct * sizeof(TestNode<4>));
+  EXPECT_EQ(stats.minShard, 1u);
+  EXPECT_EQ(stats.maxShard, Table::kShards);
 }
 
 }  // namespace

@@ -199,6 +199,35 @@ TEST(ProfileRenderTest, JsonParsesAndCarriesTheSchema) {
   EXPECT_EQ(s0.find("invalidations")->items()[0].find("cause")->asString(), "fingerprint");
 }
 
+TEST(ProfileRenderTest, JsonKeepsSpanNamesAndArgsVerbatim) {
+  // Names and args carry source text: quotes, backslashes, newlines and
+  // control characters must be escaped and parse back to the original.
+  const std::string raw = "quote\" slash\\ newline\n ctrl\x01 done";
+  CostProfile p = buildCostProfile({
+      ev("summary.proc", raw, 0, 100),
+      ev("query.fm", raw + " name", 10, 50, 0,
+         {{"expr", raw + " expr"}, {"ctx", raw + " ctx"}, {"verdict", raw + " verdict"}}),
+  });
+
+  std::string json = renderCostProfileJson(p);
+  EXPECT_NE(json.find("\\u0001"), std::string::npos) << json;
+  std::string error;
+  std::optional<JsonValue> v = JsonValue::parse(json, &error);
+  ASSERT_TRUE(v.has_value()) << error << "\n" << json;
+  const JsonValue* procedures = v->find("procedures");
+  ASSERT_NE(procedures, nullptr);
+  ASSERT_EQ(procedures->items().size(), 1u);
+  EXPECT_EQ(procedures->items()[0].find("name")->asString(), raw);
+  const JsonValue* queries = v->find("top_queries");
+  ASSERT_NE(queries, nullptr);
+  ASSERT_EQ(queries->items().size(), 1u);
+  const JsonValue& q = queries->items()[0];
+  EXPECT_EQ(q.find("name")->asString(), raw + " name");
+  EXPECT_EQ(q.find("expr")->asString(), raw + " expr");
+  EXPECT_EQ(q.find("context")->asString(), raw + " ctx");
+  EXPECT_EQ(q.find("verdict")->asString(), raw + " verdict");
+}
+
 TEST(ProfileRenderTest, TextRendererNamesDirtyUnitsAndCauses) {
   CostProfile p = buildCostProfile(syntheticForest());
   obs::SessionReuse reuse;
