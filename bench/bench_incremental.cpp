@@ -14,7 +14,9 @@
 //     sources;
 //   * warm wall time does not exceed cold wall time;
 //   * reuse counters are exact — a change in the dirty-cone size is a
-//     behavior change, not noise.
+//     behavior change, not noise;
+//   * a stationary edit stream settles: its second cycle interns no new
+//     expression or symbol.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +28,7 @@
 #include "panorama/corpus/corpus.h"
 #include "panorama/session/session.h"
 #include "panorama/support/memo_cache.h"
+#include "panorama/symbolic/arena.h"
 
 using namespace panorama;
 
@@ -125,7 +128,9 @@ RunResult runOnce(const std::vector<std::string>& baseSources,
 
 constexpr int kNests = 24;
 
-std::string manyLoopSource(bool edited) {
+/// The kNests-nest procedure with a different constant in nest
+/// `editedNest` (1-based; 0 edits none).
+std::string manyLoopSource(int editedNest) {
   std::string src;
   src += "      subroutine kern(a, b, n)\n";
   src += "      integer n\n";
@@ -136,8 +141,7 @@ std::string manyLoopSource(bool edited) {
   for (int k = 1; k <= kNests; ++k) {
     const int lbl = 100 * k;
     const std::string col = std::to_string(k);
-    // The first nest carries the edit: a different constant in its body.
-    const std::string c = (edited && k == 1) ? "3.0" : "1.0";
+    const std::string c = k == editedNest ? "3.0" : "1.0";
     src += "      do " + std::to_string(lbl) + " i = 1, n\n";
     src += "      do " + std::to_string(lbl + 1) + " j = 1, n\n";
     src += "      do " + std::to_string(lbl + 2) + " m = 1, n\n";
@@ -178,14 +182,14 @@ LoopEditRun runLoopEdit(bool loopGranular, int threads) {
   // submit pays for the edited nest's queries instead of reusing an earlier
   // repetition's verdicts.
   QueryCache::global().clear();
-  SessionResult cold = session.submit(manyLoopSource(/*edited=*/false));
+  SessionResult cold = session.submit(manyLoopSource(/*editedNest=*/0));
   if (!cold.ok) {
     out.ok = false;
     out.error = "loop-edit cold submit failed:\n" + cold.error;
     return out;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  SessionResult warm = session.submit(manyLoopSource(/*edited=*/true));
+  SessionResult warm = session.submit(manyLoopSource(/*editedNest=*/1));
   out.warmMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   if (!warm.ok) {
@@ -204,12 +208,12 @@ LoopEditRun runLoopEdit(bool loopGranular, int threads) {
 /// post-edit lines.
 bool runCommentEdit(std::size_t* dirty, std::string* error) {
   AnalysisSession session;
-  SessionResult cold = session.submit(manyLoopSource(/*edited=*/false));
+  SessionResult cold = session.submit(manyLoopSource(/*editedNest=*/0));
   if (!cold.ok) {
     *error = "comment-edit cold submit failed:\n" + cold.error;
     return false;
   }
-  std::string shifted = manyLoopSource(/*edited=*/false);
+  std::string shifted = manyLoopSource(/*editedNest=*/0);
   const std::string anchor = "      do 100 i";
   const std::size_t pos = shifted.find(anchor);
   if (pos == std::string::npos) {
@@ -236,6 +240,51 @@ bool runCommentEdit(std::size_t* dirty, std::string* error) {
       return false;
     }
   return true;
+}
+
+/// Stationary stream: two full cycles of {edit nest k, revert} over every
+/// nest, in one session. The second cycle repeats texts the first already
+/// analyzed, so a warm session in its steady state re-derives only cached
+/// work: it interns no new expression and no new symbol (gated Exact 0).
+struct StationaryRun {
+  bool ok = true;
+  std::string error;
+  std::size_t exprGrowth = 0;
+  std::size_t symbolGrowth = 0;
+  double cycleMs[2] = {0, 0};
+};
+
+StationaryRun runStationary() {
+  StationaryRun out;
+  AnalysisOptions options;
+  options.numThreads = 1;
+  AnalysisSession session(options);
+  const std::string base = manyLoopSource(/*editedNest=*/0);
+  if (!session.submit(base).ok) {
+    out.ok = false;
+    out.error = "stationary cold submit failed";
+    return out;
+  }
+  std::size_t exprs[2] = {0, 0};
+  std::size_t symbols[2] = {0, 0};
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int k = 1; k <= kNests; ++k)
+      for (const std::string& text : {manyLoopSource(k), base})
+        if (!session.submit(text).ok) {
+          out.ok = false;
+          out.error = "stationary submit failed (cycle " + std::to_string(cycle + 1) +
+                      ", nest " + std::to_string(k) + ")";
+          return out;
+        }
+    out.cycleMs[cycle] =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    exprs[cycle] = ExprArena::global().stats().distinct;
+    symbols[cycle] = session.status().symbols;
+  }
+  out.exprGrowth = exprs[1] - exprs[0];
+  out.symbolGrowth = symbols[1] - symbols[0];
+  return out;
 }
 
 bench::BenchResult run() {
@@ -325,7 +374,7 @@ bench::BenchResult run() {
   std::string loopEditReference;
   {
     AnalysisSession session;
-    SessionResult ref = session.submit(manyLoopSource(/*edited=*/true));
+    SessionResult ref = session.submit(manyLoopSource(/*editedNest=*/1));
     if (!ref.ok) {
       result.fail("loop-edit reference submit failed:\n" + ref.error);
       return result;
@@ -390,6 +439,27 @@ bench::BenchResult run() {
   result.add("comment_edit_dirty", static_cast<double>(commentDirty), bench::Direction::Exact);
   if (!loopIdentical)
     result.fail("loop-granular warm reports diverge from a cold analysis of the edited source");
+
+  // ---- stationary stream scenario ----
+  StationaryRun stationary = runStationary();
+  if (!stationary.ok) {
+    result.fail(stationary.error);
+    return result;
+  }
+  std::printf("stationary stream — 2 cycles of {edit nest k, revert} over %d nests\n", kNests);
+  std::printf("cycle 2 growth: %zu expressions, %zu symbols; cycle 2 / cycle 1 wall %.2f\n",
+              stationary.exprGrowth, stationary.symbolGrowth,
+              stationary.cycleMs[1] / stationary.cycleMs[0]);
+  result.addConfig("stationary", "2 cycles of {edit nest k, revert} over all " +
+                                     std::to_string(kNests) + " nests");
+  result.add("stationary_expr_growth", static_cast<double>(stationary.exprGrowth),
+             bench::Direction::Exact);
+  result.add("stationary_symbol_growth", static_cast<double>(stationary.symbolGrowth),
+             bench::Direction::Exact);
+  result
+      .add("stationary_cycle2_over_cycle1_ms", stationary.cycleMs[1] / stationary.cycleMs[0],
+           bench::Direction::LowerIsBetter, 1.0, "x")
+      .gated = false;
   return result;
 }
 

@@ -7,14 +7,16 @@
 // GAR/HSG/privatization pipeline without going through Fortran text.
 //
 // Contract (DESIGN.md §4.7):
-//   * build() validates its input — undeclared symbols in analysis-bearing
-//     positions (subscripts, loop bounds; a scalar counts as declared when
-//     it is a formal, a PARAMETER, a loop variable, or is defined by an
-//     assignment or call, mirroring Fortran implicit typing), malformed or
-//     cyclic non-loop edges, duplicate block names, unclosed regions,
-//     subscript-rank mismatches, dangling GOTO labels — and reports every
-//     problem as a structured Diagnostic. It never aborts: a failed build
-//     returns no Program and the full diagnostics.
+//   * build() validates its input — symbol names that are not identifiers
+//     (the lexers' rule, isIdentifier; block names are exempt), undeclared
+//     symbols in analysis-bearing positions (subscripts, loop bounds; a
+//     scalar counts as declared when it is a formal, a PARAMETER, a loop
+//     variable, or is defined by an assignment or call, mirroring Fortran
+//     implicit typing), malformed or cyclic non-loop edges, duplicate block
+//     names, unclosed regions, subscript-rank mismatches, dangling GOTO
+//     labels — and reports every problem as a structured Diagnostic. It
+//     never aborts: a failed build returns no Program and the full
+//     diagnostics.
 //   * A builder-constructed procedure that is structurally equal to a
 //     parsed one yields the same `fingerprintProcedure` hash, so the
 //     incremental session treats the two frontends as one (a builder
@@ -250,6 +252,13 @@ class ProcedureBuilder {
   /// creation order when no edges exist); reports malformed chains.
   bool orderRegion(const std::vector<int>& members, std::vector<int>& ordered,
                    DiagnosticEngine& diags);
+  /// Reports every symbol name that breaks the lexers' identifier rule
+  /// (isIdentifier): sema interns scalars as `scope::name` and the summary
+  /// layer reserves `var'` for DO indices, so a name holding `:` or `'`
+  /// could alias one of them.
+  void checkIdentifier(const std::string& name, SourceLoc loc, DiagnosticEngine& diags) const;
+  void checkIdentifiers(const Expr& e, DiagnosticEngine& diags) const;
+  void checkIdentifiers(const Stmt& s, DiagnosticEngine& diags) const;
   void validateExpr(const Expr& e, bool analysisPosition, DiagnosticEngine& diags);
   void validateStmt(const Stmt& s, DiagnosticEngine& diags);
   void collectDefinedScalars(const Stmt& s);

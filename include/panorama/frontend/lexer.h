@@ -55,4 +55,8 @@ std::vector<Token> lex(std::string_view source, DiagnosticEngine& diags,
 
 const char* tokKindName(TokKind k);
 
+/// The identifier rule both dialects lex by: a letter or '_', then letters,
+/// digits and '_'. ProgramBuilder holds every symbol name to the same rule.
+bool isIdentifier(std::string_view name);
+
 }  // namespace panorama

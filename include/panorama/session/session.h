@@ -163,6 +163,7 @@ class AnalysisSession {
   struct Status {
     std::uint64_t epoch = 0;
     std::size_t units = 0;        ///< cached procedure units
+    std::size_t symbols = 0;      ///< interned symbolic variables; flat once warm
     bool live = false;            ///< has a successfully analyzed program
     std::uint64_t fileSkips = 0;  ///< whole-file fast-path hits
   };
@@ -297,6 +298,7 @@ class AnalysisSession {
   /// status() mirrors (see Status).
   std::atomic<std::uint64_t> statusEpoch_{0};
   std::atomic<std::size_t> statusUnits_{0};
+  std::atomic<std::size_t> statusSymbols_{0};
   std::atomic<bool> statusLive_{false};
   std::atomic<std::uint64_t> statusFileSkips_{0};
 

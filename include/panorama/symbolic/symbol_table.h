@@ -4,7 +4,7 @@
 //
 // The table is thread-safe: the name index is split across shards, each
 // with its own reader-writer lock, and the id-to-name store takes a
-// separate lock, so concurrent procedure analyses can intern fresh loop
+// separate lock, so concurrent procedure analyses can intern primed loop
 // indices without serializing on a single mutex. Moving or copying the
 // table itself is NOT thread-safe (do it before analysis starts).
 #pragma once
@@ -52,10 +52,12 @@ class SymbolTable {
   const std::string& name(VarId id) const;
   std::size_t size() const;
 
-  /// Creates a fresh variable distinct from every interned name. Used for
-  /// renamed loop indices (e.g. the i' of MOD_{<i}) and for formal-parameter
-  /// renaming at call sites.
-  VarId fresh(std::string_view hint);
+  /// The reserved primed copy of DO variable `var` (the i' of MOD_{<i}):
+  /// `var'`, interned once per table, so re-summarizing a loop reuses it
+  /// instead of minting a new variable. It cannot collide with a program
+  /// name: sema interns scalars as `scope::name`, and identifiers never
+  /// contain `'` or `:`.
+  VarId primed(std::string_view var);
 
  private:
   static std::string normalize(std::string_view name);
@@ -72,8 +74,9 @@ class SymbolTable {
   };
 
   Shard& shardFor(const std::string& key) const;
-  /// Interns `key` only if absent; second = false when it already existed.
-  std::pair<VarId, bool> internIfAbsent(std::string key);
+  /// Interns an already-normalized `key`: a shared-lock lookup, then an
+  /// insert under the shard's write lock.
+  VarId internKey(std::string key);
 
   std::unique_ptr<Rep> rep_;
 };

@@ -3,7 +3,7 @@
 // obs metrics registry so the counters exist exactly once and every
 // renderer (this file, panorama_driver --stats, the --metrics JSON dump)
 // reads the same source of truth.
-#include <sstream>
+#include <string>
 
 #include "panorama/analysis/analysis.h"
 #include "panorama/analysis/driver.h"
@@ -12,99 +12,107 @@
 
 namespace panorama {
 
+namespace {
+
+/// Appends every part to `out`; the renderers build their text this way
+/// rather than through an ostringstream, whose first use in a process pays
+/// for iostream and locale set-up.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (out += ... += parts);
+}
+
+}  // namespace
+
 std::string formatLoopAnalysis(const LoopAnalysis& la) {
-  std::ostringstream os;
-  const char* var = la.loop ? la.loop->doVar.c_str() : "?";
-  os << la.procName << ": DO " << var << " (line " << la.line << "): "
-     << toString(la.classification);
+  std::string out;
+  append(out, la.procName, ": DO ", la.loop ? la.loop->doVar.c_str() : "?", " (line ",
+         std::to_string(la.line), "): ", toString(la.classification));
   if (la.classification == LoopClass::Serial && !la.serialReason.empty())
-    os << " — " << la.serialReason;
-  os << '\n';
+    append(out, " — ", la.serialReason);
+  out += '\n';
   for (const ArrayPrivatization& ap : la.arrays) {
-    os << "    array " << ap.name << ": ";
+    append(out, "    array ", ap.name, ": ");
     if (!ap.written)
-      os << "read-only";
+      out += "read-only";
     else if (ap.privatizable)
-      os << "privatizable" << (ap.needsCopyOut ? " (copy-out last value)" : "");
+      append(out, "privatizable", ap.needsCopyOut ? " (copy-out last value)" : "");
     else if (ap.candidate)
-      os << "candidate, NOT privatizable (" << ap.reason << ")";
+      append(out, "candidate, NOT privatizable (", ap.reason, ")");
     else
-      os << ap.reason;
-    os << '\n';
+      out += ap.reason;
+    out += '\n';
   }
   for (const ScalarInfo& si : la.scalars) {
     if (si.reduction)
-      os << "    scalar " << si.name << ": reduction (" << si.reductionOp << ")\n";
+      append(out, "    scalar ", si.name, ": reduction (", si.reductionOp, ")\n");
     else if (!si.privatizable)
-      os << "    scalar " << si.name << ": exposed across iterations\n";
+      append(out, "    scalar ", si.name, ": exposed across iterations\n");
   }
-  return os.str();
+  return out;
 }
 
 std::string formatProvenance(const LoopAnalysis& la) {
-  std::ostringstream os;
+  std::string out;
   for (const obs::Evidence& e : la.provenance.evidence) {
-    os << "    why [" << toString(e.kind) << "]";
-    if (!e.subject.empty()) os << " " << e.subject;
-    os << " -> " << toString(e.verdict);
-    if (!e.detail.empty()) os << ": " << e.detail;
-    os << '\n';
+    append(out, "    why [", toString(e.kind), "]");
+    if (!e.subject.empty()) append(out, " ", e.subject);
+    append(out, " -> ", toString(e.verdict));
+    if (!e.detail.empty()) append(out, ": ", e.detail);
+    out += '\n';
   }
-  for (const obs::SymbolicNote& n : la.provenance.notes) {
-    os << "    why (symbolic, best-effort) [" << n.source << "] during " << n.scope << ": "
-       << n.detail << '\n';
-  }
-  return os.str();
+  for (const obs::SymbolicNote& n : la.provenance.notes)
+    append(out, "    why (symbolic, best-effort) [", n.source, "] during ", n.scope, ": ", n.detail,
+           "\n");
+  return out;
 }
 
 std::string provenanceSummary(const LoopAnalysis& la) {
-  std::ostringstream os;
-  os << toString(la.classification);
+  std::string out = toString(la.classification);
   if (la.classification != LoopClass::Serial) {
     // Name the arrays whose privatization the verdict rests on.
     bool any = false;
     for (const ArrayPrivatization& ap : la.arrays) {
       if (!ap.privatizable) continue;
-      os << (any ? "" : " [privatized:") << " " << ap.name;
+      append(out, any ? "" : " [privatized:", " ", ap.name);
       any = true;
     }
-    if (any) os << "]";
-    return os.str();
+    if (any) out += "]";
+    return out;
   }
-  os << ":";
+  out += ":";
   bool decisive = false;
   for (const obs::Evidence& e : la.provenance.evidence) {
     switch (e.kind) {
       case obs::EvidenceKind::NotSummarized:
       case obs::EvidenceKind::UnanalyzableHeader:
-        os << " " << toString(e.kind);
+        append(out, " ", toString(e.kind));
         decisive = true;
         break;
       case obs::EvidenceKind::FlowTest:
         if (e.verdict != Truth::True) {
-          os << " flow-test unresolved on " << e.subject << ";";
+          append(out, " flow-test unresolved on ", e.subject, ";");
           decisive = true;
         }
         break;
       case obs::EvidenceKind::CopyOutDemotion:
-        os << " copy-out demoted " << e.subject << ";";
+        append(out, " copy-out demoted ", e.subject, ";");
         decisive = true;
         break;
       case obs::EvidenceKind::DependenceTest:
         if (e.verdict != Truth::True) {
-          os << " carried-" << e.subject << " unresolved;";
+          append(out, " carried-", e.subject, " unresolved;");
           decisive = true;
         }
         break;
       case obs::EvidenceKind::ScalarExposed:
-        os << " scalar " << e.subject << " exposed;";
+        append(out, " scalar ", e.subject, " exposed;");
         decisive = true;
         break;
       default: break;
     }
   }
-  if (!decisive) os << " " << la.serialReason;
-  std::string out = os.str();
+  if (!decisive) append(out, " ", la.serialReason);
   if (out.ends_with(";")) out.pop_back();
   return out;
 }
@@ -156,17 +164,19 @@ std::string formatCorpusStats(const CorpusAnalysisResult& result) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   publishCorpusMetrics(result, reg);
   auto value = [&](const char* name) { return reg.counterValue(name).value_or(0); };
+  auto number = [&](const char* name) { return std::to_string(value(name)); };
 
-  std::ostringstream os;
-  std::size_t threads = value("corpus.threads");
-  os << "corpus: " << value("corpus.loops") << " loops analyzed on " << threads << " thread"
-     << (threads == 1 ? "" : "s") << " — " << value("corpus.parallel") << " parallel, "
-     << value("corpus.parallel_after_privatization") << " parallel after privatization, "
-     << value("corpus.serial") << " serial\n";
-  os << obs::renderSummaryCost(value("summary.block_steps"), value("summary.loop_expansions"),
-                               value("summary.call_mappings"), value("summary.peak_list_length"),
-                               value("summary.gars_created"))
-     << '\n';
+  std::string out;
+  const std::uint64_t threads = value("corpus.threads");
+  append(out, "corpus: ", number("corpus.loops"), " loops analyzed on ", std::to_string(threads),
+         threads == 1 ? " thread" : " threads", " — ", number("corpus.parallel"), " parallel, ",
+         number("corpus.parallel_after_privatization"), " parallel after privatization, ",
+         number("corpus.serial"), " serial\n");
+  append(out,
+         obs::renderSummaryCost(value("summary.block_steps"), value("summary.loop_expansions"),
+                                value("summary.call_mappings"), value("summary.peak_list_length"),
+                                value("summary.gars_created")),
+         "\n");
   // The two cache blocks are one renderer with per-block labels; the rate
   // precision preserves each block's historical formatting byte-for-byte.
   struct CacheBlock {
@@ -177,13 +187,14 @@ std::string formatCorpusStats(const CorpusAnalysisResult& result) {
   for (const CacheBlock& block : {CacheBlock{"query cache", "query_cache", 1},
                                   CacheBlock{"simplify memo", "simplify_memo", 0}}) {
     std::string p(block.prefix);
-    os << obs::renderCacheCounters(block.label, value((p + ".hits").c_str()),
-                                   value((p + ".misses").c_str()),
-                                   value((p + ".entries").c_str()),
-                                   value((p + ".evictions").c_str()), block.rateDecimals)
-       << '\n';
+    append(out,
+           obs::renderCacheCounters(block.label, value((p + ".hits").c_str()),
+                                    value((p + ".misses").c_str()),
+                                    value((p + ".entries").c_str()),
+                                    value((p + ".evictions").c_str()), block.rateDecimals),
+           "\n");
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace panorama

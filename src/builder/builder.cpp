@@ -10,6 +10,7 @@
 #include <set>
 
 #include "panorama/ast/sema.h"
+#include "panorama/frontend/lexer.h"
 
 namespace panorama::builder {
 
@@ -393,6 +394,32 @@ void ProcedureBuilder::addEdge(int from, int to) {
 
 // ----------------------------------------------------------- validation
 
+void ProcedureBuilder::checkIdentifier(const std::string& name, SourceLoc loc,
+                                       DiagnosticEngine& diags) const {
+  if (!isIdentifier(name))
+    diags.error(loc, "procedure '" + name_ + "': '" + name + "' is not an identifier");
+}
+
+void ProcedureBuilder::checkIdentifiers(const Expr& e, DiagnosticEngine& diags) const {
+  if (e.kind == Expr::Kind::VarRef || e.kind == Expr::Kind::ArrayRef ||
+      e.kind == Expr::Kind::Intrinsic)
+    checkIdentifier(e.name, e.loc, diags);
+  for (const ExprPtr& a : e.args)
+    if (a) checkIdentifiers(*a, diags);
+}
+
+void ProcedureBuilder::checkIdentifiers(const Stmt& s, DiagnosticEngine& diags) const {
+  if (s.kind == Stmt::Kind::Do) checkIdentifier(s.doVar, s.loc, diags);
+  if (s.kind == Stmt::Kind::Call) checkIdentifier(s.callee, s.loc, diags);
+  for (const Expr* e : {s.lhs.get(), s.rhs.get(), s.cond.get(), s.lo.get(), s.hi.get(),
+                        s.step.get()})
+    if (e) checkIdentifiers(*e, diags);
+  for (const ExprPtr& a : s.args)
+    if (a) checkIdentifiers(*a, diags);
+  for (const std::vector<StmtPtr>* body : {&s.thenBody, &s.elseBody, &s.body})
+    for (const StmtPtr& c : *body) checkIdentifiers(*c, diags);
+}
+
 bool ProcedureBuilder::isDeclared(const std::string& name) const {
   for (const VarDecl& d : decls_)
     if (d.name == name) return true;
@@ -662,6 +689,24 @@ bool ProcedureBuilder::emit(Procedure& out, DiagnosticEngine& diags) {
       diags.error(n.loc, "procedure '" + name_ + "': duplicate block name '" + n.name + "'");
   }
 
+  checkIdentifier(name_, procLoc_, diags);
+  for (const std::string& p : params_) checkIdentifier(p, procLoc_, diags);
+  for (const VarDecl& d : decls_) {
+    checkIdentifier(d.name, d.loc, diags);
+    for (const VarDecl::DimBound& b : d.dims) {
+      if (b.lo) checkIdentifiers(*b.lo, diags);
+      if (b.up) checkIdentifiers(*b.up, diags);
+    }
+  }
+  for (const ParamConst& pc : consts_) {
+    checkIdentifier(pc.name, procLoc_, diags);
+    if (pc.value) checkIdentifiers(*pc.value, diags);
+  }
+  for (const CommonBlock& blk : commons_) {
+    if (!blk.name.empty()) checkIdentifier(blk.name, procLoc_, diags);  // empty: blank COMMON
+    for (const std::string& v : blk.vars) checkIdentifier(v, procLoc_, diags);
+  }
+
   std::set<std::string> declNames;
   for (const VarDecl& d : decls_)
     if (!declNames.insert(d.name).second)
@@ -683,6 +728,7 @@ bool ProcedureBuilder::emit(Procedure& out, DiagnosticEngine& diags) {
   std::vector<StmtPtr> body;
   if (regionStack_.empty()) emitRegion(-1, false, body, diags);
 
+  for (const StmtPtr& s : body) checkIdentifiers(*s, diags);
   for (const StmtPtr& s : body) collectDefinedScalars(*s);
   for (const StmtPtr& s : body) validateStmt(*s, diags);
 

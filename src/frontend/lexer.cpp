@@ -325,6 +325,13 @@ std::vector<Token> lex(std::string_view source, DiagnosticEngine& diags, LexDial
   return Lexer(source, diags, dialect).run();
 }
 
+bool isIdentifier(std::string_view name) {
+  if (name.empty() || !isIdentStart(name.front())) return false;
+  for (char c : name.substr(1))
+    if (!isIdentChar(c)) return false;
+  return true;
+}
+
 const char* tokKindName(TokKind k) {
   switch (k) {
     case TokKind::Eof: return "end of input";

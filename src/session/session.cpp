@@ -109,6 +109,7 @@ std::uint64_t AnalysisSession::summaryEpochOf(const std::string& name) const {
 void AnalysisSession::publishStatusLocked() {
   statusEpoch_.store(epoch_, std::memory_order_relaxed);
   statusUnits_.store(units_.size(), std::memory_order_relaxed);
+  statusSymbols_.store(sema_.symbols.size(), std::memory_order_relaxed);
   statusLive_.store(live_, std::memory_order_relaxed);
   statusFileSkips_.store(fileSkips_, std::memory_order_relaxed);
 }
@@ -117,6 +118,7 @@ AnalysisSession::Status AnalysisSession::status() const {
   Status s;
   s.epoch = statusEpoch_.load(std::memory_order_relaxed);
   s.units = statusUnits_.load(std::memory_order_relaxed);
+  s.symbols = statusSymbols_.load(std::memory_order_relaxed);
   s.live = statusLive_.load(std::memory_order_relaxed);
   s.fileSkips = statusFileSkips_.load(std::memory_order_relaxed);
   return s;

@@ -426,8 +426,9 @@ std::string Daemon::statusResponse(const std::string& id) {
       out += "{\"name\":\"";
       support::appendJsonEscaped(out, name);
       std::snprintf(buf, sizeof(buf),
-                    "\",\"epoch\":%llu,\"units\":%zu,\"live\":%s,\"file_skips\":%llu}",
-                    static_cast<unsigned long long>(s.epoch), s.units,
+                    "\",\"epoch\":%llu,\"units\":%zu,\"symbols\":%zu,\"live\":%s,"
+                    "\"file_skips\":%llu}",
+                    static_cast<unsigned long long>(s.epoch), s.units, s.symbols,
                     s.live ? "true" : "false", static_cast<unsigned long long>(s.fileSkips));
       out += buf;
     }

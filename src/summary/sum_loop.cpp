@@ -195,9 +195,11 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   ls.bounds = LoopBounds{*idxId, lo, up, st};
   CmpCtx inLoop = loopContext(ls.bounds, ctx_);
 
-  // MOD_{<i} / MOD_{>i}: rename i to a fresh index and expand over the
-  // prior/following iteration windows (step-aligned endpoints).
-  VarId ii = sema_->symbols.fresh(s.doVar);
+  // MOD_{<i} / MOD_{>i}: rename i to its reserved primed copy i' and expand
+  // over the prior/following iteration windows (step-aligned endpoints).
+  // The expansion projects i' out, so it never reaches a summary, and every
+  // re-summarization of this loop reuses the same i'.
+  VarId ii = sema_->symbols.primed(s.doVar);
   GarList renamed = modI.substituted(*idxId, SymExpr::variable(ii));
   SymExpr I = SymExpr::variable(*idxId);
   ls.modBefore = expandByIndex(renamed, LoopBounds{ii, lo, I - st, st}, inLoop);

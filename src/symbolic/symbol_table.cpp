@@ -37,11 +37,14 @@ SymbolTable::Shard& SymbolTable::shardFor(const std::string& key) const {
   return rep_->shards[std::hash<std::string>{}(key) % kShards];
 }
 
-std::pair<VarId, bool> SymbolTable::internIfAbsent(std::string key) {
+VarId SymbolTable::internKey(std::string key) {
   Shard& shard = shardFor(key);
+  {
+    std::shared_lock<std::shared_mutex> lock(shard.mutex);
+    if (auto it = shard.index.find(key); it != shard.index.end()) return VarId{it->second};
+  }
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  if (auto it = shard.index.find(key); it != shard.index.end())
-    return {VarId{it->second}, false};
+  if (auto it = shard.index.find(key); it != shard.index.end()) return VarId{it->second};
   std::uint32_t id;
   {
     std::unique_lock<std::shared_mutex> nlock(rep_->namesMutex);
@@ -49,17 +52,15 @@ std::pair<VarId, bool> SymbolTable::internIfAbsent(std::string key) {
     rep_->names.push_back(key);
   }
   shard.index.emplace(std::move(key), id);
-  return {VarId{id}, true};
+  return VarId{id};
 }
 
-VarId SymbolTable::intern(std::string_view name) {
-  std::string key = normalize(name);
-  {
-    Shard& shard = shardFor(key);
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    if (auto it = shard.index.find(key); it != shard.index.end()) return VarId{it->second};
-  }
-  return internIfAbsent(std::move(key)).first;
+VarId SymbolTable::intern(std::string_view name) { return internKey(normalize(name)); }
+
+VarId SymbolTable::primed(std::string_view var) {
+  std::string key = normalize(var);
+  key.push_back('\'');
+  return internKey(std::move(key));
 }
 
 std::optional<VarId> SymbolTable::lookup(std::string_view name) const {
@@ -79,15 +80,6 @@ const std::string& SymbolTable::name(VarId id) const {
 std::size_t SymbolTable::size() const {
   std::shared_lock<std::shared_mutex> lock(rep_->namesMutex);
   return rep_->names.size();
-}
-
-VarId SymbolTable::fresh(std::string_view hint) {
-  std::string base = normalize(hint);
-  for (int n = 0;; ++n) {
-    std::string candidate = base + "'" + (n == 0 ? std::string() : std::to_string(n));
-    auto [id, inserted] = internIfAbsent(std::move(candidate));
-    if (inserted) return id;
-  }
 }
 
 }  // namespace panorama

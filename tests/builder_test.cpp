@@ -12,8 +12,9 @@
 //   * `>>` edge chains order blocks, overriding creation order;
 //   * every misuse — cyclic or malformed edge chains, duplicate block
 //     names, undeclared subscript symbols, unclosed regions, rank
-//     mismatches, dangling GOTOs — is a structured diagnostic from
-//     build(), never an abort, and one build() reports all of them.
+//     mismatches, dangling GOTOs, symbol names that are not identifiers —
+//     is a structured diagnostic from build(), never an abort, and one
+//     build() reports all of them.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -527,6 +528,73 @@ TEST(BuilderDiagnosticsTest, DuplicateDeclaration) {
   p.integer("n").real("n");
   p.assign("n", 1);
   expectBuildError(b, "duplicate declaration of 'n'");
+}
+
+// Symbol names follow the lexers' identifier rule in every position, so no
+// builder name can alias sema's `scope::name` keys or a DO index's reserved
+// primed copy `var'`.
+TEST(BuilderDiagnosticsTest, PrimedNameIsNotAnIdentifier) {
+  builder::ProgramBuilder b;
+  auto& p = b.procedure("p");
+  p.real("x'");
+  p.assign("x'", 1);
+  expectBuildError(b, "procedure 'p': 'x'' is not an identifier");
+}
+
+TEST(BuilderDiagnosticsTest, ScopedNameIsNotAnIdentifier) {
+  builder::ProgramBuilder b;
+  auto& p = b.mainProgram("main");
+  p.array("a", {10});
+  p.beginLoop("i", 1, 10);
+  p.store("a", {sym("i")}, sym("main::n"));
+  p.endLoop();
+  expectBuildError(b, "procedure 'main': 'main::n' is not an identifier");
+}
+
+TEST(BuilderDiagnosticsTest, DollarNameIsNotAnIdentifier) {
+  builder::ProgramBuilder b;
+  auto& p = b.mainProgram("main");
+  p.array("a", {10});
+  p.beginLoop("psi$1", 1, 10);
+  p.store("a", {sym("psi$1")}, 0);
+  p.endLoop();
+  expectBuildError(b, "procedure 'main': 'psi$1' is not an identifier");
+}
+
+TEST(BuilderDiagnosticsTest, NameWithASpaceIsNotAnIdentifier) {
+  builder::ProgramBuilder b;
+  auto& p = b.mainProgram("main");
+  p.call("do work", {sym("s")});
+  expectBuildError(b, "procedure 'main': 'do work' is not an identifier");
+}
+
+TEST(BuilderDiagnosticsTest, LeadingDigitIsNotAnIdentifier) {
+  builder::ProgramBuilder b;
+  auto& p = b.procedure("p");
+  p.param("1x");
+  p.assign("s", 1);
+  expectBuildError(b, "procedure 'p': '1x' is not an identifier");
+}
+
+TEST(BuilderDiagnosticsTest, EmptyNameIsNotAnIdentifier) {
+  builder::ProgramBuilder b;
+  auto& p = b.mainProgram("main");
+  p.integer("n");
+  p.common("blk", {"n", ""});
+  p.assign("n", 1);
+  expectBuildError(b, "procedure 'main': '' is not an identifier");
+}
+
+TEST(BuilderTest, BlankCommonAndFreeBlockNamesAreAccepted) {
+  // A blank COMMON has an empty block name, and basic-block names are
+  // labels, not symbols: neither is held to the identifier rule.
+  builder::ProgramBuilder b;
+  auto& p = b.mainProgram("main");
+  p.integer("n");
+  p.common("", {"n"});
+  p.block("set up n").assign("n", 1);
+  BuildResult r = b.build();
+  EXPECT_TRUE(r.ok()) << r.error();
 }
 
 TEST(BuilderDiagnosticsTest, BuildIsSingleShot) {

@@ -12,7 +12,9 @@
 //   * a closed connection's handler thread is joined at the next accept,
 //     so the threads the daemon holds track its open connections;
 //   * connection churn leaves the shared verdict cache and its counters
-//     as warm as it found them.
+//     as warm as it found them;
+//   * a named session fed a stationary edit stream reaches a steady state
+//     that `status` shows: flat expression arena, flat symbol count.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -23,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "panorama/session/session.h"
@@ -30,6 +33,7 @@
 #include "panorama/store/protocol.h"
 #include "panorama/support/json.h"
 #include "panorama/support/memo_cache.h"
+#include "steady_state.h"
 
 namespace panorama {
 namespace {
@@ -274,6 +278,50 @@ TEST(DaemonTest, NamedSessionPersistsAcrossConnections) {
     EXPECT_EQ(skips->asNumber(), 1.0);
   }
   EXPECT_EQ(first, second);
+}
+
+TEST(DaemonTest, NamedSessionReachesASteadyState) {
+  CacheGuard guard;
+  AnalysisOptions options;
+  options.numThreads = 2;
+  const std::string path = socketPath("steady");
+  store::Daemon daemon(path, options);
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+
+  Client c(path);
+  // (arenas.expr.distinct, the named session's symbols); -1 when absent.
+  auto sample = [&]() -> std::pair<double, double> {
+    support::JsonValue status = rpc(c.fd, "{\"id\":1,\"op\":\"status\"}");
+    auto number = [](const support::JsonValue* v) {
+      return v && v->isNumber() ? v->asNumber() : -1.0;
+    };
+    const support::JsonValue* arenas = status.find("arenas");
+    const support::JsonValue* expr = arenas ? arenas->find("expr") : nullptr;
+    const support::JsonValue* sessions = status.find("sessions");
+    if (!expr || !sessions || !sessions->isArray() || sessions->items().size() != 1u) {
+      ADD_FAILURE() << "status lacks arenas.expr or the one named session";
+      return {-1, -1};
+    }
+    return {number(expr->find("distinct")), number(sessions->items()[0].find("symbols"))};
+  };
+  auto submit = [&](const std::string& source) {
+    support::JsonValue response = rpc(c.fd, submitRequest(source, "k.f", "steady"));
+    const support::JsonValue* ok = response.find("ok");
+    return ok && ok->isBool() && ok->asBool();
+  };
+
+  ASSERT_TRUE(submit(steady::kernel(steady::Edit::None)));
+  std::pair<double, double> settled;
+  for (int cycle = 1; cycle <= 21; ++cycle) {
+    for (const std::string& text : steady::cycle()) ASSERT_TRUE(submit(text)) << "cycle " << cycle;
+    if (cycle == 2) settled = sample();
+  }
+  const std::pair<double, double> last = sample();
+  EXPECT_GT(settled.first, 0.0);
+  EXPECT_GT(settled.second, 0.0);
+  EXPECT_EQ(last.first, settled.first) << "arenas.expr.distinct grew";
+  EXPECT_EQ(last.second, settled.second) << "the session's symbols grew";
 }
 
 TEST(DaemonTest, ErrorResponsesEchoTheRequestId) {

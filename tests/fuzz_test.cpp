@@ -15,16 +15,24 @@
 // be identical to the parsed original), and a second generator constructs
 // random well-formed programs directly through the fluent ProgramBuilder
 // API and requires the full pipeline to accept them.
+// The reserved primed DO indices (SymbolTable::primed, the i' of MOD_{<i})
+// must never escape their expansion: no loop summary of a random kernel or
+// of a corpus program mentions one, with or without the quantified
+// extension and DE sets.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "panorama/analysis/analysis.h"
 #include "panorama/analysis/driver.h"
 #include "panorama/ast/fingerprint.h"
 #include "panorama/builder/builder.h"
+#include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/interp/interpreter.h"
 #include "panorama/session/session.h"
@@ -282,7 +290,81 @@ TEST_P(FuzzTest, AnalyzerMatchesInterpreterOnRandomKernels) {
   }
 }
 
+/// The primed DO indices `var'` the analysis interned.
+std::vector<VarId> primedIndices(const SymbolTable& symbols) {
+  std::vector<VarId> out;
+  for (std::uint32_t id = 0; id < symbols.size(); ++id)
+    if (symbols.name(VarId{id}).ends_with('\'')) out.push_back(VarId{id});
+  return out;
+}
+
+/// Names the first loop-summary set of `pa` that mentions a primed DO
+/// index, or returns "" when none does.
+std::string primedIndexEscape(const ProgramAnalysis& pa) {
+  const std::vector<VarId> primed = primedIndices(pa.sema.symbols);
+  std::string found;
+  std::function<void(const std::vector<StmtPtr>&)> walk = [&](const std::vector<StmtPtr>& body) {
+    for (const StmtPtr& s : body) {
+      if (!found.empty()) return;
+      if (s->kind == Stmt::Kind::Do) {
+        if (const LoopSummary* ls = pa.analyzer->loopSummary(s.get())) {
+          const std::pair<const char*, const GarList*> sets[] = {
+              {"MOD_i", &ls->modIter},    {"UE_i", &ls->ueIter},     {"DE_i", &ls->deIter},
+              {"MOD_<i", &ls->modBefore}, {"MOD_>i", &ls->modAfter}, {"MOD", &ls->mod},
+              {"UE", &ls->ue},            {"DE", &ls->de},           {"UE_after", &ls->ueAfter}};
+          for (const auto& [name, list] : sets)
+            for (VarId p : primed)
+              if (list->containsVar(p)) {
+                found = "DO " + s->doVar + " (line " + std::to_string(s->loc.line) + "): " +
+                        name + " mentions " + pa.sema.symbols.name(p);
+                return;
+              }
+        }
+      }
+      walk(s->body);
+      walk(s->thenBody);
+      walk(s->elseBody);
+    }
+  };
+  for (const Procedure& proc : pa.program.procedures) walk(proc.body);
+  return found;
+}
+
+/// Analyzes `src` under every quantified/DE combination and expects no
+/// loop summary to mention a primed DO index.
+void expectPrimedIndicesStayInside(const std::string& src, ThreadPool& pool) {
+  for (bool quantified : {false, true})
+    for (bool computeDE : {false, true}) {
+      AnalysisOptions options;
+      options.quantified = quantified;
+      options.computeDE = computeDE;
+      DiagnosticEngine diags;
+      auto program = parseProgram(src, diags);
+      ASSERT_TRUE(program.has_value()) << diags.str() << "\n" << src;
+      ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), options, pool);
+      ASSERT_TRUE(pa.ok) << pa.error << "\n" << src;
+      EXPECT_FALSE(primedIndices(pa.sema.symbols).empty()) << src;
+      EXPECT_EQ(primedIndexEscape(pa), "")
+          << "quantified=" << quantified << " computeDE=" << computeDE << "\n" << src;
+    }
+}
+
+// Same kernels as AnalyzerMatchesInterpreterOnRandomKernels.
+TEST_P(FuzzTest, PrimedIndexNeverEscapesRandomKernelSummaries) {
+  ProgramGen gen(GetParam() * 2654435761u + 17u);
+  ThreadPool pool(1);
+  for (int round = 0; round < 30; ++round) expectPrimedIndicesStayInside(gen.generate(), pool);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+TEST(PrimedIndexTest, NeverEscapesCorpusSummaries) {
+  ThreadPool pool(1);
+  std::vector<std::string> sources{fig1aSource(), fig1bSource(), fig1cSource()};
+  for (const CorpusLoop& kernel : perfectCorpus()) sources.push_back(kernel.source);
+  ASSERT_EQ(sources.size(), 15u);
+  for (const std::string& src : sources) expectPrimedIndicesStayInside(src, pool);
+}
 
 std::string renderLoops(const ProgramAnalysis& pa) {
   std::ostringstream os;

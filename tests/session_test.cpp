@@ -9,6 +9,9 @@
 //   * an ablation-relevant options change invalidates everything once;
 //   * sessions never reset the process-wide verdict cache or its counters,
 //     and never change the process-wide query tier;
+//   * a session fed a stationary edit stream, in process or restarted from
+//     a snapshot before every submit, reaches a steady state: no new
+//     symbol, expression or predicate and no verdict-cache miss;
 //   * a cold submit reports exactly what the batch analyzeProgramUnit does,
 //     on every corpus program, at 1 and 4 threads, with and without the
 //     quantified extension.
@@ -27,9 +30,12 @@
 #include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/obs/metrics.h"
+#include "panorama/predicate/arena.h"
 #include "panorama/predicate/fm_incremental.h"
 #include "panorama/session/session.h"
 #include "panorama/support/memo_cache.h"
+#include "panorama/symbolic/arena.h"
+#include "steady_state.h"
 
 namespace panorama {
 namespace {
@@ -540,6 +546,77 @@ TEST(SessionTest, SessionsNeverResetTheSharedVerdictCache) {
   const QueryCache::Stats resubmitted = QueryCache::global().stats();
   EXPECT_GT(resubmitted.hits, after.hits);
   EXPECT_EQ(resubmitted.misses, after.misses) << "an analyzed source's verdicts are all cached";
+}
+
+/// What a warm session may only grow while it meets new text.
+struct Footprint {
+  std::size_t exprs = 0;
+  std::size_t preds = 0;
+  std::uint64_t verdictMisses = 0;
+  std::size_t symbols = 0;
+};
+
+Footprint footprint(const AnalysisSession& session) {
+  return {ExprArena::global().stats().distinct, PredArena::global().stats().distinct,
+          QueryCache::global().stats().misses, session.status().symbols};
+}
+
+void expectUnchanged(const Footprint& settled, const Footprint& now, const std::string& what) {
+  EXPECT_EQ(now.exprs, settled.exprs) << what << ": expression arena grew";
+  EXPECT_EQ(now.preds, settled.preds) << what << ": predicate arena grew";
+  EXPECT_EQ(now.verdictMisses, settled.verdictMisses) << what << ": verdict cache missed";
+  EXPECT_EQ(now.symbols, settled.symbols) << what << ": symbol table grew";
+}
+
+// Re-summarizing a loop reuses its index's one reserved primed copy, so a
+// stationary edit stream settles: after the warm-up, 20 more cycles of the
+// same edits intern nothing and miss no verdict.
+TEST(SessionTest, WarmSessionReachesASteadyState) {
+  CacheGuard guard;
+  for (std::size_t threads : {1u, 4u}) {
+    AnalysisOptions options;
+    options.numThreads = threads;
+    AnalysisSession session(options);
+    ASSERT_TRUE(session.submit(steady::kernel(steady::Edit::None)).ok);
+    Footprint settled;
+    for (int c = 1; c <= 21; ++c) {
+      for (const std::string& text : steady::cycle())
+        ASSERT_TRUE(session.submit(text).ok) << "cycle " << c << ", " << threads << " threads";
+      if (c == 2) settled = footprint(session);
+    }
+    EXPECT_GT(settled.symbols, 0u);
+    expectUnchanged(settled, footprint(session), std::to_string(threads) + " threads");
+  }
+}
+
+// The same stream with a snapshot save -> restore into a fresh session
+// before every submit: the symbol table a snapshot carries stops growing.
+TEST(SessionTest, SnapshotRestartsReachASteadyState) {
+  CacheGuard guard;
+  const std::string path = testing::TempDir() + "session_steady_state.pano";
+  AnalysisOptions options;
+  options.numThreads = 1;
+  {
+    AnalysisSession first(options);
+    ASSERT_TRUE(first.submit(steady::kernel(steady::Edit::None)).ok);
+    ASSERT_TRUE(first.save(path).ok);
+  }
+  Footprint settled, last;
+  for (int c = 1; c <= 21; ++c) {
+    for (const std::string& text : steady::cycle()) {
+      AnalysisSession session(options);
+      store::StoreResult restored = session.restore(path);
+      ASSERT_TRUE(restored.ok) << restored.error;
+      ASSERT_TRUE(session.submit(text).ok) << "cycle " << c;
+      store::StoreResult saved = session.save(path);
+      ASSERT_TRUE(saved.ok) << saved.error;
+      last = footprint(session);
+    }
+    if (c == 2) settled = last;
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(settled.symbols, 0u);
+  expectUnchanged(settled, last, "restart path");
 }
 
 // The query tier is a process setting (fm_incremental.h) that no session

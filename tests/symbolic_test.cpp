@@ -229,12 +229,16 @@ TEST_F(SymbolicTest, NonAffineRejected) {
   EXPECT_EQ(cs.impliesLE0(X * Y - 1), Truth::Unknown);
 }
 
-TEST_F(SymbolicTest, FreshVariablesAreDistinct) {
-  VarId f1 = tab.fresh("i");
-  VarId f2 = tab.fresh("i");
-  EXPECT_NE(f1, f2);
-  EXPECT_NE(f1, tab.intern("i"));
-  EXPECT_NE(tab.name(f1), tab.name(f2));
+TEST_F(SymbolicTest, PrimedIndexIsStablePerVariable) {
+  const std::size_t before = tab.size();
+  VarId p = tab.primed("i");
+  EXPECT_EQ(p, tab.primed("I"));
+  EXPECT_NE(p, tab.intern("i"));
+  EXPECT_NE(p, tab.primed("j"));
+  EXPECT_EQ(tab.name(p), "i'");
+  EXPECT_EQ(tab.lookup("i'"), p);
+  // i', i and j': repeated requests mint nothing.
+  EXPECT_EQ(tab.size(), before + 3);
 }
 
 TEST_F(SymbolicTest, SymbolTableCaseInsensitive) {

@@ -169,10 +169,10 @@ void renderFrame(const JsonValue& status, const JsonValue& metrics,
     std::printf("named sessions:\n");
     for (const JsonValue& s : sessions->items()) {
       const JsonValue* name = s.find("name");
-      std::printf("  %-24s epoch %-6g units %-5g file_skips %g\n",
+      std::printf("  %-24s epoch %-6g units %-5g symbols %-7g file_skips %g\n",
                   name && name->isString() ? name->asString().c_str() : "?",
                   numberOr(s.find("epoch"), 0), numberOr(s.find("units"), 0),
-                  numberOr(s.find("file_skips"), 0));
+                  numberOr(s.find("symbols"), 0), numberOr(s.find("file_skips"), 0));
     }
   }
 
