@@ -11,7 +11,9 @@
 #   * --corpus NAME takes an exact id or a unique substring, and exits 2
 #     naming every match when NAME is ambiguous;
 #   * --stats reports the atom table's occupancy, with and without the cache;
-#   * --summaries computes the on-demand DE sets for its DE_i lines.
+#   * --summaries computes the on-demand DE sets for its DE_i lines;
+#   * --save-session and --load-session runs of tiny.f and of every corpus
+#     program print exactly what the batch run prints, under --explain.
 # Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir> -DCORPUS_DIR=<corpus/>.
 
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -284,35 +286,45 @@ if(NOT err MATCHES "is not a socket")
   message(FATAL_ERROR "--daemon clobber refusal lacks its diagnostic: ${err}")
 endif()
 
-# Save/load round trip: the snapshot-mode runs print exactly what the batch
-# run prints, cold and restored alike.
-execute_process(
-  COMMAND "${DRIVER}" "${WORKDIR}/tiny.f"
-  RESULT_VARIABLE code OUTPUT_VARIABLE batch_out ERROR_VARIABLE err)
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "batch run of tiny.f failed (${code}): ${err}")
+# Save/load round trip over tiny.f and every corpus program: the
+# snapshot-mode runs print exactly what the batch run prints, --explain
+# provenance included, cold and restored alike.
+file(GLOB corpus_programs "${CORPUS_DIR}/*.f")
+list(LENGTH corpus_programs corpus_count)
+if(corpus_count LESS 15)
+  message(FATAL_ERROR "expected the 15 corpus programs under ${CORPUS_DIR}, found ${corpus_count}")
 endif()
-execute_process(
-  COMMAND "${DRIVER}" "--save-session=${WORKDIR}/tiny.pano" "${WORKDIR}/tiny.f"
-  RESULT_VARIABLE code OUTPUT_VARIABLE save_out ERROR_VARIABLE err)
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "--save-session run failed (${code}): ${err}")
-endif()
-if(NOT EXISTS "${WORKDIR}/tiny.pano")
-  message(FATAL_ERROR "--save-session did not write the snapshot")
-endif()
-execute_process(
-  COMMAND "${DRIVER}" "--load-session=${WORKDIR}/tiny.pano" "${WORKDIR}/tiny.f"
-  RESULT_VARIABLE code OUTPUT_VARIABLE load_out ERROR_VARIABLE err)
-if(NOT code EQUAL 0)
-  message(FATAL_ERROR "--load-session run failed (${code}): ${err}")
-endif()
-if(NOT save_out STREQUAL batch_out)
-  message(FATAL_ERROR "--save-session output diverges from the batch run:\n${save_out}\n-- vs --\n${batch_out}")
-endif()
-if(NOT load_out STREQUAL batch_out)
-  message(FATAL_ERROR "--load-session output diverges from the batch run:\n${load_out}\n-- vs --\n${batch_out}")
-endif()
+foreach(program "${WORKDIR}/tiny.f" ${corpus_programs})
+  get_filename_component(stem "${program}" NAME_WE)
+  set(snapshot "${WORKDIR}/${stem}.pano")
+  execute_process(
+    COMMAND "${DRIVER}" --explain "${program}"
+    RESULT_VARIABLE code OUTPUT_VARIABLE batch_out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "batch run of ${stem} failed (${code}): ${err}")
+  endif()
+  execute_process(
+    COMMAND "${DRIVER}" --explain "--save-session=${snapshot}" "${program}"
+    RESULT_VARIABLE code OUTPUT_VARIABLE save_out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "--save-session run of ${stem} failed (${code}): ${err}")
+  endif()
+  if(NOT EXISTS "${snapshot}")
+    message(FATAL_ERROR "--save-session did not write the snapshot of ${stem}")
+  endif()
+  execute_process(
+    COMMAND "${DRIVER}" --explain "--load-session=${snapshot}" "${program}"
+    RESULT_VARIABLE code OUTPUT_VARIABLE load_out ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "--load-session run of ${stem} failed (${code}): ${err}")
+  endif()
+  if(NOT save_out STREQUAL batch_out)
+    message(FATAL_ERROR "--save-session output of ${stem} diverges from the batch run:\n${save_out}\n-- vs --\n${batch_out}")
+  endif()
+  if(NOT load_out STREQUAL batch_out)
+    message(FATAL_ERROR "--load-session output of ${stem} diverges from the batch run:\n${load_out}\n-- vs --\n${batch_out}")
+  endif()
+endforeach()
 # A restored session keeps the process's tier: the snapshot was saved with
 # the tier on, and the new kernel's procedures are analyzed after the load.
 expect_tier_switch(load-session "--load-session=${WORKDIR}/tiny.pano" "${kernel}")

@@ -499,7 +499,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "session -> %s\n", saveSessionPath.c_str());
     }
     return writeObsArtifacts(tracePath, metricsPath, profilePath,
-                             {sessionReuseFor(result.stats)})
+                             {result.stats})
                ? 0
                : 1;
   }
@@ -556,7 +556,7 @@ int main(int argc, char** argv) {
     // what a full run costs, the warm epoch attributes every dirty unit to
     // its invalidation cause.
     return writeObsArtifacts(tracePath, metricsPath, profilePath,
-                             {sessionReuseFor(cold.stats), sessionReuseFor(warm.stats)})
+                             {cold.stats, warm.stats})
                ? 0
                : 1;
   }

@@ -46,7 +46,7 @@ struct ItemFingerprint {
   Fingerprint hash = 0;           ///< structural hash of the statement subtree
   Fingerprint suffixHash = 0;     ///< hash over the following items' hashes
   Fingerprint precedingHash = 0;  ///< previous item's hash (0 for the first)
-  bool hasLoop = false;           ///< subtree contains a DO statement
+  std::uint32_t loopCount = 0;    ///< DO statements in the subtree
   /// CALL targets appearing in the subtree or any following item — the
   /// procedures whose summaries this item's loop verdicts may read.
   std::vector<std::string> callees;
@@ -61,15 +61,5 @@ struct ProcFingerprintDetail {
 };
 
 ProcFingerprintDetail fingerprintProcedureDetail(const Procedure& proc);
-
-/// Copies every SourceLoc of `from` onto the lockstep-corresponding node of
-/// `to` (statements, expressions, declarations, the procedure itself).
-/// Intended for fingerprint-equal procedures whose text merely shifted: the
-/// session keeps `to` (the previous epoch's AST, so Stmt-keyed caches stay
-/// valid) but reports must cite `from`'s post-edit positions. Returns false
-/// if the shapes diverge (possible only on a fingerprint collision); the
-/// partially patched positions are still internally consistent, and callers
-/// treat the unit as dirty in that case.
-bool remapSourceLocs(Procedure& to, const Procedure& from);
 
 }  // namespace panorama

@@ -81,11 +81,10 @@ struct Hsg {
 /// produced with conservative condensation.
 Hsg buildHsg(const Program& program, const SemaResult& sema, DiagnosticEngine& diags);
 
-/// Builds the flow graph of a single procedure — the unit granularity the
-/// incremental session rebuilds at: only dirty procedures get new
-/// CFG/condensation work; clean ones keep their graphs (the nodes hold
-/// `const Stmt*` into the procedure body, which is stable as long as the
-/// statements themselves are kept alive).
+/// Builds the flow graph of a single procedure (its nodes hold `const Stmt*`
+/// into the procedure body). The incremental session calls it only for the
+/// procedures a submit re-summarizes; clean ones need no graph, because
+/// their summaries are seeded into the memo.
 ProcedureHsg buildProcedureHsg(const Procedure& proc, DiagnosticEngine& diags);
 
 /// Condenses every non-trivial strongly connected component of `g` into a

@@ -97,7 +97,8 @@ struct CacheLine {
 struct InvalidationCause {
   std::string unit;
   std::string cause;  ///< "fingerprint" | "added" | "callee-epoch" |
-                      ///< "options-change" | "first-submit"
+                      ///< "options-change" | "first-submit" |
+                      ///< "carried-state" (a snapshot's unit that does not fit)
   std::string detail;
 };
 
@@ -111,21 +112,22 @@ struct LoopReuseCause {
   std::string detail;
 };
 
-/// One submit's reuse accounting, converted from SessionStats by the
-/// session layer (sessionReuseFor) so obs stays below it.
+/// One submit's reuse accounting: the session's per-submit stats record
+/// (`SessionStats` is this type), the `session.*` metrics source, and the
+/// record a CostProfile embeds for warm runs.
 struct SessionReuse {
-  std::uint64_t epoch = 0;
-  bool warm = false;  ///< some prior state was reusable
-  bool fullInvalidation = false;
-  std::uint64_t procedures = 0;
-  std::uint64_t unchanged = 0;
-  std::uint64_t modified = 0;
+  std::uint64_t epoch = 0;  ///< submit counter (1 = first/cold run)
+  bool warm = false;        ///< some prior state was reusable
+  bool fullInvalidation = false;  ///< first submit or options change
+  std::uint64_t procedures = 0;   ///< procedure units after this submit
+  std::uint64_t unchanged = 0;    ///< fingerprint-identical units
+  std::uint64_t modified = 0;     ///< fingerprint changed
   std::uint64_t added = 0;
   std::uint64_t removed = 0;
-  std::uint64_t dirty = 0;
-  std::uint64_t summariesReused = 0;
+  std::uint64_t dirty = 0;            ///< dirty-cone size (recomputed units)
+  std::uint64_t summariesReused = 0;  ///< units seeded from the previous epoch
   std::uint64_t summariesRecomputed = 0;
-  std::uint64_t loopsReused = 0;
+  std::uint64_t loopsReused = 0;      ///< loop analyses served from cache
   std::uint64_t loopsRecomputed = 0;
   /// Loop-granular reuse inside the dirty cone (DESIGN.md §4.9).
   std::uint64_t loopSkips = 0;        ///< loops reused inside dirty units
@@ -133,8 +135,11 @@ struct SessionReuse {
   std::uint64_t unitsCleanLoops = 0;  ///< units with zero recomputed loops
   std::uint64_t unitsDirtyLoops = 0;  ///< units with >=1 recomputed loop
   std::uint64_t lineRemaps = 0;       ///< cached citations moved to post-edit lines
-  std::vector<InvalidationCause> causes;     ///< one per dirty unit
-  std::vector<LoopReuseCause> loopCauses;    ///< one per reused/remapped loop
+  /// Cumulative byte-identical resubmits served by the whole-file fast path
+  /// (per-procedure diffing skipped entirely).
+  std::uint64_t fileSkips = 0;
+  std::vector<InvalidationCause> invalidations;  ///< one per dirty unit, in source order
+  std::vector<LoopReuseCause> loopReuse;         ///< one per reused/remapped loop
 };
 
 struct CostProfile {

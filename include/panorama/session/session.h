@@ -2,14 +2,23 @@
 // batch pipeline (parse → sema → HSG → summaries → privatization) into a
 // persistent service that recomputes only what changed between submits.
 //
-// A session owns the persistent symbol/array tables, the thread pool, and
-// one fingerprinted *unit* per procedure. On submit, the incoming program
-// diffs against the units ({unchanged, modified, added, removed}); the
-// dirty cone — modified and added procedures plus everything that
-// transitively depends on them through the summary dependency graph
-// (caller→callee edges recorded at SUM_call) — is re-analyzed through the
-// existing call-graph waves, while every unit outside the cone reuses its
-// summaries, loop summaries, HSG, and formatted loop reports verbatim.
+// Between submits a session holds exactly what a snapshot stores (store/,
+// DESIGN.md §4.8): the persistent symbol/array tables, the bottom-up unit
+// order, and one fingerprinted *unit* per procedure — its fingerprints,
+// cached loop reports, per-item reuse records, and its memoized summaries
+// (SummaryAnalyzer::ProcSnapshot, loop summaries keyed by DO walk index).
+// It keeps no AST, sema maps, flow graphs or analyzer.
+//
+// On submit, the incoming program runs sema once against copies of the
+// tables and diffs against the units ({unchanged, modified, added,
+// removed}); the dirty cone — modified and added procedures plus everything
+// that transitively depends on them through the summary dependency graph
+// (caller→callee edges recorded at SUM_call) — gets flow graphs and is
+// re-analyzed through the existing call-graph waves, while every unit
+// outside the cone seeds its carried summaries into the analyzer and serves
+// its formatted loop reports verbatim. The analyzer's memoized state then
+// moves back into the units and the submit's program, sema maps, graphs and
+// analyzer are dropped.
 //
 // Validity of a unit's cached state is keyed on
 //   (own content fingerprint, callee summary epochs, analysis-options key):
@@ -20,24 +29,23 @@
 //
 // Reuse is possible because all cached state is handle-based: GARs,
 // SymExprs and Preds are 8-byte ids into process-global append-only arenas,
-// and VarId/ArrayId stay stable across submits because sema re-runs against
-// the session's persistent tables. Unchanged procedures keep their previous
-// AST objects (moved into the next epoch's Program — the heap-allocated
-// statements they point to do not move), so Stmt-keyed loop summaries and
-// HSG nodes stay valid too.
+// VarId/ArrayId stay stable across submits because sema runs against the
+// session's persistent tables, and loop summaries name their DO statement by
+// its position in the procedure's DO walk, which a fingerprint-equal
+// procedure shares.
 //
 // Inside the dirty cone, reuse is *loop-granular* (DESIGN.md §4.9): a
 // modified procedure's body is diffed per top-level statement ("item"), and
 // an item's cached loop verdicts are served — and its loop summaries seeded
-// into the fresh analyzer — when the item subtree, the statement suffix
-// after it (the backward walk's ueAfter input), the declaration frame, and
-// every callee summary epoch its verdicts read are all unchanged. A one-loop
-// edit in an N-loop procedure therefore recomputes one loop, not N.
+// into the analyzer at the item's new walk positions — when the item
+// subtree, the statement suffix after it (the backward walk's ueAfter
+// input), the declaration frame, and every callee summary epoch its verdicts
+// read are all unchanged. A one-loop edit in an N-loop procedure therefore
+// recomputes one loop, not N.
 //
 // Reports cite post-edit line numbers without forfeiting reuse: when a
-// fingerprint-unchanged procedure's text merely shifted, the session patches
-// the kept AST's SourceLocs from the incoming parse in lockstep
-// (remapSourceLocs) and rewrites the cached line citations — report strings
+// fingerprint-unchanged procedure's text merely shifted, the session reads
+// the incoming parse's DO lines into the cached citations — report strings
 // are cached headerless (reportTail) and the header is composed at emission.
 #pragma once
 
@@ -52,7 +60,6 @@
 
 #include "panorama/analysis/analysis.h"
 #include "panorama/ast/fingerprint.h"
-#include "panorama/hsg/hsg.h"
 #include "panorama/obs/profile.h"
 #include "panorama/store/format.h"
 #include "panorama/support/thread_pool.h"
@@ -68,35 +75,10 @@ using UnitInvalidation = obs::InvalidationCause;
 using LoopReuse = obs::LoopReuseCause;
 
 /// Per-submit recomputation accounting — the `session.*` metrics source and
-/// the hook the lifecycle tests assert dirty-cone sizes through.
-struct SessionStats {
-  std::uint64_t epoch = 0;          ///< submit counter (1 = first/cold run)
-  std::size_t procedures = 0;       ///< procedure units after this submit
-  std::size_t unchanged = 0;        ///< fingerprint-identical units
-  std::size_t modified = 0;         ///< fingerprint changed
-  std::size_t added = 0;
-  std::size_t removed = 0;
-  std::size_t dirty = 0;            ///< dirty-cone size (recomputed units)
-  std::size_t summariesReused = 0;  ///< units seeded from the previous epoch
-  std::size_t summariesRecomputed = 0;
-  std::size_t loopsReused = 0;      ///< loop analyses served from cache
-  std::size_t loopsRecomputed = 0;
-  /// Loop-granular reuse inside the dirty cone (tentpole of DESIGN.md §4.9).
-  std::size_t loopSkips = 0;        ///< loops reused inside *dirty* units
-  std::size_t partialUnits = 0;     ///< dirty units with >=1 reused loop
-  std::size_t unitsCleanLoops = 0;  ///< units with zero recomputed loops
-  std::size_t unitsDirtyLoops = 0;  ///< units with >=1 recomputed loop
-  std::size_t lineRemaps = 0;       ///< cached loop citations moved to post-edit lines
-  /// One record per loop reused inside a dirty unit (and per remapped line).
-  std::vector<LoopReuse> loopReuse;
-  /// Cumulative byte-identical resubmits served by the whole-file fast path
-  /// (per-procedure diffing skipped entirely) — the `session.file_skips`
-  /// metric.
-  std::uint64_t fileSkips = 0;
-  bool fullInvalidation = false;    ///< first submit or options change
-  /// One record per dirty unit, in source order.
-  std::vector<UnitInvalidation> invalidations;
-};
+/// the hook the lifecycle tests assert dirty-cone sizes through. The same
+/// record a CostProfile embeds (obs sits below the session, so it owns the
+/// type).
+using SessionStats = obs::SessionReuse;
 
 /// One analyzed DO loop, with the same formatted report a batch run prints.
 struct SessionLoopResult {
@@ -128,8 +110,8 @@ class AnalysisSession {
   AnalysisSession& operator=(const AnalysisSession&) = delete;
 
   /// Parses and analyzes `source` incrementally against the session state.
-  /// A failed submit (parse/sema error) leaves the session exactly as it
-  /// was — the previous program stays live and queryable.
+  /// A failed submit (parse/sema/HSG error) leaves the session exactly as
+  /// it was — the previous epoch's units keep serving.
   ///
   /// Whole-file fast path: when `source` is byte-identical to the previous
   /// successful text submit (and the options did not change), the submit
@@ -178,9 +160,9 @@ class AnalysisSession {
   // ----- on-disk persistence (store/, DESIGN.md §4.8) -----
 
   /// Serializes the live session — symbol/array tables, interned
-  /// expressions and predicates with stable snapshot-local ids, the
-  /// post-sema AST, per-unit fingerprints/epochs/dependency edges/cached
-  /// reports, and every memoized procedure snapshot — into a versioned,
+  /// expressions and predicates with stable snapshot-local ids, and per unit
+  /// (in bottom-up order) its fingerprints/epochs/dependency edges/cached
+  /// reports/item records and memoized summaries — into a versioned,
   /// integrity-hashed snapshot at `path` (temp-file + rename, so a crash
   /// never leaves a torn file). Fails on a dead session or unwritable path.
   store::StoreResult save(const std::string& path) const;
@@ -214,9 +196,8 @@ class AnalysisSession {
     Fingerprint hash = 0;
     Fingerprint suffixHash = 0;
     Fingerprint precedingHash = 0;
-    bool hasLoop = false;
-    std::uint32_t loopBegin = 0;  ///< index range into Unit::loops
-    std::uint32_t loopCount = 0;
+    std::uint32_t loopBegin = 0;  ///< index range into Unit::loops (the DO walk)
+    std::uint32_t loopCount = 0;  ///< 0: no cached verdicts to reuse
     /// Epochs of every *resolved* callee the item's verdicts may have read
     /// (CALLs in the subtree or the suffix) at the time they were computed.
     std::map<std::string, std::uint64_t> calleeEpochs;
@@ -231,14 +212,15 @@ class AnalysisSession {
     /// One per top-level body statement; empty disables item-granular reuse
     /// for this unit.
     std::vector<ItemRecord> items;
+    /// The memoized summaries, loop summaries by DO walk index (one per
+    /// entry of `loops` at most).
+    SummaryAnalyzer::ProcSnapshot memo;
   };
 
   /// Hash of the ablation-relevant options (everything that changes
   /// analysis results; numThreads deliberately excluded — the driver
   /// guarantees identical results at every thread count).
   static std::uint64_t optionsKey(const AnalysisOptions& options);
-
-  void resetState();
 
   /// Copies epoch_/units_/live_/fileSkips_ into the status mirrors; called
   /// (holding mutex_) at the end of every mutating entry point.
@@ -249,6 +231,9 @@ class AnalysisSession {
   /// The byte-identical-resubmit fast path; callers hold mutex_ and have
   /// checked eligibility (live, same bytes, same options key).
   SessionResult fileSkipLocked();
+  /// Every cached loop report, units in bottom-up order and loops in walk
+  /// order within each — the batch drivers' report order.
+  void appendCachedLoops(std::vector<SessionLoopResult>& out) const;
 
   /// `procName: DO var (line N): ` + reportTail — the inverse of the header
   /// split cacheLoopAnalysis performs.
@@ -274,13 +259,15 @@ class AnalysisSession {
   std::uint64_t epoch_ = 0;
   SessionStats lastStats_;
 
-  // Live analysis state of the current epoch. `analyzer_` references
-  // program_/sema_/hsg_ and must be destroyed before they are replaced.
+  /// Has a successfully analyzed (or restored) program.
   bool live_ = false;
-  Program program_;
-  SemaResult sema_;
-  Hsg hsg_;
-  std::unique_ptr<SummaryAnalyzer> analyzer_;
+  /// The persistent tables: each submit's sema interns into a copy that
+  /// replaces them once the submit succeeds (append-only, so ids seen once
+  /// stay stable).
+  SymbolTable symbols_;
+  ArrayTable arrays_;
+  /// Unit names, callees before callers (the last sema's bottomUpOrder).
+  std::vector<std::string> order_;
   /// pool_ is what the pipeline schedules on; it aliases ownedPool_ in the
   /// standalone case and the daemon's pool in the shared case.
   std::unique_ptr<ThreadPool> ownedPool_;
@@ -302,11 +289,6 @@ class AnalysisSession {
   std::atomic<bool> statusLive_{false};
   std::atomic<std::uint64_t> statusFileSkips_{0};
 
-  /// Procedure snapshots carried by restore() until the next submit's seed
-  /// step consumes them. restore() must not construct an analyzer (doing so
-  /// would intern ψ symbols in a different order than the in-process warm
-  /// path), so the snapshots wait here instead of in analyzer_'s memo.
-  std::map<std::string, SummaryAnalyzer::ProcSnapshot> pendingSnapshots_;
 };
 
 /// Publishes the submit's counters as `session.*` metrics in the global
@@ -315,10 +297,5 @@ void publishSessionMetrics(const SessionStats& stats);
 
 /// Human-readable stats block for panorama_driver --reanalyze --stats.
 std::string formatSessionStats(const SessionStats& stats);
-
-/// Converts a submit's stats into the obs-layer reuse record a CostProfile
-/// embeds (the profile subsystem sits below the session and cannot name
-/// SessionStats itself).
-obs::SessionReuse sessionReuseFor(const SessionStats& stats);
 
 }  // namespace panorama

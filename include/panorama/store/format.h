@@ -20,12 +20,14 @@
 namespace panorama::store {
 
 inline constexpr std::uint32_t kMagic = 0x4f4e4150u;  // "PANO", little-endian
-/// The one schema this build reads and writes. v3 carries per-unit
-/// declaration-frame hashes, item records (the loop-granular reuse keys of
-/// DESIGN.md §4.9), headerless cached reports, and six option bytes (the
-/// ablation switches); any other version, v1 and v2 included, is rejected
-/// as version skew.
-inline constexpr std::uint32_t kSchemaVersion = 3;
+/// The one schema this build reads and writes. v4 stores what a session
+/// holds between submits and no AST: per unit (in bottom-up order) its
+/// fingerprints, item records (the loop-granular reuse keys of DESIGN.md
+/// §4.9), headerless cached reports and memoized summaries with loop
+/// summaries keyed by DO walk index, plus six option bytes (the ablation
+/// switches); any other version, v1 to v3 included, is rejected as version
+/// skew.
+inline constexpr std::uint32_t kSchemaVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 24;
 
 /// FNV-1a over a byte range — the payload integrity hash (and the session's
@@ -49,8 +51,6 @@ class Writer {
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  /// Bit-exact double transport (no text round-trip: RealLit must survive).
-  void f64(double v);
   void str(std::string_view s);
 
  private:
@@ -74,7 +74,6 @@ class Reader {
   std::uint32_t u32();
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
   std::string str();
   /// Length prefix for a sequence of elements each at least `elemBytes`
   /// long: rejects counts that could not possibly fit in the remaining

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <shared_mutex>
@@ -55,7 +56,6 @@ struct AnalysisOptions {
 
 /// Everything the applications need about one DO loop.
 struct LoopSummary {
-  const Stmt* stmt = nullptr;
   LoopBounds bounds;              ///< normalized header (index VarId, lo/up/step)
   bool boundsKnown = false;       ///< header lowered successfully
   bool prematureExit = false;
@@ -108,38 +108,33 @@ class SummaryAnalyzer {
 
   // ----- incremental-session support (see session/session.h) -----
 
-  /// Everything the session carries across submits for a procedure whose
-  /// unit is clean: its summary, its loop summaries, and the escaping-scalar
-  /// set. All content is handle-based (GARs, VarIds) or points into the
-  /// procedure's heap-allocated statements, both of which survive the
-  /// procedure object being moved into the next epoch's Program.
+  /// A procedure's memoized state as the session keeps it between submits
+  /// (and a snapshot stores it): its summary, the escaping-scalar set, and
+  /// its loop summaries keyed by DO walk index (collectDoLoops order), so
+  /// the state refers to no statement object and seeds any procedure with
+  /// the same DO walk.
   struct ProcSnapshot {
     ProcSummary summary;
-    std::vector<std::pair<const Stmt*, LoopSummary>> loops;
+    std::map<std::uint32_t, LoopSummary> loops;
     std::vector<VarId> modifiedScalars;
     bool hasSummary = false;
     bool hasScalars = false;
   };
 
-  /// Extracts the memoized state of `proc` (which must be the procedure
-  /// object this analyzer ran over). Loop entries cover every DO statement
-  /// of the procedure body that was summarized.
-  ProcSnapshot snapshotProcedure(const Procedure& proc) const;
+  /// Moves the memoized state of `proc` (a procedure of this analyzer's
+  /// program) out of the memo; the analyzer must not summarize `proc`
+  /// afterwards. Loop entries cover every DO statement that was summarized.
+  ProcSnapshot takeProcedure(const Procedure& proc);
 
-  /// Seeds a fresh analyzer with a snapshot under the current epoch's
-  /// procedure object; subsequent procSummary/loopSummary calls hit the memo
-  /// instead of recomputing.
+  /// Installs `snapshot` under `proc`: procSummary hits the memo instead of
+  /// recomputing, and sumLoop returns a seeded loop's whole-loop sets
+  /// without re-expanding its body (the enclosing segment walk still
+  /// overwrites ueAfter with this run's downstream exposure). The session
+  /// seeds clean procedures whole and, inside modified ones, the loop
+  /// summaries of statement subtrees it proved unchanged — every nested DO
+  /// of such a subtree alongside it. Walk indices past the procedure's DO
+  /// walk are ignored.
   void seedProcedure(const Procedure& proc, ProcSnapshot snapshot);
-
-  /// Loop-granular seeding (the session's reuse path for *modified*
-  /// procedures whose edit left some loop-bearing statements structurally
-  /// intact): installs previous-epoch loop summaries under the current
-  /// epoch's DO statements. sumLoop returns a seeded entry's whole-loop
-  /// sets without re-expanding the body; the enclosing segment walk still
-  /// overwrites ueAfter with this epoch's downstream exposure, exactly as
-  /// for a computed summary. Every nested DO of a reused statement subtree
-  /// must be seeded alongside it, or later snapshots would be incomplete.
-  void seedLoopSummaries(std::vector<std::pair<const Stmt*, LoopSummary>> loops);
 
   /// Caller-name → callee-names edges observed at SUM_call while this
   /// analyzer summarized procedures — the summary dependency graph the

@@ -80,13 +80,24 @@ class InternTable {
     if (const Node* n = shard.find(hash, same)) return *(front = n);
     Node& node = shard.nodes.emplace_back();
     shard.bytes += build(node, (shard.next++ << kShardBits) | static_cast<std::uint64_t>(s));
-    shard.index[hash].push_back(&node);
+    std::vector<const Node*>& chain = shard.index[hash];
+    shard.bytes += kChainEntryBytes + (chain.empty() ? kBucketEntryBytes : 0);
+    chain.push_back(&node);
     return *(front = &node);
   }
 
+  /// The hash-bucket index a shard keeps beside its nodes.
+  using Index = std::unordered_map<std::size_t, std::vector<const Node*>>;
+  /// The index's share of `Stats::bytes`: one chain pointer per node, one
+  /// map entry (key, chain header, link) per distinct hash, and each
+  /// shard's bucket array, one pointer per bucket.
+  static constexpr std::size_t kChainEntryBytes = sizeof(const Node*);
+  static constexpr std::size_t kBucketEntryBytes =
+      sizeof(typename Index::value_type) + sizeof(void*);
+
   /// Occupancy for `--stats` and the daemon's status: distinct values,
-  /// approximate resident bytes, and the least/most populated shard
-  /// (balance check).
+  /// approximate resident bytes (nodes plus index; no per-call walk), and
+  /// the least/most populated shard (balance check).
   struct Stats {
     std::size_t distinct = 0;
     std::size_t bytes = 0;
@@ -100,7 +111,7 @@ class InternTable {
       std::shared_lock<std::shared_mutex> lock(shard.mutex);
       const std::size_t n = shard.nodes.size();
       out.distinct += n;
-      out.bytes += shard.bytes;
+      out.bytes += shard.bytes + shard.index.bucket_count() * sizeof(void*);
       out.minShard = std::min(out.minShard, n);
       out.maxShard = std::max(out.maxShard, n);
     }
@@ -125,7 +136,7 @@ class InternTable {
     std::deque<Node> nodes;  // deque: stable node addresses
     // Buckets by full structural hash; a bucket's short chain resolves by
     // the caller's full compare.
-    std::unordered_map<std::size_t, std::vector<const Node*>> index;
+    Index index;
     std::uint64_t next = 0;
     std::size_t bytes = 0;
 

@@ -118,50 +118,15 @@ void hashFrame(Hasher& h, const Procedure& proc) {
 }
 
 void scanStmt(const Stmt& s, std::set<std::string>& doVars, std::set<std::string>& callees,
-              bool& hasLoop) {
+              std::uint32_t& loopCount) {
   if (s.kind == Stmt::Kind::Do) {
     doVars.insert(s.doVar);
-    hasLoop = true;
+    ++loopCount;
   }
   if (s.kind == Stmt::Kind::Call) callees.insert(s.callee);
-  for (const StmtPtr& c : s.thenBody) scanStmt(*c, doVars, callees, hasLoop);
-  for (const StmtPtr& c : s.elseBody) scanStmt(*c, doVars, callees, hasLoop);
-  for (const StmtPtr& c : s.body) scanStmt(*c, doVars, callees, hasLoop);
-}
-
-bool remapExpr(Expr* to, const Expr* from) {
-  if (!to || !from) return to == from;
-  // `to` is the previous epoch's post-sema AST (ArrayRef nodes may have been
-  // reclassified to Intrinsic in place); `from` is freshly parsed. The two
-  // kinds are the same syntactic shape, so the lockstep walk equates them.
-  auto canon = [](Expr::Kind k) {
-    return k == Expr::Kind::Intrinsic ? Expr::Kind::ArrayRef : k;
-  };
-  if (canon(to->kind) != canon(from->kind) || to->args.size() != from->args.size()) return false;
-  to->loc = from->loc;
-  for (std::size_t k = 0; k < to->args.size(); ++k)
-    if (!remapExpr(to->args[k].get(), from->args[k].get())) return false;
-  return true;
-}
-
-bool remapStmt(Stmt& to, const Stmt& from) {
-  if (to.kind != from.kind || to.thenBody.size() != from.thenBody.size() ||
-      to.elseBody.size() != from.elseBody.size() || to.body.size() != from.body.size() ||
-      to.args.size() != from.args.size())
-    return false;
-  to.loc = from.loc;
-  bool ok = remapExpr(to.lhs.get(), from.lhs.get()) && remapExpr(to.rhs.get(), from.rhs.get()) &&
-            remapExpr(to.cond.get(), from.cond.get()) && remapExpr(to.lo.get(), from.lo.get()) &&
-            remapExpr(to.hi.get(), from.hi.get()) && remapExpr(to.step.get(), from.step.get());
-  for (std::size_t k = 0; ok && k < to.args.size(); ++k)
-    ok = remapExpr(to.args[k].get(), from.args[k].get());
-  for (std::size_t k = 0; ok && k < to.thenBody.size(); ++k)
-    ok = remapStmt(*to.thenBody[k], *from.thenBody[k]);
-  for (std::size_t k = 0; ok && k < to.elseBody.size(); ++k)
-    ok = remapStmt(*to.elseBody[k], *from.elseBody[k]);
-  for (std::size_t k = 0; ok && k < to.body.size(); ++k)
-    ok = remapStmt(*to.body[k], *from.body[k]);
-  return ok;
+  for (const StmtPtr& c : s.thenBody) scanStmt(*c, doVars, callees, loopCount);
+  for (const StmtPtr& c : s.elseBody) scanStmt(*c, doVars, callees, loopCount);
+  for (const StmtPtr& c : s.body) scanStmt(*c, doVars, callees, loopCount);
 }
 
 }  // namespace
@@ -191,7 +156,7 @@ ProcFingerprintDetail fingerprintProcedureDetail(const Procedure& proc) {
     itemHash[k] = h.value();
     out.items[k].hash = itemHash[k];
     std::set<std::string> itemDoVars;
-    scanStmt(*proc.body[k], itemDoVars, itemCallees[k], out.items[k].hasLoop);
+    scanStmt(*proc.body[k], itemDoVars, itemCallees[k], out.items[k].loopCount);
     doVars.insert(itemDoVars.begin(), itemDoVars.end());
   }
 
@@ -227,15 +192,6 @@ ProcFingerprintDetail fingerprintProcedureDetail(const Procedure& proc) {
   }
   for (std::size_t k = 1; k < n; ++k) out.items[k].precedingHash = itemHash[k - 1];
   return out;
-}
-
-bool remapSourceLocs(Procedure& to, const Procedure& from) {
-  if (to.body.size() != from.body.size() || to.decls.size() != from.decls.size()) return false;
-  to.loc = from.loc;
-  for (std::size_t k = 0; k < to.decls.size(); ++k) to.decls[k].loc = from.decls[k].loc;
-  for (std::size_t k = 0; k < to.body.size(); ++k)
-    if (!remapStmt(*to.body[k], *from.body[k])) return false;
-  return true;
 }
 
 }  // namespace panorama

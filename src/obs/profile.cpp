@@ -353,12 +353,12 @@ std::string renderCostProfileText(const CostProfile& profile) {
              std::to_string(s.partialUnits) + " partial unit(s)";
     if (s.lineRemaps > 0) out += "; line remaps " + std::to_string(s.lineRemaps);
     out += '\n';
-    for (const InvalidationCause& c : s.causes) {
+    for (const InvalidationCause& c : s.invalidations) {
       out += "  invalidated " + c.unit + " [" + c.cause + "]";
       if (!c.detail.empty()) out += ": " + c.detail;
       out += '\n';
     }
-    for (const LoopReuseCause& c : s.loopCauses) {
+    for (const LoopReuseCause& c : s.loopReuse) {
       out += "  loop reuse " + c.unit + " line " + std::to_string(c.line) + " [" + c.cause + "]";
       if (!c.detail.empty()) out += ": " + c.detail;
       out += '\n';
@@ -468,26 +468,26 @@ std::string renderCostProfileJson(const CostProfile& profile) {
     out += ", \"units_dirty_loops\": " + std::to_string(s.unitsDirtyLoops);
     out += ", \"line_remaps\": " + std::to_string(s.lineRemaps);
     out += ", \"invalidations\": [";
-    for (std::size_t c = 0; c < s.causes.size(); ++c) {
+    for (std::size_t c = 0; c < s.invalidations.size(); ++c) {
       if (c) out += ", ";
       out += "{\"unit\": ";
-      appendQuoted(out, s.causes[c].unit);
+      appendQuoted(out, s.invalidations[c].unit);
       out += ", \"cause\": ";
-      appendQuoted(out, s.causes[c].cause);
+      appendQuoted(out, s.invalidations[c].cause);
       out += ", \"detail\": ";
-      appendQuoted(out, s.causes[c].detail);
+      appendQuoted(out, s.invalidations[c].detail);
       out += "}";
     }
     out += "], \"loop_reuse\": [";
-    for (std::size_t c = 0; c < s.loopCauses.size(); ++c) {
+    for (std::size_t c = 0; c < s.loopReuse.size(); ++c) {
       if (c) out += ", ";
       out += "{\"unit\": ";
-      appendQuoted(out, s.loopCauses[c].unit);
-      out += ", \"line\": " + std::to_string(s.loopCauses[c].line);
+      appendQuoted(out, s.loopReuse[c].unit);
+      out += ", \"line\": " + std::to_string(s.loopReuse[c].line);
       out += ", \"cause\": ";
-      appendQuoted(out, s.loopCauses[c].cause);
+      appendQuoted(out, s.loopReuse[c].cause);
       out += ", \"detail\": ";
-      appendQuoted(out, s.loopCauses[c].detail);
+      appendQuoted(out, s.loopReuse[c].detail);
       out += "}";
     }
     out += "]}";

@@ -1,38 +1,33 @@
 // AnalysisSession::submit — the incremental re-analysis pipeline.
 //
 // The submit flow is ordered so that every step that can fail (parse,
-// sema, HSG structure checks) runs against the *incoming* program before
-// any session state is touched; once the splice starts, the remaining
-// steps operate on content that already validated and cannot fail.
+// sema, HSG structure checks) runs before any session state is touched;
+// the remaining steps operate on content that already validated and cannot
+// fail.
 //
 //   1. parse + fingerprint (pre-sema AST, SourceLoc-blind; per-item detail)
-//   2. validation sema over copies of the persistent tables; validation
-//      HSG builds for every procedure whose fingerprint changed
+//      and the DO walk of every incoming procedure
+//   2. sema, once, over copies of the persistent tables
 //   3. diff into {unchanged, modified, added, removed}
-//   4. reuse decision: prune the optimistic clean set to a fixpoint over
-//      the summary dependency graph (callee dirty ⇒ caller dirty); then
-//      patch SourceLocs of fingerprint-unchanged procedures from the
-//      incoming parse and move their cached line citations, and match the
-//      dirty procedures' items for loop-granular reuse (DESIGN.md §4.9)
-//   5. snapshot clean units — and the matched items' loop summaries —
-//      out of the previous analyzer, drop it
-//   6. splice: unchanged procedures carry their previous AST objects into
-//      the next Program (heap statements stay put), dirty ones take the
-//      incoming AST
-//   7. real sema against the persistent tables (append-only ⇒ stable ids)
-//   8. HSG: move + proc-pointer fixup for clean graphs, adopt the
-//      freshly built graphs for dirty procedures
-//   9. fresh analyzer seeded with the clean snapshots and the matched
-//      items' loop summaries
-//  10. analyzeProgramParallel over the dirty procedures' *unmatched* loops
+//   4. reuse decision: start from the fingerprint-unchanged units whose
+//      carried summaries fit the incoming procedure and prune to a fixpoint
+//      over the summary dependency graph (callee dirty ⇒ caller dirty)
+//   5. flow graphs for the dirty procedures only
+//   6. move the cached line citations of fingerprint-unchanged units to the
+//      incoming DO lines, and match the dirty procedures' items for
+//      loop-granular reuse (DESIGN.md §4.9)
+//   7. one analyzer over the incoming program, seeded with the clean units'
+//      carried state and the matched items' loop summaries, both by DO walk
+//      index
+//   8. analyzeProgramParallel over the dirty procedures' *unmatched* loops
 //      only (its call-graph waves find seeded procedures in the memo, and
 //      seeded loops skip re-expansion); every other loop report comes from
 //      the unit cache
-//  11. unit table update + stats/metrics
+//   9. unit table update — each procedure's memoized state moves back into
+//      its unit, the tables are adopted — then stats/metrics; the program,
+//      sema maps, graphs and analyzer go out of scope
 #include "panorama/session/session.h"
 
-#include <algorithm>
-#include <span>
 #include <sstream>
 #include <utility>
 
@@ -90,17 +85,6 @@ void AnalysisSession::setOptions(const AnalysisOptions& options) {
   }
 }
 
-void AnalysisSession::resetState() {
-  analyzer_.reset();
-  units_.clear();
-  pendingSnapshots_.clear();
-  program_ = Program{};
-  sema_ = SemaResult{};
-  hsg_ = Hsg{};
-  live_ = false;
-  hasSourceHash_ = false;
-}
-
 std::uint64_t AnalysisSession::summaryEpochOf(const std::string& name) const {
   auto it = units_.find(name);
   return it == units_.end() ? 0 : it->second.summaryEpoch;
@@ -109,7 +93,7 @@ std::uint64_t AnalysisSession::summaryEpochOf(const std::string& name) const {
 void AnalysisSession::publishStatusLocked() {
   statusEpoch_.store(epoch_, std::memory_order_relaxed);
   statusUnits_.store(units_.size(), std::memory_order_relaxed);
-  statusSymbols_.store(sema_.symbols.size(), std::memory_order_relaxed);
+  statusSymbols_.store(symbols_.size(), std::memory_order_relaxed);
   statusLive_.store(live_, std::memory_order_relaxed);
   statusFileSkips_.store(fileSkips_, std::memory_order_relaxed);
 }
@@ -183,6 +167,20 @@ SessionResult AnalysisSession::submit(Program program) {
   return out;
 }
 
+void AnalysisSession::appendCachedLoops(std::vector<SessionLoopResult>& out) const {
+  for (const std::string& name : order_) {
+    for (const CachedLoop& cl : units_.at(name).loops) {
+      SessionLoopResult r;
+      r.procName = cl.procName;
+      r.line = cl.line;
+      r.classification = cl.classification;
+      r.report = composeLoopReport(cl);
+      r.provenance = cl.provenance;
+      out.push_back(std::move(r));
+    }
+  }
+}
+
 SessionResult AnalysisSession::fileSkipLocked() {
   obs::Span span("session", "session.file_skip");
   ++fileSkips_;
@@ -190,24 +188,14 @@ SessionResult AnalysisSession::fileSkipLocked() {
   SessionResult out;
   SessionStats stats;
   stats.epoch = epoch_;
-  stats.procedures = program_.procedures.size();
+  stats.warm = stats.epoch > 1;
+  stats.procedures = units_.size();
   stats.unchanged = stats.procedures;
   stats.summariesReused = stats.procedures;
   stats.unitsCleanLoops = stats.procedures;
   stats.fileSkips = fileSkips_;
-  for (const Procedure* proc : sema_.bottomUpOrder) {
-    const Unit& u = units_.at(proc->name);
-    for (const CachedLoop& cl : u.loops) {
-      SessionLoopResult r;
-      r.procName = cl.procName;
-      r.line = cl.line;
-      r.classification = cl.classification;
-      r.report = composeLoopReport(cl);
-      r.provenance = cl.provenance;
-      out.loops.push_back(std::move(r));
-      ++stats.loopsReused;
-    }
-  }
+  appendCachedLoops(out.loops);
+  stats.loopsReused = out.loops.size();
   out.ok = true;
   out.stats = stats;
   lastStats_ = stats;
@@ -225,20 +213,26 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
 
   // 1. Fingerprint before sema touches the AST (sema reclassifies intrinsic
   // refs in place; fingerprints must be comparable across submits). The
-  // detail carries the per-item hashes loop-granular reuse matches on.
-  std::map<std::string, ProcFingerprintDetail> fps;
-  for (const Procedure& p : incoming.procedures) fps[p.name] = fingerprintProcedureDetail(p);
+  // detail carries the per-item hashes loop-granular reuse matches on; the
+  // DO walk gives every loop the index carried summaries are keyed by.
+  struct Incoming {
+    ProcFingerprintDetail fp;
+    std::vector<const Stmt*> dos;
+  };
+  std::map<std::string, Incoming> in;
+  for (const Procedure& p : incoming.procedures)
+    in[p.name] = {fingerprintProcedureDetail(p), collectDoLoops(p.body)};
 
-  // 2. Validation sema on the incoming program against *copies* of the
-  // persistent tables. A failure here (or below) leaves the session state
-  // untouched; success guarantees the post-splice sema on equivalent
-  // content succeeds too.
+  // 2. Sema against *copies* of the persistent tables: a failure here (or
+  // at the flow graphs below) leaves the session state untouched, and the
+  // tables come back inside the result, adopted once the submit is done.
+  std::optional<SemaResult> sema;
   {
-    DiagnosticEngine vdiags;
-    SymbolTable symCopy = live_ ? sema_.symbols : SymbolTable{};
-    ArrayTable arrCopy = live_ ? sema_.arrays : ArrayTable{};
-    if (!analyze(incoming, vdiags, std::move(symCopy), std::move(arrCopy))) {
-      out.error = vdiags.str();
+    obs::Span semaSpan("frontend.sema", "session submit");
+    DiagnosticEngine diags;
+    sema = analyze(incoming, diags, symbols_, arrays_);
+    if (!sema) {
+      out.error = diags.str();
       return out;
     }
   }
@@ -248,6 +242,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
 
   SessionStats stats;
   stats.epoch = newEpoch;
+  stats.warm = newEpoch > 1 && !fullInvalidation;
   stats.fullInvalidation = fullInvalidation;
   stats.procedures = incoming.procedures.size();
 
@@ -257,7 +252,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     auto it = units_.find(p.name);
     if (it == units_.end()) {
       ++stats.added;
-    } else if (it->second.fp != fps.at(p.name).whole) {
+    } else if (it->second.fp != in.at(p.name).fp.whole) {
       ++stats.modified;
     } else {
       ++stats.unchanged;
@@ -269,27 +264,23 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     if (!incoming.findProcedure(name)) ++stats.removed;
   }
 
-  // Structural HSG validation for every procedure that will be rebuilt.
-  // Built from the incoming AST, so the graphs stay valid after the splice
-  // moves those procedures into program_ (heap statements do not move).
-  std::map<std::string, ProcedureHsg> freshHsgs;
-  {
-    DiagnosticEngine hdiags;
-    for (const Procedure& p : incoming.procedures)
-      if (!unchangedSet.count(p.name)) freshHsgs.emplace(p.name, buildProcedureHsg(p, hdiags));
-    if (hdiags.hasErrors()) {
-      out.error = hdiags.str();
-      return out;
-    }
-  }
-
-  // 4. Reuse decision. Start optimistic (every fingerprint-unchanged unit)
-  // and prune to a fixpoint: a unit stays clean only while every callee it
-  // folded in at SUM_call is itself clean at the recorded summary epoch.
+  // 4. Reuse decision. Start optimistic (every fingerprint-unchanged unit
+  // whose carried state fits the incoming procedure: a summary, and one
+  // cached report per DO statement — anything else comes only from a
+  // foreign snapshot) and prune to a fixpoint: a unit stays clean only
+  // while every callee it folded in at SUM_call is itself clean at the
+  // recorded summary epoch.
   std::set<std::string> clean;
-  std::map<std::string, std::string> pruneDetail;  ///< fixpoint-pruned unit -> why
+  std::map<std::string, UnitInvalidation> pruned;  ///< unchanged yet dirty unit -> why
   if (!fullInvalidation) {
-    clean = unchangedSet;
+    for (const std::string& name : unchangedSet) {
+      const Unit& u = units_.at(name);
+      if (u.memo.hasSummary && u.loops.size() == in.at(name).dos.size())
+        clean.insert(name);
+      else
+        pruned.emplace(name, UnitInvalidation{name, "carried-state",
+                                              "carried summaries do not fit the procedure"});
+    }
     bool changed = true;
     while (changed) {
       changed = false;
@@ -315,7 +306,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
         if (valid) {
           ++it;
         } else {
-          pruneDetail.emplace(*it, std::move(why));
+          pruned.emplace(*it, UnitInvalidation{*it, "callee-epoch", std::move(why)});
           it = clean.erase(it);
           changed = true;
         }
@@ -326,23 +317,34 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   stats.summariesReused = clean.size();
   stats.summariesRecomputed = stats.dirty;
 
-  // 4a. Line remap (DESIGN.md §4.9): a fingerprint-unchanged procedure keeps
-  // its previous AST, but an edit elsewhere in the file may have shifted its
-  // text. Patch the kept AST's SourceLocs from the incoming parse in
-  // lockstep and move the cached loop citations with them, so clean units
-  // report post-edit positions without forfeiting any Stmt-keyed reuse.
-  // (A lockstep mismatch is only possible on a fingerprint collision; the
-  // unit then simply keeps its previous positions.)
+  // 5. Flow graphs for the procedures this submit re-summarizes; clean ones
+  // never reach the summary code, so they need none.
+  Hsg hsg;
+  {
+    DiagnosticEngine diags;
+    for (const Procedure& p : incoming.procedures) {
+      if (clean.count(p.name)) continue;
+      obs::Span hsgSpan("frontend.hsg", p.name);
+      hsg.procs.emplace(p.name, buildProcedureHsg(p, diags));
+    }
+    if (diags.hasErrors()) {
+      out.error = diags.str();
+      return out;
+    }
+  }
+
+  // 6a. Line remap (DESIGN.md §4.9): an edit elsewhere in the file may have
+  // shifted a fingerprint-unchanged procedure's text. Its DO walk lines up
+  // with the cached reports, so the citations move to the incoming DO
+  // lines without forfeiting any reuse.
   if (!fullInvalidation) {
     for (const Procedure& p : incoming.procedures) {
       if (!unchangedSet.count(p.name)) continue;
-      Procedure* prev = const_cast<Procedure*>(program_.findProcedure(p.name));
-      if (!prev || !remapSourceLocs(*prev, p)) continue;
       Unit& u = units_.at(p.name);
-      std::vector<const Stmt*> loops = collectDoLoops(prev->body);
-      if (loops.size() != u.loops.size()) continue;  // defensive; never with our own caches
-      for (std::size_t k = 0; k < loops.size(); ++k) {
-        const int line = static_cast<int>(loops[k]->loc.line);
+      const std::vector<const Stmt*>& dos = in.at(p.name).dos;
+      if (dos.size() != u.loops.size()) continue;  // a foreign snapshot; never our own
+      for (std::size_t k = 0; k < dos.size(); ++k) {
+        const int line = static_cast<int>(dos[k]->loc.line);
         if (line == u.loops[k].line) continue;
         stats.loopReuse.push_back({p.name, line, "line-remap",
                                    "clean unit text shifted; line " +
@@ -354,7 +356,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     }
   }
 
-  // 4b. Loop-granular reuse (the §4.9 tentpole): match each dirty unit's
+  // 6b. Loop-granular reuse (DESIGN.md §4.9): match each dirty unit's
   // top-level statements against its previous epoch's item records. An item
   // is served from cache when (a) the declaration frame is unchanged, (b)
   // its subtree hash and suffix hash match (the suffix feeds ueAfter, the
@@ -368,11 +370,9 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     std::size_t newIdx;
   };
   std::map<std::string, std::vector<ItemMatch>> matchedByProc;
-  std::set<std::string> incomingNames;
-  for (const Procedure& p : incoming.procedures) incomingNames.insert(p.name);
   auto postEpochOf = [&](const std::string& name) -> std::uint64_t {
     if (clean.count(name)) return units_.at(name).summaryEpoch;
-    return incomingNames.count(name) ? newEpoch : 0;
+    return in.count(name) ? newEpoch : 0;
   };
   if (!fullInvalidation && options_.loopGranularReuse) {
     for (const Procedure& p : incoming.procedures) {
@@ -380,16 +380,19 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       auto uit = units_.find(p.name);
       if (uit == units_.end()) continue;  // added: nothing to reuse
       const Unit& old = uit->second;
-      const ProcFingerprintDetail& nd = fps.at(p.name);
+      const ProcFingerprintDetail& nd = in.at(p.name).fp;
       if (old.items.empty() || old.frameFp != nd.frame) continue;
       std::vector<ItemMatch> matches;
       std::size_t cursor = 0;
       for (std::size_t j = 0; j < nd.items.size(); ++j) {
         const ItemFingerprint& ni = nd.items[j];
-        if (!ni.hasLoop) continue;  // only loop-bearing items carry cached verdicts
+        if (ni.loopCount == 0) continue;  // only loop-bearing items carry cached verdicts
         for (std::size_t k = cursor; k < old.items.size(); ++k) {
           const ItemRecord& oi = old.items[k];
-          if (oi.hash != ni.hash || oi.suffixHash != ni.suffixHash || !oi.hasLoop) continue;
+          // Equal hashes imply equal DO counts, barring a collision or a
+          // foreign snapshot.
+          if (oi.hash != ni.hash || oi.suffixHash != ni.suffixHash || oi.loopCount != ni.loopCount)
+            continue;
           if (options_.quantified && oi.precedingHash != ni.precedingHash) continue;
           bool epochsValid = true;
           for (const auto& [callee, epoch] : oi.calleeEpochs)
@@ -421,180 +424,86 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       auto it = units_.find(p.name);
       if (it == units_.end()) {
         stats.invalidations.push_back({p.name, "added", "no unit on record"});
-      } else if (it->second.fp != fps.at(p.name).whole) {
+      } else if (it->second.fp != in.at(p.name).fp.whole) {
         stats.invalidations.push_back({p.name, "fingerprint", "content fingerprint changed"});
-      } else {
-        auto pd = pruneDetail.find(p.name);
-        stats.invalidations.push_back(
-            {p.name, "callee-epoch", pd == pruneDetail.end() ? std::string() : pd->second});
+      } else if (auto pd = pruned.find(p.name); pd != pruned.end()) {
+        stats.invalidations.push_back(pd->second);
       }
     }
   }
 
-  // 5. Snapshot the clean units' memoized state — and the matched units'
-  // loop summaries — out of the previous analyzer while its keys are still
-  // the previous epoch's objects; the analyzer references
-  // program_/sema_/hsg_ and must be gone before they are replaced.
-  std::map<std::string, SummaryAnalyzer::ProcSnapshot> snapshots;
-  std::map<std::string, SummaryAnalyzer::ProcSnapshot> partialSnaps;
-  if (analyzer_) {
-    for (const std::string& name : clean)
-      if (const Procedure* prev = program_.findProcedure(name))
-        snapshots.emplace(name, analyzer_->snapshotProcedure(*prev));
-    for (const auto& [name, matches] : matchedByProc) {
-      (void)matches;
-      if (const Procedure* prev = program_.findProcedure(name))
-        partialSnaps.emplace(name, analyzer_->snapshotProcedure(*prev));
+  // 7. One analyzer over the incoming program. Clean units hand it their
+  // carried state whole; each matched item hands it its loop summaries,
+  // moved from the item's previous walk positions to its new ones (sumLoop
+  // serves those from the memo instead of re-expanding the bodies), and
+  // its cached reports, re-cited at the incoming DO lines.
+  SummaryAnalyzer analyzer(incoming, *sema, hsg, options_);
+  std::map<std::string, std::map<std::size_t, CachedLoop>> reusedLoops;  ///< by walk index
+  for (const Procedure& p : incoming.procedures) {
+    auto uit = units_.find(p.name);
+    if (uit == units_.end()) continue;
+    Unit& old = uit->second;
+    if (clean.count(p.name)) {
+      analyzer.seedProcedure(p, std::move(old.memo));
+      continue;
     }
-  } else {
-    // A restored session has no analyzer yet; its snapshots were carried
-    // from disk and wait in pendingSnapshots_ for exactly this seed step.
-    for (const std::string& name : clean)
-      if (auto it = pendingSnapshots_.find(name); it != pendingSnapshots_.end())
-        snapshots.emplace(name, std::move(it->second));
-    for (const auto& [name, matches] : matchedByProc) {
-      (void)matches;
-      if (auto it = pendingSnapshots_.find(name); it != pendingSnapshots_.end())
-        partialSnaps.emplace(name, std::move(it->second));
+    auto matches = matchedByProc.find(p.name);
+    if (matches == matchedByProc.end()) continue;
+    const Incoming& ni = in.at(p.name);
+    std::vector<std::size_t> newBegin;  ///< each incoming item's first walk index
+    std::size_t walk = 0;
+    for (const ItemFingerprint& item : ni.fp.items) {
+      newBegin.push_back(walk);
+      walk += item.loopCount;
     }
-  }
-  pendingSnapshots_.clear();
-  analyzer_.reset();
-
-  // 5a. Resolve the matched items against both epochs' ASTs while the
-  // previous AST is still owned by program_: pair each matched item's DO
-  // statements (pre-order) between the old and new subtree, carrying the
-  // old loop summaries to seed and the cached reports to serve. A unit
-  // whose fingerprint is unchanged (dirtied only through a callee epoch)
-  // keeps its previous AST through the splice, so old and new statements
-  // coincide there — and already carry remapped positions from step 4a.
-  std::vector<std::pair<const Stmt*, LoopSummary>> loopSeeds;
-  std::map<std::string, std::map<const Stmt*, CachedLoop>> reusedLoops;
-  for (const auto& [name, matches] : matchedByProc) {
-    const Procedure* oldProc = program_.findProcedure(name);
-    const Procedure* newProc = incoming.findProcedure(name);
-    if (!oldProc || !newProc) continue;
-    const Unit& old = units_.at(name);
-    const bool keepsOldAst = unchangedSet.count(name) != 0;
-    std::map<const Stmt*, const LoopSummary*> oldSummaries;
-    if (auto snap = partialSnaps.find(name); snap != partialSnaps.end())
-      for (const auto& [stmt, ls] : snap->second.loops) oldSummaries.emplace(stmt, &ls);
-    for (const ItemMatch& m : matches) {
-      if (m.oldIdx >= oldProc->body.size()) continue;
+    SummaryAnalyzer::ProcSnapshot seed;
+    std::map<std::size_t, CachedLoop>& reused = reusedLoops[p.name];
+    for (const ItemMatch& m : matches->second) {
       const ItemRecord& oi = old.items[m.oldIdx];
-      std::vector<const Stmt*> oldDos =
-          collectDoLoops(std::span(oldProc->body).subspan(m.oldIdx, 1));
-      std::vector<const Stmt*> newDos =
-          keepsOldAst ? oldDos : collectDoLoops(std::span(newProc->body).subspan(m.newIdx, 1));
-      // Consistency guards (violable only via a fingerprint collision or a
-      // foreign snapshot): the cached range and both subtrees must agree.
-      if (oldDos.size() != newDos.size() || oi.loopCount != oldDos.size()) continue;
-      if (oi.loopBegin + oi.loopCount > old.loops.size()) continue;
-      for (std::size_t t = 0; t < oldDos.size(); ++t) {
-        if (auto ls = oldSummaries.find(oldDos[t]); ls != oldSummaries.end())
-          loopSeeds.emplace_back(newDos[t], *ls->second);
-        CachedLoop cl = old.loops[oi.loopBegin + t];
-        cl.line = static_cast<int>(newDos[t]->loc.line);
-        reusedLoops[name].emplace(newDos[t], std::move(cl));
+      for (std::uint32_t t = 0; t < oi.loopCount; ++t) {
+        const std::size_t at = newBegin[m.newIdx] + t;
+        if (auto ls = old.memo.loops.find(oi.loopBegin + t); ls != old.memo.loops.end())
+          seed.loops.emplace(static_cast<std::uint32_t>(at), std::move(ls->second));
+        CachedLoop cl = std::move(old.loops[oi.loopBegin + t]);
+        cl.line = static_cast<int>(ni.dos[at]->loc.line);
+        reused.emplace(at, std::move(cl));
       }
     }
-  }
-  partialSnaps.clear();
-
-  // 6. Splice. Order follows the incoming source; unchanged procedures
-  // carry their previous AST (keeping Stmt-keyed caches valid), everything
-  // else takes the incoming AST.
-  {
-    std::map<std::string, Procedure*> prev;
-    for (Procedure& p : program_.procedures) prev.emplace(p.name, &p);
-    Program next;
-    next.procedures.reserve(incoming.procedures.size());
-    for (Procedure& p : incoming.procedures) {
-      auto it = unchangedSet.count(p.name) ? prev.find(p.name) : prev.end();
-      next.procedures.push_back(std::move(it != prev.end() ? *it->second : p));
-    }
-    program_ = std::move(next);
+    analyzer.seedProcedure(p, std::move(seed));
   }
 
-  // 7. Real sema against the persistent tables. Append-only interning keeps
-  // every previously seen VarId/ArrayId stable, which is what lets GARs and
-  // scalar sets cross epochs untouched. Validation already accepted this
-  // content, so a failure here is an internal bug — drop to a cold state
-  // rather than serve stale results.
-  DiagnosticEngine rdiags;
-  {
-    SymbolTable symbols = live_ ? std::move(sema_.symbols) : SymbolTable{};
-    ArrayTable arrays = live_ ? std::move(sema_.arrays) : ArrayTable{};
-    std::optional<SemaResult> sr = analyze(program_, rdiags, std::move(symbols), std::move(arrays));
-    if (!sr) {
-      resetState();
-      out.error = "internal error: post-splice sema failed\n" + rdiags.str();
-      return out;
-    }
-    sema_ = std::move(*sr);
-  }
-
-  // 8. HSG: clean graphs move across (their nodes hold `const Stmt*` into
-  // statements that survived the splice) with the owning-procedure pointer
-  // rebound; dirty procedures adopt the validated fresh graphs.
-  {
-    Hsg next;
-    for (Procedure& p : program_.procedures) {
-      ProcedureHsg ph;
-      if (auto fresh = freshHsgs.find(p.name); fresh != freshHsgs.end())
-        ph = std::move(fresh->second);
-      else if (auto old = hsg_.procs.find(p.name); old != hsg_.procs.end())
-        ph = std::move(old->second);
-      else
-        ph = buildProcedureHsg(p, rdiags);  // unreachable; defensive
-      ph.proc = &p;
-      next.procs.emplace(p.name, std::move(ph));
-    }
-    hsg_ = std::move(next);
-  }
-
-  // 9. Fresh analyzer for this epoch, seeded with every clean snapshot
-  // under the current epoch's procedure objects, plus the matched items'
-  // loop summaries under the current epoch's DO statements (sumLoop serves
-  // those from the memo instead of re-expanding the bodies).
-  analyzer_ = std::make_unique<SummaryAnalyzer>(program_, sema_, hsg_, options_);
-  for (auto& [name, snap] : snapshots)
-    if (const Procedure* p = program_.findProcedure(name))
-      analyzer_->seedProcedure(*p, std::move(snap));
-  if (!loopSeeds.empty()) analyzer_->seedLoopSummaries(std::move(loopSeeds));
-
-  // 10. The batch scheduler over the dirty procedures' unmatched loops
+  // 8. The batch scheduler over the dirty procedures' unmatched loops
   // only: its call-graph waves find the clean procedures' summaries in the
   // memo, so only the dirty cone does summary work.
   std::vector<LoopSite> items;
-  for (const Procedure* proc : sema_.bottomUpOrder) {
+  for (const Procedure* proc : sema->bottomUpOrder) {
     if (clean.count(proc->name)) continue;
     const auto reused = reusedLoops.find(proc->name);
-    for (const Stmt* s : collectDoLoops(proc->body)) {
-      if (reused != reusedLoops.end() && reused->second.count(s)) continue;
-      items.push_back({s, proc});
-    }
+    const std::vector<const Stmt*>& dos = in.at(proc->name).dos;
+    for (std::size_t k = 0; k < dos.size(); ++k)
+      if (reused == reusedLoops.end() || !reused->second.count(k)) items.push_back({dos[k], proc});
   }
-  std::vector<LoopAnalysis> dirtyLoops = analyzeProgramParallel(*analyzer_, *pool_, items);
+  std::vector<LoopAnalysis> dirtyLoops = analyzeProgramParallel(analyzer, *pool_, items);
 
-  // 11. Rebuild the unit table: dirty units take this epoch, fresh deps
+  // 9. Rebuild the unit table: every unit takes its procedure's memoized
+  // state back from the analyzer; dirty units take this epoch, fresh deps
   // (SUM_call edges ∪ the items' resolved syntactic callees — seeded loops
   // skip SUM_call, so the syntactic set keeps clean-item dependencies on
   // record), and loop caches interleaving reused and fresh verdicts in walk
-  // order; clean units keep everything. Item records are refreshed for
-  // every unit from this submit's detail (incoming content ≡ kept content
-  // for clean units).
+  // order; clean units keep everything else. Item records are refreshed
+  // for every unit from this submit's detail.
   std::map<const Stmt*, const LoopAnalysis*> freshByStmt;
   for (std::size_t k = 0; k < items.size(); ++k) freshByStmt.emplace(items[k].loop, &dirtyLoops[k]);
-  std::map<std::string, std::set<std::string>> deps = analyzer_->callDependencies();
+  std::map<std::string, std::set<std::string>> deps = analyzer.callDependencies();
 
   std::map<std::string, Unit> nextUnits;
-  for (const Procedure& p : program_.procedures) {
-    const ProcFingerprintDetail& nd = fps.at(p.name);
+  for (const Procedure& p : incoming.procedures) {
+    const Incoming& ni = in.at(p.name);
     const bool isClean = clean.count(p.name) != 0;
     Unit u;
-    u.fp = nd.whole;
-    u.frameFp = nd.frame;
+    u.fp = ni.fp.whole;
+    u.frameFp = ni.fp.frame;
+    u.memo = analyzer.takeProcedure(p);
     std::size_t reusedHere = 0;
     std::size_t freshHere = 0;
     if (isClean) {
@@ -607,9 +516,9 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       u.summaryEpoch = newEpoch;
       if (auto d = deps.find(p.name); d != deps.end()) u.deps = std::move(d->second);
       const auto reused = reusedLoops.find(p.name);
-      for (const Stmt* s : collectDoLoops(p.body)) {
+      for (std::size_t k = 0; k < ni.dos.size(); ++k) {
         if (reused != reusedLoops.end()) {
-          if (auto rl = reused->second.find(s); rl != reused->second.end()) {
+          if (auto rl = reused->second.find(k); rl != reused->second.end()) {
             stats.loopReuse.push_back({p.name, rl->second.line, "item-match",
                                        "statement, suffix, frame, and callee epochs unchanged"});
             u.loops.push_back(std::move(rl->second));
@@ -617,40 +526,32 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
             continue;
           }
         }
-        auto fresh = freshByStmt.find(s);
-        if (fresh != freshByStmt.end()) {
+        if (auto fresh = freshByStmt.find(ni.dos[k]); fresh != freshByStmt.end()) {
           u.loops.push_back(cacheLoopAnalysis(*fresh->second));
           ++freshHere;
         }
       }
-    }
-    // Item records for the next submit's matcher. Loop ranges partition the
-    // flat walk-order cache; a mismatched total (possible only for a
-    // truncated foreign snapshot) disables item reuse rather than misfile.
-    u.items.resize(nd.items.size());
-    std::size_t loopCursor = 0;
-    bool ranges = true;
-    for (std::size_t j = 0; j < nd.items.size(); ++j) {
-      ItemRecord& rec = u.items[j];
-      rec.hash = nd.items[j].hash;
-      rec.suffixHash = nd.items[j].suffixHash;
-      rec.precedingHash = nd.items[j].precedingHash;
-      rec.hasLoop = nd.items[j].hasLoop;
-      rec.loopBegin = static_cast<std::uint32_t>(loopCursor);
-      rec.loopCount =
-          static_cast<std::uint32_t>(collectDoLoops(std::span(p.body).subspan(j, 1)).size());
-      loopCursor += rec.loopCount;
-      for (const std::string& callee : nd.items[j].callees)
-        if (incomingNames.count(callee)) rec.calleeEpochs[callee] = 0;  // filled below
-    }
-    if (loopCursor != u.loops.size()) ranges = false;
-    if (!ranges) u.items.clear();
-    if (!isClean) {
       // Syntactic resolved callees keep the unit-level dependency edges
       // complete even where seeded loops skipped SUM_call.
-      if (!nd.items.empty())
-        for (const std::string& callee : nd.items.front().callees)
-          if (incomingNames.count(callee) && callee != p.name) u.deps.insert(callee);
+      if (!ni.fp.items.empty())
+        for (const std::string& callee : ni.fp.items.front().callees)
+          if (in.count(callee) && callee != p.name) u.deps.insert(callee);
+    }
+    // Item records for the next submit's matcher; loop ranges partition
+    // the walk-order cache.
+    u.items.resize(ni.fp.items.size());
+    std::uint32_t loopCursor = 0;
+    for (std::size_t j = 0; j < ni.fp.items.size(); ++j) {
+      const ItemFingerprint& item = ni.fp.items[j];
+      ItemRecord& rec = u.items[j];
+      rec.hash = item.hash;
+      rec.suffixHash = item.suffixHash;
+      rec.precedingHash = item.precedingHash;
+      rec.loopBegin = loopCursor;
+      rec.loopCount = item.loopCount;
+      loopCursor += item.loopCount;
+      for (const std::string& callee : item.callees)
+        if (in.count(callee)) rec.calleeEpochs[callee] = 0;  // filled below
     }
     if (reusedHere > 0) {
       ++stats.partialUnits;
@@ -660,6 +561,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       ++stats.unitsDirtyLoops;
     else
       ++stats.unitsCleanLoops;
+    if (isClean) stats.loopsReused += u.loops.size();
     nextUnits.emplace(p.name, std::move(u));
   }
   // Recomputed units record their callees' post-submit epochs — the validity
@@ -678,26 +580,15 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
           epoch = du->second.summaryEpoch;
   }
   units_ = std::move(nextUnits);
+  order_.clear();
+  for (const Procedure* proc : sema->bottomUpOrder) order_.push_back(proc->name);
+  symbols_ = std::move(sema->symbols);
+  arrays_ = std::move(sema->arrays);
   epoch_ = newEpoch;
   unitsOptionsKey_ = optionsKey_;
   live_ = true;
 
-  // Assemble the report in the batch drivers' order: procedures bottom-up,
-  // loops in walk order within each.
-  for (const Procedure* proc : sema_.bottomUpOrder) {
-    const Unit& u = units_.at(proc->name);
-    const bool reused = clean.count(proc->name) != 0;
-    for (const CachedLoop& cl : u.loops) {
-      SessionLoopResult r;
-      r.procName = cl.procName;
-      r.line = cl.line;
-      r.classification = cl.classification;
-      r.report = composeLoopReport(cl);
-      r.provenance = cl.provenance;
-      out.loops.push_back(std::move(r));
-      if (reused) ++stats.loopsReused;
-    }
-  }
+  appendCachedLoops(out.loops);
   stats.loopsReused += stats.loopSkips;
   stats.loopsRecomputed = items.size();
   stats.fileSkips = fileSkips_;
@@ -736,31 +627,6 @@ void publishSessionMetrics(const SessionStats& stats) {
   reg.counter("session.line_remaps").set(stats.lineRemaps);
   reg.counter("session.file_skips").set(stats.fileSkips);
   reg.counter("session.full_invalidation").set(stats.fullInvalidation ? 1 : 0);
-}
-
-obs::SessionReuse sessionReuseFor(const SessionStats& stats) {
-  obs::SessionReuse out;
-  out.epoch = stats.epoch;
-  out.warm = stats.epoch > 1 && !stats.fullInvalidation;
-  out.fullInvalidation = stats.fullInvalidation;
-  out.procedures = stats.procedures;
-  out.unchanged = stats.unchanged;
-  out.modified = stats.modified;
-  out.added = stats.added;
-  out.removed = stats.removed;
-  out.dirty = stats.dirty;
-  out.summariesReused = stats.summariesReused;
-  out.summariesRecomputed = stats.summariesRecomputed;
-  out.loopsReused = stats.loopsReused;
-  out.loopsRecomputed = stats.loopsRecomputed;
-  out.loopSkips = stats.loopSkips;
-  out.partialUnits = stats.partialUnits;
-  out.unitsCleanLoops = stats.unitsCleanLoops;
-  out.unitsDirtyLoops = stats.unitsDirtyLoops;
-  out.lineRemaps = stats.lineRemaps;
-  out.causes = stats.invalidations;
-  out.loopCauses = stats.loopReuse;
-  return out;
 }
 
 std::string formatSessionStats(const SessionStats& stats) {

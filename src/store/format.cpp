@@ -1,7 +1,6 @@
 #include "panorama/store/format.h"
 
 #include <cstdio>
-#include <cstring>
 
 namespace panorama::store {
 
@@ -20,13 +19,6 @@ void Writer::u32(std::uint32_t v) {
 
 void Writer::u64(std::uint64_t v) {
   for (int k = 0; k < 8; ++k) bytes_.push_back(static_cast<char>((v >> (8 * k)) & 0xff));
-}
-
-void Writer::f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
 }
 
 void Writer::str(std::string_view s) {
@@ -70,13 +62,6 @@ std::uint64_t Reader::u64() {
   if (!take(8, &p)) return 0;
   std::uint64_t v = 0;
   for (int k = 0; k < 8; ++k) v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[k])) << (8 * k);
-  return v;
-}
-
-double Reader::f64() {
-  std::uint64_t bits = u64();
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 

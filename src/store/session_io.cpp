@@ -3,7 +3,11 @@
 //
 //   [options][session counters][symbol names]
 //   [expression pool][array table][predicate pool]
-//   [post-sema AST][unit table][procedure snapshots]
+//   [unit table, bottom-up: fingerprints, reports, item records, summaries]
+//
+// It holds exactly the session's state between submits — no AST: loop
+// summaries are keyed by DO walk index, and the next submit's own parse
+// supplies the statements they seed.
 //
 // Stable-id scheme: the process-global hash-cons arenas assign ids in
 // arrival order, which differs run to run, so ids are NOT serialized.
@@ -16,21 +20,19 @@
 //
 // Restore is all-or-nothing: the payload is parsed and validated into
 // locals (bounds-checked reader, canonical-form checks before anything is
-// interned, AST depth cap), then sema and HSG construction run on those
-// locals; only after every step has succeeded is the session's state
+// interned, every walk index and item range checked against its unit's
+// report count); only after every step has succeeded is the session's state
 // replaced by one block of moves. Any defect — truncation, bit rot, version
 // skew, out-of-range index, non-canonical pool entry — yields a structured
 // diagnostic and leaves the session exactly as it was.
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "panorama/analysis/driver.h"
 #include "panorama/predicate/arena.h"
 #include "panorama/session/session.h"
 #include "panorama/symbolic/arena.h"
@@ -118,93 +120,6 @@ struct PoolWriter {
   }
 };
 
-void writeLoc(Writer& w, SourceLoc loc) {
-  w.u32(loc.line);
-  w.u32(loc.column);
-}
-
-void writeExpr(Writer& w, const Expr& e);
-
-void writeExprPtr(Writer& w, const ExprPtr& e) {
-  w.u8(e ? 1 : 0);
-  if (e) writeExpr(w, *e);
-}
-
-// All fields are written uniformly regardless of kind: the AST is small
-// relative to the pools, and a uniform record keeps reader and writer in
-// trivially checkable lockstep (RealLit doubles travel as raw bits — a text
-// round-trip would not be byte-exact).
-void writeExpr(Writer& w, const Expr& e) {
-  w.u8(static_cast<std::uint8_t>(e.kind));
-  writeLoc(w, e.loc);
-  w.i64(e.intValue);
-  w.f64(e.realValue);
-  w.u8(e.logicalValue ? 1 : 0);
-  w.str(e.name);
-  w.u8(static_cast<std::uint8_t>(e.binOp));
-  w.u8(static_cast<std::uint8_t>(e.unOp));
-  w.u64(e.args.size());
-  for (const ExprPtr& a : e.args) writeExprPtr(w, a);
-}
-
-void writeStmt(Writer& w, const Stmt& s);
-
-void writeBody(Writer& w, const std::vector<StmtPtr>& body) {
-  w.u64(body.size());
-  for (const StmtPtr& s : body) writeStmt(w, *s);
-}
-
-void writeStmt(Writer& w, const Stmt& s) {
-  w.u8(static_cast<std::uint8_t>(s.kind));
-  writeLoc(w, s.loc);
-  w.i64(s.label);
-  writeExprPtr(w, s.lhs);
-  writeExprPtr(w, s.rhs);
-  writeExprPtr(w, s.cond);
-  writeBody(w, s.thenBody);
-  writeBody(w, s.elseBody);
-  w.str(s.doVar);
-  writeExprPtr(w, s.lo);
-  writeExprPtr(w, s.hi);
-  writeExprPtr(w, s.step);
-  writeBody(w, s.body);
-  w.i64(s.gotoLabel);
-  w.str(s.callee);
-  w.u64(s.args.size());
-  for (const ExprPtr& a : s.args) writeExprPtr(w, a);
-}
-
-void writeProcedure(Writer& w, const Procedure& p) {
-  w.str(p.name);
-  w.u8(p.isMain ? 1 : 0);
-  w.u64(p.params.size());
-  for (const std::string& s : p.params) w.str(s);
-  w.u64(p.decls.size());
-  for (const VarDecl& d : p.decls) {
-    w.str(d.name);
-    w.u8(static_cast<std::uint8_t>(d.type));
-    w.u64(d.dims.size());
-    for (const VarDecl::DimBound& b : d.dims) {
-      writeExprPtr(w, b.lo);
-      writeExprPtr(w, b.up);
-    }
-    writeLoc(w, d.loc);
-  }
-  w.u64(p.commons.size());
-  for (const CommonBlock& c : p.commons) {
-    w.str(c.name);
-    w.u64(c.vars.size());
-    for (const std::string& v : c.vars) w.str(v);
-  }
-  w.u64(p.paramConsts.size());
-  for (const ParamConst& pc : p.paramConsts) {
-    w.str(pc.name);
-    writeExprPtr(w, pc.value);
-  }
-  writeBody(w, p.body);
-  writeLoc(w, p.loc);
-}
-
 void writeLoopSummary(Writer& w, PoolWriter& pools, const LoopSummary& ls) {
   w.u32(ls.bounds.index.value);
   w.u64(pools.expr(ls.bounds.lo));
@@ -231,6 +146,18 @@ void writeProcSummary(Writer& w, PoolWriter& pools, const ProcSummary& s) {
   pools.garList(w, s.modAll);
   pools.garList(w, s.ueAll);
   pools.vars(w, s.modifiedScalars);
+}
+
+void writeProcSnapshot(Writer& w, PoolWriter& pools, const SummaryAnalyzer::ProcSnapshot& snap) {
+  w.u8(snap.hasSummary ? 1 : 0);
+  w.u8(snap.hasScalars ? 1 : 0);
+  writeProcSummary(w, pools, snap.summary);
+  pools.vars(w, snap.modifiedScalars);
+  w.u64(snap.loops.size());
+  for (const auto& [walkIndex, ls] : snap.loops) {
+    w.u32(walkIndex);
+    writeLoopSummary(w, pools, ls);
+  }
 }
 
 // ----- reader side ---------------------------------------------------------
@@ -432,152 +359,6 @@ struct PoolReader {
   }
 };
 
-/// AST reconstruction with a structural depth cap so a hostile payload
-/// cannot drive unbounded recursion.
-struct AstReader {
-  Reader& r;
-  int depth = 0;
-  static constexpr int kMaxDepth = 4096;
-
-  bool descend() {
-    if (++depth > kMaxDepth) {
-      r.fail("corrupted snapshot: AST nesting too deep");
-      return false;
-    }
-    return true;
-  }
-
-  SourceLoc loc() {
-    SourceLoc out;
-    out.line = r.u32();
-    out.column = r.u32();
-    return out;
-  }
-
-  ExprPtr exprPtr() {
-    if (r.u8() == 0 || !r.ok()) return nullptr;
-    return expr();
-  }
-
-  ExprPtr expr() {
-    if (!descend()) return nullptr;
-    auto e = std::make_unique<Expr>();
-    const std::uint8_t kind = r.u8();
-    if (r.ok() && kind > static_cast<std::uint8_t>(Expr::Kind::Unary))
-      r.fail("corrupted snapshot: unknown expression kind");
-    e->kind = static_cast<Expr::Kind>(kind);
-    e->loc = loc();
-    e->intValue = r.i64();
-    e->realValue = r.f64();
-    e->logicalValue = r.u8() != 0;
-    e->name = r.str();
-    const std::uint8_t bin = r.u8();
-    if (r.ok() && bin > static_cast<std::uint8_t>(BinOp::Or))
-      r.fail("corrupted snapshot: unknown binary operator");
-    e->binOp = static_cast<BinOp>(bin);
-    const std::uint8_t un = r.u8();
-    if (r.ok() && un > static_cast<std::uint8_t>(UnOp::Not))
-      r.fail("corrupted snapshot: unknown unary operator");
-    e->unOp = static_cast<UnOp>(un);
-    const std::uint64_t n = r.count(1, "expression operand");
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      ExprPtr a = exprPtr();
-      if (r.ok() && !a) r.fail("corrupted snapshot: missing expression operand");
-      e->args.push_back(std::move(a));
-    }
-    --depth;
-    if (!r.ok()) return nullptr;
-    return e;
-  }
-
-  std::vector<StmtPtr> body() {
-    std::vector<StmtPtr> out;
-    const std::uint64_t n = r.count(60, "statement");
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      StmtPtr s = stmt();
-      if (!s) break;
-      out.push_back(std::move(s));
-    }
-    return out;
-  }
-
-  StmtPtr stmt() {
-    if (!descend()) return nullptr;
-    auto s = std::make_unique<Stmt>();
-    const std::uint8_t kind = r.u8();
-    if (r.ok() && kind > static_cast<std::uint8_t>(Stmt::Kind::Stop))
-      r.fail("corrupted snapshot: unknown statement kind");
-    s->kind = static_cast<Stmt::Kind>(kind);
-    s->loc = loc();
-    s->label = static_cast<int>(r.i64());
-    s->lhs = exprPtr();
-    s->rhs = exprPtr();
-    s->cond = exprPtr();
-    s->thenBody = body();
-    s->elseBody = body();
-    s->doVar = r.str();
-    s->lo = exprPtr();
-    s->hi = exprPtr();
-    s->step = exprPtr();
-    s->body = body();
-    s->gotoLabel = static_cast<int>(r.i64());
-    s->callee = r.str();
-    const std::uint64_t n = r.count(1, "call argument");
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      ExprPtr a = exprPtr();
-      if (r.ok() && !a) r.fail("corrupted snapshot: missing call argument");
-      s->args.push_back(std::move(a));
-    }
-    --depth;
-    if (!r.ok()) return nullptr;
-    return s;
-  }
-
-  bool procedure(Procedure& p) {
-    p.name = r.str();
-    p.isMain = r.u8() != 0;
-    const std::uint64_t pn = r.count(8, "parameter");
-    for (std::uint64_t i = 0; i < pn && r.ok(); ++i) p.params.push_back(r.str());
-    const std::uint64_t dn = r.count(18, "declaration");
-    for (std::uint64_t i = 0; i < dn && r.ok(); ++i) {
-      VarDecl d;
-      d.name = r.str();
-      const std::uint8_t type = r.u8();
-      if (r.ok() && type > static_cast<std::uint8_t>(BaseType::Logical))
-        r.fail("corrupted snapshot: unknown declaration type");
-      d.type = static_cast<BaseType>(type);
-      const std::uint64_t bn = r.count(2, "dimension bound");
-      for (std::uint64_t b = 0; b < bn && r.ok(); ++b) {
-        VarDecl::DimBound bound;
-        bound.lo = exprPtr();
-        bound.up = exprPtr();
-        d.dims.push_back(std::move(bound));
-      }
-      d.loc = loc();
-      p.decls.push_back(std::move(d));
-    }
-    const std::uint64_t cn = r.count(16, "common block");
-    for (std::uint64_t i = 0; i < cn && r.ok(); ++i) {
-      CommonBlock c;
-      c.name = r.str();
-      const std::uint64_t vn = r.count(8, "common variable");
-      for (std::uint64_t v = 0; v < vn && r.ok(); ++v) c.vars.push_back(r.str());
-      p.commons.push_back(std::move(c));
-    }
-    const std::uint64_t kn = r.count(9, "parameter constant");
-    for (std::uint64_t i = 0; i < kn && r.ok(); ++i) {
-      ParamConst pc;
-      pc.name = r.str();
-      pc.value = exprPtr();
-      if (r.ok() && !pc.value) r.fail("corrupted snapshot: parameter constant without a value");
-      p.paramConsts.push_back(std::move(pc));
-    }
-    p.body = body();
-    p.loc = loc();
-    return r.ok();
-  }
-};
-
 LoopSummary readLoopSummary(PoolReader& pools) {
   LoopSummary ls;
   ls.bounds.index = pools.var(/*allowInvalid=*/true);
@@ -608,6 +389,28 @@ ProcSummary readProcSummary(PoolReader& pools) {
   s.ueAll = pools.garList();
   s.modifiedScalars = pools.vars(/*allowInvalid=*/false);
   return s;
+}
+
+/// A unit's memoized summaries; every loop summary's walk index must name
+/// one of the unit's `loopCount` cached reports, in ascending order.
+SummaryAnalyzer::ProcSnapshot readProcSnapshot(PoolReader& pools, std::size_t loopCount) {
+  Reader& r = pools.r;
+  SummaryAnalyzer::ProcSnapshot snap;
+  snap.hasSummary = r.u8() != 0;
+  snap.hasScalars = r.u8() != 0;
+  snap.summary = readProcSummary(pools);
+  snap.modifiedScalars = pools.vars(/*allowInvalid=*/false);
+  const std::uint64_t n = r.count(60, "loop summary");
+  for (std::uint64_t l = 0; l < n && r.ok(); ++l) {
+    const std::uint32_t walkIndex = r.u32();
+    if (r.ok() && walkIndex >= loopCount)
+      r.fail("corrupted snapshot: loop summary index out of range");
+    if (r.ok() && !snap.loops.empty() && walkIndex <= snap.loops.rbegin()->first)
+      r.fail("corrupted snapshot: loop summaries out of walk order");
+    LoopSummary ls = readLoopSummary(pools);
+    if (r.ok()) snap.loops.emplace(walkIndex, std::move(ls));
+  }
+  return snap;
 }
 
 }  // namespace
@@ -641,29 +444,27 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
   head.u8(hasSourceHash_ ? 1 : 0);
   head.u64(fileSkips_);
 
-  head.u64(sema_.symbols.size());
-  for (std::size_t i = 0; i < sema_.symbols.size(); ++i)
-    head.str(sema_.symbols.name(VarId{static_cast<std::uint32_t>(i)}));
+  head.u64(symbols_.size());
+  for (std::size_t i = 0; i < symbols_.size(); ++i)
+    head.str(symbols_.name(VarId{static_cast<std::uint32_t>(i)}));
 
   // Array table (registers declared-bound expressions into the pool).
   Writer arraysW;
-  arraysW.u64(sema_.arrays.size());
-  for (std::size_t i = 0; i < sema_.arrays.size(); ++i) {
-    const ArrayShape& s = sema_.arrays.shape(ArrayId{static_cast<std::uint32_t>(i)});
+  arraysW.u64(arrays_.size());
+  for (std::size_t i = 0; i < arrays_.size(); ++i) {
+    const ArrayShape& s = arrays_.shape(ArrayId{static_cast<std::uint32_t>(i)});
     arraysW.str(s.name);
     arraysW.u64(s.declaredDims.size());
     for (const SymRange& d : s.declaredDims) pools.range(arraysW, d);
   }
 
-  Writer astW;
-  astW.u64(program_.procedures.size());
-  for (const Procedure& p : program_.procedures) writeProcedure(astW, p);
-
-  // Unit table: fingerprints, the declaration-frame hash, headerless
-  // reports (doVar + reportTail), and the per-item reuse records.
+  // Unit table in bottom-up order (restore rebuilds order_ from it):
+  // fingerprints, the declaration-frame hash, headerless reports (doVar +
+  // reportTail), the per-item reuse records, and the memoized summaries.
   Writer unitsW;
-  unitsW.u64(units_.size());
-  for (const auto& [name, u] : units_) {
+  unitsW.u64(order_.size());
+  for (const std::string& name : order_) {
+    const Unit& u = units_.at(name);
     unitsW.str(name);
     unitsW.u64(u.fp);
     unitsW.u64(u.frameFp);
@@ -689,7 +490,6 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
       unitsW.u64(rec.hash);
       unitsW.u64(rec.suffixHash);
       unitsW.u64(rec.precedingHash);
-      unitsW.u8(rec.hasLoop ? 1 : 0);
       unitsW.u32(rec.loopBegin);
       unitsW.u32(rec.loopCount);
       unitsW.u64(rec.calleeEpochs.size());
@@ -698,46 +498,7 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
         unitsW.u64(epoch);
       }
     }
-  }
-
-  // Procedure snapshots: from the live analyzer when there is one, or from
-  // the pending set a restore left behind.
-  std::map<std::string, SummaryAnalyzer::ProcSnapshot> local;
-  const std::map<std::string, SummaryAnalyzer::ProcSnapshot>* snaps = &pendingSnapshots_;
-  if (analyzer_) {
-    for (const Procedure& p : program_.procedures)
-      local.emplace(p.name, analyzer_->snapshotProcedure(p));
-    snaps = &local;
-  }
-
-  Writer snapW;
-  snapW.u64(snaps->size());
-  for (const auto& [name, snap] : *snaps) {
-    const Procedure* proc = program_.findProcedure(name);
-    if (!proc) {
-      out.error = path + ": internal error: snapshot of unknown procedure '" + name + "'";
-      return out;
-    }
-    std::map<const Stmt*, std::uint64_t> walkIndex;
-    {
-      std::uint64_t k = 0;
-      for (const Stmt* s : collectDoLoops(proc->body)) walkIndex.emplace(s, k++);
-    }
-    snapW.str(name);
-    snapW.u8(snap.hasSummary ? 1 : 0);
-    snapW.u8(snap.hasScalars ? 1 : 0);
-    writeProcSummary(snapW, pools, snap.summary);
-    pools.vars(snapW, snap.modifiedScalars);
-    snapW.u64(snap.loops.size());
-    for (const auto& [stmt, ls] : snap.loops) {
-      auto it = walkIndex.find(stmt);
-      if (it == walkIndex.end()) {
-        out.error = path + ": internal error: loop summary outside the procedure walk";
-        return out;
-      }
-      snapW.u64(it->second);
-      writeLoopSummary(snapW, pools, ls);
-    }
+    writeProcSnapshot(unitsW, pools, u.memo);
   }
 
   // Assemble in the reader's order; the pools are complete only now, but
@@ -757,9 +518,7 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
     payload += c.bytes();
   }
   payload += pools.preds.bytes();
-  payload += astW.bytes();
   payload += unitsW.bytes();
-  payload += snapW.bytes();
 
   return store::writeSnapshotFile(path, payload);
 }
@@ -838,24 +597,12 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
 
   if (!pools.readPredPool()) return failed(r.error());
 
-  Program program;
-  {
-    AstReader ast{r};
-    const std::uint64_t n = r.count(50, "procedure");
-    program.procedures.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      Procedure p;
-      if (!ast.procedure(p)) break;
-      program.procedures.push_back(std::move(p));
-    }
-    if (!r.ok()) return failed(r.error());
-  }
-
   std::map<std::string, Unit> units;
+  std::vector<std::string> order;
   {
     const std::uint64_t n = r.count(40, "unit");
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      const std::string name = r.str();
+      std::string name = r.str();
       Unit u;
       u.fp = r.u64();
       u.frameFp = r.u64();
@@ -882,13 +629,12 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
         cl.provenance = r.str();
         u.loops.push_back(std::move(cl));
       }
-      const std::uint64_t in = r.count(41, "item record");
+      const std::uint64_t in = r.count(40, "item record");
       for (std::uint64_t k = 0; k < in && r.ok(); ++k) {
         ItemRecord rec;
         rec.hash = r.u64();
         rec.suffixHash = r.u64();
         rec.precedingHash = r.u64();
-        rec.hasLoop = r.u8() != 0;
         rec.loopBegin = r.u32();
         rec.loopCount = r.u32();
         const std::uint64_t cn = r.count(16, "item callee epoch");
@@ -902,96 +648,23 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
           return failed("corrupted snapshot: item loop range exceeds the unit's loop cache");
         u.items.push_back(std::move(rec));
       }
+      u.memo = readProcSnapshot(pools, u.loops.size());
       if (!r.ok()) break;
-      units.emplace(name, std::move(u));
-    }
-    if (!r.ok()) return failed(r.error());
-  }
-
-  struct PendingLoop {
-    std::uint64_t walkIndex = 0;
-    LoopSummary summary;
-  };
-  std::map<std::string, SummaryAnalyzer::ProcSnapshot> snaps;
-  std::map<std::string, std::vector<PendingLoop>> snapLoops;
-  {
-    const std::uint64_t n = r.count(20, "procedure snapshot");
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      const std::string name = r.str();
-      SummaryAnalyzer::ProcSnapshot snap;
-      snap.hasSummary = r.u8() != 0;
-      snap.hasScalars = r.u8() != 0;
-      snap.summary = readProcSummary(pools);
-      snap.modifiedScalars = pools.vars(/*allowInvalid=*/false);
-      std::vector<PendingLoop> loops;
-      const std::uint64_t ln = r.count(60, "loop summary");
-      for (std::uint64_t l = 0; l < ln && r.ok(); ++l) {
-        PendingLoop pl;
-        pl.walkIndex = r.u64();
-        pl.summary = readLoopSummary(pools);
-        loops.push_back(std::move(pl));
-      }
-      if (!r.ok()) break;
-      snaps.emplace(name, std::move(snap));
-      snapLoops.emplace(name, std::move(loops));
+      if (!units.emplace(name, std::move(u)).second)
+        return failed("corrupted snapshot: duplicate unit '" + name + "'");
+      order.push_back(std::move(name));
     }
     if (!r.ok()) return failed(r.error());
   }
 
   if (!r.atEnd()) return failed("corrupted snapshot (trailing payload content)");
 
-  // Cross-section consistency: units and procedures must be in bijection,
-  // and snapshots must name known procedures.
-  for (const Procedure& p : program.procedures)
-    if (!units.count(p.name))
-      return failed("corrupted snapshot: procedure '" + p.name + "' has no unit");
-  if (units.size() != program.procedures.size())
-    return failed("corrupted snapshot: unit table names an unknown procedure");
-  for (const auto& [name, snap] : snaps) {
-    (void)snap;
-    if (!program.findProcedure(name))
-      return failed("corrupted snapshot: snapshot of unknown procedure '" + name + "'");
-  }
-
-  // Semantic re-analysis against the rebuilt tables: sema is idempotent over
-  // post-sema ASTs, so ids keep their saved values. A failure means the
-  // payload content was never a valid session — reject it whole.
-  DiagnosticEngine diags;
-  std::optional<SemaResult> sr = analyze(program, diags, std::move(symbols), std::move(arrays));
-  if (!sr) return failed("invalid snapshot (semantic re-analysis rejected it):\n" + diags.str());
-
-  DiagnosticEngine hdiags;
-  Hsg hsg;
-  for (Procedure& p : program.procedures) {
-    ProcedureHsg ph = buildProcedureHsg(p, hdiags);
-    ph.proc = &p;
-    hsg.procs.emplace(p.name, std::move(ph));
-  }
-  if (hdiags.hasErrors())
-    return failed("invalid snapshot (flow-graph construction rejected it):\n" + hdiags.str());
-
-  // Rebind snapshot loop summaries to the restored statement objects.
-  for (auto& [name, loops] : snapLoops) {
-    const Procedure* proc = program.findProcedure(name);
-    const std::vector<const Stmt*> walk = collectDoLoops(proc->body);
-    SummaryAnalyzer::ProcSnapshot& snap = snaps.at(name);
-    for (PendingLoop& pl : loops) {
-      if (pl.walkIndex >= walk.size())
-        return failed("corrupted snapshot: loop summary index out of range");
-      const Stmt* stmt = walk[static_cast<std::size_t>(pl.walkIndex)];
-      pl.summary.stmt = stmt;
-      snap.loops.emplace_back(stmt, std::move(pl.summary));
-    }
-  }
-
   // Everything validated — commit in one block of moves. From here on no
   // step can fail, so the atomicity contract holds.
-  analyzer_.reset();
-  program_ = std::move(program);
-  sema_ = std::move(*sr);
-  hsg_ = std::move(hsg);
+  symbols_ = std::move(symbols);
+  arrays_ = std::move(arrays);
   units_ = std::move(units);
-  pendingSnapshots_ = std::move(snaps);
+  order_ = std::move(order);
   options_ = opts;
   optionsKey_ = optionsKey(options_);
   unitsOptionsKey_ = optionsKey_;
@@ -1002,7 +675,7 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   live_ = true;
   lastStats_ = SessionStats{};
   lastStats_.epoch = epoch_;
-  lastStats_.procedures = program_.procedures.size();
+  lastStats_.procedures = units_.size();
   lastStats_.fileSkips = fileSkips_;
 
   out.ok = true;

@@ -95,7 +95,7 @@ std::map<VarId, SymExpr> SummaryAnalyzer::recognizeInductionVars(const Stmt& loo
 SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcSymbols& sym) {
   const Stmt& s = *n.loopStmt;
 
-  // Seeded fast path (seedLoopSummaries): a previous epoch already expanded
+  // Seeded fast path (seedProcedure): a previous epoch already expanded
   // this statement and the session proved the expansion still valid, so the
   // stored whole-loop sets *are* this call's result. The invariant making
   // this exact: every path below stores ls.mod/ue/de equal to the NodeSets
@@ -117,7 +117,6 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   if (span.active()) span.arg("line", std::to_string(s.loc.line));
 
   LoopSummary ls;
-  ls.stmt = &s;
   ls.prematureExit = n.prematureExit;
 
   auto idxId = sym.scalarId(s.doVar);

@@ -408,29 +408,26 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   return procSummaries_.emplace(&proc, std::move(summary)).first->second;
 }
 
-SummaryAnalyzer::ProcSnapshot SummaryAnalyzer::snapshotProcedure(const Procedure& proc) const {
+SummaryAnalyzer::ProcSnapshot SummaryAnalyzer::takeProcedure(const Procedure& proc) {
   ProcSnapshot snap;
   {
-    std::shared_lock<std::shared_mutex> lock(procMutex_);
-    auto it = procSummaries_.find(&proc);
-    if (it != procSummaries_.end()) {
-      snap.summary = it->second;
+    std::unique_lock<std::shared_mutex> lock(procMutex_);
+    if (auto node = procSummaries_.extract(&proc)) {
+      snap.summary = std::move(node.mapped());
       snap.hasSummary = true;
     }
   }
   {
-    std::shared_lock<std::shared_mutex> lock(scalarCacheMutex_);
-    auto it = modifiedScalarCache_.find(&proc);
-    if (it != modifiedScalarCache_.end()) {
-      snap.modifiedScalars = it->second;
+    std::unique_lock<std::shared_mutex> lock(scalarCacheMutex_);
+    if (auto node = modifiedScalarCache_.extract(&proc)) {
+      snap.modifiedScalars = std::move(node.mapped());
       snap.hasScalars = true;
     }
   }
-  std::shared_lock<std::shared_mutex> lock(loopMutex_);
-  for (const Stmt* loop : collectDoLoops(proc.body)) {
-    auto it = loopSummaries_.find(loop);
-    if (it != loopSummaries_.end()) snap.loops.emplace_back(loop, it->second);
-  }
+  const std::vector<const Stmt*> walk = collectDoLoops(proc.body);
+  std::unique_lock<std::shared_mutex> lock(loopMutex_);
+  for (std::uint32_t k = 0; k < walk.size(); ++k)
+    if (auto node = loopSummaries_.extract(walk[k])) snap.loops.emplace(k, std::move(node.mapped()));
   return snap;
 }
 
@@ -443,16 +440,10 @@ void SummaryAnalyzer::seedProcedure(const Procedure& proc, ProcSnapshot snapshot
     std::unique_lock<std::shared_mutex> lock(scalarCacheMutex_);
     modifiedScalarCache_.insert_or_assign(&proc, std::move(snapshot.modifiedScalars));
   }
+  const std::vector<const Stmt*> walk = collectDoLoops(proc.body);
   std::unique_lock<std::shared_mutex> lock(loopMutex_);
-  for (auto& [stmt, ls] : snapshot.loops) loopSummaries_.insert_or_assign(stmt, std::move(ls));
-}
-
-void SummaryAnalyzer::seedLoopSummaries(std::vector<std::pair<const Stmt*, LoopSummary>> loops) {
-  std::unique_lock<std::shared_mutex> lock(loopMutex_);
-  for (auto& [stmt, ls] : loops) {
-    ls.stmt = stmt;  // rebind to this epoch's statement object
-    loopSummaries_.insert_or_assign(stmt, std::move(ls));
-  }
+  for (auto& [k, ls] : snapshot.loops)
+    if (k < walk.size()) loopSummaries_.insert_or_assign(walk[k], std::move(ls));
 }
 
 std::map<std::string, std::set<std::string>> SummaryAnalyzer::callDependencies() const {

@@ -1,9 +1,7 @@
-// Per-item fingerprints and the lockstep SourceLoc remap (ast/fingerprint,
-// DESIGN.md §4.9): the invariants the session's loop-granular matcher rests
-// on. An item's (hash, suffixHash) must ignore line positions, an edit to
-// item k must change the suffix of every item at or before k and nothing
-// after it, and remapSourceLocs must move a fingerprint-equal procedure's
-// citations to the post-edit lines without touching structure.
+// Per-item fingerprints (ast/fingerprint, DESIGN.md §4.9): the invariants
+// the session's loop-granular matcher rests on. An item's (hash,
+// suffixHash) must ignore line positions, and an edit to item k must change
+// the suffix of every item at or before k and nothing after it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,8 +60,8 @@ TEST(FingerprintDetailTest, ItemsIgnoreLineShifts) {
     EXPECT_EQ(plain.items[k].suffixHash, shifted.items[k].suffixHash) << "item " << k;
     EXPECT_EQ(plain.items[k].precedingHash, shifted.items[k].precedingHash) << "item " << k;
   }
-  EXPECT_TRUE(plain.items[0].hasLoop);
-  EXPECT_FALSE(plain.items[3].hasLoop);
+  EXPECT_EQ(plain.items[0].loopCount, 1u);
+  EXPECT_EQ(plain.items[3].loopCount, 0u);
 }
 
 TEST(FingerprintDetailTest, EditDirtiesTheSuffixOfEarlierItemsOnly) {
@@ -126,41 +124,6 @@ TEST(FingerprintDetailTest, CalleesCoverSubtreeAndSuffix) {
   EXPECT_TRUE(has(detail.items[0].callees, "second"));
   EXPECT_FALSE(has(detail.items[1].callees, "first"));
   EXPECT_TRUE(has(detail.items[1].callees, "second"));
-}
-
-TEST(FingerprintRemapTest, RemapMovesLoopCitationsToPostEditLines) {
-  DiagnosticEngine diags;
-  std::optional<Program> oldProg = parseProgram(kernSource(0), diags);
-  std::optional<Program> newProg = parseProgram(kernSource(0, /*comment=*/true), diags);
-  ASSERT_TRUE(oldProg.has_value() && newProg.has_value()) << diags.str();
-  Procedure& to = oldProg->procedures.front();
-  const Procedure& from = newProg->procedures.front();
-  ASSERT_EQ(fingerprintProcedure(to), fingerprintProcedure(from));
-
-  ASSERT_TRUE(remapSourceLocs(to, from));
-
-  // Every statement in the kept AST now cites the shifted position.
-  ASSERT_EQ(to.body.size(), from.body.size());
-  for (std::size_t k = 0; k < to.body.size(); ++k)
-    EXPECT_EQ(to.body[k]->loc.line, from.body[k]->loc.line) << "item " << k;
-  // And the fingerprint is loc-blind, so the remap changed none of them.
-  EXPECT_EQ(fingerprintProcedure(to), fingerprintProcedure(from));
-}
-
-TEST(FingerprintRemapTest, RemapRefusesShapeDivergence) {
-  DiagnosticEngine diags;
-  std::optional<Program> oldProg = parseProgram(kernSource(0), diags);
-  std::optional<Program> newProg = parseProgram(
-      "      subroutine kern(a, b, n)\n"
-      "      integer n\n"
-      "      real a(100,4)\n"
-      "      real b(100,4)\n"
-      "      real t\n"
-      "      b(1,1) = 0.0\n"
-      "      end\n",
-      diags);
-  ASSERT_TRUE(oldProg.has_value() && newProg.has_value()) << diags.str();
-  EXPECT_FALSE(remapSourceLocs(oldProg->procedures.front(), newProg->procedures.front()));
 }
 
 }  // namespace

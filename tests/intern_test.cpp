@@ -441,9 +441,20 @@ TEST(InternTableTest, StatsCountDistinctValuesAndShardBalance) {
       for (int repeat = 0; repeat < 3; ++repeat) (void)internValue<4>(distinct, hash);
     }
   }
+  // Bytes are the nodes plus the index: a chain pointer and (every hash is
+  // distinct here) a map entry per value, and each shard's bucket array,
+  // sized as a map with that shard's insertions sizes it.
+  std::size_t bucketArrays = 0;
+  for (std::size_t s = 0; s < Table::kShards; ++s) {
+    Table::Index index;
+    for (std::size_t k = 0; k <= s; ++k) index.try_emplace(k * Table::kShards + s);
+    bucketArrays += index.bucket_count() * sizeof(void*);
+  }
   const Table::Stats stats = Table::global().stats();
   EXPECT_EQ(stats.distinct, distinct);
-  EXPECT_EQ(stats.bytes, distinct * sizeof(TestNode<4>));
+  EXPECT_EQ(stats.bytes,
+            distinct * (sizeof(TestNode<4>) + Table::kChainEntryBytes + Table::kBucketEntryBytes) +
+                bucketArrays);
   EXPECT_EQ(stats.minShard, 1u);
   EXPECT_EQ(stats.maxShard, Table::kShards);
 }

@@ -166,7 +166,7 @@ TEST(ProfileRenderTest, JsonParsesAndCarriesTheSchema) {
   reuse.warm = true;
   reuse.procedures = 3;
   reuse.dirty = 1;
-  reuse.causes.push_back({"olda", "fingerprint", "content fingerprint changed"});
+  reuse.invalidations.push_back({"olda", "fingerprint", "content fingerprint changed"});
   p.sessions.push_back(reuse);
 
   std::string json = renderCostProfileJson(p);
@@ -234,8 +234,8 @@ TEST(ProfileRenderTest, TextRendererNamesDirtyUnitsAndCauses) {
   reuse.epoch = 3;
   reuse.warm = true;
   reuse.dirty = 2;
-  reuse.causes.push_back({"olda", "fingerprint", "content fingerprint changed"});
-  reuse.causes.push_back({"caller", "callee-epoch", "callee 'olda' summary epoch changed"});
+  reuse.invalidations.push_back({"olda", "fingerprint", "content fingerprint changed"});
+  reuse.invalidations.push_back({"caller", "callee-epoch", "callee 'olda' summary epoch changed"});
   p.sessions.push_back(reuse);
 
   std::string text = renderCostProfileText(p);

@@ -222,14 +222,11 @@ TEST(SessionTest, EveryDirtyUnitCarriesItsInvalidationCause) {
   }
   EXPECT_FALSE(byUnit.count("sib"));
 
-  // The obs-layer conversion carries the same records into CostProfiles.
-  obs::SessionReuse reuse = sessionReuseFor(warm.stats);
-  EXPECT_TRUE(reuse.warm);
-  EXPECT_FALSE(reuse.fullInvalidation);
-  EXPECT_EQ(reuse.epoch, 2u);
-  ASSERT_EQ(reuse.causes.size(), warm.stats.invalidations.size());
-  EXPECT_EQ(reuse.causes[0].unit, warm.stats.invalidations[0].unit);
-  EXPECT_EQ(reuse.causes[0].cause, warm.stats.invalidations[0].cause);
+  // The stats are the record CostProfiles embed, marked warm by the session.
+  EXPECT_FALSE(cold.stats.warm);
+  EXPECT_TRUE(warm.stats.warm);
+  EXPECT_FALSE(warm.stats.fullInvalidation);
+  EXPECT_EQ(warm.stats.epoch, 2u);
 
   // An added procedure and an options flip attribute their own causes. Build
   // on the edited source: the session's live state is kLeafEdited, so the

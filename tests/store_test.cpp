@@ -10,16 +10,23 @@
 //   * restore() adopts the snapshot's ablation switches but keeps the
 //     session's execution options;
 //   * save() under concurrent submits always snapshots one consistent
-//     epoch — every file written while another thread edits restores.
+//     epoch — every file written while another thread edits restores;
+//   * a submit runs sema once and builds flow graphs for its dirty cone
+//     only, and a restore runs neither (a snapshot holds no AST);
+//   * a restored unit whose carried summaries do not fit its procedure is
+//     re-summarized, not trusted.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "panorama/obs/trace.h"
 #include "panorama/session/session.h"
 #include "panorama/store/format.h"
 #include "panorama/support/memo_cache.h"
@@ -276,9 +283,9 @@ TEST(StoreTest, RestoreRejectsVersionMismatchAndBadMagic) {
   const std::string bytes = slurp(snap.path);
 
   // Rewrite the schema version field (offset 4, little-endian u32): a
-  // future version and the retired v1 and v2 are all version skew.
+  // future version and the retired v1, v2 and v3 are all version skew.
   store::StoreResult r;
-  for (int version : {99, 1, 2}) {
+  for (int version : {99, 1, 2, 3}) {
     std::string versioned = bytes;
     versioned[4] = static_cast<char>(version);
     spit(snap.path, versioned);
@@ -506,6 +513,113 @@ TEST(StoreTest, EveryTruncationAndBitFlipFailsCleanlyOrRestores) {
     // Back to the pristine state for the next offset.
     ASSERT_TRUE(session.restore(pristine.path).ok);
   }
+}
+
+// A restored unit whose carried state does not fit its procedure — here its
+// summary flag cleared behind a re-signed header — is re-summarized by the
+// next diffed submit, reported as "carried-state", with exactly the reports
+// a cold run gives.
+TEST(StoreTest, RestoredUnitWhoseCarriedStateDoesNotFitIsResummarized) {
+  CacheGuard guard;
+  const std::string source = kernelSource("0.0");
+  const std::string shifted = "c one comment line shifts every statement\n" + source;
+  FileGuard pristine{tempPath("store_refit_pristine.pano")};
+  FileGuard snap{tempPath("store_refit.pano")};
+  AnalysisOptions options;
+  options.numThreads = 1;
+  {
+    AnalysisSession saver(options);
+    ASSERT_TRUE(saver.submit(source).ok);
+    ASSERT_TRUE(saver.save(pristine.path).ok);
+  }
+  std::string want;
+  {
+    AnalysisSession cold(options);
+    SessionResult r = cold.submit(shifted);
+    ASSERT_TRUE(r.ok);
+    want = render(r);
+  }
+  const std::string bytes = slurp(pristine.path);
+  const std::string header = bytes.substr(0, store::kHeaderBytes);
+  const std::string payload = bytes.substr(store::kHeaderBytes);
+
+  std::size_t resummarized = 0;
+  for (std::size_t offset = 0; offset < payload.size(); ++offset) {
+    if (payload[offset] != 1) continue;
+    std::string cleared = payload;
+    cleared[offset] = 0;
+    spit(snap.path, signedSnapshot(header, cleared));
+    AnalysisSession session(options);
+    if (!session.restore(snap.path).ok) continue;
+    SessionResult warm = session.submit(shifted);
+    ASSERT_TRUE(warm.ok) << "payload offset " << offset << ": " << warm.error;
+    if (warm.stats.invalidations.size() != 1 ||
+        warm.stats.invalidations[0].cause != "carried-state")
+      continue;
+    ++resummarized;
+    EXPECT_EQ(warm.stats.summariesRecomputed, 1u) << "payload offset " << offset;
+    EXPECT_EQ(render(warm), want) << "payload offset " << offset;
+  }
+  EXPECT_GE(resummarized, 1u) << "no cleared byte was the unit's summary flag";
+}
+
+/// The spans `run` traces, as (category, name) pairs.
+template <class Run>
+std::multiset<std::pair<std::string, std::string>> tracedSpans(Run&& run) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.enable();
+  run();
+  tracer.disable();
+  std::multiset<std::pair<std::string, std::string>> spans;
+  for (const obs::TraceEvent& ev : tracer.snapshot()) spans.emplace(ev.category, ev.name);
+  tracer.clear();
+  return spans;
+}
+
+std::multiset<std::string> namesIn(const std::multiset<std::pair<std::string, std::string>>& spans,
+                                   const std::string& category) {
+  std::multiset<std::string> names;
+  for (const auto& [cat, name] : spans)
+    if (cat == category) names.insert(name);
+  return names;
+}
+
+// The frontend work a session does is what its state cannot carry: one sema
+// pass per submit, and flow graphs only for the procedures it re-summarizes.
+// A restore rebuilds no AST, so it and the byte-identical resubmit after it
+// run neither.
+TEST(StoreTest, OnlySubmitsRunSemaAndOnlyDirtyProceduresGetFlowGraphs) {
+  CacheGuard guard;
+  FileGuard snap{tempPath("store_frontend_spans.pano")};
+  AnalysisOptions options;
+  options.numThreads = 1;
+  AnalysisSession session(options);
+  ASSERT_TRUE(session.submit(kBase).ok);
+  ASSERT_TRUE(session.save(snap.path).ok);
+
+  // The leaf's one loop changes: the leaf and its three transitive callers
+  // are re-summarized, the sibling is not.
+  SessionResult warm;
+  const auto edit = tracedSpans([&] { warm = session.submit(kLeafEdited); });
+  ASSERT_TRUE(warm.ok);
+  ASSERT_EQ(warm.stats.summariesRecomputed, 4u);
+  EXPECT_EQ(namesIn(edit, "frontend.sema").size(), 1u);
+  EXPECT_EQ(namesIn(edit, "frontend.hsg"),
+            (std::multiset<std::string>{"leaf", "main", "mid", "top"}));
+
+  AnalysisSession restored(options);
+  bool restoredOk = false;
+  SessionResult resubmit;
+  const auto restart = tracedSpans([&] {
+    restoredOk = restored.restore(snap.path).ok;
+    resubmit = restored.submit(kBase);
+  });
+  ASSERT_TRUE(restoredOk);
+  ASSERT_TRUE(resubmit.ok);
+  EXPECT_EQ(resubmit.stats.fileSkips, 1u);
+  EXPECT_TRUE(namesIn(restart, "frontend.sema").empty());
+  EXPECT_TRUE(namesIn(restart, "frontend.hsg").empty());
 }
 
 TEST(StoreTest, SaveUnderConcurrentSubmitsSnapshotsOneConsistentEpoch) {
