@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -149,10 +150,19 @@ struct Program {
 /// statement k's slice of it.
 std::vector<const Stmt*> collectDoLoops(std::span<const StmtPtr> stmts);
 
-/// Pretty-printer (round-trippable enough for golden tests and examples).
+/// Lines printed around one DO statement: `open` above it and `close` below
+/// its ENDDO (codegen's parallel directives, which lex as comments).
+struct DoAnnotation {
+  std::string open;
+  std::string close;
+};
+
+/// The Fortran printer: fixed-form source the parser reads back, with
+/// declarations, PARAMETER constants, COMMON blocks and statement labels
+/// (codegen's emitter, and the print → parse → print round-trip tests).
 std::string toString(const Expr& e);
-std::string toString(const Stmt& s, int indent = 0);
 std::string toString(const Procedure& p);
-std::string toString(const Program& p);
+std::string toString(const Program& p,
+                     const std::map<const Stmt*, DoAnnotation>& annotations = {});
 
 }  // namespace panorama

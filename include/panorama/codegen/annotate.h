@@ -17,17 +17,12 @@
 
 namespace panorama {
 
-struct AnnotateOptions {
-  /// Only annotate outermost parallel loops (no nested parallel regions).
-  bool outermostOnly = true;
-};
-
 /// Re-emits `program` with a directive above every loop in `loops` whose
-/// classification is not Serial. Privatizable arrays become PRIVATE(...)
+/// classification is not Serial and that no other annotated loop encloses
+/// (no nested parallel regions). Privatizable arrays become PRIVATE(...)
 /// (or LASTPRIVATE(...) when the copy-out analysis demands the final
 /// values); iteration-private scalars join the PRIVATE list.
-std::string emitParallelSource(const Program& program, const std::vector<LoopAnalysis>& loops,
-                               const AnnotateOptions& options = {});
+std::string emitParallelSource(const Program& program, const std::vector<LoopAnalysis>& loops);
 
 /// The directive for one loop ("" when the loop stays serial).
 std::string directiveFor(const LoopAnalysis& loop);

@@ -79,7 +79,7 @@ struct Hsg {
 /// Builds the HSG for a whole program. Reports structural problems (e.g. a
 /// GOTO into a sibling construct) into `diags`; best-effort graphs are still
 /// produced with conservative condensation.
-Hsg buildHsg(const Program& program, const SemaResult& sema, DiagnosticEngine& diags);
+Hsg buildHsg(const Program& program, DiagnosticEngine& diags);
 
 /// Builds the flow graph of a single procedure (its nodes hold `const Stmt*`
 /// into the procedure body). The incremental session calls it only for the

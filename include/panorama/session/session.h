@@ -212,8 +212,8 @@ class AnalysisSession {
     /// One per top-level body statement; empty disables item-granular reuse
     /// for this unit.
     std::vector<ItemRecord> items;
-    /// The memoized summaries, loop summaries by DO walk index (one per
-    /// entry of `loops` at most).
+    /// The carried part of the procedure's analyzer slot: its summary and
+    /// its loop summaries by DO walk index (no more entries than `loops`).
     SummaryAnalyzer::ProcSnapshot memo;
   };
 

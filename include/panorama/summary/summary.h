@@ -12,9 +12,9 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
-#include <shared_mutex>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "panorama/hsg/hsg.h"
 #include "panorama/region/gar.h"
@@ -109,25 +109,23 @@ class SummaryAnalyzer {
   // ----- incremental-session support (see session/session.h) -----
 
   /// A procedure's memoized state as the session keeps it between submits
-  /// (and a snapshot stores it): its summary, the escaping-scalar set, and
-  /// its loop summaries keyed by DO walk index (collectDoLoops order), so
-  /// the state refers to no statement object and seeds any procedure with
-  /// the same DO walk.
+  /// (and a snapshot stores it): its summary and its loop summaries by DO
+  /// walk index (collectDoLoops order), so the state refers to no statement
+  /// object and seeds any procedure with the same DO walk.
   struct ProcSnapshot {
-    ProcSummary summary;
-    std::map<std::uint32_t, LoopSummary> loops;
-    std::vector<VarId> modifiedScalars;
-    bool hasSummary = false;
-    bool hasScalars = false;
+    std::optional<ProcSummary> summary;
+    /// One entry per DO statement of the walk; empty for a loop the
+    /// procedure's summarization did not reach (or has not yet).
+    std::vector<std::optional<LoopSummary>> loops;
   };
 
   /// Moves the memoized state of `proc` (a procedure of this analyzer's
-  /// program) out of the memo; the analyzer must not summarize `proc`
-  /// afterwards. Loop entries cover every DO statement that was summarized.
+  /// program) out of its slot; the analyzer must not summarize `proc`
+  /// afterwards.
   ProcSnapshot takeProcedure(const Procedure& proc);
 
-  /// Installs `snapshot` under `proc`: procSummary hits the memo instead of
-  /// recomputing, and sumLoop returns a seeded loop's whole-loop sets
+  /// Moves `snapshot` into `proc`'s slot: procSummary hits the memo instead
+  /// of recomputing, and sumLoop returns a seeded loop's whole-loop sets
   /// without re-expanding its body (the enclosing segment walk still
   /// overwrites ueAfter with this run's downstream exposure). The session
   /// seeds clean procedures whole and, inside modified ones, the loop
@@ -136,11 +134,10 @@ class SummaryAnalyzer {
   /// walk are ignored.
   void seedProcedure(const Procedure& proc, ProcSnapshot snapshot);
 
-  /// Caller-name → callee-names edges observed at SUM_call while this
-  /// analyzer summarized procedures — the summary dependency graph the
-  /// session keys invalidation on. Only procedures actually (re)summarized
-  /// by this analyzer have entries; seeded procedures record nothing.
-  std::map<std::string, std::set<std::string>> callDependencies() const;
+  /// The callees SUM_call folded into `proc`'s summary — the summary
+  /// dependency edges the session keys invalidation on. Empty for a
+  /// procedure this analyzer did not summarize (a seeded one).
+  const std::set<std::string>& callees(const Procedure& proc) const;
 
   const AnalysisOptions& options() const { return options_; }
   /// This analyzer's ψ binding (§5.3); invalid unless options().quantified.
@@ -179,9 +176,8 @@ class SummaryAnalyzer {
   NodeSets sumCall(const HsgNode& call, const ProcSymbols& sym);
   NodeSets sumCondensed(const HsgNode& node, const ProcSymbols& sym);
 
-  /// Scalars (global VarIds) possibly written by a statement subtree /
-  /// procedure, used to invalidate successor sets across compound nodes.
-  const std::vector<VarId>& scalarsModifiedBy(const Procedure& proc);
+  /// Scalars (global VarIds) possibly written by a statement subtree, used
+  /// to invalidate successor sets across compound nodes.
   void collectAssignedScalars(const std::vector<const Stmt*>& stmts, const ProcSymbols& sym,
                               std::vector<VarId>& out, bool throughCalls);
 
@@ -223,17 +219,39 @@ class SummaryAnalyzer {
   /// turning the per-iteration element condition into a §5.3 dimension
   /// predicate that expands exactly.
   void psiRewrite(GarList& list, VarId index) const;
-  /// DO-index variables of the procedure (the fragment pre-symbolic-analysis
-  /// compilers could reason about; used by the T1-off ablation).
-  const std::set<VarId>& indexVarsOf(const ProcSymbols& sym) const;
-
   /// §5.2 induction-variable conversion: scalars incremented exactly once
   /// per iteration by a loop-invariant amount map to v + c*(i - lo).
   std::map<VarId, SymExpr> recognizeInductionVars(const Stmt& loop, const ProcSymbols& sym,
                                                   VarId index, const SymExpr& lo);
 
+  /// The formal and global scalars `proc` may write (what escapes a call
+  /// to it), walked from its statements and its callees' summaries;
+  /// procSummary keeps the result in ProcSummary::modifiedScalars.
+  std::vector<VarId> escapingScalars(const Procedure& proc);
+
   void poisonScalars(GarList& list, const std::vector<VarId>& vars) const;
   void note(const GarList& list);
+
+  /// One procedure's memo. The constructor creates every slot and every
+  /// loop entry, so analysis never inserts a key: it only fills values in.
+  struct ProcSlot {
+    ProcSnapshot memo;  ///< the part a session carries between submits
+    /// DO-index variables (the fragment pre-symbolic-analysis compilers
+    /// could reason about); filled for the T1-off ablation only.
+    std::set<VarId> indexVars;
+    std::map<const Stmt*, CounterIdiom> idioms;  ///< §5.2 counter idioms by DO
+    bool idiomsScanned = false;
+    std::set<std::string> callees;  ///< SUM_call edges recorded while summarizing
+  };
+  /// Where a DO statement's loop summary lives.
+  struct LoopAt {
+    ProcSlot* slot;
+    std::uint32_t walkIndex;
+  };
+
+  ProcSlot& slotOf(const Procedure& proc) { return slots_.at(&proc); }
+  const ProcSlot& slotOf(const Procedure& proc) const { return slots_.at(&proc); }
+  std::optional<LoopSummary>& loopEntry(const Stmt& doStmt);
 
   // Pointers, not references: ProgramAnalysis's move operations rebind()
   // them to the moved-to program/sema/hsg.
@@ -244,27 +262,14 @@ class SummaryAnalyzer {
   PsiDims psi_;  // this analyzer's §5.3 ψ binding (invalid unless quantified)
   CmpCtx ctx_;   // empty hypothesis context carrying psi_
 
-  // Thread-safety invariants (see DESIGN.md §"Parallel driver"): the
-  // memo maps below are guarded by reader-writer locks; entries are
-  // node-stable (std::map), so references handed out stay valid across
-  // concurrent insertions of *other* keys. A procedure's loop summaries
-  // are only ever written by the thread summarizing that procedure.
-  // Procedure-level memos key on the Procedure's address (procedures are
-  // unique objects for an analyzer's lifetime), avoiding per-lookup string
-  // hashing/copies on the hot summary path.
-  std::map<const Procedure*, ProcSummary> procSummaries_;
-  std::map<const Stmt*, LoopSummary> loopSummaries_;
-  std::map<const Procedure*, std::vector<VarId>> modifiedScalarCache_;
-  mutable std::map<const Procedure*, std::set<VarId>> indexVarCache_;
-  std::map<const Procedure*, std::map<const Stmt*, CounterIdiom>> idiomCache_;
-  /// SUM_call edges by procedure name (names outlive the epoch's pointers).
-  std::map<std::string, std::set<std::string>> callDeps_;
-  mutable std::shared_mutex procMutex_;
-  mutable std::shared_mutex loopMutex_;
-  mutable std::shared_mutex scalarCacheMutex_;
-  mutable std::shared_mutex indexVarMutex_;
-  mutable std::shared_mutex idiomMutex_;
-  mutable std::shared_mutex depsMutex_;
+  // Thread-safety (DESIGN.md §4.1): both maps are complete once the
+  // constructor returns, so lookups never race with an insert. A slot has
+  // one writer, the thread summarizing its procedure; the scheduler reads a
+  // summary or loop summary only in a later wave or in the per-loop
+  // fan-out, both after ThreadPool::runBatch's barrier. Keys are procedure
+  // and statement addresses, which live on the heap and survive rebind().
+  std::unordered_map<const Procedure*, ProcSlot> slots_;
+  std::unordered_map<const Stmt*, LoopAt> loopAt_;
 
   /// Cost counters, atomically updated so concurrent procedure analyses
   /// can share them; stats() snapshots into the plain SummaryStats.

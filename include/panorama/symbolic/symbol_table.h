@@ -2,14 +2,15 @@
 // subscript, loop bound, or IF condition is interned once; expressions and
 // predicates refer to variables by a small integer id.
 //
-// The table is thread-safe: the name index is split across shards, each
-// with its own reader-writer lock, and the id-to-name store takes a
-// separate lock, so concurrent procedure analyses can intern primed loop
-// indices without serializing on a single mutex. Moving or copying the
-// table itself is NOT thread-safe (do it before analysis starts).
+// Sema interns a program's names single-threaded into the program's (or
+// the session's) own table. Analysis adds only a handful: each DO
+// variable's primed copy `var'`, `psi$1` and the quantified relation keys,
+// each a hit after its first call. So one reader-writer lock over the index
+// and the id-to-name store keeps concurrent procedure analyses safe; moving
+// or copying the table itself is NOT thread-safe (do it before analysis
+// starts).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -62,20 +63,14 @@ class SymbolTable {
  private:
   static std::string normalize(std::string_view name);
 
-  static constexpr std::size_t kShards = 8;
-  struct Shard {
+  struct Rep {
     mutable std::shared_mutex mutex;
     std::unordered_map<std::string, std::uint32_t> index;
-  };
-  struct Rep {
-    std::array<Shard, kShards> shards;
-    mutable std::shared_mutex namesMutex;
     std::deque<std::string> names;  ///< deque: stable references across growth
   };
 
-  Shard& shardFor(const std::string& key) const;
   /// Interns an already-normalized `key`: a shared-lock lookup, then an
-  /// insert under the shard's write lock.
+  /// insert under the write lock.
   VarId internKey(std::string key);
 
   std::unique_ptr<Rep> rep_;

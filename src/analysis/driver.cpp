@@ -54,8 +54,9 @@ std::vector<std::vector<const Procedure*>> callGraphWaves(const SemaResult& sema
 
 std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool,
                                                  const std::vector<LoopSite>& loops) {
-  // Wave k's procedures only call procedures summarized in earlier waves,
-  // so each batch races on nothing but the (lock-guarded) memo maps.
+  // Wave k's procedures only call procedures summarized in earlier waves:
+  // each task writes only its own procedure's memo slot, and reads callee
+  // slots filled before the previous batch's barrier.
   std::size_t waveIndex = 0;
   for (const auto& wave : callGraphWaves(analyzer.sema())) {
     obs::Span waveSpan("summary.wave", "wave " + std::to_string(waveIndex++));
@@ -107,7 +108,7 @@ ProgramAnalysis analyzeProgramUnit(Program program, const AnalysisOptions& optio
   out.sema = std::move(*sr);
   {
     obs::Span s("frontend.hsg", "program unit");
-    out.hsg = buildHsg(out.program, out.sema, diags);
+    out.hsg = buildHsg(out.program, diags);
   }
   if (diags.hasErrors()) {
     out.error = diags.str();

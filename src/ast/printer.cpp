@@ -56,63 +56,136 @@ void printExpr(std::ostream& os, const Expr& e) {
   }
 }
 
-void printStmt(std::ostream& os, const Stmt& s, int indent) {
-  std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  if (s.label != 0) os << s.label << ' ';
-  switch (s.kind) {
-    case Stmt::Kind::Assign:
-      os << pad;
-      printExpr(os, *s.lhs);
-      os << " = ";
-      printExpr(os, *s.rhs);
-      os << '\n';
-      return;
-    case Stmt::Kind::If:
-      os << pad << "if (";
-      printExpr(os, *s.cond);
-      os << ") then\n";
-      for (const StmtPtr& c : s.thenBody) printStmt(os, *c, indent + 1);
-      if (!s.elseBody.empty()) {
-        os << pad << "else\n";
-        for (const StmtPtr& c : s.elseBody) printStmt(os, *c, indent + 1);
+/// Fixed-form Fortran, one statement per line from column 7, two more
+/// spaces per nesting level; labels lead the statement text.
+class Printer {
+ public:
+  Printer(const std::map<const Stmt*, DoAnnotation>& annotations, std::string& out)
+      : annotations_(annotations), out_(out) {}
+
+  void procedure(const Procedure& proc) {
+    if (proc.isMain) {
+      line(0, "program " + proc.name);
+    } else {
+      std::string head = "subroutine " + proc.name;
+      if (!proc.params.empty()) {
+        head += "(";
+        appendJoined(head, proc.params);
+        head += ")";
       }
-      os << pad << "endif\n";
-      return;
-    case Stmt::Kind::Do:
-      os << pad << "do " << s.doVar << " = ";
-      printExpr(os, *s.lo);
-      os << ", ";
-      printExpr(os, *s.hi);
-      if (s.step) {
-        os << ", ";
-        printExpr(os, *s.step);
-      }
-      os << '\n';
-      for (const StmtPtr& c : s.body) printStmt(os, *c, indent + 1);
-      os << pad << "enddo\n";
-      return;
-    case Stmt::Kind::Goto:
-      os << pad << "goto " << s.gotoLabel << '\n';
-      return;
-    case Stmt::Kind::Continue:
-      os << pad << "continue\n";
-      return;
-    case Stmt::Kind::Call:
-      os << pad << "call " << s.callee << '(';
-      for (std::size_t i = 0; i < s.args.size(); ++i) {
-        if (i) os << ", ";
-        printExpr(os, *s.args[i]);
-      }
-      os << ")\n";
-      return;
-    case Stmt::Kind::Return:
-      os << pad << "return\n";
-      return;
-    case Stmt::Kind::Stop:
-      os << pad << "stop\n";
-      return;
+      line(0, head);
+    }
+    declarations(proc);
+    for (const StmtPtr& s : proc.body) stmt(*s, 0);
+    line(0, "end");
+    out_ += "\n";
   }
-}
+
+ private:
+  static void appendJoined(std::string& out, const std::vector<std::string>& names) {
+    for (std::size_t k = 0; k < names.size(); ++k) {
+      if (k) out += ", ";
+      out += names[k];
+    }
+  }
+
+  void line(int indent, const std::string& text) {
+    out_ += "      ";
+    out_.append(static_cast<std::size_t>(indent) * 2, ' ');
+    out_ += text;
+    out_ += "\n";
+  }
+
+  void declarations(const Procedure& proc) {
+    auto typeName = [](BaseType t) {
+      switch (t) {
+        case BaseType::Integer: return "integer";
+        case BaseType::Real: return "real";
+        case BaseType::Logical: return "logical";
+      }
+      return "real";
+    };
+    for (const VarDecl& d : proc.decls) {
+      std::string text = std::string(typeName(d.type)) + " " + d.name;
+      if (d.isArray()) {
+        text += "(";
+        for (std::size_t k = 0; k < d.dims.size(); ++k) {
+          if (k) text += ", ";
+          if (d.dims[k].lo) text += toString(*d.dims[k].lo) + ":";
+          text += d.dims[k].up ? toString(*d.dims[k].up) : "*";
+        }
+        text += ")";
+      }
+      line(0, text);
+    }
+    for (const ParamConst& pc : proc.paramConsts)
+      line(0, "parameter (" + pc.name + " = " + toString(*pc.value) + ")");
+    for (const CommonBlock& blk : proc.commons) {
+      std::string text = "common ";
+      if (!blk.name.empty()) text += "/" + blk.name + "/ ";
+      appendJoined(text, blk.vars);
+      line(0, text);
+    }
+  }
+
+  void stmt(const Stmt& s, int indent) {
+    std::string label = s.label ? std::to_string(s.label) + " " : "";
+    switch (s.kind) {
+      case Stmt::Kind::Assign:
+        line(indent, label + toString(*s.lhs) + " = " + toString(*s.rhs));
+        return;
+      case Stmt::Kind::If:
+        line(indent, label + "if (" + toString(*s.cond) + ") then");
+        for (const StmtPtr& c : s.thenBody) stmt(*c, indent + 1);
+        if (!s.elseBody.empty()) {
+          line(indent, "else");
+          for (const StmtPtr& c : s.elseBody) stmt(*c, indent + 1);
+        }
+        line(indent, "endif");
+        return;
+      case Stmt::Kind::Do: {
+        auto it = annotations_.find(&s);
+        if (it != annotations_.end()) out_ += it->second.open + "\n";
+        std::string head = label + "do " + s.doVar + " = " + toString(*s.lo) + ", " +
+                           toString(*s.hi);
+        if (s.step) head += ", " + toString(*s.step);
+        line(indent, head);
+        for (const StmtPtr& c : s.body) stmt(*c, indent + 1);
+        line(indent, "enddo");
+        if (it != annotations_.end()) out_ += it->second.close + "\n";
+        return;
+      }
+      case Stmt::Kind::Goto:
+        line(indent, label + "goto " + std::to_string(s.gotoLabel));
+        return;
+      case Stmt::Kind::Continue:
+        line(indent, label + "continue");
+        return;
+      case Stmt::Kind::Call: {
+        std::string text = label + "call " + s.callee;
+        if (!s.args.empty()) {
+          text += "(";
+          for (std::size_t k = 0; k < s.args.size(); ++k) {
+            if (k) text += ", ";
+            text += toString(*s.args[k]);
+          }
+          text += ")";
+        }
+        line(indent, text);
+        return;
+      }
+      case Stmt::Kind::Return:
+        line(indent, label + "return");
+        return;
+      case Stmt::Kind::Stop:
+        line(indent, label + "stop");
+        return;
+    }
+  }
+
+  const std::map<const Stmt*, DoAnnotation>& annotations_;
+  std::string& out_;
+};
 
 }  // namespace
 
@@ -122,32 +195,17 @@ std::string toString(const Expr& e) {
   return os.str();
 }
 
-std::string toString(const Stmt& s, int indent) {
-  std::ostringstream os;
-  printStmt(os, s, indent);
-  return os.str();
-}
-
 std::string toString(const Procedure& p) {
-  std::ostringstream os;
-  if (p.isMain) {
-    os << "program " << p.name << '\n';
-  } else {
-    os << "subroutine " << p.name << '(';
-    for (std::size_t i = 0; i < p.params.size(); ++i) {
-      if (i) os << ", ";
-      os << p.params[i];
-    }
-    os << ")\n";
-  }
-  for (const StmtPtr& s : p.body) printStmt(os, *s, 1);
-  os << "end\n";
-  return os.str();
+  const std::map<const Stmt*, DoAnnotation> none;
+  std::string out;
+  Printer(none, out).procedure(p);
+  return out;
 }
 
-std::string toString(const Program& p) {
+std::string toString(const Program& p, const std::map<const Stmt*, DoAnnotation>& annotations) {
   std::string out;
-  for (const Procedure& proc : p.procedures) out += toString(proc) + "\n";
+  Printer printer(annotations, out);
+  for (const Procedure& proc : p.procedures) printer.procedure(proc);
   return out;
 }
 

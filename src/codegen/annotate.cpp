@@ -1,7 +1,6 @@
 #include "panorama/codegen/annotate.h"
 
 #include <map>
-#include <sstream>
 
 namespace panorama {
 
@@ -48,152 +47,20 @@ std::string directiveFor(const LoopAnalysis& la) {
   return out;
 }
 
-namespace {
-
-class Emitter {
- public:
-  Emitter(const std::map<const Stmt*, std::string>& directives) : directives_(directives) {}
-
-  std::string emit(const Program& program) {
-    for (const Procedure& proc : program.procedures) emitProcedure(proc);
-    return os_.str();
-  }
-
- private:
-  void line(int indent, const std::string& text) {
-    os_ << "      ";
-    for (int k = 0; k < indent; ++k) os_ << "  ";
-    os_ << text << "\n";
-  }
-
-  void emitProcedure(const Procedure& proc) {
-    if (proc.isMain) {
-      line(0, "program " + proc.name);
-    } else {
-      std::string head = "subroutine " + proc.name;
-      if (!proc.params.empty()) {
-        head += "(";
-        for (std::size_t k = 0; k < proc.params.size(); ++k) {
-          if (k) head += ", ";
-          head += proc.params[k];
-        }
-        head += ")";
-      }
-      line(0, head);
-    }
-    emitDeclarations(proc);
-    for (const StmtPtr& s : proc.body) emitStmt(*s, 0, /*insideParallel=*/false);
-    line(0, "end");
-    os_ << "\n";
-  }
-
-  void emitDeclarations(const Procedure& proc) {
-    auto typeName = [](BaseType t) {
-      switch (t) {
-        case BaseType::Integer: return "integer";
-        case BaseType::Real: return "real";
-        case BaseType::Logical: return "logical";
-      }
-      return "real";
-    };
-    for (const VarDecl& d : proc.decls) {
-      std::string text = std::string(typeName(d.type)) + " " + d.name;
-      if (d.isArray()) {
-        text += "(";
-        for (std::size_t k = 0; k < d.dims.size(); ++k) {
-          if (k) text += ", ";
-          if (d.dims[k].lo) text += toString(*d.dims[k].lo) + ":";
-          text += d.dims[k].up ? toString(*d.dims[k].up) : "*";
-        }
-        text += ")";
-      }
-      line(0, text);
-    }
-    for (const ParamConst& pc : proc.paramConsts)
-      line(0, "parameter (" + pc.name + " = " + toString(*pc.value) + ")");
-    for (const CommonBlock& blk : proc.commons) {
-      std::string text = "common ";
-      if (!blk.name.empty()) text += "/" + blk.name + "/ ";
-      for (std::size_t k = 0; k < blk.vars.size(); ++k) {
-        if (k) text += ", ";
-        text += blk.vars[k];
-      }
-      line(0, text);
-    }
-  }
-
-  void emitStmt(const Stmt& s, int indent, bool insideParallel) {
-    std::string label = s.label ? std::to_string(s.label) + " " : "";
-    switch (s.kind) {
-      case Stmt::Kind::Assign:
-        line(indent, label + toString(*s.lhs) + " = " + toString(*s.rhs));
-        return;
-      case Stmt::Kind::If:
-        line(indent, label + "if (" + toString(*s.cond) + ") then");
-        for (const StmtPtr& c : s.thenBody) emitStmt(*c, indent + 1, insideParallel);
-        if (!s.elseBody.empty()) {
-          line(indent, "else");
-          for (const StmtPtr& c : s.elseBody) emitStmt(*c, indent + 1, insideParallel);
-        }
-        line(indent, "endif");
-        return;
-      case Stmt::Kind::Do: {
-        auto it = directives_.find(&s);
-        bool annotate = it != directives_.end() && !insideParallel;
-        if (annotate) os_ << it->second << "\n";
-        std::string head = label + "do " + s.doVar + " = " + toString(*s.lo) + ", " +
-                           toString(*s.hi);
-        if (s.step) head += ", " + toString(*s.step);
-        line(indent, head);
-        for (const StmtPtr& c : s.body)
-          emitStmt(*c, indent + 1, insideParallel || annotate);
-        line(indent, "enddo");
-        if (annotate) os_ << "c$omp end parallel do\n";
-        return;
-      }
-      case Stmt::Kind::Goto:
-        line(indent, label + "goto " + std::to_string(s.gotoLabel));
-        return;
-      case Stmt::Kind::Continue:
-        line(indent, label + "continue");
-        return;
-      case Stmt::Kind::Call: {
-        std::string text = label + "call " + s.callee;
-        if (!s.args.empty()) {
-          text += "(";
-          for (std::size_t k = 0; k < s.args.size(); ++k) {
-            if (k) text += ", ";
-            text += toString(*s.args[k]);
-          }
-          text += ")";
-        }
-        line(indent, text);
-        return;
-      }
-      case Stmt::Kind::Return:
-        line(indent, label + "return");
-        return;
-      case Stmt::Kind::Stop:
-        line(indent, label + "stop");
-        return;
-    }
-  }
-
-  const std::map<const Stmt*, std::string>& directives_;
-  std::ostringstream os_;
-};
-
-}  // namespace
-
-std::string emitParallelSource(const Program& program, const std::vector<LoopAnalysis>& loops,
-                               const AnnotateOptions& options) {
-  std::map<const Stmt*, std::string> directives;
+std::string emitParallelSource(const Program& program, const std::vector<LoopAnalysis>& loops) {
+  std::map<const Stmt*, DoAnnotation> directives;
   for (const LoopAnalysis& la : loops) {
     std::string d = directiveFor(la);
-    if (!d.empty() && la.loop) directives.emplace(la.loop, std::move(d));
+    if (!d.empty() && la.loop)
+      directives.emplace(la.loop, DoAnnotation{std::move(d), "c$omp end parallel do"});
   }
-  (void)options;  // outermostOnly is enforced structurally by the emitter
-  return Emitter(directives).emit(program);
+  // Outermost only: a DO nested in an annotated one already runs inside its
+  // parallel region.
+  std::vector<const Stmt*> nested;
+  for (const auto& [loop, directive] : directives)
+    for (const Stmt* inner : collectDoLoops(loop->body)) nested.push_back(inner);
+  for (const Stmt* inner : nested) directives.erase(inner);
+  return toString(program, directives);
 }
 
 }  // namespace panorama

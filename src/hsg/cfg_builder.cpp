@@ -241,8 +241,7 @@ ProcedureHsg buildProcedureHsg(const Procedure& proc, DiagnosticEngine& diags) {
   return ph;
 }
 
-Hsg buildHsg(const Program& program, const SemaResult& sema, DiagnosticEngine& diags) {
-  (void)sema;
+Hsg buildHsg(const Program& program, DiagnosticEngine& diags) {
   Hsg hsg;
   for (const Procedure& proc : program.procedures)
     hsg.procs.emplace(proc.name, buildProcedureHsg(proc, diags));

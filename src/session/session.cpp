@@ -275,7 +275,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   if (!fullInvalidation) {
     for (const std::string& name : unchangedSet) {
       const Unit& u = units_.at(name);
-      if (u.memo.hasSummary && u.loops.size() == in.at(name).dos.size())
+      if (u.memo.summary && u.loops.size() == in.at(name).dos.size())
         clean.insert(name);
       else
         pruned.emplace(name, UnitInvalidation{name, "carried-state",
@@ -457,13 +457,14 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       walk += item.loopCount;
     }
     SummaryAnalyzer::ProcSnapshot seed;
+    seed.loops.resize(ni.dos.size());
     std::map<std::size_t, CachedLoop>& reused = reusedLoops[p.name];
     for (const ItemMatch& m : matches->second) {
       const ItemRecord& oi = old.items[m.oldIdx];
       for (std::uint32_t t = 0; t < oi.loopCount; ++t) {
         const std::size_t at = newBegin[m.newIdx] + t;
-        if (auto ls = old.memo.loops.find(oi.loopBegin + t); ls != old.memo.loops.end())
-          seed.loops.emplace(static_cast<std::uint32_t>(at), std::move(ls->second));
+        if (oi.loopBegin + t < old.memo.loops.size())
+          seed.loops[at] = std::move(old.memo.loops[oi.loopBegin + t]);
         CachedLoop cl = std::move(old.loops[oi.loopBegin + t]);
         cl.line = static_cast<int>(ni.dos[at]->loc.line);
         reused.emplace(at, std::move(cl));
@@ -494,7 +495,6 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   // for every unit from this submit's detail.
   std::map<const Stmt*, const LoopAnalysis*> freshByStmt;
   for (std::size_t k = 0; k < items.size(); ++k) freshByStmt.emplace(items[k].loop, &dirtyLoops[k]);
-  std::map<std::string, std::set<std::string>> deps = analyzer.callDependencies();
 
   std::map<std::string, Unit> nextUnits;
   for (const Procedure& p : incoming.procedures) {
@@ -514,7 +514,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       u.loops = std::move(prevUnit.loops);
     } else {
       u.summaryEpoch = newEpoch;
-      if (auto d = deps.find(p.name); d != deps.end()) u.deps = std::move(d->second);
+      u.deps = analyzer.callees(p);
       const auto reused = reusedLoops.find(p.name);
       for (std::size_t k = 0; k < ni.dos.size(); ++k) {
         if (reused != reusedLoops.end()) {

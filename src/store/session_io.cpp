@@ -25,6 +25,7 @@
 // replaced by one block of moves. Any defect — truncation, bit rot, version
 // skew, out-of-range index, non-canonical pool entry — yields a structured
 // diagnostic and leaves the session exactly as it was.
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -148,15 +149,18 @@ void writeProcSummary(Writer& w, PoolWriter& pools, const ProcSummary& s) {
   pools.vars(w, s.modifiedScalars);
 }
 
+/// The summary flag, the summary (empty when absent), then the present loop
+/// summaries as (walk index, summary) pairs in walk order.
 void writeProcSnapshot(Writer& w, PoolWriter& pools, const SummaryAnalyzer::ProcSnapshot& snap) {
-  w.u8(snap.hasSummary ? 1 : 0);
-  w.u8(snap.hasScalars ? 1 : 0);
-  writeProcSummary(w, pools, snap.summary);
-  pools.vars(w, snap.modifiedScalars);
-  w.u64(snap.loops.size());
-  for (const auto& [walkIndex, ls] : snap.loops) {
-    w.u32(walkIndex);
-    writeLoopSummary(w, pools, ls);
+  w.u8(snap.summary ? 1 : 0);
+  writeProcSummary(w, pools, snap.summary ? *snap.summary : ProcSummary{});
+  w.u64(static_cast<std::uint64_t>(
+      std::count_if(snap.loops.begin(), snap.loops.end(),
+                    [](const std::optional<LoopSummary>& ls) { return ls.has_value(); })));
+  for (std::uint32_t k = 0; k < snap.loops.size(); ++k) {
+    if (!snap.loops[k]) continue;
+    w.u32(k);
+    writeLoopSummary(w, pools, *snap.loops[k]);
   }
 }
 
@@ -396,19 +400,21 @@ ProcSummary readProcSummary(PoolReader& pools) {
 SummaryAnalyzer::ProcSnapshot readProcSnapshot(PoolReader& pools, std::size_t loopCount) {
   Reader& r = pools.r;
   SummaryAnalyzer::ProcSnapshot snap;
-  snap.hasSummary = r.u8() != 0;
-  snap.hasScalars = r.u8() != 0;
-  snap.summary = readProcSummary(pools);
-  snap.modifiedScalars = pools.vars(/*allowInvalid=*/false);
+  const bool hasSummary = r.u8() != 0;
+  ProcSummary summary = readProcSummary(pools);
+  if (hasSummary) snap.summary = std::move(summary);
+  snap.loops.resize(loopCount);
   const std::uint64_t n = r.count(60, "loop summary");
+  std::optional<std::uint32_t> previous;
   for (std::uint64_t l = 0; l < n && r.ok(); ++l) {
     const std::uint32_t walkIndex = r.u32();
     if (r.ok() && walkIndex >= loopCount)
       r.fail("corrupted snapshot: loop summary index out of range");
-    if (r.ok() && !snap.loops.empty() && walkIndex <= snap.loops.rbegin()->first)
+    if (r.ok() && previous && walkIndex <= *previous)
       r.fail("corrupted snapshot: loop summaries out of walk order");
+    previous = walkIndex;
     LoopSummary ls = readLoopSummary(pools);
-    if (r.ok()) snap.loops.emplace(walkIndex, std::move(ls));
+    if (r.ok()) snap.loops[walkIndex] = std::move(ls);
   }
   return snap;
 }

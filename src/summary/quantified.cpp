@@ -13,7 +13,6 @@
 //     (they describe values at their creation point only) — affected guard
 //     clauses degrade to Δ, preserving soundness.
 #include <functional>
-#include <mutex>
 
 #include "panorama/summary/summary.h"
 
@@ -126,16 +125,10 @@ Pred SummaryAnalyzer::lowerGuardQuantified(const Expr& e, const ProcSymbols& sym
 
 const SummaryAnalyzer::CounterIdiom* SummaryAnalyzer::counterIdiomFor(const Stmt* loop,
                                                                       const ProcSymbols& sym) {
-  // The outer map is shared across threads; a procedure's inner map is only
-  // touched by the thread summarizing that procedure (std::map nodes are
-  // stable, so the reference survives other procedures' insertions).
-  std::map<const Stmt*, CounterIdiom>* cachePtr;
-  {
-    std::unique_lock<std::shared_mutex> lock(idiomMutex_);
-    cachePtr = &idiomCache_[sym.proc];
-  }
-  auto& cache = *cachePtr;
-  if (cache.empty() && sym.proc) {
+  // Only the thread summarizing sym.proc gets here, so it owns the slot.
+  ProcSlot& slot = slotOf(*sym.proc);
+  if (!slot.idiomsScanned) {
+    slot.idiomsScanned = true;
     // Scan every statement list once for (counter = 0, matching DO) pairs.
     std::function<void(const std::vector<StmtPtr>&)> scan =
         [&](const std::vector<StmtPtr>& body) {
@@ -235,16 +228,14 @@ const SummaryAnalyzer::CounterIdiom* SummaryAnalyzer::counterIdiomFor(const Stmt
             if (pred.predRhs().containsVar(*index)) stable = false;
             if (!stable) continue;
 
-            cache.emplace(body[k].get(),
-                          CounterIdiom{*counter, *index, std::move(lo), std::move(up), pred});
+            slot.idioms.emplace(body[k].get(),
+                                CounterIdiom{*counter, *index, std::move(lo), std::move(up), pred});
           }
         };
     scan(sym.proc->body);
-    // Mark the cache "scanned" even when empty (sentinel entry on nullptr).
-    cache.emplace(nullptr, CounterIdiom{});
   }
-  auto it = cache.find(loop);
-  return it == cache.end() ? nullptr : &it->second;
+  auto it = slot.idioms.find(loop);
+  return it == slot.idioms.end() ? nullptr : &it->second;
 }
 
 void SummaryAnalyzer::applyCounterRewrite(GarList& list, const CounterIdiom& idiom) const {

@@ -2,8 +2,6 @@
 // mapping — scalar formals substitute to actual expressions, array formals
 // remap (identically shaped, or 1-D with an element-offset actual), COMMON
 // variables pass through unchanged.
-#include <mutex>
-
 #include "panorama/summary/summary.h"
 
 namespace panorama {
@@ -64,10 +62,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
 
   // The caller's summary is about to fold in the callee's: record the
   // dependency edge the incremental session keys invalidation on.
-  if (sym.proc) {
-    std::unique_lock<std::shared_mutex> lock(depsMutex_);
-    callDeps_[sym.proc->name].insert(callee->name);
-  }
+  slotOf(*sym.proc).callees.insert(callee->name);
 
   const ProcSummary& cs = procSummary(*callee);
   const ProcSymbols& calleeSym = sema_->of(*callee);

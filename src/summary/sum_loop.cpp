@@ -3,8 +3,6 @@
 // MOD_{<i} from UE_i, and expand everything to whole-loop sets.
 #include "panorama/summary/summary.h"
 
-#include <mutex>
-
 #include "panorama/obs/trace.h"
 
 namespace panorama {
@@ -101,15 +99,13 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   // this exact: every path below stores ls.mod/ue/de equal to the NodeSets
   // it returns. ueAfter is downstream context, not subtree content — the
   // enclosing sumSegment overwrites it after this returns either way.
-  {
-    std::shared_lock<std::shared_mutex> lock(loopMutex_);
-    if (auto it = loopSummaries_.find(&s); it != loopSummaries_.end()) {
-      NodeSets out;
-      out.mod = it->second.mod;
-      out.ue = it->second.ue;
-      out.de = it->second.de;
-      return out;
-    }
+  std::optional<LoopSummary>& entry = loopEntry(s);
+  if (entry) {
+    NodeSets out;
+    out.mod = entry->mod;
+    out.ue = entry->ue;
+    out.de = entry->de;
+    return out;
   }
 
   ++stats_.loopExpansions;
@@ -184,10 +180,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
     ls.mod = out.mod;
     ls.ue = out.ue;
     ls.de = out.de;
-    {
-      std::unique_lock<std::shared_mutex> lock(loopMutex_);
-      loopSummaries_[&s] = std::move(ls);
-    }
+    entry = std::move(ls);
     return out;
   }
 
@@ -246,10 +239,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   ls.de = out.de;
   note(out.mod);
   note(out.ue);
-  {
-    std::unique_lock<std::shared_mutex> lock(loopMutex_);
-    loopSummaries_[&s] = std::move(ls);
-  }
+  entry = std::move(ls);
   return out;
 }
 

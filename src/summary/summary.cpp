@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <mutex>
+#include <utility>
 
 #include "panorama/obs/trace.h"
 
@@ -18,6 +18,21 @@ SummaryAnalyzer::SummaryAnalyzer(const Program& program, SemaResult& sema, const
   // ψ state and the parallel driver needs no serialization.
   psi_.dim1 = options_.quantified ? sema_->symbols.intern("psi$1") : VarId{};
   ctx_ = CmpCtx(ConstraintSet{}, psi_);
+
+  // The whole memo's keys, up front: a slot per procedure and a loop entry
+  // per DO statement of its walk.
+  slots_.reserve(program.procedures.size());
+  for (const Procedure& proc : program.procedures) {
+    ProcSlot& slot = slots_[&proc];
+    const std::vector<const Stmt*> walk = collectDoLoops(proc.body);
+    slot.memo.loops.resize(walk.size());
+    for (std::uint32_t k = 0; k < walk.size(); ++k) loopAt_.emplace(walk[k], LoopAt{&slot, k});
+    if (!options_.symbolicAnalysis) {
+      const ProcSymbols& sym = sema.of(proc);
+      for (const Stmt* loop : walk)
+        if (auto id = sym.scalarId(loop->doVar)) slot.indexVars.insert(*id);
+    }
+  }
 }
 
 void SummaryAnalyzer::rebind(const Program& program, SemaResult& sema, const Hsg& hsg) {
@@ -27,9 +42,16 @@ void SummaryAnalyzer::rebind(const Program& program, SemaResult& sema, const Hsg
 }
 
 const LoopSummary* SummaryAnalyzer::loopSummary(const Stmt* doStmt) const {
-  std::shared_lock<std::shared_mutex> lock(loopMutex_);
-  auto it = loopSummaries_.find(doStmt);
-  return it == loopSummaries_.end() ? nullptr : &it->second;
+  auto it = loopAt_.find(doStmt);
+  if (it == loopAt_.end()) return nullptr;
+  const std::vector<std::optional<LoopSummary>>& loops = it->second.slot->memo.loops;
+  const std::uint32_t k = it->second.walkIndex;
+  return k < loops.size() && loops[k] ? &*loops[k] : nullptr;
+}
+
+std::optional<LoopSummary>& SummaryAnalyzer::loopEntry(const Stmt& doStmt) {
+  const LoopAt& at = loopAt_.at(&doStmt);
+  return at.slot->memo.loops.at(at.walkIndex);
 }
 
 SummaryStats SummaryAnalyzer::stats() const {
@@ -51,20 +73,6 @@ void SummaryAnalyzer::note(const GarList& list) {
   stats_.garsCreated += list.size();
 }
 
-const std::set<VarId>& SummaryAnalyzer::indexVarsOf(const ProcSymbols& sym) const {
-  {
-    std::shared_lock<std::shared_mutex> lock(indexVarMutex_);
-    auto it = indexVarCache_.find(sym.proc);
-    if (it != indexVarCache_.end()) return it->second;
-  }
-  std::set<VarId> out;
-  if (sym.proc)
-    for (const Stmt* loop : collectDoLoops(sym.proc->body))
-      if (auto id = sym.scalarId(loop->doVar)) out.insert(*id);
-  std::unique_lock<std::shared_mutex> lock(indexVarMutex_);
-  return indexVarCache_.emplace(sym.proc, std::move(out)).first->second;
-}
-
 SymExpr SummaryAnalyzer::lowerValue(const Expr& e, const ProcSymbols& sym) const {
   SymExpr v = lowerInt(e, sym);
   if (!options_.symbolicAnalysis && !v.isPoisoned()) {
@@ -73,7 +81,7 @@ SymExpr SummaryAnalyzer::lowerValue(const Expr& e, const ProcSymbols& sym) const
     // kernels) are beyond it.
     std::vector<VarId> vars;
     v.collectVars(vars);
-    const std::set<VarId>& indices = indexVarsOf(sym);
+    const std::set<VarId>& indices = slotOf(*sym.proc).indexVars;
     for (VarId var : vars)
       if (!indices.count(var)) return SymExpr::poisoned();
   }
@@ -159,7 +167,9 @@ void SummaryAnalyzer::collectAssignedScalars(const std::vector<const Stmt*>& stm
         if (!throughCalls) break;
         const Procedure* callee = program_->findProcedure(s.callee);
         if (!callee) break;
-        const std::vector<VarId>& calleeMods = scalarsModifiedBy(*callee);
+        // The wave order summarizes a callee before its callers, so under
+        // the scheduler this reads a filled slot.
+        const std::vector<VarId>& calleeMods = procSummary(*callee).modifiedScalars;
         const ProcSymbols& calleeSym = sema_->of(*callee);
         for (VarId v : calleeMods) {
           // Formal scalars map to scalar VarRef actuals; commons pass as-is.
@@ -190,14 +200,8 @@ void SummaryAnalyzer::collectAssignedScalars(const std::vector<const Stmt*>& stm
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-const std::vector<VarId>& SummaryAnalyzer::scalarsModifiedBy(const Procedure& proc) {
-  {
-    std::shared_lock<std::shared_mutex> lock(scalarCacheMutex_);
-    auto it = modifiedScalarCache_.find(&proc);
-    if (it != modifiedScalarCache_.end()) return it->second;
-  }
-  // Compute unlocked (sema rejects recursion, so the transitive callee
-  // lookups below terminate without a cache seed), then publish.
+std::vector<VarId> SummaryAnalyzer::escapingScalars(const Procedure& proc) {
+  // Sema rejects recursion, so the transitive callee lookups terminate.
   std::vector<const Stmt*> roots;
   for (const StmtPtr& s : proc.body) roots.push_back(s.get());
   std::vector<VarId> all;
@@ -213,8 +217,7 @@ const std::vector<VarId>& SummaryAnalyzer::scalarsModifiedBy(const Procedure& pr
     bool isLocal = sema_->symbols.name(v).starts_with(proc.name + "::");
     if (isFormal || !isLocal) escaping.push_back(v);
   }
-  std::unique_lock<std::shared_mutex> lock(scalarCacheMutex_);
-  return modifiedScalarCache_.emplace(&proc, std::move(escaping)).first->second;
+  return escaping;
 }
 
 // ---------------------------------------------------------------------------
@@ -321,11 +324,7 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
         if (withDE) poisonScalars(deOut, killed);
         if (n.kind == HsgNode::Kind::Loop) {
           // Record the downstream exposure for the live-out (copy-out) test.
-          // Shared lock suffices: only this thread summarizes this
-          // procedure, so only it writes this loop's entry.
-          std::shared_lock<std::shared_mutex> lock(loopMutex_);
-          auto ls = loopSummaries_.find(n.loopStmt);
-          if (ls != loopSummaries_.end()) ls->second.ueAfter = ueOut;
+          if (std::optional<LoopSummary>& ls = loopEntry(*n.loopStmt)) ls->ueAfter = ueOut;
         }
         sets.ue = unite(own.ue, garSubtract(ueOut, own.mod, ctx_));
         // The node's own uses are downward exposed only past the writes
@@ -355,14 +354,11 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
 }
 
 const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
-  {
-    std::shared_lock<std::shared_mutex> lock(procMutex_);
-    auto it = procSummaries_.find(&proc);
-    if (it != procSummaries_.end()) return it->second;
-  }
-  // Compute unlocked. The scheduler's wave order guarantees every callee
-  // summary already exists, so the recursive lookups below are read-only;
-  // a direct call outside the scheduler is plain memoization.
+  ProcSlot& slot = slotOf(proc);
+  if (slot.memo.summary) return *slot.memo.summary;
+  // Only proc's one writer gets here: the scheduler's wave order summarizes
+  // every callee first, so the recursive lookups below are read-only; a
+  // direct call outside the scheduler is plain memoization.
   obs::Span span("summary.proc", proc.name);
   const ProcSymbols& sym = sema_->of(proc);
   GarList mod;
@@ -402,53 +398,22 @@ const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   poisonScalars(summary.mod, locals);
   poisonScalars(summary.ue, locals);
   if (options_.computeDE) poisonScalars(summary.de, locals);
-  summary.modifiedScalars = scalarsModifiedBy(proc);
-
-  std::unique_lock<std::shared_mutex> lock(procMutex_);
-  return procSummaries_.emplace(&proc, std::move(summary)).first->second;
+  summary.modifiedScalars = escapingScalars(proc);
+  return slot.memo.summary.emplace(std::move(summary));
 }
 
 SummaryAnalyzer::ProcSnapshot SummaryAnalyzer::takeProcedure(const Procedure& proc) {
-  ProcSnapshot snap;
-  {
-    std::unique_lock<std::shared_mutex> lock(procMutex_);
-    if (auto node = procSummaries_.extract(&proc)) {
-      snap.summary = std::move(node.mapped());
-      snap.hasSummary = true;
-    }
-  }
-  {
-    std::unique_lock<std::shared_mutex> lock(scalarCacheMutex_);
-    if (auto node = modifiedScalarCache_.extract(&proc)) {
-      snap.modifiedScalars = std::move(node.mapped());
-      snap.hasScalars = true;
-    }
-  }
-  const std::vector<const Stmt*> walk = collectDoLoops(proc.body);
-  std::unique_lock<std::shared_mutex> lock(loopMutex_);
-  for (std::uint32_t k = 0; k < walk.size(); ++k)
-    if (auto node = loopSummaries_.extract(walk[k])) snap.loops.emplace(k, std::move(node.mapped()));
-  return snap;
+  return std::exchange(slotOf(proc).memo, {});
 }
 
 void SummaryAnalyzer::seedProcedure(const Procedure& proc, ProcSnapshot snapshot) {
-  if (snapshot.hasSummary) {
-    std::unique_lock<std::shared_mutex> lock(procMutex_);
-    procSummaries_.insert_or_assign(&proc, std::move(snapshot.summary));
-  }
-  if (snapshot.hasScalars) {
-    std::unique_lock<std::shared_mutex> lock(scalarCacheMutex_);
-    modifiedScalarCache_.insert_or_assign(&proc, std::move(snapshot.modifiedScalars));
-  }
-  const std::vector<const Stmt*> walk = collectDoLoops(proc.body);
-  std::unique_lock<std::shared_mutex> lock(loopMutex_);
-  for (auto& [k, ls] : snapshot.loops)
-    if (k < walk.size()) loopSummaries_.insert_or_assign(walk[k], std::move(ls));
+  ProcSlot& slot = slotOf(proc);
+  snapshot.loops.resize(slot.memo.loops.size());
+  slot.memo = std::move(snapshot);
 }
 
-std::map<std::string, std::set<std::string>> SummaryAnalyzer::callDependencies() const {
-  std::shared_lock<std::shared_mutex> lock(depsMutex_);
-  return callDeps_;
+const std::set<std::string>& SummaryAnalyzer::callees(const Procedure& proc) const {
+  return slotOf(proc).callees;
 }
 
 SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCondensed(const HsgNode& node, const ProcSymbols& sym) {

@@ -11,18 +11,12 @@ SymbolTable::SymbolTable(SymbolTable&& other) noexcept = default;
 SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept = default;
 
 SymbolTable::SymbolTable(const SymbolTable& other) : rep_(std::make_unique<Rep>()) {
+  rep_->index = other.rep_->index;
   rep_->names = other.rep_->names;
-  for (std::size_t s = 0; s < kShards; ++s)
-    rep_->shards[s].index = other.rep_->shards[s].index;
 }
 
 SymbolTable& SymbolTable::operator=(const SymbolTable& other) {
-  if (this == &other) return *this;
-  auto fresh = std::make_unique<Rep>();
-  fresh->names = other.rep_->names;
-  for (std::size_t s = 0; s < kShards; ++s)
-    fresh->shards[s].index = other.rep_->shards[s].index;
-  rep_ = std::move(fresh);
+  if (this != &other) *this = SymbolTable(other);
   return *this;
 }
 
@@ -33,26 +27,16 @@ std::string SymbolTable::normalize(std::string_view name) {
   return out;
 }
 
-SymbolTable::Shard& SymbolTable::shardFor(const std::string& key) const {
-  return rep_->shards[std::hash<std::string>{}(key) % kShards];
-}
-
 VarId SymbolTable::internKey(std::string key) {
-  Shard& shard = shardFor(key);
   {
-    std::shared_lock<std::shared_mutex> lock(shard.mutex);
-    if (auto it = shard.index.find(key); it != shard.index.end()) return VarId{it->second};
+    std::shared_lock<std::shared_mutex> lock(rep_->mutex);
+    if (auto it = rep_->index.find(key); it != rep_->index.end()) return VarId{it->second};
   }
-  std::unique_lock<std::shared_mutex> lock(shard.mutex);
-  if (auto it = shard.index.find(key); it != shard.index.end()) return VarId{it->second};
-  std::uint32_t id;
-  {
-    std::unique_lock<std::shared_mutex> nlock(rep_->namesMutex);
-    id = static_cast<std::uint32_t>(rep_->names.size());
-    rep_->names.push_back(key);
-  }
-  shard.index.emplace(std::move(key), id);
-  return VarId{id};
+  std::unique_lock<std::shared_mutex> lock(rep_->mutex);
+  auto [it, inserted] =
+      rep_->index.try_emplace(std::move(key), static_cast<std::uint32_t>(rep_->names.size()));
+  if (inserted) rep_->names.push_back(it->first);
+  return VarId{it->second};
 }
 
 VarId SymbolTable::intern(std::string_view name) { return internKey(normalize(name)); }
@@ -65,20 +49,19 @@ VarId SymbolTable::primed(std::string_view var) {
 
 std::optional<VarId> SymbolTable::lookup(std::string_view name) const {
   std::string key = normalize(name);
-  const Shard& shard = shardFor(key);
-  std::shared_lock<std::shared_mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
+  std::shared_lock<std::shared_mutex> lock(rep_->mutex);
+  auto it = rep_->index.find(key);
+  if (it == rep_->index.end()) return std::nullopt;
   return VarId{it->second};
 }
 
 const std::string& SymbolTable::name(VarId id) const {
-  std::shared_lock<std::shared_mutex> lock(rep_->namesMutex);
+  std::shared_lock<std::shared_mutex> lock(rep_->mutex);
   return rep_->names.at(id.value);
 }
 
 std::size_t SymbolTable::size() const {
-  std::shared_lock<std::shared_mutex> lock(rep_->namesMutex);
+  std::shared_lock<std::shared_mutex> lock(rep_->mutex);
   return rep_->names.size();
 }
 

@@ -23,7 +23,7 @@ Built build(std::string_view src) {
   auto r = analyze(b.program, diags);
   EXPECT_TRUE(r.has_value()) << diags.str();
   b.sema = std::move(*r);
-  b.hsg = buildHsg(b.program, b.sema, diags);
+  b.hsg = buildHsg(b.program, diags);
   EXPECT_FALSE(diags.hasErrors()) << diags.str();
   return b;
 }

@@ -187,7 +187,7 @@ TEST(MiniPerfectTest, ProcSummaryDeThroughCalls) {
   ASSERT_TRUE(p.has_value());
   auto sr = analyze(*p, diags);
   ASSERT_TRUE(sr.has_value());
-  Hsg hsg = buildHsg(*p, *sr, diags);
+  Hsg hsg = buildHsg(*p, diags);
   AnalysisOptions options;
   options.computeDE = true;
   SummaryAnalyzer analyzer(*p, *sr, hsg, options);

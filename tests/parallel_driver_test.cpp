@@ -107,6 +107,35 @@ TEST(ParallelDriverTest, DeSetsNeverChangeAReport) {
   }
 }
 
+TEST(ParallelDriverTest, EveryAblationIdenticalAtEveryThreadCount) {
+  // Each of the 2^3 settings of the Table 1 techniques (T1 symbolic
+  // analysis, T2 IF conditions, T3 interprocedural) takes its own paths
+  // through the analyzer's per-procedure slots: T1 off reads the DO-index
+  // sets, T3 off reads callees' escaping scalars but maps no callee
+  // summary. Every setting must report the same at 4 and 8 threads as at
+  // 1 thread.
+  CacheGuard guard;
+  for (int mask = 0; mask < 8; ++mask) {
+    std::string golden;
+    for (std::size_t threads : {1u, 4u, 8u}) {
+      AnalysisOptions options;
+      options.symbolicAnalysis = (mask & 1) != 0;
+      options.ifConditions = (mask & 2) != 0;
+      options.interprocedural = (mask & 4) != 0;
+      options.numThreads = threads;
+      CorpusAnalysisResult run = analyzeCorpusParallel(options);
+      ASSERT_FALSE(run.loops.empty());
+      std::string rendered = renderCorpus(run);
+      for (const CorpusRoutineResult& loop : run.loops) rendered += loop.provenance;
+      if (threads == 1) golden = rendered;
+      EXPECT_EQ(golden, rendered) << "symbolic=" << options.symbolicAnalysis
+                                  << " ifConditions=" << options.ifConditions
+                                  << " interprocedural=" << options.interprocedural
+                                  << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ParallelDriverTest, CacheDisabledIdenticalToDefault) {
   CacheGuard guard;
   AnalysisOptions options;

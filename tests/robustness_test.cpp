@@ -53,7 +53,7 @@ TEST(RobustnessTest, SemaRejectsBadLabels) {
   auto sr = analyze(*p, diags);
   // The label error surfaces during HSG construction.
   if (sr) {
-    Hsg hsg = buildHsg(*p, *sr, diags);
+    Hsg hsg = buildHsg(*p, diags);
     EXPECT_TRUE(diags.hasErrors());
   }
 }
@@ -71,7 +71,7 @@ TEST(RobustnessTest, DuplicateLabelRejected) {
   ASSERT_TRUE(p.has_value());
   auto sr = analyze(*p, diags);
   ASSERT_TRUE(sr.has_value());
-  buildHsg(*p, *sr, diags);
+  buildHsg(*p, diags);
   EXPECT_TRUE(diags.hasErrors());
 }
 
@@ -98,7 +98,7 @@ TEST(RobustnessTest, DegenerateLoops) {
   ASSERT_TRUE(p.has_value()) << diags.str();
   auto sr = analyze(*p, diags);
   ASSERT_TRUE(sr.has_value());
-  Hsg hsg = buildHsg(*p, *sr, diags);
+  Hsg hsg = buildHsg(*p, diags);
   SummaryAnalyzer analyzer(*p, *sr, hsg, {});
   const ProcSummary& ps = analyzer.procSummary(p->procedures[0]);
 
@@ -122,7 +122,7 @@ TEST(RobustnessTest, EmptyProcedureAndNoArrays) {
   ASSERT_TRUE(p.has_value());
   auto sr = analyze(*p, diags);
   ASSERT_TRUE(sr.has_value());
-  Hsg hsg = buildHsg(*p, *sr, diags);
+  Hsg hsg = buildHsg(*p, diags);
   SummaryAnalyzer analyzer(*p, *sr, hsg, {});
   const ProcSummary& ps = analyzer.procSummary(p->procedures[0]);
   EXPECT_TRUE(ps.mod.empty());
@@ -211,7 +211,7 @@ TEST(RobustnessTest, LongCallChain) {
   ASSERT_TRUE(p.has_value()) << diags.str();
   auto sr = analyze(*p, diags);
   ASSERT_TRUE(sr.has_value());
-  Hsg hsg = buildHsg(*p, *sr, diags);
+  Hsg hsg = buildHsg(*p, diags);
   SummaryAnalyzer analyzer(*p, *sr, hsg, {});
   const ProcSummary& ps = analyzer.procSummary(p->procedures[0]);
   ArrayId a = *sr->procs.at("p").arrayId("a");
@@ -276,7 +276,7 @@ TEST(RobustnessTest, ManyDistinctWritesStayBounded) {
   ASSERT_TRUE(p.has_value());
   auto sr = analyze(*p, diags);
   ASSERT_TRUE(sr.has_value());
-  Hsg hsg = buildHsg(*p, *sr, diags);
+  Hsg hsg = buildHsg(*p, diags);
   SummaryAnalyzer analyzer(*p, *sr, hsg, {});
   const ProcSummary& ps = analyzer.procSummary(p->procedures[0]);
   EXPECT_EQ(ps.mod.size(), 1u);  // merged to a(1:24)
@@ -340,7 +340,7 @@ TEST(RobustnessTest, CondensedCycleAnalyzesConservatively) {
   ASSERT_TRUE(p.has_value());
   auto sr = analyze(*p, diags);
   ASSERT_TRUE(sr.has_value());
-  Hsg hsg = buildHsg(*p, *sr, diags);
+  Hsg hsg = buildHsg(*p, diags);
   EXPECT_FALSE(diags.hasErrors()) << diags.str();
   SummaryAnalyzer analyzer(*p, *sr, hsg, {});
   const ProcSummary& ps = analyzer.procSummary(p->procedures[0]);

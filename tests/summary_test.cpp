@@ -385,6 +385,75 @@ TEST(SummaryTest, NonInterproceduralDegradesToOmega) {
   EXPECT_TRUE(undecided);
 }
 
+TEST(SummaryTest, DirectProcSummaryFoldsEachCalleeOnce) {
+  // Outside the wave scheduler procSummary summarizes callees on demand.
+  // Without SUM_call a call still kills the scalars its callee may write,
+  // which the caller reads from the callee's memoized summary: every
+  // procedure of this diamond-shaped call DAG is folded once, as the
+  // scheduler folds it, however many call paths reach it.
+  constexpr std::string_view kSource = R"(
+      program main
+      common /g/ s
+      integer s
+      real x(10)
+      call l1a(x)
+      call l1b(x)
+      end
+      subroutine l1a(y)
+      real y(10)
+      call l2a(y)
+      call l2b(y)
+      end
+      subroutine l1b(y)
+      real y(10)
+      call l2a(y)
+      call l2b(y)
+      end
+      subroutine l2a(y)
+      real y(10)
+      call leaf(y)
+      call leaf(y)
+      end
+      subroutine l2b(y)
+      real y(10)
+      call leaf(y)
+      call leaf(y)
+      end
+      subroutine leaf(y)
+      real y(10)
+      common /g/ s
+      integer s
+      do i = 1, 10
+        y(i) = 0
+      enddo
+      s = 1
+      end
+  )";
+  AnalysisOptions opt;
+  opt.interprocedural = false;
+  Analyzed scheduled = analyzeSource(kSource, opt);
+
+  DiagnosticEngine diags;
+  auto p = parseProgram(kSource, diags);
+  ASSERT_TRUE(p.has_value()) << diags.str();
+  auto sr = analyze(*p, diags);
+  ASSERT_TRUE(sr.has_value()) << diags.str();
+  Hsg hsg = buildHsg(*p, diags);
+  SummaryAnalyzer direct(*p, *sr, hsg, opt);
+  const ProcSummary& ps = direct.procSummary(*p->findProcedure("main"));
+
+  auto names = [](const std::vector<VarId>& vars, const SymbolTable& table) {
+    std::vector<std::string> out;
+    for (VarId v : vars) out.push_back(table.name(v));
+    return out;
+  };
+  const ProcSummary& expected = scheduled.pa.analyzer->procSummary(scheduled.proc("main"));
+  EXPECT_FALSE(ps.modifiedScalars.empty());
+  EXPECT_EQ(names(ps.modifiedScalars, sr->symbols),
+            names(expected.modifiedScalars, scheduled.pa.sema.symbols));
+  EXPECT_EQ(direct.stats().blockSteps, scheduled.pa.analyzer->stats().blockSteps);
+}
+
 AnalysisOptions withDE() {
   AnalysisOptions options;
   options.computeDE = true;
