@@ -9,7 +9,11 @@
 // cache off). On a single-core host the thread axis cannot improve wall
 // time — the config records nproc so readers can tell — and
 // the speedup there comes from the memoized symbolic queries; on multi-core
-// hosts both axes contribute.
+// hosts both axes contribute. The thread effect alone is recorded next to
+// it (thread_speedup_t4_cache: 1 vs 4 threads, both cached), with the
+// process CPU time per corpus run at both thread counts (ungated).
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -27,10 +31,18 @@ namespace {
 /// the hash-consed symbolic core (same corpus, same single-core host class).
 constexpr double kPriorDefaultMs = 63.00;
 
+/// CPU time consumed so far by every thread of the process.
+double processCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
 struct ConfigResult {
   std::size_t threads = 1;
   bool cache = false;
   double bestMs = 0;
+  double bestCpuMs = 0;  ///< process CPU of one corpus run, the least over repeats
   std::size_t loops = 0;
   QueryCache::Stats cacheStats;
   QueryCache::Stats simplifyStats;
@@ -58,15 +70,18 @@ ConfigResult runConfig(std::size_t threads, bool cache, int repeats) {
   cr.threads = threads;
   cr.cache = cache;
   cr.bestMs = 1e18;
+  cr.bestCpuMs = 1e18;
   QueryCache::global().configure(cache ? QueryCache::kDefaultCapacity : 0);
   for (int r = 0; r < repeats; ++r) {
     AnalysisOptions options;
     options.numThreads = threads;
+    const double cpu0 = processCpuMs();
     auto t0 = std::chrono::steady_clock::now();
     CorpusAnalysisResult result = analyzeCorpusParallel(options);
     double ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
     cr.bestMs = std::min(cr.bestMs, ms);
+    cr.bestCpuMs = std::min(cr.bestCpuMs, processCpuMs() - cpu0);
     cr.loops = result.loops.size();
     cr.cacheStats = result.cacheStats;
     cr.simplifyStats = result.simplifyStats;
@@ -86,10 +101,17 @@ bench::BenchResult run() {
   for (const ConfigResult& c : matrix)
     identical = identical && c.fingerprint == matrix.front().fingerprint;
 
-  double baselineMs = 0, defaultMs = 0;
+  double baselineMs = 0, defaultMs = 0, cachedOneThreadMs = 0, cpuOneMs = 0, cpuFourMs = 0;
   for (const ConfigResult& c : matrix) {
     if (c.threads == 1 && !c.cache) baselineMs = c.bestMs;
-    if (c.threads == 4 && c.cache) defaultMs = c.bestMs;
+    if (c.threads == 1 && c.cache) {
+      cachedOneThreadMs = c.bestMs;
+      cpuOneMs = c.bestCpuMs;
+    }
+    if (c.threads == 4 && c.cache) {
+      defaultMs = c.bestMs;
+      cpuFourMs = c.bestCpuMs;
+    }
   }
 
   std::printf("parallel driver — corpus wall time across the thread × cache matrix\n");
@@ -101,6 +123,9 @@ bench::BenchResult run() {
                 100.0 * c.simplifyStats.hitRate());
   std::printf("headline: %.2f ms (1 thread, cache off) -> %.2f ms (4 threads, cache on), %.2fx\n",
               baselineMs, defaultMs, baselineMs / defaultMs);
+  std::printf("threads alone (cache on): %.2fx wall; CPU per run %.2f ms (1 thread) vs %.2f ms "
+              "(4 threads)\n",
+              cachedOneThreadMs / defaultMs, cpuOneMs, cpuFourMs);
 
   bench::BenchResult result;
   result.addConfig("corpus", "perfect (Table 1/2 kernels)");
@@ -117,6 +142,12 @@ bench::BenchResult run() {
   result.add("comparison_wall_ms", defaultMs, bench::Direction::LowerIsBetter, 3.0, "ms");
   result.add("speedup", baselineMs / defaultMs, bench::Direction::HigherIsBetter, 1.0, "x")
       .gated = false;
+  result
+      .add("thread_speedup_t4_cache", cachedOneThreadMs / defaultMs,
+           bench::Direction::HigherIsBetter, 1.0, "x")
+      .gated = false;
+  result.add("cpu_ms_t1_cache", cpuOneMs, bench::Direction::LowerIsBetter, 1.0, "ms").gated = false;
+  result.add("cpu_ms_t4_cache", cpuFourMs, bench::Direction::LowerIsBetter, 1.0, "ms").gated = false;
   result
       .add("speedup_vs_prior", kPriorDefaultMs / defaultMs, bench::Direction::HigherIsBetter, 1.0,
            "x")

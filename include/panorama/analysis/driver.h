@@ -1,16 +1,18 @@
-// The analysis scheduler: builds procedure summaries in reverse-topological
-// call-graph waves on a work-stealing thread pool, then fans the per-loop
-// analyses out across the same pool. Batch runs (analyzeProgramUnit) and
-// incremental sessions (AnalysisSession::submit) both schedule through
-// analyzeProgramParallel; a 1-thread pool runs the same schedule inline.
+// The analysis scheduler: one dependency-counted task graph per program on
+// a thread pool's task group. A procedure's summary task is spawned when
+// the last of its callees (sema's call edges, ProcSymbols::callees)
+// publishes its summary, and its loops' tasks when its own summary is
+// published. No task waits for another; only the callers below block.
+// Batch runs (analyzeProgramUnit, analyzeCorpusParallel) and incremental
+// sessions (AnalysisSession::submit) all schedule this way, and a 1-thread
+// pool runs the same graph on the calling thread.
 //
-// Correctness model (see DESIGN.md §"Parallel driver"):
-//   * Procedures in one wave only call procedures of earlier waves, so a
-//     wave's summaries never race on each other's memo entries — every
-//     callee lookup hits an already-published summary.
-//   * Per-loop analyses (LoopParallelizer::analyzeLoop) are read-only with
-//     respect to the analyzer, so they fan out freely once the summaries
-//     exist.
+// Correctness model (see DESIGN.md §4.1):
+//   * A memo slot's one writer, the task summarizing its procedure,
+//     finishes before any task that reads the slot is spawned: its callers'
+//     summary tasks and its own loop tasks.
+//   * Per-loop analyses (LoopParallelizer::analyzeLoop) only read the
+//     analyzer, so they run concurrently with unrelated summaries.
 //   * Symbolic query verdicts are memoized in the process-global QueryCache
 //     under exact structural keys, so results are identical at every pool
 //     size and under any completion order.
@@ -29,12 +31,6 @@
 
 namespace panorama {
 
-/// Reverse-topological waves over the (acyclic, per sema) call graph:
-/// wave k holds the procedures whose longest callee chain has length k, so
-/// everything a wave-k procedure calls lives in waves < k. Within a wave,
-/// procedures keep their bottomUpOrder relative order (determinism).
-std::vector<std::vector<const Procedure*>> callGraphWaves(const SemaResult& sema);
-
 /// One DO loop to analyze, with the procedure that contains it.
 struct LoopSite {
   const Stmt* loop = nullptr;
@@ -42,9 +38,10 @@ struct LoopSite {
 };
 
 /// The one analysis scheduler: summarizes every procedure of the analyzer's
-/// program wave-by-wave on `pool` (memoized summaries return at once), then
-/// analyzes `loops` concurrently. The result is position-aligned with
-/// `loops` regardless of pool size or completion order.
+/// program callees first on `pool` (memoized summaries return at once) and
+/// analyzes each of `loops` once its procedure is summarized. The result is
+/// position-aligned with `loops` regardless of pool size or completion
+/// order.
 std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool,
                                                  const std::vector<LoopSite>& loops);
 
@@ -102,9 +99,9 @@ struct CorpusAnalysisResult {
   std::size_t threadsUsed = 1;
 };
 
-/// Parses and analyzes every Table 1/2 corpus kernel under `options`,
-/// scheduling kernels — and the call-graph waves inside each — on one
-/// shared pool sized by options.numThreads. The verdict cache and the
+/// Parses and analyzes every Table 1/2 corpus kernel under `options` on one
+/// pool sized by options.numThreads: each kernel's frontend task spawns its
+/// leaf procedures into the run's one task group. The verdict cache and the
 /// simplify memo are cleared first, so the result's counters cover this run
 /// only. Kernel and loop order in the result is fixed (corpus order, then
 /// ProgramAnalysis::loops order) regardless of thread count. Quantified

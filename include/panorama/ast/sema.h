@@ -28,6 +28,10 @@ struct ProcSymbols {
   std::unordered_map<std::string, ArrayId> arrayIds;  ///< local name -> global id
   std::unordered_map<std::string, BaseType> types;    ///< scalar types
   std::map<std::string, SymExpr> consts;              ///< PARAMETER constants
+  /// The procedures this one CALLs, each once, in name order: the program's
+  /// one call graph. The scheduler counts a procedure's dependencies on it
+  /// and the session records a unit's deps from it.
+  std::vector<const Procedure*> callees;
 
   bool isScalar(std::string_view name) const { return scalars.contains(std::string(name)); }
   bool isArray(std::string_view name) const { return arrayIds.contains(std::string(name)); }

@@ -6,9 +6,9 @@
 // ways —
 //
 //   * by taxonomy: a phase tree keyed by span category (corpus.run →
-//     summary.wave → summary.proc → ... → query.fm/query.implies), each
-//     node carrying count, total time, self time (total minus the time
-//     attributed to child phases) and the maximum single-span duration;
+//     summary.proc → ... → query.fm/query.implies), each node carrying
+//     count, total time, self time (total minus the time attributed to
+//     child phases) and the maximum single-span duration;
 //   * by program entity: per-procedure cost (summary construction + loop
 //     analysis + the cold queries issued underneath) and per-loop cost;
 //   * by query: the top-K most expensive cold FM / implication evaluations,

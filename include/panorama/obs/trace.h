@@ -9,7 +9,7 @@
 //     branch, its destructor one branch. No allocation, no clock read, no
 //     buffer touch. bench_obs_overhead asserts the end-to-end cost stays
 //     within the 2% contract documented in DESIGN.md.
-//   * Safe under the work-stealing pool. Each thread appends to its own
+//   * Safe under the thread pool. Each thread appends to its own
 //     chunked buffer: slots inside a chunk are written once and then
 //     published by a release store of the chunk's count, chunks never move
 //     once allocated, and the chunk list grows under a mutex taken only on
@@ -23,7 +23,7 @@
 // Span taxonomy (see DESIGN.md §"Observability"):
 //   corpus.run / corpus.kernel              driver-level units of work
 //   frontend.parse / frontend.sema / frontend.hsg
-//   summary.proc / summary.wave             §4.1 summary construction
+//   summary.proc                            §4.1 summary construction
 //   summary.loop_expansion                  expandByIndex of one loop
 //   analysis.loop                           one LoopParallelizer::analyzeLoop
 //   deptest.loop                            conventional-test filter

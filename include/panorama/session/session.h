@@ -12,9 +12,9 @@
 // On submit, the incoming program runs sema once against copies of the
 // tables and diffs against the units ({unchanged, modified, added,
 // removed}); the dirty cone — modified and added procedures plus everything
-// that transitively depends on them through the summary dependency graph
-// (caller→callee edges recorded at SUM_call) — gets flow graphs and is
-// re-analyzed through the existing call-graph waves, while every unit
+// that transitively depends on them through the call graph (sema's
+// caller→callee edges, ProcSymbols::callees) — gets flow graphs and is
+// re-analyzed through the batch scheduler's task graph, while every unit
 // outside the cone seeds its carried summaries into the analyzer and serves
 // its formatted loop reports verbatim. The analyzer's memoized state then
 // moves back into the units and the submit's program, sema maps, graphs and
@@ -99,9 +99,10 @@ struct SessionResult {
 class AnalysisSession {
  public:
   explicit AnalysisSession(AnalysisOptions options = {});
-  /// Daemon-mode constructor: schedules analysis batches on `sharedPool`
-  /// (not owned; must outlive the session) so concurrent client sessions
-  /// share one work-stealing pool instead of oversubscribing the machine.
+  /// Daemon-mode constructor: schedules analysis on `sharedPool` (not
+  /// owned; must outlive the session) so concurrent client sessions share
+  /// one pool instead of oversubscribing the machine; each submit waits on
+  /// its own task group and runs only its own tasks.
   /// With a shared pool, options.numThreads changes via setOptions() do not
   /// re-thread — the pool's owner controls concurrency.
   AnalysisSession(AnalysisOptions options, ThreadPool* sharedPool);
@@ -206,7 +207,7 @@ class AnalysisSession {
     Fingerprint fp = 0;
     Fingerprint frameFp = 0;         ///< declaration-frame hash (detail.frame)
     std::uint64_t summaryEpoch = 0;  ///< submit that last recomputed it
-    std::set<std::string> deps;      ///< callees folded in at SUM_call
+    std::set<std::string> deps;      ///< callees: sema's call edges
     std::map<std::string, std::uint64_t> calleeEpochs;  ///< deps' epochs then
     std::vector<CachedLoop> loops;   ///< walk-order loop reports
     /// One per top-level body statement; empty disables item-granular reuse

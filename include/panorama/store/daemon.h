@@ -1,14 +1,15 @@
 // Analysis-as-a-service (DESIGN.md §4.8) with a live telemetry plane
 // (DESIGN.md §4.10): a daemon that keeps the process-global hash-cons
-// arenas, the query cache, and one shared work-stealing pool warm across
-// many client submissions — and answers for its own health while doing it.
+// arenas, the query cache, and one shared thread pool warm across many
+// client submissions — and answers for its own health while doing it.
 //
 // Each accepted connection gets its own handler thread and its own
 // AnalysisSession, so one client's incremental state (units, fingerprints,
 // cached reports) never bleeds into another's — what *is* shared is the
 // structural layer underneath: interned expressions/predicates, the FM
-// query cache, and the thread pool the dirty-cone batches run on. Requests
-// and responses travel as length-prefixed JSON frames (store/protocol.h).
+// query cache, and the thread pool the dirty-cone task graphs run on.
+// Requests and responses travel as length-prefixed JSON frames
+// (store/protocol.h).
 //
 // Request ops (every request carries a client-chosen "id", echoed back —
 // numbers verbatim, strings as JSON strings):

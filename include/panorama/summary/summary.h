@@ -9,6 +9,7 @@
 // poisoned expressions and from there to Ω regions / Δ guards.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -42,8 +43,8 @@ struct AnalysisOptions {
 
   // ----- execution options (the analysis scheduler) -----
   /// Analysis workers, calling thread included. 0 = hardware_concurrency().
-  /// Every value runs the same call-graph-wave schedule (1 runs it inline on
-  /// the calling thread) and yields byte-identical reports.
+  /// Every value runs the same task graph (1 runs it on the calling thread)
+  /// and yields byte-identical reports.
   std::size_t numThreads = 0;
   /// Incremental sessions: reuse cached per-loop verdicts inside *modified*
   /// procedures when the loop's statement subtree, downstream suffix,
@@ -133,11 +134,6 @@ class SummaryAnalyzer {
   /// of such a subtree alongside it. Walk indices past the procedure's DO
   /// walk are ignored.
   void seedProcedure(const Procedure& proc, ProcSnapshot snapshot);
-
-  /// The callees SUM_call folded into `proc`'s summary — the summary
-  /// dependency edges the session keys invalidation on. Empty for a
-  /// procedure this analyzer did not summarize (a seeded one).
-  const std::set<std::string>& callees(const Procedure& proc) const;
 
   const AnalysisOptions& options() const { return options_; }
   /// This analyzer's ψ binding (§5.3); invalid unless options().quantified.
@@ -241,12 +237,13 @@ class SummaryAnalyzer {
     std::set<VarId> indexVars;
     std::map<const Stmt*, CounterIdiom> idioms;  ///< §5.2 counter idioms by DO
     bool idiomsScanned = false;
-    std::set<std::string> callees;  ///< SUM_call edges recorded while summarizing
   };
-  /// Where a DO statement's loop summary lives.
+  /// Where a DO statement's loop summary lives, and its index's reserved
+  /// primed copy (the i' of MOD_{<i}).
   struct LoopAt {
     ProcSlot* slot;
     std::uint32_t walkIndex;
+    VarId primed;
   };
 
   ProcSlot& slotOf(const Procedure& proc) { return slots_.at(&proc); }
@@ -260,14 +257,18 @@ class SummaryAnalyzer {
   const Hsg* hsg_;
   AnalysisOptions options_;
   PsiDims psi_;  // this analyzer's §5.3 ψ binding (invalid unless quantified)
+  /// The ArrayPred relation keys ap$lt, ap$le, ap$eq (quantified only).
+  std::array<VarId, 3> apKeys_;
   CmpCtx ctx_;   // empty hypothesis context carrying psi_
 
   // Thread-safety (DESIGN.md §4.1): both maps are complete once the
-  // constructor returns, so lookups never race with an insert. A slot has
-  // one writer, the thread summarizing its procedure; the scheduler reads a
-  // summary or loop summary only in a later wave or in the per-loop
-  // fan-out, both after ThreadPool::runBatch's barrier. Keys are procedure
-  // and statement addresses, which live on the heap and survive rebind().
+  // constructor returns, so lookups never race with an insert, and the
+  // constructor interns every symbol analysis needs, so analysis only reads
+  // the symbol table. A slot has one writer, the task summarizing its
+  // procedure; the scheduler spawns every task that reads a summary or a
+  // loop summary (callers' summaries, the procedure's loops) after that
+  // task has finished. Keys are procedure and statement addresses, which
+  // live on the heap and survive rebind().
   std::unordered_map<const Procedure*, ProcSlot> slots_;
   std::unordered_map<const Stmt*, LoopAt> loopAt_;
 

@@ -1,25 +1,24 @@
-// A small work-stealing thread pool for the parallel analysis driver.
+// The analysis thread pool: workers that run groups of tasks.
 //
-// Each worker owns a deque: tasks scheduled to it are popped from the front
-// by the owner and stolen from the back by idle peers, so batches with
-// uneven task costs (one procedure much larger than its wave siblings)
-// still fill every thread. The thread that calls runBatch participates in
-// the work and helps drain *any* queue until its own batch completes, which
-// makes nested batches (a corpus task fanning out per-procedure waves)
-// deadlock-free.
+// A Group is a set of tasks waited for together. Its owner and its own
+// running tasks spawn into it; every task queues in the pool's one FIFO,
+// which the workers drain. Group::wait returns once every task of the
+// group, those spawned while it waited included, has finished. Meanwhile
+// the waiting thread runs only its own group's queued tasks and otherwise
+// sleeps on the group's condition variable, so a waiter never runs another
+// group's task (a daemon client's submit never runs another client's work)
+// and never polls.
 //
-// With threadCount() == 1 no workers exist and runBatch executes the tasks
-// inline, in submission order, on the calling thread; a one-task batch runs
-// inline on any pool. Callers therefore schedule the same batches at every
-// pool size and need no serial special case.
+// ThreadPool(1) starts no worker: a group's tasks run on the thread that
+// waits for it, in spawn order. Callers therefore schedule the same tasks
+// at every pool size and need no serial special case.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -28,7 +27,34 @@ namespace panorama {
 
 class ThreadPool {
  public:
-  /// `threads` counts the calling thread: ThreadPool(4) spawns 3 workers.
+  class Group {
+   public:
+    explicit Group(ThreadPool& pool) : pool_(pool) {}
+    ~Group() { drain(); }
+
+    Group(const Group&) = delete;
+    Group& operator=(const Group&) = delete;
+
+    /// Queues `fn`. Called by the group's owner or by one of its running
+    /// tasks, never after the owner's wait has returned.
+    void spawn(std::function<void()> fn);
+
+    /// Returns once every task spawned into the group has finished, then
+    /// rethrows the first exception a task threw, if any.
+    void wait();
+
+   private:
+    friend class ThreadPool;
+    void drain();
+
+    ThreadPool& pool_;
+    // Guarded by the pool's mutex.
+    std::size_t pending_ = 0;  ///< spawned, not yet finished
+    std::exception_ptr error_;
+    std::condition_variable wake_;  ///< a task was queued, or the last one finished
+  };
+
+  /// `threads` counts the calling thread: ThreadPool(4) starts 3 workers.
   /// 0 means defaultConcurrency().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
@@ -39,41 +65,29 @@ class ThreadPool {
   /// Total concurrency, calling thread included. Always >= 1.
   std::size_t threadCount() const { return workers_.size() + 1; }
 
-  /// Runs every task to completion before returning. Tasks may themselves
-  /// call runBatch on the same pool.
-  void runBatch(std::vector<std::function<void()>> tasks);
-
-  /// Tasks currently sitting in worker deques (scheduled, not yet started).
-  /// A monitoring-grade sample — racy by nature, exact at quiescence.
-  std::size_t queueDepth() const { return queued_.load(std::memory_order_relaxed); }
+  /// Tasks queued and not yet started, over every group. A monitoring
+  /// sample: exact at quiescence.
+  std::size_t queueDepth() const;
 
   /// std::thread::hardware_concurrency() with a floor of 1.
   static std::size_t defaultConcurrency();
 
  private:
   struct Task {
+    Group* group;
     std::function<void()> fn;
-    std::atomic<std::size_t>* remaining = nullptr;
-    std::condition_variable* done = nullptr;
-    std::mutex* doneMutex = nullptr;
   };
 
-  struct Slot {
-    std::mutex m;
-    std::deque<Task> q;
-  };
+  void workerLoop();
+  /// Runs `task` with `lock` released, then retires it from its group,
+  /// recording what it threw.
+  void run(Task task, std::unique_lock<std::mutex>& lock);
 
-  void workerLoop(std::size_t self);
-  /// Pops from slot `self`'s front or steals from another slot's back.
-  bool takeTask(std::size_t self, Task& out);
-  void runTask(Task& task);
-
-  std::vector<std::unique_ptr<Slot>> slots_;  // index 0 belongs to callers
-  std::vector<std::thread> workers_;          // worker i owns slot i+1
-  std::mutex wakeMutex_;
-  std::condition_variable wake_;
-  std::atomic<std::size_t> queued_{0};
-  std::atomic<bool> stop_{false};
+  mutable std::mutex mutex_;
+  std::condition_variable wake_;  ///< workers: a task was queued, or the pool stops
+  std::deque<Task> queue_;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace panorama

@@ -2,20 +2,17 @@
 // subscript, loop bound, or IF condition is interned once; expressions and
 // predicates refer to variables by a small integer id.
 //
-// Sema interns a program's names single-threaded into the program's (or
-// the session's) own table. Analysis adds only a handful: each DO
-// variable's primed copy `var'`, `psi$1` and the quantified relation keys,
-// each a hit after its first call. So one reader-writer lock over the index
-// and the id-to-name store keeps concurrent procedure analyses safe; moving
-// or copying the table itself is NOT thread-safe (do it before analysis
-// starts).
+// A table is written single-threaded and frozen during analysis: sema
+// interns a program's names into the program's (or the session's) own
+// table, and the SummaryAnalyzer constructor adds each DO variable's primed
+// copy `var'`, `psi$1` and the quantified relation keys. Analysis then only
+// reads, so the table takes no lock; nothing may intern while an analysis
+// of the table's program runs.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -35,13 +32,6 @@ struct VarId {
 /// they are stored lower-cased.
 class SymbolTable {
  public:
-  SymbolTable();
-  SymbolTable(const SymbolTable& other);
-  SymbolTable(SymbolTable&& other) noexcept;
-  SymbolTable& operator=(const SymbolTable& other);
-  SymbolTable& operator=(SymbolTable&& other) noexcept;
-  ~SymbolTable();
-
   /// Interns `name`, returning the existing id if already present.
   VarId intern(std::string_view name);
 
@@ -50,8 +40,8 @@ class SymbolTable {
 
   /// Name of an interned id. The reference stays valid for the table's
   /// lifetime (ids are append-only and the backing store never relocates).
-  const std::string& name(VarId id) const;
-  std::size_t size() const;
+  const std::string& name(VarId id) const { return names_.at(id.value); }
+  std::size_t size() const { return names_.size(); }
 
   /// The reserved primed copy of DO variable `var` (the i' of MOD_{<i}):
   /// `var'`, interned once per table, so re-summarizing a loop reuses it
@@ -62,18 +52,11 @@ class SymbolTable {
 
  private:
   static std::string normalize(std::string_view name);
-
-  struct Rep {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<std::string, std::uint32_t> index;
-    std::deque<std::string> names;  ///< deque: stable references across growth
-  };
-
-  /// Interns an already-normalized `key`: a shared-lock lookup, then an
-  /// insert under the write lock.
+  /// Interns an already-normalized `key`.
   VarId internKey(std::string key);
 
-  std::unique_ptr<Rep> rep_;
+  std::unordered_map<std::string, std::uint32_t> index_;
+  std::deque<std::string> names_;  ///< deque: stable references across growth
 };
 
 }  // namespace panorama

@@ -2,9 +2,10 @@
 #include "panorama/analysis/driver.h"
 
 #include <algorithm>
-#include <functional>
-#include <map>
+#include <atomic>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "panorama/builder/builder.h"
@@ -15,68 +16,139 @@
 
 namespace panorama {
 
-std::vector<std::vector<const Procedure*>> callGraphWaves(const SemaResult& sema) {
-  // Procedures keyed by name for callee resolution; the graph is acyclic
-  // (sema rejects recursion), so the longest-callee-chain depth is well
-  // defined and bottomUpOrder already lists callees before callers.
-  std::map<std::string, const Procedure*> byName;
-  for (const Procedure* p : sema.bottomUpOrder) byName.emplace(p->name, p);
+namespace {
 
-  std::map<const Procedure*, std::size_t> depth;
-  std::size_t maxDepth = 0;
-  for (const Procedure* p : sema.bottomUpOrder) {
-    std::size_t d = 0;
-    std::function<void(const std::vector<StmtPtr>&)> walk =
-        [&](const std::vector<StmtPtr>& body) {
-          for (const StmtPtr& s : body) {
-            if (s->kind == Stmt::Kind::Call) {
-              auto callee = byName.find(s->callee);
-              if (callee != byName.end()) {
-                auto it = depth.find(callee->second);
-                // Calls resolve into earlier bottomUpOrder entries only.
-                if (it != depth.end()) d = std::max(d, it->second + 1);
-              }
-            }
-            walk(s->thenBody);
-            walk(s->elseBody);
-            walk(s->body);
-          }
-        };
-    walk(p->body);
-    depth.emplace(p, d);
-    maxDepth = std::max(maxDepth, d);
+/// One program's task graph. A procedure's summary task is spawned when
+/// its last callee's summary is published (at once for a leaf), and its
+/// loops' tasks when its own summary is: every reader of a memo slot is
+/// spawned after the slot's one writer has finished.
+class Schedule {
+ public:
+  /// `out` is resized to `loops` and filled by position.
+  Schedule(SummaryAnalyzer& analyzer, const std::vector<LoopSite>& loops,
+           std::vector<LoopAnalysis>& out)
+      : analyzer_(analyzer), lp_(analyzer), loops_(loops), out_(out),
+        procs_(analyzer.sema().bottomUpOrder.size()) {
+    const SemaResult& sema = analyzer.sema();
+    std::unordered_map<const Procedure*, Proc*> byProc;
+    for (std::size_t k = 0; k < procs_.size(); ++k) {
+      procs_[k].proc = sema.bottomUpOrder[k];
+      byProc.emplace(procs_[k].proc, &procs_[k]);
+    }
+    for (Proc& p : procs_) {
+      const std::vector<const Procedure*>& callees = sema.of(*p.proc).callees;
+      p.pendingCallees.store(callees.size(), std::memory_order_relaxed);
+      if (callees.empty()) leaves_.push_back(&p);
+      for (const Procedure* callee : callees) byProc.at(callee)->callers.push_back(&p);
+    }
+    for (std::size_t k = 0; k < loops.size(); ++k) byProc.at(loops[k].proc)->loops.push_back(k);
+    out_.resize(loops.size());
+  }
+  Schedule(const Schedule&) = delete;  // tasks hold its address
+  Schedule& operator=(const Schedule&) = delete;
+
+  /// Spawns the leaf procedures into `group`; the rest of the graph
+  /// follows from the tasks themselves.
+  void start(ThreadPool::Group& group) {
+    for (Proc* p : leaves_) group.spawn([this, &group, p] { summarize(group, *p); });
   }
 
-  std::vector<std::vector<const Procedure*>> waves(maxDepth + 1);
-  for (const Procedure* p : sema.bottomUpOrder) waves[depth.at(p)].push_back(p);
-  return waves;
+ private:
+  struct Proc {
+    const Procedure* proc = nullptr;
+    std::atomic<std::size_t> pendingCallees{0};  ///< callees not yet summarized
+    std::vector<Proc*> callers;
+    std::vector<std::size_t> loops;  ///< positions in loops_
+  };
+
+  void summarize(ThreadPool::Group& group, Proc& p) {
+    analyzer_.procSummary(*p.proc);
+    for (Proc* caller : p.callers)
+      if (caller->pendingCallees.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        group.spawn([this, &group, caller] { summarize(group, *caller); });
+    for (std::size_t k : p.loops)
+      group.spawn([this, k] { out_[k] = lp_.analyzeLoop(*loops_[k].loop, *loops_[k].proc); });
+  }
+
+  SummaryAnalyzer& analyzer_;
+  LoopParallelizer lp_;
+  const std::vector<LoopSite>& loops_;
+  std::vector<LoopAnalysis>& out_;
+  std::vector<Proc> procs_;  ///< bottom-up order; never resized (tasks point in)
+  std::vector<Proc*> leaves_;
+};
+
+/// sema → HSG → analyzer over `pa.program`, and the sites of every DO loop
+/// (procedures bottom-up, loops in collectDoLoops order). False, with
+/// pa.error set, on a diagnostic.
+bool prepare(ProgramAnalysis& pa, const AnalysisOptions& options, std::vector<LoopSite>& sites) {
+  DiagnosticEngine diags;
+  auto sr = [&] {
+    obs::Span s("frontend.sema", "program unit");
+    return analyze(pa.program, diags);
+  }();
+  if (!sr) {
+    pa.error = diags.str();
+    return false;
+  }
+  pa.sema = std::move(*sr);
+  {
+    obs::Span s("frontend.hsg", "program unit");
+    pa.hsg = buildHsg(pa.program, diags);
+  }
+  if (diags.hasErrors()) {
+    pa.error = diags.str();
+    return false;
+  }
+  pa.analyzer = std::make_unique<SummaryAnalyzer>(pa.program, pa.sema, pa.hsg, options);
+  for (const Procedure* proc : pa.sema.bottomUpOrder)
+    for (const Stmt* loop : collectDoLoops(proc->body)) sites.push_back({loop, proc});
+  return true;
 }
+
+/// One corpus kernel: its ProgramAnalysis, built in place, and the task
+/// graph that fills it.
+struct KernelJob {
+  const CorpusLoop* cl = nullptr;
+  ProgramAnalysis pa;
+  std::vector<LoopSite> sites;
+  std::optional<Schedule> schedule;
+};
+
+void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool::Group& group,
+               CorpusIngest ingest) {
+  obs::Span span("corpus.kernel", job.cl->id);
+  DiagnosticEngine diags;
+  auto parsed = [&] {
+    obs::Span s("frontend.parse", job.cl->id);
+    return parseProgram(job.cl->source, diags);
+  }();
+  if (!parsed) return;
+  job.pa.program = std::move(*parsed);
+  if (ingest == CorpusIngest::BuilderRoundTrip) {
+    obs::Span s("frontend.rebuild", job.cl->id);
+    builder::BuildResult rebuilt = builder::rebuild(job.pa.program);
+    if (!rebuilt.ok()) {
+      job.pa.error = rebuilt.error();
+      return;
+    }
+    job.pa.program = std::move(*rebuilt.program);
+  }
+  if (!prepare(job.pa, options, job.sites)) return;
+  job.pa.ok = true;
+  job.schedule.emplace(*job.pa.analyzer, job.sites, job.pa.loops);
+  job.schedule->start(group);
+}
+
+}  // namespace
 
 std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool,
                                                  const std::vector<LoopSite>& loops) {
-  // Wave k's procedures only call procedures summarized in earlier waves:
-  // each task writes only its own procedure's memo slot, and reads callee
-  // slots filled before the previous batch's barrier.
-  std::size_t waveIndex = 0;
-  for (const auto& wave : callGraphWaves(analyzer.sema())) {
-    obs::Span waveSpan("summary.wave", "wave " + std::to_string(waveIndex++));
-    if (waveSpan.active()) waveSpan.arg("procedures", std::to_string(wave.size()));
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(wave.size());
-    for (const Procedure* p : wave)
-      tasks.push_back([&analyzer, p] { analyzer.procSummary(*p); });
-    pool.runBatch(std::move(tasks));
-  }
-
-  // Results are written by index, so their order is the caller's.
-  LoopParallelizer lp(analyzer);
-  std::vector<LoopAnalysis> out(loops.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(loops.size());
-  for (std::size_t k = 0; k < loops.size(); ++k)
-    tasks.push_back(
-        [&lp, &out, &loops, k] { out[k] = lp.analyzeLoop(*loops[k].loop, *loops[k].proc); });
-  pool.runBatch(std::move(tasks));
+  std::vector<LoopAnalysis> out;
+  Schedule schedule(analyzer, loops, out);
+  ThreadPool::Group group(pool);
+  schedule.start(group);
+  group.wait();
   return out;
 }
 
@@ -96,64 +168,12 @@ ProgramAnalysis analyzeProgramUnit(Program program, const AnalysisOptions& optio
                                    ThreadPool& pool) {
   ProgramAnalysis out;
   out.program = std::move(program);
-  DiagnosticEngine diags;
-  auto sr = [&] {
-    obs::Span s("frontend.sema", "program unit");
-    return analyze(out.program, diags);
-  }();
-  if (!sr) {
-    out.error = diags.str();
-    return out;
-  }
-  out.sema = std::move(*sr);
-  {
-    obs::Span s("frontend.hsg", "program unit");
-    out.hsg = buildHsg(out.program, diags);
-  }
-  if (diags.hasErrors()) {
-    out.error = diags.str();
-    return out;
-  }
-  out.analyzer = std::make_unique<SummaryAnalyzer>(out.program, out.sema, out.hsg, options);
-  std::vector<LoopSite> loops;
-  for (const Procedure* proc : out.sema.bottomUpOrder)
-    for (const Stmt* loop : collectDoLoops(proc->body)) loops.push_back({loop, proc});
-  out.loops = analyzeProgramParallel(*out.analyzer, pool, loops);
+  std::vector<LoopSite> sites;
+  if (!prepare(out, options, sites)) return out;
+  out.loops = analyzeProgramParallel(*out.analyzer, pool, sites);
   out.ok = true;
   return out;
 }
-
-namespace {
-
-/// One corpus kernel's text-to-Program step plus its ProgramAnalysis.
-struct KernelJob {
-  const CorpusLoop* cl = nullptr;
-  ProgramAnalysis pa;
-};
-
-void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool& pool,
-               CorpusIngest ingest) {
-  obs::Span span("corpus.kernel", job.cl->id);
-  DiagnosticEngine diags;
-  auto parsed = [&] {
-    obs::Span s("frontend.parse", job.cl->id);
-    return parseProgram(job.cl->source, diags);
-  }();
-  if (!parsed) return;
-  Program program = std::move(*parsed);
-  if (ingest == CorpusIngest::BuilderRoundTrip) {
-    obs::Span s("frontend.rebuild", job.cl->id);
-    builder::BuildResult rebuilt = builder::rebuild(program);
-    if (!rebuilt.ok()) {
-      job.pa.error = rebuilt.error();
-      return;
-    }
-    program = std::move(*rebuilt.program);
-  }
-  job.pa = analyzeProgramUnit(std::move(program), options, pool);
-}
-
-}  // namespace
 
 CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, CorpusIngest ingest) {
   obs::Span span("corpus.run", "perfect corpus");
@@ -173,11 +193,12 @@ CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, Corpu
   // Quantified kernels need no special casing: every analyzer carries its
   // own ψ binding (PsiDims threaded through CmpCtx), so kernels overlap
   // freely regardless of options.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(jobs.size());
-  for (KernelJob& job : jobs)
-    tasks.push_back([&job, &options, &pool, ingest] { runKernel(job, options, pool, ingest); });
-  pool.runBatch(std::move(tasks));
+  {
+    ThreadPool::Group group(pool);
+    for (KernelJob& job : jobs)
+      group.spawn([&job, &options, &group, ingest] { runKernel(job, options, group, ingest); });
+    group.wait();
+  }
 
   CorpusAnalysisResult result;
   result.threadsUsed = pool.threadCount();

@@ -175,6 +175,7 @@ class Analyzer {
 
   void checkCalls() {
     for (Procedure& proc : program_.procedures) {
+      std::map<std::string, const Procedure*> callees;
       forEachStmt(proc.body, [&](Stmt& s) {
         if (s.kind != Stmt::Kind::Call) return;
         const Procedure* callee = program_.findProcedure(s.callee);
@@ -186,38 +187,37 @@ class Analyzer {
           diags_.error(s.loc, "subroutine '" + s.callee + "' expects " +
                                   std::to_string(callee->params.size()) + " argument(s), got " +
                                   std::to_string(s.args.size()));
-        edges_[proc.name].insert(s.callee);
+        callees.emplace(callee->name, callee);
       });
+      std::vector<const Procedure*>& out = result_.procs.at(proc.name).callees;
+      for (const auto& [name, callee] : callees) out.push_back(callee);
     }
   }
 
   bool topoSort() {
     // DFS with cycle detection; emit callees before callers.
-    std::map<std::string, int> state;  // 0 unseen, 1 in progress, 2 done
+    std::map<const Procedure*, int> state;  // 0 unseen, 1 in progress, 2 done
     bool ok = true;
-    std::function<void(const std::string&)> dfs = [&](const std::string& name) {
-      int& st = state[name];
+    std::function<void(const Procedure&)> dfs = [&](const Procedure& p) {
+      int& st = state[&p];
       if (st == 2) return;
       if (st == 1) {
-        diags_.error({}, "recursive call cycle through '" + name + "' (unsupported)");
+        diags_.error({}, "recursive call cycle through '" + p.name + "' (unsupported)");
         ok = false;
         return;
       }
       st = 1;
-      for (const std::string& callee : edges_[name])
-        if (program_.findProcedure(callee)) dfs(callee);
+      for (const Procedure* callee : result_.procs.at(p.name).callees) dfs(*callee);
       st = 2;
-      if (const Procedure* p = program_.findProcedure(name))
-        result_.bottomUpOrder.push_back(p);
+      result_.bottomUpOrder.push_back(&p);
     };
-    for (Procedure& proc : program_.procedures) dfs(proc.name);
+    for (const Procedure& proc : program_.procedures) dfs(proc);
     return ok;
   }
 
   Program& program_;
   DiagnosticEngine& diags_;
   SemaResult result_;
-  std::map<std::string, std::set<std::string>> edges_;
   bool updateShapes_ = false;
 };
 

@@ -20,12 +20,13 @@
 //      carried state and the matched items' loop summaries, both by DO walk
 //      index
 //   8. analyzeProgramParallel over the dirty procedures' *unmatched* loops
-//      only (its call-graph waves find seeded procedures in the memo, and
+//      only (its summary tasks find seeded procedures in the memo, and
 //      seeded loops skip re-expansion); every other loop report comes from
 //      the unit cache
 //   9. unit table update — each procedure's memoized state moves back into
-//      its unit, the tables are adopted — then stats/metrics; the program,
-//      sema maps, graphs and analyzer go out of scope
+//      its unit, dirty units record sema's call edges as their deps, the
+//      tables are adopted — then stats/metrics; the program, sema maps,
+//      graphs and analyzer go out of scope
 #include "panorama/session/session.h"
 
 #include <sstream>
@@ -474,7 +475,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   }
 
   // 8. The batch scheduler over the dirty procedures' unmatched loops
-  // only: its call-graph waves find the clean procedures' summaries in the
+  // only: its summary tasks find the clean procedures' summaries in the
   // memo, so only the dirty cone does summary work.
   std::vector<LoopSite> items;
   for (const Procedure* proc : sema->bottomUpOrder) {
@@ -488,11 +489,10 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
 
   // 9. Rebuild the unit table: every unit takes its procedure's memoized
   // state back from the analyzer; dirty units take this epoch, fresh deps
-  // (SUM_call edges ∪ the items' resolved syntactic callees — seeded loops
-  // skip SUM_call, so the syntactic set keeps clean-item dependencies on
-  // record), and loop caches interleaving reused and fresh verdicts in walk
-  // order; clean units keep everything else. Item records are refreshed
-  // for every unit from this submit's detail.
+  // (sema's call edges, ProcSymbols::callees) and loop caches interleaving
+  // reused and fresh verdicts in walk order; clean units keep everything
+  // else. Item records are refreshed for every unit from this submit's
+  // detail.
   std::map<const Stmt*, const LoopAnalysis*> freshByStmt;
   for (std::size_t k = 0; k < items.size(); ++k) freshByStmt.emplace(items[k].loop, &dirtyLoops[k]);
 
@@ -514,7 +514,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
       u.loops = std::move(prevUnit.loops);
     } else {
       u.summaryEpoch = newEpoch;
-      u.deps = analyzer.callees(p);
+      for (const Procedure* callee : sema->of(p).callees) u.deps.insert(callee->name);
       const auto reused = reusedLoops.find(p.name);
       for (std::size_t k = 0; k < ni.dos.size(); ++k) {
         if (reused != reusedLoops.end()) {
@@ -531,11 +531,6 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
           ++freshHere;
         }
       }
-      // Syntactic resolved callees keep the unit-level dependency edges
-      // complete even where seeded loops skipped SUM_call.
-      if (!ni.fp.items.empty())
-        for (const std::string& callee : ni.fp.items.front().callees)
-          if (in.count(callee) && callee != p.name) u.deps.insert(callee);
     }
     // Item records for the next submit's matcher; loop ranges partition
     // the walk-order cache.

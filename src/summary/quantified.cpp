@@ -20,17 +20,9 @@ namespace panorama {
 
 namespace {
 
-/// Relation tags for ArrayPred keys; gt/ge/ne are carried by polarity.
+/// Relation tags for ArrayPred keys, in apKeys_ order (ap$lt, ap$le,
+/// ap$eq); gt/ge/ne are carried by polarity.
 enum class ApRel { Lt, Le, Eq };
-
-const char* apRelName(ApRel r) {
-  switch (r) {
-    case ApRel::Lt: return "ap$lt";
-    case ApRel::Le: return "ap$le";
-    case ApRel::Eq: return "ap$eq";
-  }
-  return "ap$?";
-}
 
 /// Drops every clause containing a quantified atom that `shouldTaint`
 /// accepts; sets Δ when anything was dropped.
@@ -111,7 +103,7 @@ Pred SummaryAnalyzer::lowerGuardQuantified(const Expr& e, const ProcSymbols& sym
             case BinOp::Eq: rel = ApRel::Eq; positive = true; break;
             default: rel = ApRel::Eq; positive = false; break;  // Ne
           }
-          VarId key = sema_->symbols.intern(apRelName(rel));
+          VarId key = apKeys_[static_cast<std::size_t>(rel)];
           return Pred::atom(Atom::arrayPred(AtomArrayRef{arrayId->value}, key, std::move(sub),
                                             std::move(other), positive));
         }

@@ -60,10 +60,6 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
     return out;
   }
 
-  // The caller's summary is about to fold in the callee's: record the
-  // dependency edge the incremental session keys invalidation on.
-  slotOf(*sym.proc).callees.insert(callee->name);
-
   const ProcSummary& cs = procSummary(*callee);
   const ProcSymbols& calleeSym = sema_->of(*callee);
 

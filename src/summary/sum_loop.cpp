@@ -191,7 +191,7 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumLoop(const HsgNode& n, const ProcS
   // over the prior/following iteration windows (step-aligned endpoints).
   // The expansion projects i' out, so it never reaches a summary, and every
   // re-summarization of this loop reuses the same i'.
-  VarId ii = sema_->symbols.primed(s.doVar);
+  VarId ii = loopAt_.at(&s).primed;
   GarList renamed = modI.substituted(*idxId, SymExpr::variable(ii));
   SymExpr I = SymExpr::variable(*idxId);
   ls.modBefore = expandByIndex(renamed, LoopBounds{ii, lo, I - st, st}, inLoop);

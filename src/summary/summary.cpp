@@ -11,22 +11,28 @@ namespace panorama {
 SummaryAnalyzer::SummaryAnalyzer(const Program& program, SemaResult& sema, const Hsg& hsg,
                                  AnalysisOptions options)
     : program_(&program), sema_(&sema), hsg_(&hsg), options_(options) {
-  // Activate (or deactivate) the ψ1 dimension symbol for this analyzer.
-  // VarIds are per-SymbolTable: each analyzer resolves its own binding from
-  // its kernel's symbol table and threads it through every CmpCtx and
-  // Gar::make call, so concurrent analyses of different kernels never share
-  // ψ state and the parallel driver needs no serialization.
-  psi_.dim1 = options_.quantified ? sema_->symbols.intern("psi$1") : VarId{};
+  // Every symbol analysis needs is interned here, so analysis only reads
+  // the table. The ψ1 dimension symbol and the ArrayPred relation keys:
+  // VarIds are per-SymbolTable, so each analyzer resolves its own binding
+  // from its kernel's table and threads it through every CmpCtx and
+  // Gar::make call; concurrent analyses of different kernels never share ψ
+  // state.
+  SymbolTable& symbols = sema_->symbols;
+  if (options_.quantified) {
+    psi_.dim1 = symbols.intern("psi$1");
+    apKeys_ = {symbols.intern("ap$lt"), symbols.intern("ap$le"), symbols.intern("ap$eq")};
+  }
   ctx_ = CmpCtx(ConstraintSet{}, psi_);
 
   // The whole memo's keys, up front: a slot per procedure and a loop entry
-  // per DO statement of its walk.
+  // per DO statement of its walk, with the index's primed copy.
   slots_.reserve(program.procedures.size());
   for (const Procedure& proc : program.procedures) {
     ProcSlot& slot = slots_[&proc];
     const std::vector<const Stmt*> walk = collectDoLoops(proc.body);
     slot.memo.loops.resize(walk.size());
-    for (std::uint32_t k = 0; k < walk.size(); ++k) loopAt_.emplace(walk[k], LoopAt{&slot, k});
+    for (std::uint32_t k = 0; k < walk.size(); ++k)
+      loopAt_.emplace(walk[k], LoopAt{&slot, k, symbols.primed(walk[k]->doVar)});
     if (!options_.symbolicAnalysis) {
       const ProcSymbols& sym = sema.of(proc);
       for (const Stmt* loop : walk)
@@ -167,8 +173,8 @@ void SummaryAnalyzer::collectAssignedScalars(const std::vector<const Stmt*>& stm
         if (!throughCalls) break;
         const Procedure* callee = program_->findProcedure(s.callee);
         if (!callee) break;
-        // The wave order summarizes a callee before its callers, so under
-        // the scheduler this reads a filled slot.
+        // The scheduler summarizes a callee before its callers, so under
+        // it this reads a filled slot.
         const std::vector<VarId>& calleeMods = procSummary(*callee).modifiedScalars;
         const ProcSymbols& calleeSym = sema_->of(*callee);
         for (VarId v : calleeMods) {
@@ -356,9 +362,9 @@ void SummaryAnalyzer::sumSegment(const HsgGraph& g, const ProcSymbols& sym, GarL
 const ProcSummary& SummaryAnalyzer::procSummary(const Procedure& proc) {
   ProcSlot& slot = slotOf(proc);
   if (slot.memo.summary) return *slot.memo.summary;
-  // Only proc's one writer gets here: the scheduler's wave order summarizes
-  // every callee first, so the recursive lookups below are read-only; a
-  // direct call outside the scheduler is plain memoization.
+  // Only proc's one writer gets here: the scheduler summarizes every callee
+  // first, so the recursive lookups below are read-only; a direct call
+  // outside the scheduler is plain memoization.
   obs::Span span("summary.proc", proc.name);
   const ProcSymbols& sym = sema_->of(proc);
   GarList mod;
@@ -410,10 +416,6 @@ void SummaryAnalyzer::seedProcedure(const Procedure& proc, ProcSnapshot snapshot
   ProcSlot& slot = slotOf(proc);
   snapshot.loops.resize(slot.memo.loops.size());
   slot.memo = std::move(snapshot);
-}
-
-const std::set<std::string>& SummaryAnalyzer::callees(const Procedure& proc) const {
-  return slotOf(proc).callees;
 }
 
 SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCondensed(const HsgNode& node, const ProcSymbols& sym) {

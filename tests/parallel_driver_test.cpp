@@ -1,7 +1,7 @@
 // Determinism guarantees of the parallel analysis driver and the query
 // memo cache:
 //   * an 8-thread corpus run produces results identical to the 1-thread
-//     run (the same wave schedule, run inline on the calling thread);
+//     run (the same task graph, run on the calling thread);
 //   * memoized verdicts equal cold (cache-disabled) verdicts no matter in
 //     which order the queries arrive;
 //   * a tiny cache capacity — constant eviction — never changes a verdict
@@ -10,13 +10,16 @@
 
 #include <algorithm>
 #include <latch>
+#include <map>
 #include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "panorama/analysis/driver.h"
+#include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
+#include "panorama/obs/trace.h"
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
@@ -327,14 +330,9 @@ TEST(ParallelDriverTest, ConcurrentInterningYieldsOneNodePerValue) {
   EXPECT_GT(atomTableStats().negations, 0u);
 }
 
-TEST(ParallelDriverTest, CallGraphWavesRespectCallDepth) {
-  // Waves from a real corpus kernel: each procedure's callees must sit in
-  // strictly earlier waves.
-  AnalysisOptions serial;
-  serial.numThreads = 1;
-  CorpusAnalysisResult run = analyzeCorpusParallel(serial);
-  ASSERT_FALSE(run.loops.empty());  // driver smoke check alongside the units
-
+TEST(ParallelDriverTest, SemaPublishesTheCallGraph) {
+  // The one call graph: each procedure's resolved callees, each once, in
+  // name order. The scheduler and the session both read these edges.
   DiagnosticEngine diags;
   auto p = parseProgram(R"(
       subroutine leaf(a, n)
@@ -349,14 +347,15 @@ TEST(ParallelDriverTest, CallGraphWavesRespectCallDepth) {
       real a(100)
       integer n
       call leaf(a, n)
+      call leaf(a, n)
       end
 
       program top
       real a(100)
       integer n
       n = 10
-      call leaf(a, n)
       call mid(a, n)
+      call leaf(a, n)
       end
   )",
                         diags);
@@ -364,14 +363,151 @@ TEST(ParallelDriverTest, CallGraphWavesRespectCallDepth) {
   auto sema = analyze(*p, diags);
   ASSERT_TRUE(sema.has_value()) << diags.str();
 
-  auto waves = callGraphWaves(*sema);
-  ASSERT_EQ(waves.size(), 3u);
-  ASSERT_EQ(waves[0].size(), 1u);
-  EXPECT_EQ(waves[0][0]->name, "leaf");
-  ASSERT_EQ(waves[1].size(), 1u);
-  EXPECT_EQ(waves[1][0]->name, "mid");
-  ASSERT_EQ(waves[2].size(), 1u);
-  EXPECT_EQ(waves[2][0]->name, "top");
+  auto calleeNames = [&](const char* name) {
+    std::vector<std::string> out;
+    for (const Procedure* callee : sema->of(*p->findProcedure(name)).callees)
+      out.push_back(callee->name);
+    return out;
+  };
+  EXPECT_TRUE(calleeNames("leaf").empty());
+  EXPECT_EQ(calleeNames("mid"), std::vector<std::string>{"leaf"});
+  EXPECT_EQ(calleeNames("top"), (std::vector<std::string>{"leaf", "mid"}));
+  for (const Procedure& proc : p->procedures)
+    for (const Procedure* callee : sema->of(proc).callees)
+      EXPECT_EQ(callee, p->findProcedure(callee->name)) << "edges point into the program";
+
+  std::vector<std::string> order;
+  for (const Procedure* proc : sema->bottomUpOrder) order.push_back(proc->name);
+  EXPECT_EQ(order, (std::vector<std::string>{"leaf", "mid", "top"}));
+}
+
+// A call diamond (top → l, r → base) plus a chain (top → c1 → c2 → c3),
+// with loops in every procedure.
+constexpr const char* kDiamondAndChain = R"(
+      subroutine base(a, n)
+      real a(100)
+      integer n, i
+      do i = 1, n
+        a(i) = 0.0
+      end do
+      end
+
+      subroutine l(a, n)
+      real a(100)
+      integer n, i
+      call base(a, n)
+      do i = 1, n
+        a(i) = a(i) + 1.0
+      end do
+      end
+
+      subroutine r(a, n)
+      real a(100)
+      integer n, i
+      do i = 1, n
+        a(i) = 2.0
+      end do
+      call base(a, n)
+      end
+
+      subroutine c3(b, n)
+      real b(100)
+      integer n, j
+      do j = 1, n
+        b(j) = 1.0
+      end do
+      end
+
+      subroutine c2(b, n)
+      real b(100)
+      integer n
+      call c3(b, n)
+      end
+
+      subroutine c1(b, n)
+      real b(100)
+      integer n, j
+      call c2(b, n)
+      do j = 2, n
+        b(j) = b(j - 1)
+      end do
+      end
+
+      program top
+      real a(100), b(100)
+      integer n, k
+      n = 50
+      call l(a, n)
+      call r(a, n)
+      call c1(b, n)
+      do k = 1, n
+        a(k) = b(k)
+      end do
+      end
+)";
+
+TEST(ParallelDriverTest, CallersSummarizeAfterTheirCallees) {
+  // The dependency schedule at 4 threads, read from the trace: every
+  // procedure is summarized exactly once, and a caller's summary starts
+  // only after each of its callees' summaries has ended.
+  obs::Tracer::global().disable();
+  obs::Tracer::global().clear();
+  DiagnosticEngine diags;
+  auto program = parseProgram(kDiamondAndChain, diags);
+  ASSERT_TRUE(program.has_value()) << diags.str();
+  AnalysisOptions options;
+  options.numThreads = 4;
+  ThreadPool pool(4);
+  obs::Tracer::global().enable();
+  ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), options, pool);
+  obs::Tracer::global().disable();
+  ASSERT_TRUE(pa.ok) << pa.error;
+  EXPECT_EQ(pa.loops.size(), 6u);
+
+  std::map<std::string, std::vector<obs::TraceEvent>> spans;
+  for (obs::TraceEvent& e : obs::Tracer::global().snapshot())
+    if (std::string_view(e.category) == "summary.proc") spans[e.name].push_back(std::move(e));
+  obs::Tracer::global().clear();
+  ASSERT_EQ(spans.size(), pa.program.procedures.size());
+  for (const auto& [name, list] : spans) EXPECT_EQ(list.size(), 1u) << name;
+
+  for (const Procedure& proc : pa.program.procedures) {
+    const obs::TraceEvent& caller = spans.at(proc.name).front();
+    for (const Procedure* callee : pa.sema.of(proc).callees) {
+      const obs::TraceEvent& done = spans.at(callee->name).front();
+      EXPECT_GE(caller.startNs, done.startNs + done.durNs) << proc.name << " after " << callee->name;
+    }
+  }
+}
+
+TEST(ParallelDriverTest, AnalysisLeavesTheSymbolTableFrozen) {
+  // The analyzer's constructor interns every symbol analysis needs (each
+  // DO index's primed copy, ψ1, the quantified relation keys), so the
+  // analysis itself, at 4 threads, only reads the table: on every corpus
+  // kernel, and with the ArrayPred atoms of MDG interf under quantified.
+  std::vector<std::string> sources{kDiamondAndChain};
+  for (const CorpusLoop& kernel : perfectCorpus()) sources.push_back(kernel.source);
+  ThreadPool pool(4);
+  for (bool quantified : {false, true}) {
+    for (const std::string& source : sources) {
+      DiagnosticEngine diags;
+      auto program = parseProgram(source, diags);
+      ASSERT_TRUE(program.has_value()) << diags.str();
+      auto sema = analyze(*program, diags);
+      ASSERT_TRUE(sema.has_value()) << diags.str();
+      Hsg hsg = buildHsg(*program, diags);
+      AnalysisOptions options;
+      options.quantified = quantified;
+      SummaryAnalyzer analyzer(*program, *sema, hsg, options);
+      const std::size_t frozen = sema->symbols.size();
+      std::vector<LoopSite> loops;
+      for (const Procedure* proc : sema->bottomUpOrder)
+        for (const Stmt* loop : collectDoLoops(proc->body)) loops.push_back({loop, proc});
+      std::vector<LoopAnalysis> out = analyzeProgramParallel(analyzer, pool, loops);
+      EXPECT_EQ(out.size(), loops.size());
+      EXPECT_EQ(sema->symbols.size(), frozen) << "quantified=" << quantified;
+    }
+  }
 }
 
 }  // namespace

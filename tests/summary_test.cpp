@@ -386,7 +386,7 @@ TEST(SummaryTest, NonInterproceduralDegradesToOmega) {
 }
 
 TEST(SummaryTest, DirectProcSummaryFoldsEachCalleeOnce) {
-  // Outside the wave scheduler procSummary summarizes callees on demand.
+  // Outside the scheduler procSummary summarizes callees on demand.
   // Without SUM_call a call still kills the scalars its callee may write,
   // which the caller reads from the callee's memoized summary: every
   // procedure of this diamond-shaped call DAG is folded once, as the
