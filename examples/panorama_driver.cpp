@@ -14,7 +14,7 @@
 //                                         what the dirty cone recomputed
 //   flags: --no-symbolic --no-if-conditions --no-interprocedural
 //          --quantified --summaries --hsg
-//          --threads=N --cache-capacity=N --no-cache --no-prefilter --stats
+//          --threads=N --no-cache --no-prefilter --stats
 //   observability: --trace=FILE  (Chrome trace-event JSON, chrome://tracing)
 //                  --metrics=FILE (unified metrics-registry JSON dump)
 //                  --profile=FILE (hierarchical cost profile, DESIGN.md §4.5)
@@ -79,13 +79,12 @@ int usage() {
                "flags: --no-symbolic --no-if-conditions --no-interprocedural\n"
                "       --no-prefilter (FM-only queries in every mode: disable the query tier)\n"
                "       --quantified --summaries --hsg --annotate\n"
-               "       --threads=N (0 = all cores) --cache-capacity=N --no-cache --stats\n"
+               "       --threads=N (0 = all cores) --no-cache --stats\n"
                "       --trace=FILE --metrics=FILE --profile=FILE --dump-ir=FILE --explain\n"
                "service: --daemon=SOCKET (serve clients; see panorama_client)\n"
                "         --slow-ms=N (slow-request event threshold, default 500)\n"
                "         --telemetry-interval=MS (periodic self-snapshot events; 0 = off)\n"
                "         --event-log=FILE (dump the daemon event log as JSONL)\n"
-               "         --no-telemetry (disable the daemon telemetry plane)\n"
                "         --save-session=FILE --load-session=FILE (session snapshots)\n"
                "inputs ending in .cl/.clike parse through the C-like frontend\n");
   return 2;
@@ -318,8 +317,6 @@ int main(int argc, char** argv) {
       annotateOutput = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!parseCountFlag(arg, "--threads=", options.numThreads)) return 2;
-    } else if (arg.rfind("--cache-capacity=", 0) == 0) {
-      if (!parseCountFlag(arg, "--cache-capacity=", memoCapacity)) return 2;
     } else if (arg.rfind("--reanalyze=", 0) == 0) {
       reanalyzePath = std::string(arg.substr(12));
       if (reanalyzePath.empty()) {
@@ -345,9 +342,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--event-log needs a file argument\n");
         return 2;
       }
-      sawTelemetryFlag = true;
-    } else if (arg == "--no-telemetry") {
-      daemonConfig.telemetry = false;
       sawTelemetryFlag = true;
     } else if (arg.rfind("--save-session=", 0) == 0) {
       saveSessionPath = std::string(arg.substr(15));
@@ -416,7 +410,7 @@ int main(int argc, char** argv) {
 
   if (daemonSocket.empty() && sawTelemetryFlag) {
     std::fprintf(stderr,
-                 "--slow-ms/--telemetry-interval/--event-log/--no-telemetry need --daemon\n");
+                 "--slow-ms/--telemetry-interval/--event-log need --daemon\n");
     return 2;
   }
 
@@ -473,6 +467,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: analysis failed\n%s", inputName.c_str(), result.error.c_str());
       return 1;
     }
+    publishSessionMetrics(result.stats);
     std::printf("%s: %zu loop(s)\n\n", inputName.c_str(), result.loops.size());
     for (const SessionLoopResult& r : result.loops) {
       std::printf("%s", r.report.c_str());
@@ -543,6 +538,7 @@ int main(int argc, char** argv) {
                    warm.error.c_str());
       return 1;
     }
+    publishSessionMetrics(warm.stats);
     std::printf("%s: %zu loop(s) after re-analysis of %s\n\n", inputName.c_str(),
                 warm.loops.size(), reanalyzePath.c_str());
     for (const SessionLoopResult& r : warm.loops) {

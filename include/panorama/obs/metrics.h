@@ -1,13 +1,14 @@
 // Unified metrics registry (panorama::obs pillar 2).
 //
 // Named counters and histograms with stable addresses: call sites resolve a
-// metric once (mutex-guarded map lookup) and then update it with plain
-// atomics. The registry absorbs the pre-existing ad-hoc stats structs —
-// SummaryStats, QueryCache::Stats, the simplify memo — at the reporting
-// boundary (publishCorpusMetrics in the analysis layer) and renders them
-// through one machine-readable JSON dump plus the shared text renderers
-// below, which replace the three near-identical formatting blocks the
-// report layer and panorama_driver --stats used to duplicate.
+// metric once (mutex-guarded map lookup) and then update it in place — a
+// counter with one relaxed atomic, a histogram under its own mutex. The
+// registry absorbs the pre-existing ad-hoc stats structs — SummaryStats,
+// QueryCache::Stats, the simplify memo — at the reporting boundary
+// (publishCorpusMetrics in the analysis layer) and renders them through one
+// machine-readable JSON dump plus the shared text renderers below, which
+// replace the three near-identical formatting blocks the report layer and
+// panorama_driver --stats used to duplicate.
 #pragma once
 
 #include <array>
@@ -35,7 +36,9 @@ class Counter {
 
 /// A log2-bucketed histogram of non-negative integer samples (durations,
 /// list lengths). Bucket b counts samples with bit_width(v) == b, so bucket
-/// boundaries are powers of two; count/sum/min/max are exact.
+/// boundaries are powers of two; count/sum/min/max are exact. One mutex
+/// guards the whole state, so a snapshot is always one consistent moment:
+/// its buckets sum to its count.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
@@ -55,11 +58,8 @@ class Histogram {
   void reset();
 
  private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> min_{~0ull};
-  std::atomic<std::uint64_t> max_{0};
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  mutable std::mutex mutex_;
+  Snapshot state_;
 };
 
 /// The process-global name → metric map. Lookups intern the name; the

@@ -2,29 +2,21 @@
 // bounded structured event log behind the daemon's `tail` op, its JSONL
 // post-mortem sink, and the periodic self-snapshot records.
 //
-// The EventLog is a fixed-capacity ring of immutable, pre-rendered JSON
-// records. An append claims a sequence number with one atomic fetch-add,
-// renders its record outside any critical section, and publishes the
-// shared-pointer into its slot under a per-slot acquire/release latch whose
-// held window is exactly one pointer move — appenders to different slots
-// never touch the same latch, and a reader holds a snapshot reference to
-// every record it returns, so an append that laps the ring while a `tail`
-// is in flight can never free a record out from under it. (The latch is
-// hand-rolled rather than std::atomic<shared_ptr> because libstdc++'s
-// _Sp_atomic unlocks with a relaxed RMW, which TSan's happens-before
-// engine cannot pair with the next lock — a known false positive this
-// ring must stay clean of.) When the ring wraps, the oldest records are
-// overwritten: the log is a flight recorder, not a queue, and consumers
-// that fall behind observe an explicit `dropped` count instead of
-// backpressure.
+// The EventLog is a fixed-capacity ring of pre-rendered JSON records under
+// one mutex. An append takes the lock, numbers the record, and renders it
+// into its ring slot; a tail takes the same lock and copies the records it
+// returns. The daemon appends two records per submit and none for most
+// other requests, so the lock is rarely contended, and a reader never sees
+// a half-written record.
+// When the ring wraps, the oldest records are overwritten: the log is a
+// flight recorder, not a queue, and consumers that fall behind observe an
+// explicit `dropped` count instead of backpressure.
 //
 // Readers are cursor-based: a cursor is the next sequence number the caller
 // has not seen, `tail(cursor, max)` returns records in sequence order
 // starting there, and the returned `nextCursor` feeds the next call. Records
 // overwritten before the reader arrived are counted as dropped (the cursor
-// skips them); a record whose writer claimed a slot but has not yet
-// published stops the scan, so a tail never returns events out of order and
-// never returns a gap it did not report.
+// skips them), so a tail never returns a gap it did not report.
 //
 // Every record is one JSON object, rendered at append time:
 //   {"seq":N,"ts_ms":T,"kind":"...", <event fields>}
@@ -33,9 +25,8 @@
 // `--event-log=FILE` sink writes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,13 +66,13 @@ class EventLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
 
-  /// `capacity` is rounded up to a power of two (minimum 2).
+  /// Keeps the last `capacity` records (minimum 1).
   explicit EventLog(std::size_t capacity = kDefaultCapacity);
 
   /// Appends one event and returns its sequence number. `fields` is an
   /// EventFields::take() suffix (or empty). Safe from any thread,
   /// concurrently with tail().
-  std::uint64_t append(EventKind kind, std::string fields = {});
+  std::uint64_t append(EventKind kind, std::string_view fields = {});
 
   struct Tail {
     std::vector<std::string> events;  ///< rendered records, sequence order
@@ -93,31 +84,20 @@ class EventLog {
 
   /// Total records ever appended — also the cursor value that reads only
   /// records appended after this call.
-  std::uint64_t appended() const { return head_.load(std::memory_order_acquire); }
-  std::size_t capacity() const { return capacity_; }
+  std::uint64_t appended() const;
+  std::size_t capacity() const { return ring_.size(); }
 
   /// Milliseconds since construction — the clock behind every ts_ms field.
   double uptimeMs() const;
 
  private:
-  struct Rec {
-    std::uint64_t seq = 0;
-    std::string json;
-  };
-
-  /// One ring slot: the record pointer, guarded by a one-word spin latch
-  /// (exchange-acquire to take, store-release to drop) held only for the
-  /// pointer move/copy itself.
-  struct Slot {
-    mutable std::atomic<bool> busy{false};
-    std::shared_ptr<const Rec> rec;
-  };
-
-  std::size_t capacity_;  ///< power of two
-  std::size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
-  std::int64_t epochNs_;  ///< steady_clock at construction
+  const std::int64_t epochNs_;  ///< steady_clock at construction
+  mutable std::mutex mutex_;
+  /// Record `seq` lives in ring_[seq % capacity] until it is overwritten;
+  /// slots keep their string buffers, so a full ring appends without
+  /// allocating.
+  std::vector<std::string> ring_;
+  std::uint64_t appended_ = 0;  ///< the next record's sequence number
 };
 
 }  // namespace panorama::obs

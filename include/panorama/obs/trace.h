@@ -9,13 +9,11 @@
 //     branch, its destructor one branch. No allocation, no clock read, no
 //     buffer touch. bench_obs_overhead asserts the end-to-end cost stays
 //     within the 2% contract documented in DESIGN.md.
-//   * Safe under the thread pool. Each thread appends to its own
-//     chunked buffer: slots inside a chunk are written once and then
-//     published by a release store of the chunk's count, chunks never move
-//     once allocated, and the chunk list grows under a mutex taken only on
-//     chunk allocation (every kChunkSize events) and by readers. Appends on
-//     the hot path are therefore lock-free, and snapshot()/writeChromeTrace()
-//     may run concurrently with active spans (they observe a prefix).
+//   * Safe under the thread pool. Each thread appends to its own buffer,
+//     a deque under a mutex that only that thread's appends and the
+//     readers take, so appends on different threads never contend, and
+//     snapshot()/writeChromeTrace() may run concurrently with active spans
+//     (they observe a prefix of each thread's events).
 //
 // The export format is Chrome trace-event JSON ("X" complete events), so a
 // corpus run opens directly in chrome://tracing or Perfetto.
@@ -33,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,7 +67,7 @@ class Tracer {
   /// re-register lazily on their next span). Quiescent use only.
   void clear();
 
-  /// Merged copy of every published event, ordered by (tid, start time).
+  /// Merged copy of every recorded event, ordered by (tid, start time).
   std::vector<TraceEvent> snapshot() const;
   std::size_t eventCount() const;
 
@@ -79,20 +78,13 @@ class Tracer {
 
   // ----- internal, used by Span (public for the white-box tests) -----
 
-  static constexpr std::size_t kChunkSize = 512;
-
-  struct Chunk {
-    std::atomic<std::size_t> count{0};  ///< published slots; release/acquire
-    TraceEvent events[kChunkSize];
-  };
-
   /// One thread's event stream. Owned jointly by the registering thread
   /// (thread_local shared_ptr) and the Tracer, so neither thread exit nor
   /// clear() can dangle the other side.
   struct ThreadBuffer {
     std::uint32_t tid = 0;
-    mutable std::mutex chunksMutex;  ///< guards the chunk *list*, not slots
-    std::vector<std::unique_ptr<Chunk>> chunks;
+    mutable std::mutex mutex;  ///< guards events: the owner's appends, readers
+    std::deque<TraceEvent> events;
 
     void append(TraceEvent ev);
   };

@@ -49,7 +49,6 @@
 // are cached headerless (reportTail) and the header is composed at emission.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -140,9 +139,10 @@ class AnalysisSession {
   const SessionStats& lastStats() const { return lastStats_; }
 
   /// A point-in-time sample of the session's serving state — the daemon's
-  /// `status` op reads every live session through this. Served from atomic
-  /// mirrors published at the end of each mutating call, never from the
-  /// session mutex, so sampling cannot block behind an in-flight submit.
+  /// `status` op reads every live session through this. Served from a copy
+  /// that each mutating call publishes on exit under its own small mutex,
+  /// never from the session mutex, so sampling cannot block behind an
+  /// in-flight submit.
   struct Status {
     std::uint64_t epoch = 0;
     std::size_t units = 0;        ///< cached procedure units
@@ -223,7 +223,7 @@ class AnalysisSession {
   /// guarantees identical results at every thread count).
   static std::uint64_t optionsKey(const AnalysisOptions& options);
 
-  /// Copies epoch_/units_/live_/fileSkips_ into the status mirrors; called
+  /// Copies epoch_/units_/symbols_/live_/fileSkips_ into status_; called
   /// (holding mutex_) at the end of every mutating entry point.
   void publishStatusLocked();
 
@@ -283,17 +283,15 @@ class AnalysisSession {
   bool hasSourceHash_ = false;
   std::uint64_t fileSkips_ = 0;
 
-  /// status() mirrors (see Status).
-  std::atomic<std::uint64_t> statusEpoch_{0};
-  std::atomic<std::size_t> statusUnits_{0};
-  std::atomic<std::size_t> statusSymbols_{0};
-  std::atomic<bool> statusLive_{false};
-  std::atomic<std::uint64_t> statusFileSkips_{0};
-
+  /// What status() returns; guarded by statusMutex_ alone.
+  mutable std::mutex statusMutex_;
+  Status status_;
 };
 
-/// Publishes the submit's counters as `session.*` metrics in the global
-/// registry (dirty-cone size, summaries reused vs recomputed, ...).
+/// Publishes a submit's counters as `session.*` metrics in the global
+/// registry (dirty-cone size, summaries reused vs recomputed, ...). Sessions
+/// never call it: the registry is process-wide, so only a caller that owns
+/// its process (panorama_driver's session modes) publishes its one session.
 void publishSessionMetrics(const SessionStats& stats);
 
 /// Human-readable stats block for panorama_driver --reanalyze --stats.

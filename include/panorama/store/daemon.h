@@ -26,12 +26,14 @@
 //   status  — one JSON object: uptime, connection counts, request/submit/
 //             error/slow totals, pool queue depth, arena occupancy, cache
 //             hit rates, and one row per live named session (epoch, cached
-//             units, file skips).
+//             units, file skips). These totals are this daemon's own and
+//             are counted nowhere else.
 //   metrics — the full MetricsRegistry dump (counters + histograms with
 //             p50/p95/p99), including the per-op rolling latency
 //             histograms daemon.op.<op>.{wall_us,queue_us,handle_us} —
 //             wall split into queue-wait (parse + session-gate wait) and
-//             handle time.
+//             handle time. Sessions write nothing into the registry, so
+//             the dump holds no per-session counters.
 //   tail    — cursor-based incremental reads of the structured event log
 //             (obs/telemetry.h): conn open/close, submit begin/end with
 //             session + epoch + dirty-cone size, errors, slow requests,
@@ -75,12 +77,9 @@ namespace panorama::store {
 
 /// Telemetry knobs, all optional — the default-constructed config records
 /// per-op latency and events in memory with no file sink and no snapshot
-/// thread.
+/// thread. Every daemon runs the same request path: there is no switch that
+/// turns the telemetry plane off.
 struct DaemonConfig {
-  /// Master switch for the whole plane: per-op histograms, event-log
-  /// appends, slow-request detection. Off = the PR-8 daemon's exact
-  /// request path (the overhead bench's baseline).
-  bool telemetry = true;
   /// Requests whose wall time reaches this many milliseconds emit a
   /// slow_request event. 0 records every request (useful in tests).
   std::size_t slowMs = 500;
@@ -90,8 +89,6 @@ struct DaemonConfig {
   /// When set, the telemetry thread drains the event log to this file as
   /// JSONL (one event per line) and flushes the remainder at shutdown.
   std::string eventLogPath;
-  /// Ring capacity of the in-memory event log (rounded up to a power of 2).
-  std::size_t eventLogCapacity = obs::EventLog::kDefaultCapacity;
 };
 
 class Daemon {
@@ -146,8 +143,9 @@ class Daemon {
   void acceptLoop();
   void handleClient(int fd, std::uint64_t clientId);
   /// Parses and dispatches one framed request, then records per-op latency
-  /// histograms, error/slow events, and counters. Sets `shutdownRequested`
-  /// on a shutdown op (the ack is still sent before the daemon stops).
+  /// histograms, error/slow events, and the status totals. Sets
+  /// `shutdownRequested` on a shutdown op (the ack is still sent before the
+  /// daemon stops).
   std::string handleRequest(const std::string& payload, Gated& local, std::uint64_t clientId,
                             bool& shutdownRequested);
   /// The op switch proper; fills `info` for handleRequest's epilogue.

@@ -177,8 +177,8 @@ class ShardedMemo {
 /// The process-wide verdict cache every analysis thread shares. Its
 /// capacity is the process memo capacity: it also bounds (and at 0 turns
 /// off) the simplify and substitute memos. Whoever owns the process sets it
-/// once — panorama_driver from `--cache-capacity`/`--no-cache`, tests that
-/// need an uncached reference — and sessions never touch it.
+/// once — panorama_driver from `--no-cache`, tests that need an uncached
+/// reference — and sessions never touch it.
 class QueryCache {
  public:
   /// Namespaces for the memoized query families. Every key starts with its

@@ -8,37 +8,24 @@
 namespace panorama::obs {
 
 void Histogram::observe(std::uint64_t v) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  std::uint64_t cur = min_.load(std::memory_order_relaxed);
-  while (v < cur && !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-  cur = max_.load(std::memory_order_relaxed);
-  while (v > cur && !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
   // bit_width(v) is 64 for v >= 2^63; fold that edge into the last bucket.
   const std::size_t b = std::bit_width(v);
-  buckets_[b < kBuckets ? b : kBuckets - 1].fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (state_.count == 0 || v < state_.min) state_.min = v;
+  if (v > state_.max) state_.max = v;
+  ++state_.count;
+  state_.sum += v;
+  ++state_.buckets[b < kBuckets ? b : kBuckets - 1];
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
-  Snapshot s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = sum_.load(std::memory_order_relaxed);
-  std::uint64_t mn = min_.load(std::memory_order_relaxed);
-  s.min = mn == ~0ull ? 0 : mn;
-  s.max = max_.load(std::memory_order_relaxed);
-  for (std::size_t b = 0; b < kBuckets; ++b)
-    s.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(mutex_);
+  return state_;
 }
 
 void Histogram::reset() {
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(~0ull, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  state_ = Snapshot{};
 }
 
 MetricsRegistry& MetricsRegistry::global() {

@@ -1,4 +1,4 @@
-// Tracer implementation: per-thread chunked buffers and the Chrome
+// Tracer implementation: per-thread locked buffers and the Chrome
 // trace-event JSON exporter (see trace.h for the concurrency contract).
 #include "panorama/obs/trace.h"
 
@@ -43,19 +43,9 @@ void Tracer::clear() {
 std::int64_t Tracer::nowNs() const { return steadyNs() - epochNs_; }
 
 void Tracer::ThreadBuffer::append(TraceEvent ev) {
-  Chunk* chunk = nullptr;
-  {
-    // The list is only ever grown by this (owning) thread; the lock protects
-    // concurrent readers of the vector, not the slots.
-    std::lock_guard<std::mutex> lock(chunksMutex);
-    if (chunks.empty() || chunks.back()->count.load(std::memory_order_relaxed) == kChunkSize)
-      chunks.push_back(std::make_unique<Chunk>());
-    chunk = chunks.back().get();
-  }
-  std::size_t slot = chunk->count.load(std::memory_order_relaxed);
   ev.tid = tid;
-  chunk->events[slot] = std::move(ev);
-  chunk->count.store(slot + 1, std::memory_order_release);  // publish
+  std::lock_guard<std::mutex> lock(mutex);
+  events.push_back(std::move(ev));
 }
 
 Tracer::ThreadBuffer& Tracer::localBuffer() {
@@ -84,16 +74,8 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   }
   std::vector<TraceEvent> out;
   for (const auto& buffer : buffers) {
-    std::vector<Chunk*> chunks;
-    {
-      std::lock_guard<std::mutex> lock(buffer->chunksMutex);
-      chunks.reserve(buffer->chunks.size());
-      for (const auto& c : buffer->chunks) chunks.push_back(c.get());
-    }
-    for (Chunk* chunk : chunks) {
-      std::size_t n = chunk->count.load(std::memory_order_acquire);
-      for (std::size_t k = 0; k < n; ++k) out.push_back(chunk->events[k]);
-    }
+    std::lock_guard<std::mutex> lock(buffer->mutex);
+    out.insert(out.end(), buffer->events.begin(), buffer->events.end());
   }
   std::stable_sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {
     return a.tid != b.tid ? a.tid < b.tid : a.startNs < b.startNs;
@@ -105,8 +87,8 @@ std::size_t Tracer::eventCount() const {
   std::size_t n = 0;
   std::lock_guard<std::mutex> lock(buffersMutex_);
   for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> chunkLock(buffer->chunksMutex);
-    for (const auto& chunk : buffer->chunks) n += chunk->count.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> eventsLock(buffer->mutex);
+    n += buffer->events.size();
   }
   return n;
 }

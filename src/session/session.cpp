@@ -25,8 +25,8 @@
 //      the unit cache
 //   9. unit table update — each procedure's memoized state moves back into
 //      its unit, dirty units record sema's call edges as their deps, the
-//      tables are adopted — then stats/metrics; the program, sema maps,
-//      graphs and analyzer go out of scope
+//      tables are adopted — then stats; the program, sema maps, graphs and
+//      analyzer go out of scope
 #include "panorama/session/session.h"
 
 #include <sstream>
@@ -92,21 +92,14 @@ std::uint64_t AnalysisSession::summaryEpochOf(const std::string& name) const {
 }
 
 void AnalysisSession::publishStatusLocked() {
-  statusEpoch_.store(epoch_, std::memory_order_relaxed);
-  statusUnits_.store(units_.size(), std::memory_order_relaxed);
-  statusSymbols_.store(symbols_.size(), std::memory_order_relaxed);
-  statusLive_.store(live_, std::memory_order_relaxed);
-  statusFileSkips_.store(fileSkips_, std::memory_order_relaxed);
+  const Status s{epoch_, units_.size(), symbols_.size(), live_, fileSkips_};
+  std::lock_guard<std::mutex> lock(statusMutex_);
+  status_ = s;
 }
 
 AnalysisSession::Status AnalysisSession::status() const {
-  Status s;
-  s.epoch = statusEpoch_.load(std::memory_order_relaxed);
-  s.units = statusUnits_.load(std::memory_order_relaxed);
-  s.symbols = statusSymbols_.load(std::memory_order_relaxed);
-  s.live = statusLive_.load(std::memory_order_relaxed);
-  s.fileSkips = statusFileSkips_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(statusMutex_);
+  return status_;
 }
 
 std::string AnalysisSession::composeLoopReport(const CachedLoop& cl) {
@@ -200,7 +193,6 @@ SessionResult AnalysisSession::fileSkipLocked() {
   out.ok = true;
   out.stats = stats;
   lastStats_ = stats;
-  publishSessionMetrics(stats);
   if (span.active()) {
     span.arg("epoch", std::to_string(stats.epoch));
     span.arg("skips", std::to_string(fileSkips_));
@@ -591,7 +583,6 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   out.ok = true;
   out.stats = stats;
   lastStats_ = stats;
-  publishSessionMetrics(stats);
   if (span.active()) {
     span.arg("epoch", std::to_string(stats.epoch));
     span.arg("dirty", std::to_string(stats.dirty));

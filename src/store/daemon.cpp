@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 
 #include "panorama/obs/metrics.h"
 #include "panorama/obs/trace.h"
@@ -31,8 +32,9 @@ std::uint64_t usSince(Clock::time_point t0) {
 }
 
 /// Echo the id the way the client sent it: numbers verbatim (integral
-/// doubles without an exponent), strings as JSON strings, anything else —
-/// including an absent id — as 0.
+/// doubles inside long long's range without an exponent), strings as JSON
+/// strings, anything else — including an absent id — as 0. The parser
+/// rejects numbers that overflow a double, so `v` is finite.
 std::string renderId(const JsonValue* id) {
   if (id && id->isString()) {
     std::string out = "\"";
@@ -41,8 +43,10 @@ std::string renderId(const JsonValue* id) {
     return out;
   }
   const double v = (id && id->isNumber()) ? id->asNumber() : 0.0;
-  const long long n = static_cast<long long>(v);
-  if (static_cast<double>(n) == v) return std::to_string(n);
+  if (v >= -0x1p63 && v < 0x1p63) {
+    const long long n = static_cast<long long>(v);
+    if (static_cast<double>(n) == v) return std::to_string(n);
+  }
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
@@ -85,8 +89,7 @@ Daemon::Daemon(std::string socketPath, AnalysisOptions options, DaemonConfig con
     : socketPath_(std::move(socketPath)),
       options_(options),
       config_(std::move(config)),
-      pool_(options_.numThreads),
-      eventLog_(config_.eventLogCapacity) {}
+      pool_(options_.numThreads) {}
 
 Daemon::~Daemon() {
   stop();
@@ -110,7 +113,7 @@ bool Daemon::start(std::string& error) {
     return false;
   }
   acceptThread_ = std::thread(&Daemon::acceptLoop, this);
-  if (config_.telemetry && (config_.telemetryIntervalMs > 0 || eventLogFile_))
+  if (config_.telemetryIntervalMs > 0 || eventLogFile_)
     telemetryThread_ = std::thread(&Daemon::telemetryLoop, this);
   return true;
 }
@@ -130,7 +133,6 @@ void Daemon::acceptLoop() {
         break;
       }
       clientFds_.push_back(fd);
-      obs::MetricsRegistry::global().counter("daemon.clients").add(1);
       const std::uint64_t clientId = nextClientId_.fetch_add(1, std::memory_order_relaxed);
       activeConnections_.fetch_add(1, std::memory_order_relaxed);
       totalConnections_.fetch_add(1, std::memory_order_relaxed);
@@ -150,9 +152,7 @@ void Daemon::acceptLoop() {
 }
 
 void Daemon::handleClient(int fd, std::uint64_t clientId) {
-  if (config_.telemetry)
-    eventLog_.append(obs::EventKind::ConnOpen,
-                     obs::EventFields().num("client", clientId).take());
+  eventLog_.append(obs::EventKind::ConnOpen, obs::EventFields().num("client", clientId).take());
   // One session per connection: client-local incremental state on top of
   // the shared arenas/caches/pool.
   Gated local(options_, &pool_);
@@ -164,11 +164,10 @@ void Daemon::handleClient(int fd, std::uint64_t clientId) {
       // The payload was drained, so the stream is still framed: answer with
       // a structured error and keep serving this connection.
       errors_.fetch_add(1, std::memory_order_relaxed);
-      if (config_.telemetry)
-        eventLog_.append(obs::EventKind::Error, obs::EventFields()
-                                                    .num("client", clientId)
-                                                    .str("message", frameError)
-                                                    .take());
+      eventLog_.append(obs::EventKind::Error, obs::EventFields()
+                                                  .num("client", clientId)
+                                                  .str("message", frameError)
+                                                  .take());
       if (!writeFrame(fd, errorResponse("0", frameError))) break;
       continue;
     }
@@ -185,9 +184,7 @@ void Daemon::handleClient(int fd, std::uint64_t clientId) {
       break;
     }
   }
-  if (config_.telemetry)
-    eventLog_.append(obs::EventKind::ConnClose,
-                     obs::EventFields().num("client", clientId).take());
+  eventLog_.append(obs::EventKind::ConnClose, obs::EventFields().num("client", clientId).take());
   std::lock_guard<std::mutex> lock(mutex_);
   clientFds_.erase(std::remove(clientFds_.begin(), clientFds_.end(), fd), clientFds_.end());
   ::close(fd);
@@ -204,7 +201,6 @@ void Daemon::handleClient(int fd, std::uint64_t clientId) {
 std::string Daemon::handleRequest(const std::string& payload, Gated& local,
                                   std::uint64_t clientId, bool& shutdownRequested) {
   obs::Span span("daemon", "daemon.request");
-  obs::MetricsRegistry::global().counter("daemon.requests").add(1);
   requests_.fetch_add(1, std::memory_order_relaxed);
 
   const Clock::time_point t0 = Clock::now();
@@ -222,33 +218,31 @@ std::string Daemon::handleRequest(const std::string& payload, Gated& local,
     response = dispatch(*req, id, local, clientId, shutdownRequested, info);
   }
 
-  if (!info.error.empty()) errors_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.telemetry) {
-    if (!info.error.empty())
-      eventLog_.append(obs::EventKind::Error, obs::EventFields()
-                                                  .num("client", clientId)
-                                                  .str("op", info.op)
-                                                  .str("message", info.error)
-                                                  .take());
-    // Wall time splits into queue-wait (parse + session-gate wait: time the
-    // request spent *waiting* to be worked on) and handle time (the rest).
-    const std::uint64_t wallUs = usSince(t0);
-    const std::uint64_t queueUs = parseUs + info.gateWaitUs;
-    const std::uint64_t handleUs = wallUs > queueUs ? wallUs - queueUs : 0;
-    auto& registry = obs::MetricsRegistry::global();
-    const std::string prefix = std::string("daemon.op.") + info.op;
-    registry.histogram(prefix + ".wall_us").observe(wallUs);
-    registry.histogram(prefix + ".queue_us").observe(queueUs);
-    registry.histogram(prefix + ".handle_us").observe(handleUs);
-    if (wallUs / 1000 >= config_.slowMs) {
-      slowRequests_.fetch_add(1, std::memory_order_relaxed);
-      registry.counter("daemon.slow_requests").add(1);
-      eventLog_.append(obs::EventKind::SlowRequest, obs::EventFields()
-                                                        .num("client", clientId)
-                                                        .str("op", info.op)
-                                                        .real("wall_ms", wallUs / 1000.0)
-                                                        .take());
-    }
+  if (!info.error.empty()) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    eventLog_.append(obs::EventKind::Error, obs::EventFields()
+                                                .num("client", clientId)
+                                                .str("op", info.op)
+                                                .str("message", info.error)
+                                                .take());
+  }
+  // Wall time splits into queue-wait (parse + session-gate wait: time the
+  // request spent *waiting* to be worked on) and handle time (the rest).
+  const std::uint64_t wallUs = usSince(t0);
+  const std::uint64_t queueUs = parseUs + info.gateWaitUs;
+  const std::uint64_t handleUs = wallUs > queueUs ? wallUs - queueUs : 0;
+  auto& registry = obs::MetricsRegistry::global();
+  const std::string prefix = std::string("daemon.op.") + info.op;
+  registry.histogram(prefix + ".wall_us").observe(wallUs);
+  registry.histogram(prefix + ".queue_us").observe(queueUs);
+  registry.histogram(prefix + ".handle_us").observe(handleUs);
+  if (wallUs / 1000 >= config_.slowMs) {
+    slowRequests_.fetch_add(1, std::memory_order_relaxed);
+    eventLog_.append(obs::EventKind::SlowRequest, obs::EventFields()
+                                                      .num("client", clientId)
+                                                      .str("op", info.op)
+                                                      .real("wall_ms", wallUs / 1000.0)
+                                                      .take());
   }
   return response;
 }
@@ -280,16 +274,19 @@ std::string Daemon::dispatch(const JsonValue& req, const std::string& id, Gated&
   }
 
   if (op == "tail") {
+    // Both fields are clamped while still doubles: converting a value of
+    // 2^64 or more to an integer is undefined. A cursor past every
+    // sequence number reads nothing.
     const JsonValue* cursorField = req.find("cursor");
     const JsonValue* maxField = req.find("max");
-    const std::uint64_t cursor = (cursorField && cursorField->isNumber() &&
-                                  cursorField->asNumber() >= 0)
-                                     ? static_cast<std::uint64_t>(cursorField->asNumber())
-                                     : 0;
+    std::uint64_t cursor = 0;
+    if (cursorField && cursorField->isNumber() && cursorField->asNumber() >= 0)
+      cursor = cursorField->asNumber() < 0x1p64
+                   ? static_cast<std::uint64_t>(cursorField->asNumber())
+                   : std::numeric_limits<std::uint64_t>::max();
     std::size_t maxEvents = 100;
     if (maxField && maxField->isNumber() && maxField->asNumber() >= 0)
-      maxEvents = static_cast<std::size_t>(maxField->asNumber());
-    if (maxEvents > 1000) maxEvents = 1000;
+      maxEvents = static_cast<std::size_t>(std::min(maxField->asNumber(), 1000.0));
     obs::EventLog::Tail t = eventLog_.tail(cursor, maxEvents);
     std::string out = "{\"id\":" + id + ",\"ok\":true,\"op\":\"tail\",\"events\":[";
     for (std::size_t i = 0; i < t.events.size(); ++i) {
@@ -319,14 +316,12 @@ std::string Daemon::dispatch(const JsonValue& req, const std::string& id, Gated&
         (sessionKey && sessionKey->isString()) ? sessionKey->asString() : std::string();
     Gated& target = sessionName.empty() ? local : namedSession(sessionName);
 
-    obs::MetricsRegistry::global().counter("daemon.submits").add(1);
     submits_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.telemetry)
-      eventLog_.append(obs::EventKind::SubmitBegin, obs::EventFields()
-                                                        .num("client", clientId)
-                                                        .str("name", name)
-                                                        .str("session", sessionName)
-                                                        .take());
+    eventLog_.append(obs::EventKind::SubmitBegin, obs::EventFields()
+                                                      .num("client", clientId)
+                                                      .str("name", name)
+                                                      .str("session", sessionName)
+                                                      .take());
 
     const Clock::time_point gateT0 = Clock::now();
     std::lock_guard<std::mutex> gate(target.gate);
@@ -338,17 +333,16 @@ std::string Daemon::dispatch(const JsonValue& req, const std::string& id, Gated&
       info.error = result.error;
       return errorResponse(id, info.error);
     }
-    if (config_.telemetry)
-      eventLog_.append(obs::EventKind::SubmitEnd,
-                       obs::EventFields()
-                           .num("client", clientId)
-                           .str("name", name)
-                           .str("session", sessionName)
-                           .num("epoch", result.stats.epoch)
-                           .num("dirty", static_cast<std::uint64_t>(result.stats.dirty))
-                           .num("loops", static_cast<std::uint64_t>(result.loops.size()))
-                           .num("wall_us", submitUs)
-                           .take());
+    eventLog_.append(obs::EventKind::SubmitEnd,
+                     obs::EventFields()
+                         .num("client", clientId)
+                         .str("name", name)
+                         .str("session", sessionName)
+                         .num("epoch", result.stats.epoch)
+                         .num("dirty", static_cast<std::uint64_t>(result.stats.dirty))
+                         .num("loops", static_cast<std::uint64_t>(result.loops.size()))
+                         .num("wall_us", submitUs)
+                         .take());
 
     // Composed exactly like the batch driver's stdout so a client dump
     // diffs clean against `panorama_driver FILE` — the smoke test's gate.
@@ -437,10 +431,8 @@ std::string Daemon::statusResponse(const std::string& id) {
                 static_cast<unsigned long long>(eventLog_.appended()), eventLog_.capacity());
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                ",\"telemetry\":{\"enabled\":%s,\"slow_ms\":%zu,\"interval_ms\":%zu,"
-                "\"event_log_file\":\"",
-                config_.telemetry ? "true" : "false", config_.slowMs,
-                config_.telemetryIntervalMs);
+                ",\"telemetry\":{\"slow_ms\":%zu,\"interval_ms\":%zu,\"event_log_file\":\"",
+                config_.slowMs, config_.telemetryIntervalMs);
   out += buf;
   support::appendJsonEscaped(out, config_.eventLogPath);
   out += "\"}}";

@@ -1,6 +1,7 @@
 #include "panorama/support/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -223,6 +224,9 @@ struct Parser {
     char* end = nullptr;
     double v = std::strtod(num.c_str(), &end);
     if (end != num.c_str() + num.size()) return fail("invalid number");
+    // A literal too large for a double (1e999) would come back as ±inf,
+    // which no JSON document can carry.
+    if (std::isinf(v)) return fail("number out of range");
     out = JsonValue::makeNumber(v);
     return true;
   }

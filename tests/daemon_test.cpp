@@ -6,7 +6,8 @@
 //   * a client that dies mid-frame does not poison the shared store —
 //     the next client analyzes normally;
 //   * malformed requests get structured error responses, not a dropped
-//     connection;
+//     connection, and every reply is JSON, also for numbers that overflow
+//     a double or an integer;
 //   * a named session persists across connections (the second connection's
 //     byte-identical resubmit rides the whole-file fast path);
 //   * a closed connection's handler thread is joined at the next accept,
@@ -253,6 +254,45 @@ TEST(DaemonTest, MalformedRequestsGetStructuredErrors) {
   // The connection survives every rejected request.
   const std::string report = reportOf(rpc(c.fd, submitRequest(kProgA, "a.f")));
   EXPECT_FALSE(report.empty());
+}
+
+TEST(DaemonTest, OutOfRangeNumbersGetJsonReplies) {
+  CacheGuard guard;
+  const std::string path = socketPath("range");
+  store::Daemon daemon(path, AnalysisOptions{});
+  std::string error;
+  ASSERT_TRUE(daemon.start(error)) << error;
+
+  Client c(path);
+  reportOf(rpc(c.fd, submitRequest(kProgA, "a.f")));  // events for tail to read
+  // rpc() fails the test unless each reply parses as JSON.
+  // A literal that overflows a double is malformed, wherever it appears.
+  for (const char* request :
+       {"{\"id\":1e999,\"op\":\"ping\"}", "{\"id\":-1e999,\"op\":\"ping\"}",
+        "{\"id\":3,\"op\":\"tail\",\"cursor\":1e999}"}) {
+    support::JsonValue reply = rpc(c.fd, request);
+    const support::JsonValue* ok = reply.find("ok");
+    ASSERT_TRUE(ok && ok->isBool()) << request;
+    EXPECT_FALSE(ok->asBool()) << request;
+    const support::JsonValue* msg = reply.find("error");
+    ASSERT_TRUE(msg && msg->isString()) << request;
+    EXPECT_NE(msg->asString().find("malformed request"), std::string::npos) << msg->asString();
+  }
+  // Finite numbers past the integer ranges: an id too large for an integer
+  // echoes as a number, a cursor of 2^64 or more reads nothing, and a huge
+  // max is clamped, not wrapped.
+  support::JsonValue ping = rpc(c.fd, "{\"id\":1e300,\"op\":\"ping\"}");
+  ASSERT_TRUE(ping.find("id") && ping.find("id")->isNumber());
+  EXPECT_EQ(ping.find("id")->asNumber(), 1e300);
+  support::JsonValue farCursor = rpc(c.fd, "{\"id\":4,\"op\":\"tail\",\"cursor\":1e300}");
+  ASSERT_TRUE(farCursor.find("events") && farCursor.find("events")->isArray());
+  EXPECT_TRUE(farCursor.find("events")->items().empty());
+  support::JsonValue bigMax = rpc(c.fd, "{\"id\":5,\"op\":\"tail\",\"max\":1e300}");
+  ASSERT_TRUE(bigMax.find("events") && bigMax.find("events")->isArray());
+  EXPECT_GE(bigMax.find("events")->items().size(), 3u);  // conn_open, submit begin/end
+
+  // The connection keeps serving.
+  EXPECT_FALSE(reportOf(rpc(c.fd, submitRequest(kProgA, "a.f"))).empty());
 }
 
 TEST(DaemonTest, NamedSessionPersistsAcrossConnections) {
@@ -612,25 +652,6 @@ TEST(DaemonTest, EventLogFileWrittenAsJsonl) {
   EXPECT_GE(lines, 4);  // conn_open, submit begin/end, conn_close at least
   EXPECT_TRUE(sawSubmitEnd);
   std::remove(logPath.c_str());
-}
-
-TEST(DaemonTest, TelemetryOffKeepsTheRequestPathQuiet) {
-  CacheGuard guard;
-  const std::string path = socketPath("teloff");
-  store::DaemonConfig config;
-  config.telemetry = false;
-  store::Daemon daemon(path, AnalysisOptions{}, config);
-  std::string error;
-  ASSERT_TRUE(daemon.start(error)) << error;
-
-  Client c(path);
-  reportOf(rpc(c.fd, submitRequest(kProgA, "a.f")));
-  // No events were recorded, and tail still answers (empty).
-  support::JsonValue tail = rpc(c.fd, "{\"id\":2,\"op\":\"tail\"}");
-  const support::JsonValue* ok = tail.find("ok");
-  ASSERT_TRUE(ok && ok->isBool() && ok->asBool());
-  ASSERT_TRUE(tail.find("events") && tail.find("events")->isArray());
-  EXPECT_TRUE(tail.find("events")->items().empty());
 }
 
 /// `connections.<field>` of a status reply, or -1 when absent.

@@ -232,9 +232,8 @@ TEST_F(TraceTest, EnableMidstreamOnlyCapturesLaterSpans) {
 
 TEST_F(TraceTest, PerThreadBuffersMergeAcrossManyThreadsAndChunks) {
   Tracer::global().enable();
-  // More events per thread than one chunk holds, to cross chunk boundaries.
   constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = Tracer::kChunkSize * 2 + 7;
+  constexpr std::size_t kPerThread = 1031;
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {

@@ -8,7 +8,8 @@
 //   * procedure add/remove dirties only the affected unit;
 //   * an ablation-relevant options change invalidates everything once;
 //   * sessions never reset the process-wide verdict cache or its counters,
-//     and never change the process-wide query tier;
+//     never change the process-wide query tier, and never write the
+//     process-wide metrics registry;
 //   * a session fed a stationary edit stream, in process or restarted from
 //     a snapshot before every submit, reaches a steady state: no new
 //     symbol, expression or predicate and no verdict-cache miss;
@@ -33,6 +34,7 @@
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/fm_incremental.h"
 #include "panorama/session/session.h"
+#include "panorama/support/json.h"
 #include "panorama/support/memo_cache.h"
 #include "panorama/symbolic/arena.h"
 #include "steady_state.h"
@@ -189,12 +191,52 @@ TEST(SessionTest, TransitiveInvalidationThroughCallChain) {
   EXPECT_EQ(session.summaryEpochOf("main"), 2u);
   EXPECT_EQ(session.summaryEpochOf("sib"), 1u);
 
-  // The same accounting is published as session.* metrics.
+  // The same accounting is what publishSessionMetrics renders as session.*
+  // metrics for the process that owns this session.
+  publishSessionMetrics(warm.stats);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   EXPECT_EQ(reg.counterValue("session.dirty_cone"), 4u);
   EXPECT_EQ(reg.counterValue("session.summaries_reused"), 1u);
   EXPECT_EQ(reg.counterValue("session.modified"), 1u);
   EXPECT_EQ(reg.counterValue("session.epoch"), 2u);
+}
+
+/// Every `session.*` counter in the process registry, by name.
+std::map<std::string, double> sessionCounters() {
+  std::string error;
+  std::optional<support::JsonValue> doc =
+      support::JsonValue::parse(obs::MetricsRegistry::global().toJson(), &error);
+  EXPECT_TRUE(doc.has_value()) << error;
+  std::map<std::string, double> out;
+  const support::JsonValue* counters = doc ? doc->find("counters") : nullptr;
+  if (counters)
+    for (const auto& [name, value] : counters->members())
+      if (name.rfind("session.", 0) == 0) out[name] = value.asNumber();
+  return out;
+}
+
+TEST(SessionTest, SessionsNeverWriteTheProcessRegistry) {
+  // The registry is process-wide: a session that published its own submit
+  // there would overwrite what the owner of another session published.
+  CacheGuard guard;
+  SessionStats known;
+  known.epoch = 41;
+  known.procedures = 7;
+  known.unchanged = 5;
+  known.modified = 2;
+  known.dirty = 3;
+  known.summariesReused = 4;
+  known.loopsReused = 6;
+  known.fileSkips = 9;
+  publishSessionMetrics(known);
+  const std::map<std::string, double> before = sessionCounters();
+  ASSERT_EQ(before.at("session.epoch"), 41.0);
+
+  AnalysisSession other;
+  ASSERT_TRUE(other.submit(kBase).ok);
+  ASSERT_TRUE(other.submit(kLeafEdited).ok);
+  ASSERT_TRUE(other.submit(kLeafEdited).ok);  // the whole-file fast path
+  EXPECT_EQ(sessionCounters(), before);
 }
 
 TEST(SessionTest, EveryDirtyUnitCarriesItsInvalidationCause) {

@@ -3,12 +3,14 @@
 //     explicit dropped counts when the ring laps a slow reader;
 //   * every rendered record is valid JSON (the JSONL sink writes them
 //     verbatim);
-//   * concurrent appenders against a live tailer (the TSan target);
+//   * concurrent appenders against a live tailer, and concurrent
+//     observers against histogram snapshots (the TSan targets);
 //   * histogramQuantile interpolation and its clamping contract;
 //   * the MetricsRegistry JSON schema, golden-tested with the p50/p95/p99
 //     fields the daemon's metrics op serves.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
@@ -92,7 +94,7 @@ TEST(EventLogTest, CursorResumesIncrementalReads) {
 }
 
 TEST(EventLogTest, LappedReaderSeesExplicitDrops) {
-  EventLog log(4);  // capacity rounds to exactly 4
+  EventLog log(4);
   EXPECT_EQ(log.capacity(), 4u);
   for (int k = 0; k < 10; ++k) log.append(EventKind::Snapshot);
 
@@ -146,6 +148,31 @@ TEST(EventLogTest, ConcurrentAppendersNeverTearATail) {
   for (std::thread& t : writers) t.join();
   EXPECT_EQ(log.appended(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(seen + dropped, log.appended());
+}
+
+TEST(HistogramTest, SnapshotsStayConsistentUnderConcurrentObserves) {
+  Histogram h;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> observers;
+  for (std::uint64_t w = 0; w < 3; ++w)
+    observers.emplace_back([&h, &done, w] {
+      for (std::uint64_t k = 0; !done.load(std::memory_order_relaxed); ++k)
+        h.observe((k * 7 + w) & 0xfff);
+    });
+  while (h.snapshot().count == 0) std::this_thread::yield();
+
+  // Every snapshot is one moment of the histogram: its buckets add up to
+  // its count, and its min does not exceed its max.
+  int torn = 0;
+  for (int k = 0; k < 20000; ++k) {
+    const Histogram::Snapshot s = h.snapshot();
+    std::uint64_t inBuckets = 0;
+    for (std::uint64_t b : s.buckets) inBuckets += b;
+    if (inBuckets != s.count || s.min > s.max) ++torn;
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& t : observers) t.join();
+  EXPECT_EQ(torn, 0);
 }
 
 TEST(HistogramQuantileTest, EmptyAndDegenerate) {
