@@ -12,12 +12,27 @@
 #     naming every match when NAME is ambiguous;
 #   * --stats reports the atom table's occupancy, with and without the cache;
 #   * --summaries computes the on-demand DE sets for its DE_i lines;
-#   * --save-session and --load-session runs of tiny.f and of every corpus
-#     program print exactly what the batch run prints, under --explain.
+#   * --save-session and --load-session runs of tiny.f, of every corpus
+#     program and of the wide-guard kernel print exactly what the batch run
+#     prints, under --explain;
+#   * --explain on the wide-guard kernel, whose two loops ask the same
+#     inconclusive FM queries, prints the same at 1 and 8 threads, and a
+#     warm --reanalyze prints the loop blocks a cold run of the edited file
+#     prints.
 # Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir> -DCORPUS_DIR=<corpus/>.
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(BAD "${WORKDIR}/no-such-dir/out.json")
+
+# Sets `out` to `text` without its first line (the heading that names the
+# input). A REGEX REPLACE of "^[^\n]*\n" would not do: CMake re-anchors `^`
+# after each match and so deletes every line.
+function(drop_first_line out text)
+  string(FIND "${text}" "\n" nl)
+  math(EXPR nl "${nl} + 1")
+  string(SUBSTRING "${text}" ${nl} -1 rest)
+  set(${out} "${rest}" PARENT_SCOPE)
+endfunction()
 
 function(expect_failure flag diagnostic)
   execute_process(
@@ -286,15 +301,99 @@ if(NOT err MATCHES "is not a socket")
   message(FATAL_ERROR "--daemon clobber refusal lacks its diagnostic: ${err}")
 endif()
 
-# Save/load round trip over tiny.f and every corpus program: the
-# snapshot-mode runs print exactly what the batch run prints, --explain
-# provenance included, cold and restored alike.
+# The wide-guard kernel: the same loop twice, guarded by a sum of 26
+# variables (more than the FM engine's 24), so both loops' dependence tests
+# ask the same inconclusive queries and only the first asker evaluates each
+# one cold. wide_guard_edited.f adds a statement to the first loop.
+set(vars "x1")
+set(sum "x1")
+foreach(k RANGE 2 26)
+  string(APPEND vars ", x${k}")
+  string(APPEND sum " + x${k}")
+endforeach()
+function(wide_guard_loop out extra)
+  set(${out} "      do i = 2, n
+        if (${sum} .gt. i) then
+          w(i) = 1.0
+        endif
+        a(i) = w(i)
+${extra}      enddo
+" PARENT_SCOPE)
+endfunction()
+wide_guard_loop(loop "")
+wide_guard_loop(edited_loop "        b(i) = 3.0\n")
+foreach(variant wide_guard wide_guard_edited)
+  if(variant STREQUAL "wide_guard")
+    set(decl "a(100), w(100)")
+    set(first "${loop}")
+  else()
+    set(decl "a(100), w(100), b(100)")
+    set(first "${edited_loop}")
+  endif()
+  file(WRITE "${WORKDIR}/${variant}.f"
+"      program p
+      integer n, ${vars}
+      n = 50
+      call s(n, ${vars})
+      end
+
+      subroutine s(n, ${vars})
+      integer n, i, ${vars}
+      real ${decl}
+      common /g/ a
+${first}${loop}      end
+")
+endforeach()
+set(wide_guard "${WORKDIR}/wide_guard.f")
+set(wide_guard_edited "${WORKDIR}/wide_guard_edited.f")
+foreach(threads 1 8)
+  execute_process(
+    COMMAND "${DRIVER}" --explain --threads=${threads} "${wide_guard}"
+    RESULT_VARIABLE code OUTPUT_VARIABLE wide_out_${threads} ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "--explain --threads=${threads} on wide_guard.f failed (${code}): ${err}")
+  endif()
+endforeach()
+if(NOT wide_out_1 MATCHES "why \\[dependence-test\\] flow -> unknown")
+  message(FATAL_ERROR "wide_guard.f has no unresolved flow test:\n${wide_out_1}")
+endif()
+if(NOT wide_out_8 STREQUAL wide_out_1)
+  message(FATAL_ERROR "--explain on wide_guard.f differs between 8 and 1 threads:\n${wide_out_8}\n-- vs --\n${wide_out_1}")
+endif()
+# A warm re-analysis prints its loop blocks between a heading and the session
+# stats; they must be the loop blocks of a cold run of the edited file.
+execute_process(
+  COMMAND "${DRIVER}" --explain "--reanalyze=${wide_guard_edited}" "${wide_guard}"
+  RESULT_VARIABLE code OUTPUT_VARIABLE warm_out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "--reanalyze of wide_guard.f failed (${code}): ${err}")
+endif()
+execute_process(
+  COMMAND "${DRIVER}" --explain "${wide_guard_edited}"
+  RESULT_VARIABLE code OUTPUT_VARIABLE cold_out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "cold run of wide_guard_edited.f failed (${code}): ${err}")
+endif()
+drop_first_line(warm_loops "${warm_out}")
+drop_first_line(cold_loops "${cold_out}")
+string(FIND "${warm_loops}" "session epoch " stats_at)
+if(stats_at EQUAL -1)
+  message(FATAL_ERROR "--reanalyze output lacks its session stats:\n${warm_out}")
+endif()
+string(SUBSTRING "${warm_loops}" 0 ${stats_at} warm_loops)
+if(NOT warm_loops STREQUAL cold_loops)
+  message(FATAL_ERROR "warm --reanalyze loop blocks differ from a cold run of the edited file:\n${warm_loops}\n-- vs --\n${cold_loops}")
+endif()
+
+# Save/load round trip over tiny.f, every corpus program and the wide-guard
+# kernel: the snapshot-mode runs print exactly what the batch run prints,
+# --explain provenance included, cold and restored alike.
 file(GLOB corpus_programs "${CORPUS_DIR}/*.f")
 list(LENGTH corpus_programs corpus_count)
 if(corpus_count LESS 15)
   message(FATAL_ERROR "expected the 15 corpus programs under ${CORPUS_DIR}, found ${corpus_count}")
 endif()
-foreach(program "${WORKDIR}/tiny.f" ${corpus_programs})
+foreach(program "${WORKDIR}/tiny.f" ${corpus_programs} "${wide_guard}")
   get_filename_component(stem "${program}" NAME_WE)
   set(snapshot "${WORKDIR}/${stem}.pano")
   execute_process(
@@ -350,15 +449,18 @@ if(NOT code EQUAL 2 OR NOT err MATCHES "unknown corpus kernel")
   message(FATAL_ERROR "--corpus no-such-kernel should exit 2 as unknown (${code}): ${err}")
 endif()
 # A unique substring and the exact id both analyze TRACK nlfilt/300: their
-# loop reports equal the corpus file's (only the heading line names the
-# input differently).
+# loop reports equal the corpus file's. The heading line names the input
+# differently, and the compiled-in copy of a kernel starts with one more
+# line than its file, so its DO lines are cited one higher: line citations
+# are masked.
 execute_process(
   COMMAND "${DRIVER}" "${CORPUS_DIR}/TRACK_nlfilt_300.f"
   RESULT_VARIABLE code OUTPUT_VARIABLE file_out ERROR_VARIABLE err)
 if(NOT code EQUAL 0)
   message(FATAL_ERROR "TRACK_nlfilt_300.f run failed (${code}): ${err}")
 endif()
-string(REGEX REPLACE "^[^\n]*\n" "" file_reports "${file_out}")
+drop_first_line(file_reports "${file_out}")
+string(REGEX REPLACE "\\(line [0-9]+\\)" "(line N)" file_reports "${file_reports}")
 foreach(name nlfilt "TRACK nlfilt/300")
   execute_process(
     COMMAND "${DRIVER}" --corpus "${name}"
@@ -366,7 +468,8 @@ foreach(name nlfilt "TRACK nlfilt/300")
   if(NOT code EQUAL 0)
     message(FATAL_ERROR "--corpus '${name}' failed (${code}): ${err}")
   endif()
-  string(REGEX REPLACE "^[^\n]*\n" "" reports "${out}")
+  drop_first_line(reports "${out}")
+  string(REGEX REPLACE "\\(line [0-9]+\\)" "(line N)" reports "${reports}")
   if(NOT reports STREQUAL file_reports)
     message(FATAL_ERROR "--corpus '${name}' did not analyze TRACK nlfilt/300:\n${out}")
   endif()

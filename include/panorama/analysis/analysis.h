@@ -60,8 +60,8 @@ struct LoopAnalysis {
   std::vector<ScalarInfo> scalars;
   std::string serialReason;
   /// The chain of evidence behind the classification (panorama::obs pillar
-  /// 3). The `evidence` entries are deterministic analysis facts; `notes`
-  /// are best-effort deep-layer diagnostics (see obs/provenance.h).
+  /// 3): deterministic analysis facts, a pure function of the program (see
+  /// obs/provenance.h).
   obs::DecisionTrail provenance;
 };
 
@@ -85,7 +85,7 @@ class LoopParallelizer {
 std::string formatLoopAnalysis(const LoopAnalysis& la);
 
 /// Renders the loop's decision trail — one indented line per evidence entry
-/// plus the deep-layer symbolic notes (panorama_driver --explain).
+/// (panorama_driver --explain).
 std::string formatProvenance(const LoopAnalysis& la);
 
 /// One-line digest of the trail: the classification plus the decisive

@@ -97,8 +97,8 @@ struct CacheLine {
 struct InvalidationCause {
   std::string unit;
   std::string cause;  ///< "fingerprint" | "added" | "callee-epoch" |
-                      ///< "options-change" | "first-submit" |
-                      ///< "carried-state" (a snapshot's unit that does not fit)
+                      ///< "first-submit" | "carried-state" (a snapshot's
+                      ///< unit that does not fit)
   std::string detail;
 };
 

@@ -8,16 +8,12 @@
 // The --explain mode of panorama_driver renders trails; corpus_test asserts
 // them for the Figure 1 examples.
 //
-// Two evidence tiers, with different determinism guarantees:
-//   * Decision evidence is recorded directly by the privatization layer and
-//     is a pure function of the analysis input — identical across thread
-//     counts and cache configurations (the parallel-driver identity tests
-//     rely on this).
-//   * Symbolic notes are reported from deep inside the query layers (an FM
-//     elimination that exhausted its budget, a Pred::implies that returned
-//     Unknown) through a thread-local ProvenanceScope. Cold evaluations
-//     only: a memoized verdict skips the deep layer entirely, so these
-//     notes are best-effort diagnostics and are rendered separately.
+// Only the privatization layer writes a trail, and only from the verdicts
+// it computes, so a trail is a pure function of the analysis input:
+// identical across thread counts, cache histories, warm and restored
+// sessions. The query layers below never write one — a memoized verdict
+// skips their cold path, so anything they reported would depend on which
+// thread or session evaluated a query first.
 #pragma once
 
 #include <cstdint>
@@ -50,50 +46,36 @@ struct Evidence {
   std::string detail;  ///< human-readable explanation (may embed region text)
 };
 
-/// A deep-layer observation attributed to the enclosing query scope.
-struct SymbolicNote {
-  std::string scope;   ///< the ProvenanceScope label (which test was running)
-  std::string source;  ///< "fm" (constraint layer) or "implies" (predicate)
-  std::string detail;
-};
-
 struct DecisionTrail {
   std::vector<Evidence> evidence;
-  std::vector<SymbolicNote> notes;
 
   void add(EvidenceKind kind, std::string subject, Truth verdict, std::string detail = "") {
     evidence.push_back({kind, std::move(subject), verdict, std::move(detail)});
   }
-  bool empty() const { return evidence.empty() && notes.empty(); }
+  bool empty() const { return evidence.empty(); }
 
   /// The evidence entries of one kind (test helper).
   std::vector<const Evidence*> ofKind(EvidenceKind kind) const;
 };
 
-/// Installs `trail` as the calling thread's deep-report sink for the scope's
-/// lifetime. Scopes nest (the previous sink is restored); each loop analysis
-/// runs on exactly one pool thread, so a thread-local sink needs no locking.
+/// Names the test running on the calling thread for the scope's lifetime,
+/// so cold query spans can say which test issued them. Scopes nest (the
+/// previous label is restored); each loop analysis runs on exactly one pool
+/// thread, so a thread-local label needs no locking.
 class ProvenanceScope {
  public:
-  ProvenanceScope(DecisionTrail& trail, std::string label);
+  explicit ProvenanceScope(std::string label);
   ~ProvenanceScope();
 
   ProvenanceScope(const ProvenanceScope&) = delete;
   ProvenanceScope& operator=(const ProvenanceScope&) = delete;
 
-  /// Reports a deep-layer note into the active scope; no-op without one.
-  /// `detail` is only materialized when a scope is active — callers building
-  /// costly strings should check active() first.
-  static void note(const char* source, std::string detail);
-  static bool active();
-
-  /// The active scope's label ("" without one) — the guard context cold
+  /// The innermost scope's label ("" without one) — the guard context cold
   /// query spans attach so the cost profile can say which test paid for an
   /// expensive FM/implication evaluation.
   static std::string currentLabel();
 
  private:
-  DecisionTrail* prevTrail_;
   std::string prevLabel_;
 };
 

@@ -66,6 +66,11 @@ struct RangeOpResult {
   bool unknown = false;
 };
 
+/// `ctx` extended with the unit constraints of `guard`: guards refine the
+/// symbolic comparisons inside region operations (the paper's
+/// "disambiguates the symbolic values precisely for set operations").
+CmpCtx ctxWith(const CmpCtx& ctx, const Pred& guard);
+
 /// r1 ∩ r2 under hypothesis context `ctx`.
 RangeOpResult rangeIntersect(const SymRange& r1, const SymRange& r2, const CmpCtx& ctx);
 

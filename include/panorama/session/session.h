@@ -21,11 +21,12 @@
 // analyzer are dropped.
 //
 // Validity of a unit's cached state is keyed on
-//   (own content fingerprint, callee summary epochs, analysis-options key):
-// a unit is reused only when its fingerprint is unchanged, every callee it
-// depended on kept the summary epoch the unit was computed against, and the
-// ablation-relevant options are the same. An options change (or the first
-// submit) invalidates everything.
+//   (own content fingerprint, callee summary epochs):
+// a unit is reused only when its fingerprint is unchanged and every callee
+// it depended on kept the summary epoch the unit was computed against. A
+// session's options are fixed at construction (restore adopts a snapshot's
+// ablation switches together with its units), so only the first submit
+// invalidates everything.
 //
 // Reuse is possible because all cached state is handle-based: GARs,
 // SymExprs and Preds are 8-byte ids into process-global append-only arenas,
@@ -101,9 +102,8 @@ class AnalysisSession {
   /// Daemon-mode constructor: schedules analysis on `sharedPool` (not
   /// owned; must outlive the session) so concurrent client sessions share
   /// one pool instead of oversubscribing the machine; each submit waits on
-  /// its own task group and runs only its own tasks.
-  /// With a shared pool, options.numThreads changes via setOptions() do not
-  /// re-thread — the pool's owner controls concurrency.
+  /// its own task group and runs only its own tasks. options.numThreads is
+  /// then unused — the pool's owner controls concurrency.
   AnalysisSession(AnalysisOptions options, ThreadPool* sharedPool);
   ~AnalysisSession();
   AnalysisSession(const AnalysisSession&) = delete;
@@ -114,9 +114,9 @@ class AnalysisSession {
   /// it was — the previous epoch's units keep serving.
   ///
   /// Whole-file fast path: when `source` is byte-identical to the previous
-  /// successful text submit (and the options did not change), the submit
-  /// skips parsing and per-procedure diffing entirely and serves every
-  /// cached loop report — counted under `session.file_skips`.
+  /// successful text submit, the submit skips parsing and per-procedure
+  /// diffing entirely and serves every cached loop report — counted under
+  /// `session.file_skips`.
   SessionResult submit(const std::string& source);
 
   /// Frontend-neutral entry point: analyzes an already-constructed pre-sema
@@ -127,11 +127,6 @@ class AnalysisSession {
   /// parsed one diffs as unchanged — the two frontends share one cache.
   SessionResult submit(Program program);
 
-  /// Replaces the analysis options. Ablation-relevant changes invalidate
-  /// every unit on the next submit; execution-only changes (threads) do
-  /// not. The shared query memos are never touched: their keys carry every
-  /// knob a verdict depends on.
-  void setOptions(const AnalysisOptions& options);
   const AnalysisOptions& options() const { return options_; }
 
   /// Submit counter; 0 until the first successful submit.
@@ -218,11 +213,6 @@ class AnalysisSession {
     SummaryAnalyzer::ProcSnapshot memo;
   };
 
-  /// Hash of the ablation-relevant options (everything that changes
-  /// analysis results; numThreads deliberately excluded — the driver
-  /// guarantees identical results at every thread count).
-  static std::uint64_t optionsKey(const AnalysisOptions& options);
-
   /// Copies epoch_/units_/symbols_/live_/fileSkips_ into status_; called
   /// (holding mutex_) at the end of every mutating entry point.
   void publishStatusLocked();
@@ -230,7 +220,7 @@ class AnalysisSession {
   /// The incremental pipeline proper; callers hold mutex_.
   SessionResult submitLocked(Program incoming);
   /// The byte-identical-resubmit fast path; callers hold mutex_ and have
-  /// checked eligibility (live, same bytes, same options key).
+  /// checked eligibility (live, same bytes).
   SessionResult fileSkipLocked();
   /// Every cached loop report, units in bottom-up order and loops in walk
   /// order within each — the batch drivers' report order.
@@ -247,16 +237,12 @@ class AnalysisSession {
   store::StoreResult saveLocked(const std::string& path) const;
   store::StoreResult restoreLocked(const std::string& path);
 
-  /// One session-wide lock: submits, option changes, and save/restore
-  /// serialize against each other, so a snapshot taken under concurrent
-  /// submits is always one consistent epoch.
+  /// One session-wide lock: submits and save/restore serialize against
+  /// each other, so a snapshot taken under concurrent submits is always one
+  /// consistent epoch.
   mutable std::mutex mutex_;
 
   AnalysisOptions options_;
-  std::uint64_t optionsKey_ = 0;
-  /// The options key units_ was computed under; a mismatch at submit time
-  /// (setOptions changed an ablation-relevant knob) forces full invalidation.
-  std::uint64_t unitsOptionsKey_ = 0;
   std::uint64_t epoch_ = 0;
   SessionStats lastStats_;
 

@@ -1,9 +1,9 @@
 // Array privatization (§3.2.1): candidacy, the UE_i ∩ MOD_{<i} = ∅ test,
 // and last-value (copy-out) analysis. Every decision taken here is also
-// recorded into the loop's DecisionTrail (obs/provenance.h): the report
-// layer renders the trail for --explain, and the deep symbolic layers
-// attribute their cold-query notes to the test running here via the
-// ProvenanceScope installed around each emptiness query.
+// recorded into the loop's DecisionTrail (obs/provenance.h), the only
+// writer of a trail: the report layer renders it for --explain. The
+// ProvenanceScope around each emptiness query only names the running test
+// for the cold query spans --trace and --profile show.
 #include <algorithm>
 
 #include "panorama/analysis/analysis.h"
@@ -126,7 +126,7 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
     GarList modBeforeA = ls.modBefore.forArray(array);
     Truth flowFree;
     {
-      obs::ProvenanceScope scope(la.provenance, "flow-test " + ap.name);
+      obs::ProvenanceScope scope("flow-test " + ap.name);
       flowFree = intersectionEmpty(ueA, modBeforeA, ctx);
     }
     ap.privatizable = flowFree == Truth::True;
@@ -195,7 +195,7 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
   GarList afterRem = remainder(ls.modAfter);
 
   {
-    obs::ProvenanceScope scope(la.provenance, "carried-flow");
+    obs::ProvenanceScope scope("carried-flow");
     la.noCarriedFlow = intersectionEmpty(ueRem, beforeRem, ctx);
   }
   la.provenance.add(EvidenceKind::DependenceTest, "flow", la.noCarriedFlow,
@@ -206,7 +206,7 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
                               listText(beforeRem, analyzer_.sema()));
   Truth out1, out2;
   {
-    obs::ProvenanceScope scope(la.provenance, "carried-output");
+    obs::ProvenanceScope scope("carried-output");
     out1 = intersectionEmpty(modRem, beforeRem, ctx);
     out2 = intersectionEmpty(modRem, afterRem, ctx);
   }
@@ -221,7 +221,7 @@ LoopAnalysis LoopParallelizer::analyzeLoop(const Stmt& doStmt, const Procedure& 
   // The anti test uses UE_i. §3.2.2's DE_i refinement is not applied, so
   // the analysis runs without DE sets (AnalysisOptions::computeDE).
   {
-    obs::ProvenanceScope scope(la.provenance, "carried-anti");
+    obs::ProvenanceScope scope("carried-anti");
     la.noCarriedAnti = intersectionEmpty(ueRem, afterRem, ctx);
   }
   la.provenance.add(EvidenceKind::DependenceTest, "anti", la.noCarriedAnti,

@@ -61,9 +61,6 @@ std::string formatProvenance(const LoopAnalysis& la) {
     if (!e.detail.empty()) append(out, ": ", e.detail);
     out += '\n';
   }
-  for (const obs::SymbolicNote& n : la.provenance.notes)
-    append(out, "    why (symbolic, best-effort) [", n.source, "] during ", n.scope, ": ", n.detail,
-           "\n");
   return out;
 }
 

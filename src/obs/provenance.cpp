@@ -1,5 +1,5 @@
-// Decision-provenance support: the thread-local deep-report sink and small
-// trail helpers (see provenance.h for the evidence model).
+// Decision-provenance support: trail helpers and the thread-local test
+// label (see provenance.h for the evidence model).
 #include "panorama/obs/provenance.h"
 
 #include <utility>
@@ -30,43 +30,18 @@ std::vector<const Evidence*> DecisionTrail::ofKind(EvidenceKind kind) const {
 
 namespace {
 
-struct Sink {
-  DecisionTrail* trail = nullptr;
-  std::string label;
-};
-
-Sink& sink() {
-  thread_local Sink s;
+std::string& threadLabel() {
+  thread_local std::string s;
   return s;
 }
 
 }  // namespace
 
-ProvenanceScope::ProvenanceScope(DecisionTrail& trail, std::string label) {
-  Sink& s = sink();
-  prevTrail_ = s.trail;
-  prevLabel_ = std::move(s.label);
-  s.trail = &trail;
-  s.label = std::move(label);
-}
+ProvenanceScope::ProvenanceScope(std::string label)
+    : prevLabel_(std::exchange(threadLabel(), std::move(label))) {}
 
-ProvenanceScope::~ProvenanceScope() {
-  Sink& s = sink();
-  s.trail = prevTrail_;
-  s.label = std::move(prevLabel_);
-}
+ProvenanceScope::~ProvenanceScope() { threadLabel() = std::move(prevLabel_); }
 
-void ProvenanceScope::note(const char* source, std::string detail) {
-  Sink& s = sink();
-  if (!s.trail) return;
-  s.trail->notes.push_back({s.label, source, std::move(detail)});
-}
-
-bool ProvenanceScope::active() { return sink().trail != nullptr; }
-
-std::string ProvenanceScope::currentLabel() {
-  Sink& s = sink();
-  return s.trail ? s.label : std::string();
-}
+std::string ProvenanceScope::currentLabel() { return threadLabel(); }
 
 }  // namespace panorama::obs

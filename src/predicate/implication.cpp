@@ -53,9 +53,7 @@ Truth Pred::implies(const Pred& other) const {
   if (cache.enabled())
     if (auto hit = cache.lookup(key)) return *hit;
 
-  // Cold evaluation below: traced as a query span, and an Unknown verdict
-  // is reported to the active provenance scope (cached verdicts skip both —
-  // the notes are best-effort by design, see obs/provenance.h).
+  // Cold evaluation below, traced as a query span (cached verdicts skip it).
   obs::Span span("query.implies", "Pred::implies");
   if (span.active()) {
     // Full predicate rendering needs a SymbolTable (unreachable here), so
@@ -98,10 +96,6 @@ Truth Pred::implies(const Pred& other) const {
     return Truth::True;
   }();
   if (span.active()) span.arg("verdict", toString(verdict));
-  if (verdict == Truth::Unknown && obs::ProvenanceScope::active())
-    obs::ProvenanceScope::note("implies",
-                               "predicate implication undecided (clause not subsumed and FM "
-                               "refutation inconclusive)");
   if (cache.enabled()) cache.store(QueryCache::Key(key.begin(), key.end()), verdict);
   return verdict;
 }

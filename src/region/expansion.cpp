@@ -19,13 +19,6 @@ namespace panorama {
 
 namespace {
 
-CmpCtx ctxWith(const CmpCtx& ctx, const Pred& p) {
-  ConstraintSet cs = ctx.context();
-  ConstraintSet units = p.unitConstraints();
-  for (const LinearConstraint& c : units.constraints()) cs.add(c);
-  return ctx.withContext(std::move(cs));
-}
-
 struct ExtractedBounds {
   std::vector<SymExpr> lowers;  // candidate lower bounds on i (includes loop lo)
   std::vector<SymExpr> uppers;  // candidate upper bounds on i (includes loop up)

@@ -13,16 +13,6 @@ namespace {
 /// skipped and the piece keeps a Δ guard (refuses to kill — sound).
 constexpr std::size_t kMaxListSize = 48;
 
-/// Context extended with the unit constraints of `p` (guards refine symbolic
-/// comparisons inside region operations — the paper's "disambiguates the
-/// symbolic values precisely for set operations").
-CmpCtx ctxWith(const CmpCtx& ctx, const Pred& p) {
-  ConstraintSet cs = ctx.context();
-  ConstraintSet units = p.unitConstraints();
-  for (const LinearConstraint& c : units.constraints()) cs.add(c);
-  return ctx.withContext(std::move(cs));
-}
-
 /// T1 ∩ T2 for single GARs.
 GarList garIntersectOne(const Gar& a, const Gar& b, const CmpCtx& ctx) {
   GarList out;

@@ -10,13 +10,6 @@ namespace panorama {
 
 namespace {
 
-CmpCtx ctxWith(const CmpCtx& ctx, const Pred& p) {
-  ConstraintSet cs = ctx.context();
-  ConstraintSet units = p.unitConstraints();
-  for (const LinearConstraint& c : units.constraints()) cs.add(c);
-  return ctx.withContext(std::move(cs));
-}
-
 /// Does `g` cover the whole declared array with certainty? (guard exactly
 /// true, region contains the declared shape)
 bool coversWholeArray(const Gar& g, const CmpCtx& ctx, const ArrayTable& arrays) {

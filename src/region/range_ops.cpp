@@ -136,16 +136,14 @@ void forEachBoundCase(const SymRange& r1, const SymRange& r2, const CmpCtx& ctx,
   }
 }
 
-/// Extends `ctx` with the unit constraints of `guard` (used to decide
-/// validity of intersection bounds inside one ordering case).
-CmpCtx extendCtx(const CmpCtx& ctx, const Pred& guard) {
+}  // namespace
+
+CmpCtx ctxWith(const CmpCtx& ctx, const Pred& guard) {
   ConstraintSet cs = ctx.context();
   ConstraintSet units = guard.unitConstraints();
   for (const LinearConstraint& c : units.constraints()) cs.add(c);
   return ctx.withContext(std::move(cs));
 }
-
-}  // namespace
 
 Truth rangesDisjoint(const SymRange& r1, const SymRange& r2, const CmpCtx& ctx) {
   if (r1.isUnknown() || r2.isUnknown()) return Truth::Unknown;
@@ -204,7 +202,7 @@ RangeOpResult rangeIntersect(const SymRange& r1in, const SymRange& r2in, const C
   const SymExpr s = commonStep(r1, r2);
   forEachBoundCase(r1, r2, ctx, [&](Pred guard, const SymExpr& ilo, const SymExpr& iup) {
     SymRange piece{ilo, iup, s};
-    CmpCtx ectx = extendCtx(ctx, guard);
+    CmpCtx ectx = ctxWith(ctx, guard);
     Truth valid = ectx.le(ilo, iup);
     if (valid == Truth::False) return;
     if (valid == Truth::Unknown && !conjoin(guard, Atom::le(ilo, iup))) return;
@@ -277,14 +275,14 @@ RangeOpResult rangeSubtract(const SymRange& r1in, const SymRange& r2in, const Cm
   // when the intersection is empty in that case.
   const SymExpr s = commonStep(r1, r2);
   forEachBoundCase(r1, r2, ctx, [&](Pred guard, const SymExpr& ilo, const SymExpr& iup) {
-    CmpCtx ectx = extendCtx(ctx, guard);
+    CmpCtx ectx = ctxWith(ctx, guard);
     Truth valid = ectx.le(ilo, iup);
     if (valid != Truth::False) {
       Pred nonempty = guard;
       bool alive = true;
       if (valid == Truth::Unknown) alive = conjoin(nonempty, Atom::le(ilo, iup));
       if (alive) {
-        CmpCtx nctx = extendCtx(ctx, nonempty);
+        CmpCtx nctx = ctxWith(ctx, nonempty);
         // Left remainder (l1 : ilo - s : s), alive when l1 < ilo.
         Truth hasLeft = nctx.lt(r1.lo, ilo);
         if (hasLeft != Truth::False) {

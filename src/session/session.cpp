@@ -39,52 +39,14 @@
 
 namespace panorama {
 
-AnalysisSession::AnalysisSession(AnalysisOptions options) : options_(options) {
-  optionsKey_ = optionsKey(options_);
-  ownedPool_ = std::make_unique<ThreadPool>(options_.numThreads);
-  pool_ = ownedPool_.get();
-}
+AnalysisSession::AnalysisSession(AnalysisOptions options)
+    : options_(options), ownedPool_(std::make_unique<ThreadPool>(options_.numThreads)),
+      pool_(ownedPool_.get()) {}
 
 AnalysisSession::AnalysisSession(AnalysisOptions options, ThreadPool* sharedPool)
-    : options_(options) {
-  optionsKey_ = optionsKey(options_);
-  pool_ = sharedPool;
-}
+    : options_(options), pool_(sharedPool) {}
 
 AnalysisSession::~AnalysisSession() = default;
-
-std::uint64_t AnalysisSession::optionsKey(const AnalysisOptions& options) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  };
-  mix(options.symbolicAnalysis);
-  mix(options.ifConditions);
-  mix(options.interprocedural);
-  mix(options.quantified);
-  mix(options.computeDE);
-  mix(options.garSimplifier);
-  // numThreads and loopGranularReuse are execution options: the driver
-  // guarantees identical results across both.
-  return h;
-}
-
-void AnalysisSession::setOptions(const AnalysisOptions& options) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t key = optionsKey(options);
-  const bool threadsChanged = options.numThreads != options_.numThreads;
-  options_ = options;
-  // units_ carries unitsOptionsKey_: after an ablation change the mismatch
-  // with optionsKey_ makes the next submit a full invalidation. Memoized
-  // query verdicts stay valid — their keys carry every knob they depend on.
-  optionsKey_ = key;
-  // With a shared pool the daemon owns concurrency; numThreads is advisory.
-  if (threadsChanged && ownedPool_) {
-    ownedPool_ = std::make_unique<ThreadPool>(options_.numThreads);
-    pool_ = ownedPool_.get();
-  }
-}
 
 std::uint64_t AnalysisSession::summaryEpochOf(const std::string& name) const {
   auto it = units_.find(name);
@@ -123,12 +85,11 @@ AnalysisSession::CachedLoop AnalysisSession::cacheLoopAnalysis(const LoopAnalysi
 SessionResult AnalysisSession::submit(const std::string& source) {
   std::lock_guard<std::mutex> lock(mutex_);
 
-  // Whole-file fast path: a byte-identical resubmit under unchanged options
-  // can only diff to "everything unchanged, dirty cone empty" — serve the
-  // cached reports without parsing or per-procedure fingerprinting.
+  // Whole-file fast path: a byte-identical resubmit can only diff to
+  // "everything unchanged, dirty cone empty" — serve the cached reports
+  // without parsing or per-procedure fingerprinting.
   const std::uint64_t sourceHash = store::fnv1a(source);
-  if (live_ && hasSourceHash_ && sourceHash == lastSourceHash_ &&
-      optionsKey_ == unitsOptionsKey_) {
+  if (live_ && hasSourceHash_ && sourceHash == lastSourceHash_) {
     SessionResult out = fileSkipLocked();
     publishStatusLocked();
     return out;
@@ -230,7 +191,7 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
     }
   }
 
-  const bool fullInvalidation = !live_ || optionsKey_ != unitsOptionsKey_;
+  const bool fullInvalidation = !live_;
   const std::uint64_t newEpoch = epoch_ + 1;
 
   SessionStats stats;
@@ -406,11 +367,8 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   // Attribute every dirty unit to its invalidation cause — the record the
   // cost profiler surfaces for warm runs.
   if (fullInvalidation) {
-    const char* cause = !live_ ? "first-submit" : "options-change";
-    const char* detail =
-        !live_ ? "no prior session state" : "ablation-relevant analysis options changed";
     for (const Procedure& p : incoming.procedures)
-      stats.invalidations.push_back({p.name, cause, detail});
+      stats.invalidations.push_back({p.name, "first-submit", "no prior session state"});
   } else {
     for (const Procedure& p : incoming.procedures) {
       if (clean.count(p.name)) continue;
@@ -572,7 +530,6 @@ SessionResult AnalysisSession::submitLocked(Program incoming) {
   symbols_ = std::move(sema->symbols);
   arrays_ = std::move(sema->arrays);
   epoch_ = newEpoch;
-  unitsOptionsKey_ = optionsKey_;
   live_ = true;
 
   appendCachedLoops(out.loops);

@@ -672,8 +672,6 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
   units_ = std::move(units);
   order_ = std::move(order);
   options_ = opts;
-  optionsKey_ = optionsKey(options_);
-  unitsOptionsKey_ = optionsKey_;
   epoch_ = epoch;
   lastSourceHash_ = lastSourceHash;
   hasSourceHash_ = hasSourceHash;

@@ -176,8 +176,7 @@ Truth ConstraintSet::contradictoryUncached() const {
     fallbacks.add();
     if (prefilterSpan.active()) prefilterSpan.arg("verdict", "declined");
   }
-  // Cold FM evaluations are traced and report Unknown verdicts into the
-  // active provenance scope (memoized verdicts skip this path entirely).
+  // Cold FM evaluations are traced (memoized verdicts skip this path).
   obs::Span span("query.fm", "ConstraintSet::contradictory");
   if (span.active()) {
     span.arg("constraints", std::to_string(constraints_.size()));
@@ -187,12 +186,6 @@ Truth ConstraintSet::contradictoryUncached() const {
   }
   Truth verdict = contradictoryCold();
   if (span.active()) span.arg("verdict", toString(verdict));
-  if (verdict == Truth::Unknown && obs::ProvenanceScope::active())
-    obs::ProvenanceScope::note(
-        "fm", "Fourier-Motzkin inconclusive on " + std::to_string(constraints_.size()) +
-                  " constraints (budget " + std::to_string(kBudget.maxConstraints) +
-                  " constraints/" + std::to_string(kBudget.maxVariables) +
-                  " variables, or non-affine data)");
   return verdict;
 }
 

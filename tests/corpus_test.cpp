@@ -236,8 +236,7 @@ TEST(CorpusTest, Fig1ClassificationsAndProvenanceSummaries) {
     for (std::size_t pos = 0; (pos = rendered.find("    why ", pos)) != std::string::npos;
          pos += 8)
       ++whyLines;
-    EXPECT_EQ(whyLines,
-              r.loop.provenance.evidence.size() + r.loop.provenance.notes.size());
+    EXPECT_EQ(whyLines, r.loop.provenance.evidence.size());
   }
 }
 

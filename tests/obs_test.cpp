@@ -511,31 +511,22 @@ TEST(MetricsTest, RenderSummaryCostMatchesHistoricalFormat) {
 // Provenance
 // ---------------------------------------------------------------------------
 
-TEST(ProvenanceTest, ScopeRoutesNotesAndNestingRestores) {
-  EXPECT_FALSE(obs::ProvenanceScope::active());
-  obs::ProvenanceScope::note("fm", "dropped on the floor");  // no sink: no-op
-
-  obs::DecisionTrail outer, inner;
+TEST(ProvenanceTest, ScopeLabelsNestAndRestore) {
+  EXPECT_EQ(obs::ProvenanceScope::currentLabel(), "");
   {
-    obs::ProvenanceScope outerScope(outer, "outer-test");
-    EXPECT_TRUE(obs::ProvenanceScope::active());
-    obs::ProvenanceScope::note("fm", "first");
+    obs::ProvenanceScope outer("outer-test");
+    EXPECT_EQ(obs::ProvenanceScope::currentLabel(), "outer-test");
     {
-      obs::ProvenanceScope innerScope(inner, "inner-test");
-      obs::ProvenanceScope::note("implies", "second");
+      obs::ProvenanceScope inner("inner-test");
+      EXPECT_EQ(obs::ProvenanceScope::currentLabel(), "inner-test");
     }
-    obs::ProvenanceScope::note("fm", "third");
+    EXPECT_EQ(obs::ProvenanceScope::currentLabel(), "outer-test");
+    // The label is the calling thread's own.
+    std::string elsewhere = "unset";
+    std::thread([&] { elsewhere = obs::ProvenanceScope::currentLabel(); }).join();
+    EXPECT_EQ(elsewhere, "");
   }
-  EXPECT_FALSE(obs::ProvenanceScope::active());
-
-  ASSERT_EQ(outer.notes.size(), 2u);
-  EXPECT_EQ(outer.notes[0].scope, "outer-test");
-  EXPECT_EQ(outer.notes[0].source, "fm");
-  EXPECT_EQ(outer.notes[0].detail, "first");
-  EXPECT_EQ(outer.notes[1].detail, "third");
-  ASSERT_EQ(inner.notes.size(), 1u);
-  EXPECT_EQ(inner.notes[0].scope, "inner-test");
-  EXPECT_EQ(inner.notes[0].source, "implies");
+  EXPECT_EQ(obs::ProvenanceScope::currentLabel(), "");
 }
 
 TEST(ProvenanceTest, TrailFiltersByKind) {
@@ -551,8 +542,8 @@ TEST(ProvenanceTest, TrailFiltersByKind) {
 }
 
 TEST(ProvenanceTest, EvidenceIsIdenticalAcrossThreadCountsAndCaching) {
-  // The determinism contract of the evidence tier: same trails regardless
-  // of thread count or cache configuration (notes are exempt by design).
+  // The determinism contract of provenance: the same rendered trails
+  // regardless of thread count or cache configuration.
   struct CacheGuard {
     ~CacheGuard() { QueryCache::global().configure(QueryCache::kDefaultCapacity); }
   } guard;
@@ -566,9 +557,8 @@ TEST(ProvenanceTest, EvidenceIsIdenticalAcrossThreadCountsAndCaching) {
     CorpusAnalysisResult other = analyzeCorpusParallel(parallel4);
     ASSERT_EQ(other.loops.size(), base.loops.size());
     for (std::size_t k = 0; k < base.loops.size(); ++k) {
+      EXPECT_EQ(other.loops[k].provenance, base.loops[k].provenance) << base.loops[k].kernelId;
       EXPECT_EQ(other.loops[k].provenanceSummary, base.loops[k].provenanceSummary)
-          << base.loops[k].kernelId;
-      EXPECT_EQ(other.loops[k].provenanceEvidenceCount, base.loops[k].provenanceEvidenceCount)
           << base.loops[k].kernelId;
     }
   }

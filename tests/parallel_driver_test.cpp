@@ -5,7 +5,9 @@
 //   * memoized verdicts equal cold (cache-disabled) verdicts no matter in
 //     which order the queries arrive;
 //   * a tiny cache capacity — constant eviction — never changes a verdict
-//     (eviction only forgets).
+//     (eviction only forgets);
+//   * a loop's --explain evidence is the same at every thread count, even
+//     when the loops of one program race for the same cold queries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,11 +23,13 @@
 #include "panorama/frontend/parser.h"
 #include "panorama/obs/trace.h"
 #include "panorama/predicate/arena.h"
+#include "panorama/predicate/fm_incremental.h"
 #include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
 #include "panorama/support/memo_cache.h"
 #include "panorama/symbolic/arena.h"
 #include "panorama/symbolic/constraint.h"
+#include "wide_guard.h"
 
 namespace panorama {
 namespace {
@@ -65,6 +69,36 @@ TEST(ParallelDriverTest, EveryThreadCountIdenticalToOneThread) {
     EXPECT_EQ(golden, renderCorpus(run)) << threads << " threads";
     EXPECT_EQ(run.threadsUsed, threads);
   }
+}
+
+// The two loops of the wide-guard kernel ask the same inconclusive FM
+// queries; with the memo tables cleared before every run, threads race for
+// who evaluates each one cold. The evidence must not tell who won.
+TEST(ParallelDriverTest, ProvenanceIdenticalAtEveryThreadCountWhenLoopsRace) {
+  CacheGuard guard;
+  auto explain = [](std::size_t threads) {
+    QueryCache::global().clear();
+    clearSimplifyMemo();
+    clearFmEliminationCache();
+    DiagnosticEngine diags;
+    auto program = parseProgram(wide_guard::kernel(), diags);
+    EXPECT_TRUE(program.has_value()) << diags.str();
+    if (!program) return std::string();
+    AnalysisOptions options;
+    options.numThreads = threads;
+    ThreadPool pool(threads);
+    ProgramAnalysis pa = analyzeProgramUnit(std::move(*program), options, pool);
+    EXPECT_TRUE(pa.ok) << pa.error;
+    EXPECT_EQ(pa.loops.size(), 2u);
+    std::string out;
+    for (const LoopAnalysis& la : pa.loops) out += formatLoopAnalysis(la) + formatProvenance(la);
+    return out;
+  };
+  const std::string golden = explain(1);
+  ASSERT_NE(golden.find("why [dependence-test] flow -> unknown"), std::string::npos) << golden;
+  for (std::size_t threads : {1u, 4u, 8u})
+    for (int rep = 0; rep < 20; ++rep)
+      ASSERT_EQ(explain(threads), golden) << threads << " threads, repetition " << rep;
 }
 
 TEST(ParallelDriverTest, QuantifiedKernelsParallelizeIdentically) {

@@ -6,7 +6,9 @@
 //     while siblings keep their cached summaries and epochs;
 //   * identical resubmission recomputes nothing;
 //   * procedure add/remove dirties only the affected unit;
-//   * an ablation-relevant options change invalidates everything once;
+//   * two sessions in one process, and a warm submit against a cold one,
+//     report the same --explain evidence, though they share the memo
+//     tables and only the first to ask a query evaluates it cold;
 //   * sessions never reset the process-wide verdict cache or its counters,
 //     never change the process-wide query tier, and never write the
 //     process-wide metrics registry;
@@ -33,11 +35,13 @@
 #include "panorama/obs/metrics.h"
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/fm_incremental.h"
+#include "panorama/predicate/predicate.h"
 #include "panorama/session/session.h"
 #include "panorama/support/json.h"
 #include "panorama/support/memo_cache.h"
 #include "panorama/symbolic/arena.h"
 #include "steady_state.h"
+#include "wide_guard.h"
 
 namespace panorama {
 namespace {
@@ -270,9 +274,9 @@ TEST(SessionTest, EveryDirtyUnitCarriesItsInvalidationCause) {
   EXPECT_FALSE(warm.stats.fullInvalidation);
   EXPECT_EQ(warm.stats.epoch, 2u);
 
-  // An added procedure and an options flip attribute their own causes. Build
-  // on the edited source: the session's live state is kLeafEdited, so the
-  // only delta is the new procedure.
+  // An added procedure attributes its own cause. Build on the edited source:
+  // the session's live state is kLeafEdited, so the only delta is the new
+  // procedure.
   std::string withExtra = std::string(kLeafEdited) +
                           "      subroutine extra(e)\n"
                           "      real e(100)\n"
@@ -285,15 +289,6 @@ TEST(SessionTest, EveryDirtyUnitCarriesItsInvalidationCause) {
   ASSERT_EQ(added.stats.invalidations.size(), 1u);
   EXPECT_EQ(added.stats.invalidations[0].unit, "extra");
   EXPECT_EQ(added.stats.invalidations[0].cause, "added");
-
-  AnalysisOptions quantified = session.options();
-  quantified.quantified = true;
-  session.setOptions(quantified);
-  SessionResult flipped = session.submit(withExtra);
-  ASSERT_TRUE(flipped.ok);
-  ASSERT_EQ(flipped.stats.invalidations.size(), 6u);
-  for (const UnitInvalidation& inv : flipped.stats.invalidations)
-    EXPECT_EQ(inv.cause, "options-change") << inv.unit;
 }
 
 TEST(SessionTest, ProcedureAddAndRemoveDirtyOnlyTheAffectedUnit) {
@@ -323,42 +318,6 @@ TEST(SessionTest, ProcedureAddAndRemoveDirtyOnlyTheAffectedUnit) {
   EXPECT_EQ(removed.stats.dirty, 0u);
   EXPECT_EQ(session.summaryEpochOf("extra"), 0u);
   EXPECT_EQ(session.summaryEpochOf("main"), 1u);
-}
-
-TEST(SessionTest, OptionsChangeInvalidatesEverythingOnce) {
-  CacheGuard guard;
-  AnalysisSession session;
-  ASSERT_TRUE(session.submit(kBase).ok);
-
-  AnalysisOptions quantified = session.options();
-  quantified.quantified = true;
-  session.setOptions(quantified);
-  SessionResult invalidated = session.submit(kBase);
-  ASSERT_TRUE(invalidated.ok);
-  EXPECT_TRUE(invalidated.stats.fullInvalidation);
-  EXPECT_EQ(invalidated.stats.dirty, 5u);
-  EXPECT_EQ(invalidated.stats.summariesReused, 0u);
-  for (const char* name : {"main", "sib", "top", "mid", "leaf"})
-    EXPECT_EQ(session.summaryEpochOf(name), 2u) << name;
-
-  // The new options are now the steady state: resubmitting reuses again.
-  SessionResult steady = session.submit(kBase);
-  ASSERT_TRUE(steady.ok);
-  EXPECT_FALSE(steady.stats.fullInvalidation);
-  EXPECT_EQ(steady.stats.dirty, 0u);
-}
-
-TEST(SessionTest, ThreadCountChangeDoesNotInvalidate) {
-  CacheGuard guard;
-  AnalysisSession session;
-  ASSERT_TRUE(session.submit(kBase).ok);
-  AnalysisOptions moreThreads = session.options();
-  moreThreads.numThreads = 4;
-  session.setOptions(moreThreads);
-  SessionResult warm = session.submit(kBase);
-  ASSERT_TRUE(warm.ok);
-  EXPECT_FALSE(warm.stats.fullInvalidation);
-  EXPECT_EQ(warm.stats.dirty, 0u);
 }
 
 // ----- loop-granular reuse inside the dirty cone (DESIGN.md §4.9) ----------
@@ -558,8 +517,8 @@ TEST(SessionTest, FailedSubmitLeavesSessionIntact) {
 }
 
 // Sessions that share a process share its memo tables but never reset
-// them: constructing sessions and changing one session's ablation options
-// leave the verdict cache's entries and counters as they were, and a fresh
+// them: constructing sessions, one of them with other ablation options,
+// leaves the verdict cache's entries and counters as they were, and a fresh
 // session's submit of an already-analyzed source is served from the cache.
 TEST(SessionTest, SessionsNeverResetTheSharedVerdictCache) {
   CacheGuard guard;
@@ -571,11 +530,11 @@ TEST(SessionTest, SessionsNeverResetTheSharedVerdictCache) {
   const QueryCache::Stats before = QueryCache::global().stats();
   ASSERT_GT(before.entries, 0u);
 
-  std::vector<std::unique_ptr<AnalysisSession>> others;
-  for (int k = 0; k < 4; ++k) others.push_back(std::make_unique<AnalysisSession>(options));
   AnalysisOptions ablated = options;
   ablated.ifConditions = false;
-  others[0]->setOptions(ablated);
+  std::vector<std::unique_ptr<AnalysisSession>> others;
+  for (int k = 0; k < 4; ++k)
+    others.push_back(std::make_unique<AnalysisSession>(k == 0 ? ablated : options));
   const QueryCache::Stats after = QueryCache::global().stats();
   EXPECT_EQ(after.entries, before.entries);
   EXPECT_EQ(after.hits, before.hits);
@@ -585,6 +544,53 @@ TEST(SessionTest, SessionsNeverResetTheSharedVerdictCache) {
   const QueryCache::Stats resubmitted = QueryCache::global().stats();
   EXPECT_GT(resubmitted.hits, after.hits);
   EXPECT_EQ(resubmitted.misses, after.misses) << "an analyzed source's verdicts are all cached";
+}
+
+/// Empties the memo tables that every session in a process shares, so the
+/// next submit evaluates each of its queries cold.
+void clearSharedMemos() {
+  QueryCache::global().clear();
+  clearSimplifyMemo();
+  clearFmEliminationCache();
+}
+
+// The second session finds every verdict of the wide-guard kernel in the
+// shared memo tables; its reports and evidence must still be the first's.
+TEST(SessionTest, TwoSessionsInOneProcessReportTheSameEvidence) {
+  CacheGuard guard;
+  clearSharedMemos();
+  AnalysisOptions options;
+  options.numThreads = 1;
+  AnalysisSession first(options);
+  SessionResult a = first.submit(wide_guard::kernel());
+  ASSERT_TRUE(a.ok) << a.error;
+  AnalysisSession second(options);
+  SessionResult b = second.submit(wide_guard::kernel());
+  ASSERT_TRUE(b.ok) << b.error;
+  ASSERT_EQ(a.loops.size(), 2u);
+  EXPECT_NE(a.loops[0].provenance.find("why [dependence-test] flow -> unknown"), std::string::npos);
+  EXPECT_EQ(render(b), render(a));
+}
+
+// A warm submit re-analyzes the edited loop against verdicts the previous
+// submit cached; it must report what a cold submit of the edited text does.
+TEST(SessionTest, WarmSubmitReportsTheEvidenceOfAColdOne) {
+  CacheGuard guard;
+  clearSharedMemos();
+  AnalysisOptions options;
+  options.numThreads = 1;
+  AnalysisSession warmSession(options);
+  ASSERT_TRUE(warmSession.submit(wide_guard::kernel()).ok);
+  SessionResult warm = warmSession.submit(wide_guard::kernel(true));
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_FALSE(warm.stats.fullInvalidation);
+
+  clearSharedMemos();
+  AnalysisSession coldSession(options);
+  SessionResult cold = coldSession.submit(wide_guard::kernel(true));
+  ASSERT_TRUE(cold.ok) << cold.error;
+  ASSERT_EQ(cold.loops.size(), 2u);
+  EXPECT_EQ(render(warm), render(cold));
 }
 
 /// What a warm session may only grow while it meets new text.
@@ -660,8 +666,8 @@ TEST(SessionTest, SnapshotRestartsReachASteadyState) {
 
 // The query tier is a process setting (fm_incremental.h) that no session
 // entry point may change: with the tier turned off, building a standalone
-// and a shared-pool session, setOptions, save, restore and submit all leave
-// it off, run no prefilter query, and report what a tier-on session does.
+// and a shared-pool session, save, restore and submit all leave it off, run
+// no prefilter query, and report what a tier-on session does.
 TEST(SessionTest, SessionsNeverChangeTheQueryTier) {
   CacheGuard guard;
   struct TierGuard {
@@ -682,11 +688,6 @@ TEST(SessionTest, SessionsNeverChangeTheQueryTier) {
   AnalysisSession standalone(options);
   AnalysisSession shared(options, &pool);
   EXPECT_FALSE(queryTierEnabled()) << "a session constructor changed the tier";
-  AnalysisOptions changed = options;
-  changed.numThreads = 2;
-  standalone.setOptions(changed);
-  shared.setOptions(changed);
-  EXPECT_FALSE(queryTierEnabled()) << "setOptions changed the tier";
 
   ASSERT_TRUE(standalone.submit(kBase).ok);
   const std::string snapshot = testing::TempDir() + "session_tier.pano";
