@@ -181,12 +181,21 @@ if(NOT code EQUAL 0)
   stop_daemon()
   message(FATAL_ERROR "panorama_top --once --json failed (${code}): ${err}")
 endif()
-foreach(needle "\"status\":" "\"metrics\":" "\"tail\":" "uptime_ms" "daemon.op.submit.wall_us")
+foreach(needle "\"status\":" "\"metrics\":" "\"tail\":" "uptime_ms" "daemon.op.submit.wall_us"
+       "\"region\":{\"distinct\":[1-9]")
   if(NOT top_out MATCHES "${needle}")
     stop_daemon()
     message(FATAL_ERROR "panorama_top json lacks ${needle}:\n${top_out}")
   endif()
 endforeach()
+# The human frame shows every table's bytes, the region table's included.
+execute_process(
+  COMMAND "${TOP}" "${SOCK}" --once --timeout-ms=5000
+  RESULT_VARIABLE code OUTPUT_VARIABLE top_out ERROR_VARIABLE err)
+if(NOT code EQUAL 0 OR NOT top_out MATCHES "atom [0-9.]+ KB / region [0-9.]+ KB")
+  stop_daemon()
+  message(FATAL_ERROR "panorama_top --once lacks the region table (${code}): ${top_out}${err}")
+endif()
 
 # Telemetry flags are daemon-only: without --daemon the driver refuses
 # with a usage error instead of silently ignoring them.

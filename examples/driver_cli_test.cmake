@@ -10,7 +10,8 @@
 #     single-file path honours --no-cache;
 #   * --corpus NAME takes an exact id or a unique substring, and exits 2
 #     naming every match when NAME is ambiguous;
-#   * --stats reports the atom table's occupancy, with and without the cache;
+#   * --stats reports the atom table's occupancy, with and without the
+#     cache, and the region table's;
 #   * --summaries computes the on-demand DE sets for its DE_i lines;
 #   * --save-session and --load-session runs of tiny.f, of every corpus
 #     program and of the wide-guard kernel print exactly what the batch run
@@ -190,6 +191,9 @@ set(atom_table_line
     "atom table: [1-9][0-9]* distinct atoms, [1-9][0-9]* stored negations, [1-9][0-9]* bytes")
 if(NOT out MATCHES "${atom_table_line}")
   message(FATAL_ERROR "--stats lacks the atom table's occupancy: ${out}")
+endif()
+if(NOT out MATCHES "region table: [1-9][0-9]* distinct regions, [1-9][0-9]* bytes, shard occupancy [0-9]+\\.\\.[1-9][0-9]*")
+  message(FATAL_ERROR "--stats lacks the region table's occupancy: ${out}")
 endif()
 execute_process(
   COMMAND "${DRIVER}" --no-cache --stats "${kernel}"

@@ -50,6 +50,7 @@
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/fm_incremental.h"
 #include "panorama/predicate/intern.h"
+#include "panorama/region/region.h"
 #include "panorama/session/session.h"
 #include "panorama/store/daemon.h"
 #include "panorama/symbolic/arena.h"
@@ -68,6 +69,9 @@ void printArenaStats() {
   AtomTableStats as = atomTableStats();
   std::printf("atom table: %zu distinct atoms, %zu stored negations, %zu bytes\n", as.distinct,
               as.negations, as.bytes);
+  RegionTable::Stats rs = RegionTable::global().stats();
+  std::printf("region table: %zu distinct regions, %zu bytes, shard occupancy %zu..%zu\n",
+              rs.distinct, rs.bytes, rs.minShard, rs.maxShard);
 }
 
 int usage() {

@@ -31,6 +31,11 @@ class Gar {
   /// conjoined too; callers inside an analysis pass the analyzer's ψ binding
   /// (usually via CmpCtx::psi()), so parallel analyses never share state.
   static Gar make(Pred guard, Region region, const PsiDims& psi = {});
+  /// What make() conjoins before it simplifies: guard ∧ validity(region),
+  /// plus the ψ extent bounds. make(g, r, ψ) is exactly conjoined(g, r, ψ)
+  /// simplified, so a GAR whose guard is simplified and equal to its own
+  /// conjoined() is what make() returns for it.
+  static Pred conjoined(Pred guard, const Region& region, const PsiDims& psi);
   /// The fully unknown GAR Ω of one array: [Δ, all dims unknown].
   static Gar omega(ArrayId array, int rank);
   /// Rebuilds a GAR verbatim from an already-normalized guard/region pair —
@@ -41,7 +46,7 @@ class Gar {
 
   const Pred& guard() const { return guard_; }
   const Region& region() const { return region_; }
-  ArrayId array() const { return region_.array; }
+  ArrayId array() const { return region_.array(); }
 
   bool isEmpty() const { return guard_.isFalse(); }
   bool isOmega() const { return guard_.isUnknown() && region_.hasUnknownDim(); }
@@ -69,10 +74,9 @@ class Gar {
   }
 
  private:
-  friend void simplifyGarList(GarList&, const CmpCtx&, const ArrayTable*);
-
+  // Two handles: copying a GAR allocates nothing.
   Pred guard_;     // defaults to True
-  Region region_;  // empty dims means "no region" (invalid; use make())
+  Region region_;  // defaults to the "no region" (invalid; use make())
 };
 
 /// A union of GARs, possibly over several arrays (summaries carry all arrays

@@ -1,15 +1,19 @@
 // Regular array regions: A(r1, ..., rm) with one range triple per dimension
 // (§3). Region operations decompose into per-dimension range operations and
 // recombine the guarded pieces (§3.1); results are lists of guarded regions.
+// Regions are hash-consed handles into the region table.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "panorama/region/range.h"
+#include "panorama/support/intern_table.h"
 
 namespace panorama {
 
@@ -47,19 +51,53 @@ class ArrayTable {
   std::vector<ArrayShape> shapes_;
 };
 
-/// A regular array region of one array. Dimensions marked unknown
-/// (SymRange::unknown) correspond to the paper's per-dimension Ω marks.
-struct Region {
+namespace detail {
+/// One interned region value (table-owned, immutable, stable address). The
+/// Ω flag and the validity conjunction are derived once, when the value is
+/// first interned.
+struct RegionNode {
   ArrayId array;
   std::vector<SymRange> dims;
+  bool unknownDim = false;  // some dimension is Ω
+  Pred validity;            // ∧ of the per-dimension l <= u conditions
+  std::size_t hash = 0;     // structural hash, cached at interning time
+  std::uint64_t id = 0;     // dense table key; shard index in the low bits
+};
+}  // namespace detail
 
-  int rank() const { return static_cast<int>(dims.size()); }
-  bool hasUnknownDim() const;
+/// The region table, the fourth instance of support/intern_table.h beside
+/// the expression arena, the predicate arena and the atom table;
+/// `RegionTable::global().stats()` is its occupancy.
+using RegionTable = InternTable<detail::RegionNode>;
+
+/// A regular array region of one array. Dimensions marked unknown
+/// (SymRange::unknown) correspond to the paper's per-dimension Ω marks.
+///
+/// Like expressions and predicates, regions are hash-consed: every distinct
+/// (array, dims) value is interned once in the region table, and a `Region`
+/// is an 8-byte immutable handle, so copying one allocates nothing and
+/// equality is a pointer compare. Building a region interns it; building
+/// one that is already interned allocates nothing beyond the caller's dims.
+class Region {
+ public:
+  /// The "no region": no array, no dimensions (a default Gar's region).
+  Region();
+  Region(ArrayId array, std::span<const SymRange> dims);
+  Region(ArrayId array, std::initializer_list<SymRange> dims)
+      : Region(array, std::span<const SymRange>(dims.begin(), dims.size())) {}
+
+  ArrayId array() const { return node_->array; }
+  const std::vector<SymRange>& dims() const { return node_->dims; }
+  int rank() const { return static_cast<int>(node_->dims.size()); }
+  bool hasUnknownDim() const { return node_->unknownDim; }
   bool fullyKnown() const { return !hasUnknownDim(); }
 
-  /// The conjunction of per-dimension validity conditions (l <= u).
-  Pred validity() const;
+  /// The conjunction of per-dimension validity conditions (l <= u), which
+  /// §3 keeps in every GAR's guard.
+  const Pred& validity() const { return node_->validity; }
 
+  /// This region with dimension `d` replaced by `r`.
+  Region withDim(int d, const SymRange& r) const;
   Region substituted(VarId v, const SymExpr& r) const;
   Region substituted(const std::map<VarId, SymExpr>& r) const;
   bool containsVar(VarId v) const;
@@ -70,10 +108,14 @@ struct Region {
   std::optional<std::set<std::vector<std::int64_t>>> enumerate(
       const Binding& binding, std::size_t maxCount = 1 << 16) const;
 
-  friend bool operator==(const Region& a, const Region& b) {
-    return a.array == b.array && a.dims == b.dims;
-  }
+  /// Hash-consing makes equality a pointer compare: one node per value.
+  friend bool operator==(const Region& a, const Region& b) { return a.node_ == b.node_; }
   std::string str(const SymbolTable& symtab, const ArrayTable& arrays) const;
+  /// Dense 64-bit table key; id equality <=> structural equality.
+  std::uint64_t id() const { return node_->id; }
+
+ private:
+  const detail::RegionNode* node_;
 };
 
 /// A guarded region piece: the building block of region-operation results.

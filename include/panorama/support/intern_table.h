@@ -1,10 +1,10 @@
 // One hash-consing table: every distinct value of a node type is stored
 // exactly once and addressed by a stable node pointer thereafter. Each node
 // type has one process-wide instance: the expression arena
-// (symbolic/arena.h), the predicate arena (predicate/arena.h) and the atom
-// table (predicate/intern.h). The node type brings its own hash, comparison
-// and construction; the table owns the sharding, locking, ids, front cache
-// and occupancy counters.
+// (symbolic/arena.h), the predicate arena (predicate/arena.h), the atom
+// table (predicate/intern.h) and the region table (region/region.h). The
+// node type brings its own hash, comparison and construction; the table
+// owns the sharding, locking, ids, front cache and occupancy counters.
 //
 // Id layout (the one authoritative statement): a node's 64-bit id is
 //

@@ -39,11 +39,11 @@ Truth banerjeeIndependent(const SymExpr& f, const SymExpr& g, VarId index, const
 
 Truth refsIndependent(const Region& w, const Region& r, VarId index, const SymExpr& lo,
                       const SymExpr& up) {
-  if (w.array != r.array) return Truth::True;
+  if (w.array() != r.array()) return Truth::True;
   if (w.rank() != r.rank()) return Truth::Unknown;
   for (int d = 0; d < w.rank(); ++d) {
-    const SymRange& dw = w.dims[d];
-    const SymRange& dr = r.dims[d];
+    const SymRange& dw = w.dims()[d];
+    const SymRange& dr = r.dims()[d];
     if (dw.isUnknown() || dr.isUnknown() || !dw.isPoint() || !dr.isPoint())
       return Truth::Unknown;
     // Loop-carried test: the (=) direction is not a carried dependence. If

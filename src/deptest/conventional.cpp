@@ -42,12 +42,12 @@ ConventionalResult ConventionalAnalyzer::classifyLoop(const Stmt& doStmt,
   std::function<void(const Expr&)> collectReads = [&](const Expr& e) {
     for (const ExprPtr& a : e.args) collectReads(*a);
     if (e.kind == Expr::Kind::ArrayRef) {
-      Region r{*sym.arrayId(e.name), {}};
+      std::vector<SymRange> dims;
       for (const ExprPtr& s : e.args) {
         SymExpr v = lowerInt(*s, sym);
-        r.dims.push_back(v.isPoisoned() ? SymRange::unknown() : SymRange::point(std::move(v)));
+        dims.push_back(v.isPoisoned() ? SymRange::unknown() : SymRange::point(std::move(v)));
       }
-      refs.push_back({std::move(r), false});
+      refs.push_back({Region(*sym.arrayId(e.name), dims), false});
     }
     if (e.kind == Expr::Kind::VarRef && sym.isScalar(e.name) && !definite.count(e.name) &&
         e.name != doStmt.doVar)
@@ -59,14 +59,13 @@ ConventionalResult ConventionalAnalyzer::classifyLoop(const Stmt& doStmt,
       case Stmt::Kind::Assign:
         collectReads(*s.rhs);
         if (s.lhs->kind == Expr::Kind::ArrayRef) {
-          Region r{*sym.arrayId(s.lhs->name), {}};
+          std::vector<SymRange> dims;
           for (const ExprPtr& sub : s.lhs->args) {
             collectReads(*sub);
             SymExpr v = lowerInt(*sub, sym);
-            r.dims.push_back(v.isPoisoned() ? SymRange::unknown()
-                                            : SymRange::point(std::move(v)));
+            dims.push_back(v.isPoisoned() ? SymRange::unknown() : SymRange::point(std::move(v)));
           }
-          refs.push_back({std::move(r), true});
+          refs.push_back({Region(*sym.arrayId(s.lhs->name), dims), true});
         } else if (s.lhs->kind == Expr::Kind::VarRef && sym.isScalar(s.lhs->name)) {
           assignedScalars.insert(s.lhs->name);
           if (topLevel) definite.insert(s.lhs->name);

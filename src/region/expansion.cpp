@@ -311,24 +311,25 @@ void expandGar(const Gar& gar, const LoopBounds& bounds, const CmpCtx& ctx, GarL
       if (caseGuard.isFalse()) continue;
 
       CmpCtx ectx = ctxWith(ctx, caseGuard);
-      Region region{gar.array(), {}};
+      std::vector<SymRange> dims;
+      dims.reserve(gar.region().rank());
       int dimsWithI = 0;
-      for (const SymRange& d : gar.region().dims)
+      for (const SymRange& d : gar.region().dims())
         if (d.containsVar(i)) ++dimsWithI;
-      for (const SymRange& d : gar.region().dims) {
+      for (const SymRange& d : gar.region().dims()) {
         if (!d.containsVar(i)) {
-          region.dims.push_back(d);
+          dims.push_back(d);
           continue;
         }
         if (dimsWithI > 1) {  // §4.1: i in several dimensions ⇒ all Ω
-          region.dims.push_back(SymRange::unknown());
+          dims.push_back(SymRange::unknown());
           continue;
         }
         auto expanded = expandDim(d, i, L, U, st, ectx);
-        region.dims.push_back(expanded ? std::move(*expanded) : SymRange::unknown());
+        dims.push_back(expanded ? std::move(*expanded) : SymRange::unknown());
       }
       Pred guard = inexact ? caseGuard && Pred::makeUnknown() : std::move(caseGuard);
-      out.add(Gar::make(std::move(guard), std::move(region), ctx.psi()));
+      out.add(Gar::make(std::move(guard), Region(gar.array(), dims), ctx.psi()));
     }
   }
 }

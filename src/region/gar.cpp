@@ -6,29 +6,33 @@ namespace panorama {
 
 Gar Gar::make(Pred guard, Region region, const PsiDims& psi) {
   Gar g;
-  g.guard_ = std::move(guard) && region.validity();
+  g.guard_ = conjoined(std::move(guard), region, psi);
+  g.guard_.simplify();
+  g.region_ = region;
+  return g;
+}
+
+Pred Gar::conjoined(Pred guard, const Region& region, const PsiDims& psi) {
+  guard = std::move(guard) && region.validity();
   // ψ-guarded pieces carry their element-coordinate bounds explicitly, so
   // guard-level (un)satisfiability checks see the region extent (the same
   // discipline §3 imposes for range-validity conditions).
   const VarId psis[2] = {psi.dim1, psi.dim2};
   for (int d = 0; d < 2; ++d) {
-    VarId psi = psis[d];
-    if (psi.isValid() && g.guard_.containsVar(psi) &&
-        static_cast<int>(region.dims.size()) > d && !region.dims[d].isUnknown()) {
-      SymExpr p = SymExpr::variable(psi);
-      g.guard_ = g.guard_ && Pred::atom(Atom::le(region.dims[d].lo, p)) &&
-                 Pred::atom(Atom::le(p, region.dims[d].up));
+    if (psis[d].isValid() && guard.containsVar(psis[d]) && region.rank() > d &&
+        !region.dims()[d].isUnknown()) {
+      SymExpr p = SymExpr::variable(psis[d]);
+      guard = guard && Pred::atom(Atom::le(region.dims()[d].lo, p)) &&
+              Pred::atom(Atom::le(p, region.dims()[d].up));
     }
   }
-  g.guard_.simplify();
-  g.region_ = std::move(region);
-  return g;
+  return guard;
 }
 
 Gar Gar::omega(ArrayId array, int rank) {
   Gar g;
   g.guard_ = Pred::makeUnknown();
-  g.region_ = Region{array, std::vector<SymRange>(std::max(rank, 1), SymRange::unknown())};
+  g.region_ = Region(array, std::vector<SymRange>(std::max(rank, 1), SymRange::unknown()));
   return g;
 }
 

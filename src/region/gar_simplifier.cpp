@@ -16,25 +16,30 @@ bool coversWholeArray(const Gar& g, const CmpCtx& ctx, const ArrayTable& arrays)
   if (!g.guard().isTrue()) return false;
   const ArrayShape& shape = arrays.shape(g.array());
   if (shape.declaredDims.empty() || shape.rank() != g.region().rank()) return false;
-  Region declared{g.array(), shape.declaredDims};
-  return regionContains(g.region(), declared, ctx) == Truth::True;
+  return regionContains(g.region(), Region(g.array(), shape.declaredDims), ctx) == Truth::True;
 }
 
 }  // namespace
 
 void simplifyGarList(GarList& list, const CmpCtx& ctx, const ArrayTable* arrays) {
-  // Works on the list's own vector: members and their regions move through
-  // the passes, and each pass compacts in place.
+  // Works on the list's own vector, and each pass compacts in place.
   std::vector<Gar>& gars = list.gars_;
 
-  // Pass 1: guard simplification and dead-piece removal.
+  // Pass 1: guard simplification and dead-piece removal. Re-making a member
+  // would simplify its guard conjoined with its region's validity (and ψ
+  // bounds); when the guard is already simplified and already holds those,
+  // that is the member itself, so it is kept as it is.
   {
     std::size_t kept = 0;
     for (Gar& g : gars) {
       Pred guard = g.guard();
       guard.simplify();
       if (guard.isFalse()) continue;
-      gars[kept++] = Gar::make(std::move(guard), std::move(g.region_), ctx.psi());
+      if (guard == g.guard() && Gar::conjoined(guard, g.region(), ctx.psi()) == guard) {
+        gars[kept++] = g;
+        continue;
+      }
+      gars[kept++] = Gar::make(std::move(guard), g.region(), ctx.psi());
     }
     gars.resize(kept);
   }

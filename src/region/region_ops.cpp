@@ -20,59 +20,66 @@ void pushPiece(RegionOpResult& out, Pred guard, Region region) {
 }  // namespace
 
 Truth regionsDisjoint(const Region& r1, const Region& r2, const CmpCtx& ctx) {
-  if (r1.array != r2.array) return Truth::True;
+  if (r1.array() != r2.array()) return Truth::True;
   if (r1.rank() != r2.rank()) return Truth::Unknown;
   for (int i = 0; i < r1.rank(); ++i)
-    if (rangesDisjoint(r1.dims[i], r2.dims[i], ctx) == Truth::True) return Truth::True;
+    if (rangesDisjoint(r1.dims()[i], r2.dims()[i], ctx) == Truth::True) return Truth::True;
   return Truth::Unknown;
 }
 
 Truth regionContains(const Region& outer, const Region& inner, const CmpCtx& ctx) {
-  if (outer.array != inner.array || outer.rank() != inner.rank()) return Truth::Unknown;
+  if (outer.array() != inner.array() || outer.rank() != inner.rank()) return Truth::Unknown;
   for (int i = 0; i < outer.rank(); ++i)
-    if (rangeContains(outer.dims[i], inner.dims[i], ctx) != Truth::True) return Truth::Unknown;
+    if (rangeContains(outer.dims()[i], inner.dims()[i], ctx) != Truth::True)
+      return Truth::Unknown;
   return Truth::True;
 }
 
 RegionOpResult regionIntersect(const Region& r1, const Region& r2, const CmpCtx& ctx) {
   RegionOpResult out;
-  if (r1.array != r2.array || r1.rank() != r2.rank()) return out;  // disjoint: empty
+  if (r1.array() != r2.array() || r1.rank() != r2.rank()) return out;  // disjoint: empty
 
   // Per-dimension intersections first; an empty dimension empties the whole
   // intersection (the ∃i Di = ∅ case of §3.1).
   std::vector<RangeOpResult> perDim;
   perDim.reserve(r1.rank());
   for (int i = 0; i < r1.rank(); ++i) {
-    RangeOpResult d = rangeIntersect(r1.dims[i], r2.dims[i], ctx);
+    RangeOpResult d = rangeIntersect(r1.dims()[i], r2.dims()[i], ctx);
     if (d.pieces.empty()) return out;
     perDim.push_back(std::move(d));
   }
 
-  // Cartesian recombination of the guarded pieces.
-  std::vector<GuardedRegion> acc;
-  acc.push_back({Pred::makeTrue(), Region{r1.array, {}}});
+  // Cartesian recombination of the guarded pieces: partial products keep
+  // their dimensions unbuilt, and only the full ones become regions.
+  struct Partial {
+    Pred guard;
+    std::vector<SymRange> dims;
+  };
+  std::vector<Partial> acc(1);
   for (RangeOpResult& d : perDim) {
     out.unknown = out.unknown || d.unknown;
-    std::vector<GuardedRegion> next;
-    for (GuardedRegion& partial : acc) {
+    std::vector<Partial> next;
+    for (Partial& partial : acc) {
       for (const GuardedRange& piece : d.pieces) {
         Pred g = partial.guard && piece.guard;
         if (g.isFalse()) continue;
-        Region r = partial.region;
-        r.dims.push_back(piece.range);
-        next.push_back({std::move(g), std::move(r)});
+        std::vector<SymRange> dims = partial.dims;
+        dims.push_back(piece.range);
+        next.push_back({std::move(g), std::move(dims)});
       }
     }
     acc = std::move(next);
     if (acc.size() > kMaxPieces) {
       out.pieces.clear();
-      Region omega{r1.array, std::vector<SymRange>(r1.rank(), SymRange::unknown())};
-      pushPiece(out, Pred::makeUnknown(), std::move(omega));
+      pushPiece(out, Pred::makeUnknown(),
+                Region(r1.array(), std::vector<SymRange>(r1.rank(), SymRange::unknown())));
       out.unknown = true;
       return out;
     }
   }
-  out.pieces = std::move(acc);
+  out.pieces.reserve(acc.size());
+  for (Partial& partial : acc)
+    out.pieces.push_back({std::move(partial.guard), Region(r1.array(), partial.dims)});
   return out;
 }
 
@@ -84,18 +91,18 @@ namespace {
 void subtractDims(const Region& r1, const Region& r2, int d, const CmpCtx& ctx,
                   const Pred& guard, std::vector<SymRange>& prefix, RegionOpResult& out) {
   const int m = r1.rank();
-  RangeOpResult diff = rangeSubtract(r1.dims[d], r2.dims[d], ctx);
+  RangeOpResult diff = rangeSubtract(r1.dims()[d], r2.dims()[d], ctx);
   out.unknown = out.unknown || diff.unknown;
   for (GuardedRange& piece : diff.pieces) {
     Pred g = guard && piece.guard;
     if (g.isFalse()) continue;
-    Region r{r1.array, prefix};
-    r.dims.push_back(piece.range);
-    for (int k = d + 1; k < m; ++k) r.dims.push_back(r1.dims[k]);
-    pushPiece(out, std::move(g), std::move(r));
+    prefix.push_back(piece.range);
+    prefix.insert(prefix.end(), r1.dims().begin() + d + 1, r1.dims().end());
+    pushPiece(out, std::move(g), Region(r1.array(), prefix));
+    prefix.resize(d);
   }
   if (d + 1 >= m) return;
-  RangeOpResult inter = rangeIntersect(r1.dims[d], r2.dims[d], ctx);
+  RangeOpResult inter = rangeIntersect(r1.dims()[d], r2.dims()[d], ctx);
   out.unknown = out.unknown || inter.unknown;
   for (GuardedRange& piece : inter.pieces) {
     Pred g = guard && piece.guard;
@@ -111,7 +118,7 @@ void subtractDims(const Region& r1, const Region& r2, int d, const CmpCtx& ctx,
 
 RegionOpResult regionSubtract(const Region& r1, const Region& r2, const CmpCtx& ctx) {
   RegionOpResult out;
-  if (r1.array != r2.array || r1.rank() != r2.rank()) {
+  if (r1.array() != r2.array() || r1.rank() != r2.rank()) {
     pushPiece(out, Pred::makeTrue(), r1);  // nothing removable
     return out;
   }
@@ -131,19 +138,17 @@ RegionOpResult regionSubtract(const Region& r1, const Region& r2, const CmpCtx& 
 }
 
 std::optional<Region> regionUnionPair(const Region& r1, const Region& r2, const CmpCtx& ctx) {
-  if (r1.array != r2.array || r1.rank() != r2.rank()) return std::nullopt;
+  if (r1.array() != r2.array() || r1.rank() != r2.rank()) return std::nullopt;
   if (r1 == r2) return r1;
   int differing = -1;
   for (int i = 0; i < r1.rank(); ++i) {
-    if (r1.dims[i] == r2.dims[i]) continue;
+    if (r1.dims()[i] == r2.dims()[i]) continue;
     if (differing >= 0) return std::nullopt;  // more than one dimension differs
     differing = i;
   }
-  auto merged = rangeUnionPair(r1.dims[differing], r2.dims[differing], ctx);
+  auto merged = rangeUnionPair(r1.dims()[differing], r2.dims()[differing], ctx);
   if (!merged) return std::nullopt;
-  Region out = r1;
-  out.dims[differing] = std::move(*merged);
-  return out;
+  return r1.withDim(differing, *merged);
 }
 
 }  // namespace panorama

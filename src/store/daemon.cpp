@@ -14,6 +14,7 @@
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
+#include "panorama/region/region.h"
 #include "panorama/store/protocol.h"
 #include "panorama/support/json.h"
 #include "panorama/support/memo_cache.h"
@@ -399,11 +400,14 @@ std::string Daemon::statusResponse(const std::string& id) {
   const ExprArena::Stats ea = ExprArena::global().stats();
   const PredArena::Stats pa = PredArena::global().stats();
   const AtomTableStats at = atomTableStats();
+  const RegionTable::Stats ra = RegionTable::global().stats();
   std::snprintf(buf, sizeof(buf),
                 ",\"arenas\":{\"expr\":{\"distinct\":%zu,\"bytes\":%zu},"
                 "\"pred\":{\"distinct\":%zu,\"bytes\":%zu},"
-                "\"atom\":{\"distinct\":%zu,\"negations\":%zu,\"bytes\":%zu}}",
-                ea.distinct, ea.bytes, pa.distinct, pa.bytes, at.distinct, at.negations, at.bytes);
+                "\"atom\":{\"distinct\":%zu,\"negations\":%zu,\"bytes\":%zu},"
+                "\"region\":{\"distinct\":%zu,\"bytes\":%zu}}",
+                ea.distinct, ea.bytes, pa.distinct, pa.bytes, at.distinct, at.negations, at.bytes,
+                ra.distinct, ra.bytes);
   out += buf;
   out += ",\"caches\":{";
   appendCacheJson(out, "query_cache", QueryCache::global().stats());

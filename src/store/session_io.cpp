@@ -109,9 +109,9 @@ struct PoolWriter {
     w.u64(list.size());
     for (const Gar& g : list) {
       w.u64(pred(g.guard()));
-      w.u32(g.region().array.value);
-      w.u64(g.region().dims.size());
-      for (const SymRange& d : g.region().dims) range(w, d);
+      w.u32(g.region().array().value);
+      w.u64(g.region().dims().size());
+      for (const SymRange& d : g.region().dims()) range(w, d);
     }
   }
 
@@ -341,15 +341,16 @@ struct PoolReader {
     const std::uint64_t n = r.count(20, "region piece");
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
       const Pred guard = predAt(r.u64());
-      Region region;
-      region.array = ArrayId{r.u32()};
-      if (r.ok() && (!region.array.isValid() || region.array.value >= arrayCount))
+      // A region is stored as its array and dims and re-interned here.
+      const ArrayId array{r.u32()};
+      if (r.ok() && (!array.isValid() || array.value >= arrayCount))
         r.fail("corrupted snapshot: region array id out of range");
       const std::uint64_t dn = r.count(24, "region dimension");
-      region.dims.reserve(static_cast<std::size_t>(dn));
-      for (std::uint64_t d = 0; d < dn && r.ok(); ++d) region.dims.push_back(range());
+      std::vector<SymRange> dims;
+      dims.reserve(static_cast<std::size_t>(dn));
+      for (std::uint64_t d = 0; d < dn && r.ok(); ++d) dims.push_back(range());
       if (!r.ok()) break;
-      out.addRaw(Gar::fromParts(guard, std::move(region)));
+      out.addRaw(Gar::fromParts(guard, Region(array, dims)));
     }
     return out;
   }

@@ -298,13 +298,13 @@ void SummaryAnalyzer::psiRewrite(GarList& list, VarId index) const {
   GarList out;
   for (const Gar& g : list.gars()) {
     const Region& r = g.region();
-    bool applicable = r.rank() == 1 && !r.dims[0].isUnknown() && r.dims[0].isPoint() &&
-                      r.dims[0].lo.containsVar(index);
+    bool applicable = r.rank() == 1 && !r.dims()[0].isUnknown() && r.dims()[0].isPoint() &&
+                      r.dims()[0].lo.containsVar(index);
     if (!applicable) {
       out.add(g);
       continue;
     }
-    const SymExpr& point = r.dims[0].lo;
+    const SymExpr& point = r.dims()[0].lo;
     bool changed = false;
     Pred rebuilt = g.guard().isUnknown() ? Pred::makeUnknown() : Pred::makeTrue();
     for (const Disjunct& clause : g.guard().clauses()) {

@@ -138,15 +138,14 @@ SummaryAnalyzer::NodeSets SummaryAnalyzer::sumCall(const HsgNode& n, const ProcS
         dst.add(Gar::omega(am->second.caller, sema_->arrays.shape(am->second.caller).rank()));
         continue;
       }
-      Region r = mapped.region();
-      r.array = am->second.caller;
-      for (std::size_t d = 0; d < r.dims.size() && d < am->second.offsets.size(); ++d) {
+      std::vector<SymRange> dims = mapped.region().dims();
+      for (std::size_t d = 0; d < dims.size() && d < am->second.offsets.size(); ++d) {
         const SymExpr& off = am->second.offsets[d];
-        if (off.isZero() || r.dims[d].isUnknown()) continue;
-        r.dims[d].lo = r.dims[d].lo + off;
-        r.dims[d].up = r.dims[d].up + off;
+        if (off.isZero() || dims[d].isUnknown()) continue;
+        dims[d].lo = dims[d].lo + off;
+        dims[d].up = dims[d].up + off;
       }
-      dst.add(Gar::make(mapped.guard(), std::move(r), psi_));
+      dst.add(Gar::make(mapped.guard(), Region(am->second.caller, dims), psi_));
     }
     if (options_.quantified) taintAllQuantified(dst);
     return dst;

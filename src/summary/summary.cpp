@@ -143,16 +143,16 @@ void SummaryAnalyzer::addUses(const Expr& e, const ProcSymbols& sym, GarList& ue
 }
 
 Region SummaryAnalyzer::lowerRef(const Expr& ref, const ProcSymbols& sym) {
-  Region r;
-  r.array = *sym.arrayId(ref.name);
+  std::vector<SymRange> dims;
+  dims.reserve(ref.args.size());
   for (const ExprPtr& sub : ref.args) {
     SymExpr v = lowerValue(*sub, sym);
     if (v.isPoisoned())
-      r.dims.push_back(SymRange::unknown());
+      dims.push_back(SymRange::unknown());
     else
-      r.dims.push_back(SymRange::point(std::move(v)));
+      dims.push_back(SymRange::point(std::move(v)));
   }
-  return r;
+  return Region(*sym.arrayId(ref.name), dims);
 }
 
 void SummaryAnalyzer::collectAssignedScalars(const std::vector<const Stmt*>& stmts,

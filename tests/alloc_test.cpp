@@ -1,10 +1,12 @@
 // Allocation regression test for the hit paths of the symbolic core: once a
 // value is interned and a verdict cached, rebuilding the value or asking the
-// query again must not touch the heap. This binary replaces the global
+// query again must not touch the heap, and copying a GAR (two handles) must
+// not either. This binary replaces the global
 // operator new/delete with versions that count allocations per thread, so a
 // hit path that starts building a heap candidate again fails here.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "panorama/predicate/predicate.h"
+#include "panorama/region/gar.h"
 #include "panorama/symbolic/cmp.h"
 
 namespace {
@@ -74,6 +77,9 @@ struct Operands {
     return cs;
   }();
   CmpCtx ctx{context};
+  ArrayId A{0};
+  std::array<SymRange, 2> dims{SymRange::closed(I, N), SymRange::point(M)};
+  Gar gar = Gar::make(p, Region(A, dims));
 };
 
 /// One hit path: its name and a call returning the handle or verdict it
@@ -101,6 +107,13 @@ std::vector<HitPath> hitPaths(const Operands& o) {
        [&o] { return static_cast<std::uint64_t>(o.ctx.le(o.M, o.I)); }},
       {"ConstraintSet::impliesLE0",
        [&o] { return static_cast<std::uint64_t>(o.context.impliesLE0(o.I - o.M)); }},
+      {"Region (re-intern)", [&o] { return Region(o.A, o.dims).id(); }},
+      {"Gar::make", [&o] { return Gar::make(o.p, o.gar.region()).guard().id(); }},
+      {"Gar copy",
+       [&o] {
+         const Gar copy = o.gar;
+         return copy.guard().id() ^ copy.region().id();
+       }},
   };
 }
 
@@ -138,6 +151,22 @@ TEST(AllocTest, HitPathsAllocateNothingAfterWarmUp) {
   EXPECT_EQ(run.results[5], static_cast<std::uint64_t>(Truth::True));  // i <= n => i <= n+3
   EXPECT_EQ(run.results[6], static_cast<std::uint64_t>(Truth::True));
   EXPECT_EQ(run.results[7], static_cast<std::uint64_t>(Truth::True));
+}
+
+// A GarList owns one vector of two-handle members: copying it allocates
+// that vector and nothing per member.
+TEST(AllocTest, CopyingAGarListAllocatesOnlyItsMemberVector) {
+  const Operands o;
+  GarList list;
+  list.add(o.gar);
+  list.add(Gar::make(o.q, Region(o.A, {SymRange::closed(o.N, o.M), SymRange::point(o.I)})));
+  list.add(Gar::omega(o.A, 2));
+  ASSERT_EQ(list.size(), 3u);
+  std::size_t members = GarList(list).size();  // warm-up
+  const std::size_t before = tAllocations;
+  for (int k = 0; k < kRepeats; ++k) members += GarList(list).size();
+  EXPECT_EQ(tAllocations - before, static_cast<std::size_t>(kRepeats));
+  EXPECT_EQ(members, 3u * (kRepeats + 1));
 }
 
 TEST(AllocTest, EveryThreadHitsAllocationFreeWithTheSameHandles) {

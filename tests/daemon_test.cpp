@@ -330,20 +330,29 @@ TEST(DaemonTest, NamedSessionReachesASteadyState) {
   ASSERT_TRUE(daemon.start(error)) << error;
 
   Client c(path);
-  // (arenas.expr.distinct, the named session's symbols); -1 when absent.
-  auto sample = [&]() -> std::pair<double, double> {
+  // arenas.expr.distinct, arenas.region.distinct and the named session's
+  // symbols; -1 when absent.
+  struct Sample {
+    double exprs = -1;
+    double regions = -1;
+    double symbols = -1;
+  };
+  auto sample = [&]() -> Sample {
     support::JsonValue status = rpc(c.fd, "{\"id\":1,\"op\":\"status\"}");
     auto number = [](const support::JsonValue* v) {
       return v && v->isNumber() ? v->asNumber() : -1.0;
     };
     const support::JsonValue* arenas = status.find("arenas");
     const support::JsonValue* expr = arenas ? arenas->find("expr") : nullptr;
+    const support::JsonValue* region = arenas ? arenas->find("region") : nullptr;
     const support::JsonValue* sessions = status.find("sessions");
-    if (!expr || !sessions || !sessions->isArray() || sessions->items().size() != 1u) {
-      ADD_FAILURE() << "status lacks arenas.expr or the one named session";
-      return {-1, -1};
+    if (!expr || !region || !sessions || !sessions->isArray() ||
+        sessions->items().size() != 1u) {
+      ADD_FAILURE() << "status lacks arenas.expr, arenas.region or the one named session";
+      return {};
     }
-    return {number(expr->find("distinct")), number(sessions->items()[0].find("symbols"))};
+    return {number(expr->find("distinct")), number(region->find("distinct")),
+            number(sessions->items()[0].find("symbols"))};
   };
   auto submit = [&](const std::string& source) {
     support::JsonValue response = rpc(c.fd, submitRequest(source, "k.f", "steady"));
@@ -352,16 +361,18 @@ TEST(DaemonTest, NamedSessionReachesASteadyState) {
   };
 
   ASSERT_TRUE(submit(steady::kernel(steady::Edit::None)));
-  std::pair<double, double> settled;
+  Sample settled;
   for (int cycle = 1; cycle <= 21; ++cycle) {
     for (const std::string& text : steady::cycle()) ASSERT_TRUE(submit(text)) << "cycle " << cycle;
     if (cycle == 2) settled = sample();
   }
-  const std::pair<double, double> last = sample();
-  EXPECT_GT(settled.first, 0.0);
-  EXPECT_GT(settled.second, 0.0);
-  EXPECT_EQ(last.first, settled.first) << "arenas.expr.distinct grew";
-  EXPECT_EQ(last.second, settled.second) << "the session's symbols grew";
+  const Sample last = sample();
+  EXPECT_GT(settled.exprs, 0.0);
+  EXPECT_GT(settled.regions, 0.0);
+  EXPECT_GT(settled.symbols, 0.0);
+  EXPECT_EQ(last.exprs, settled.exprs) << "arenas.expr.distinct grew";
+  EXPECT_EQ(last.regions, settled.regions) << "arenas.region.distinct grew";
+  EXPECT_EQ(last.symbols, settled.symbols) << "the session's symbols grew";
 }
 
 TEST(DaemonTest, ErrorResponsesEchoTheRequestId) {
@@ -542,11 +553,12 @@ TEST(DaemonTest, TelemetryOpsAnswerWhileSubmitsAreInFlight) {
   EXPECT_EQ(named.find("epoch")->asNumber(), static_cast<double>(kSubmits));
   EXPECT_TRUE(named.find("live")->asBool());
 
-  // Arena occupancy, the atom table's beside the expression/predicate
-  // arenas: the submits interned atoms and derived some negations.
+  // Arena occupancy, the atom and region tables' beside the
+  // expression/predicate arenas: the submits interned atoms and regions and
+  // derived some negations.
   const support::JsonValue* arenas = status.find("arenas");
   ASSERT_TRUE(arenas && arenas->isObject());
-  for (const char* arena : {"expr", "pred", "atom"}) {
+  for (const char* arena : {"expr", "pred", "atom", "region"}) {
     const support::JsonValue* a = arenas->find(arena);
     ASSERT_TRUE(a && a->isObject()) << arena;
     for (const char* field : {"distinct", "bytes"}) {

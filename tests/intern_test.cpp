@@ -1,9 +1,11 @@
 // Properties of the hash-consing arenas (symbolic/arena.h,
-// predicate/arena.h) and the atom table (predicate/intern.h): handle and key
-// equality must coincide with structural equality over randomized
-// construction, equal values built through different routes must land on
-// the same node or key, stored negations must equal freshly built ones, and
-// the occupancy counters must be consistent. The InternTableTest cases check
+// predicate/arena.h), the atom table (predicate/intern.h) and the region
+// table (region/region.h): handle and key equality must coincide with
+// structural equality over randomized construction, equal values built
+// through different routes must land on the same node or key, stored
+// negations must equal freshly built ones, a region's stored validity must
+// equal the one its dimensions give, and the occupancy counters must be
+// consistent. The InternTableTest cases check
 // the table they share (support/intern_table.h) directly, on test-only node
 // types: one node per value under contention, the id layout, front-cache
 // slot sharing and the occupancy counters.
@@ -11,6 +13,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
 #include <latch>
 #include <map>
 #include <random>
@@ -21,6 +24,8 @@
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/intern.h"
 #include "panorama/predicate/predicate.h"
+#include "panorama/region/gar.h"
+#include "panorama/session/session.h"
 #include "panorama/support/intern_table.h"
 #include "panorama/support/memo_cache.h"
 #include "panorama/symbolic/affine.h"
@@ -284,6 +289,137 @@ TEST(InternPropertyTest, RandomizedSubstituteMatchesHandleIdentity) {
   }
 }
 
+/// Random region of array 0 or 1, rank 1 or 2, drawn from a small value
+/// space (unknown dims included) so that equal regions recur.
+Region randomRegion(std::mt19937& rng) {
+  std::uniform_int_distribution<int> small(0, 1);
+  std::uniform_int_distribution<int> shape(0, 3);
+  auto e = [&] { return randomExpr(rng, /*depth=*/2); };
+  std::vector<SymRange> dims(1 + small(rng));
+  for (SymRange& d : dims) {
+    switch (shape(rng)) {
+      case 0: d = SymRange::unknown(); break;
+      case 1: d = SymRange::point(e()); break;
+      case 2: d = SymRange::closed(e(), e()); break;
+      default: d = SymRange{e(), e(), SymExpr::constant(2)}; break;
+    }
+  }
+  return Region(ArrayId{static_cast<std::uint32_t>(small(rng))}, dims);
+}
+
+/// The validity conjunction, derived from the dimensions here.
+Pred derivedValidity(const Region& r) {
+  Pred p = Pred::makeTrue();
+  for (const SymRange& d : r.dims()) p = p && d.validity();
+  return p;
+}
+
+TEST(InternPropertyTest, RegionHandleEqualityIffStructuralEquality) {
+  std::mt19937 rng(1995);
+  std::vector<Region> pool;
+  for (int k = 0; k < 300; ++k) pool.push_back(randomRegion(rng));
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const Region& r = pool[i];
+    EXPECT_EQ(r.validity(), derivedValidity(r)) << "i=" << i;
+    EXPECT_EQ(r.hasUnknownDim(), std::any_of(r.dims().begin(), r.dims().end(),
+                                             [](const SymRange& d) { return d.isUnknown(); }));
+    for (std::size_t j = i; j < pool.size(); ++j) {
+      const bool structural = pool[i].array() == pool[j].array() && pool[i].dims() == pool[j].dims();
+      ASSERT_EQ(structural, pool[i] == pool[j]) << "i=" << i << " j=" << j;
+      EXPECT_EQ(structural, pool[i].id() == pool[j].id()) << "i=" << i << " j=" << j;
+    }
+  }
+}
+
+TEST(InternPropertyTest, EqualRegionsThroughDifferentRoutesShareOneNode) {
+  const ArrayId a{0};
+  const SymExpr one = SymExpr::constant(1);
+  const SymExpr n = SymExpr::variable(VarId{2});
+  const SymExpr i = SymExpr::variable(VarId{1});
+  auto closed = [](std::int64_t lo, std::int64_t up) {
+    return SymRange::closed(SymExpr::constant(lo), SymExpr::constant(up));
+  };
+
+  // Substitution: A(i : n)[i := 1] is A(1 : n), by either overload.
+  const Region direct(a, {SymRange::closed(one, n)});
+  EXPECT_EQ(Region(a, {SymRange::closed(i, n)}).substituted(VarId{1}, one), direct);
+  EXPECT_EQ(Region(a, {SymRange::closed(i, n)}).substituted({{VarId{1}, one}}), direct);
+  // Replacing a dimension, and the union of two adjacent ranges.
+  EXPECT_EQ(Region(a, {closed(1, 5), closed(1, 3)}).withDim(1, closed(1, 4)),
+            Region(a, {closed(1, 5), closed(1, 4)}));
+  const CmpCtx ctx{ConstraintSet{}};
+  const std::optional<Region> merged =
+      regionUnionPair(Region(a, {closed(1, 5)}), Region(a, {closed(6, 9)}), ctx);
+  ASSERT_TRUE(merged.has_value());
+  EXPECT_EQ(*merged, Region(a, {closed(1, 9)}));
+  // An intersection piece, in both dimensions, and a subtraction piece.
+  const RegionOpResult inter = regionIntersect(Region(a, {closed(1, 10), closed(1, 4)}),
+                                               Region(a, {closed(5, 20), closed(2, 9)}), ctx);
+  ASSERT_EQ(inter.pieces.size(), 1u);
+  EXPECT_EQ(inter.pieces[0].region, Region(a, {closed(5, 10), closed(2, 4)}));
+  const RegionOpResult diff =
+      regionSubtract(Region(a, {closed(1, 10)}), Region(a, {closed(6, 10)}), ctx);
+  ASSERT_EQ(diff.pieces.size(), 1u);
+  EXPECT_EQ(diff.pieces[0].region, Region(a, {closed(1, 5)}));
+  // Ω of a rank-2 array, and the "no region" a default GAR holds.
+  EXPECT_EQ(Gar::omega(a, 2).region(), Region(a, {SymRange::unknown(), SymRange::unknown()}));
+  EXPECT_EQ(Gar().region(), Region(ArrayId{}, {}));
+  EXPECT_EQ(Region().validity(), Pred::makeTrue());
+  // The stored validity is what §3 derives: Δ for Ω, True for a point.
+  EXPECT_TRUE(Gar::omega(a, 1).region().validity().isUnknown());
+  EXPECT_TRUE(Region(a, {SymRange::point(n)}).validity().isTrue());
+  EXPECT_EQ(direct.validity(), Pred::atom(Atom::le(one, n)));
+}
+
+// A snapshot stores a region as its array and dims, and restoring it
+// re-interns them: each restored region lands on the node the analysis
+// built, so restoring into this process adds nothing to the region table.
+TEST(InternPropertyTest, RestoredRegionsLandOnTheNodesTheAnalysisBuilt) {
+  const std::string path = testing::TempDir() + "intern_region_restore.pano";
+  const std::string source = R"(
+      subroutine s(a, n, m)
+      integer n, m, i, j
+      real a(100, 100), t(100)
+      do i = 1, n
+        do j = 2, m
+          t(j) = a(i, j - 1)
+        enddo
+        do j = 2, m
+          a(i, j) = t(j)
+        enddo
+      enddo
+      end
+)";
+  auto reports = [](const SessionResult& result) {
+    std::string out;
+    for (const SessionLoopResult& loop : result.loops) out += loop.report + loop.provenance;
+    return out;
+  };
+  AnalysisOptions options;
+  options.numThreads = 1;
+  std::string report;
+  {
+    AnalysisSession first(options);
+    const SessionResult cold = first.submit(source);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    ASSERT_EQ(cold.loops.size(), 3u);
+    report = reports(cold);
+    ASSERT_TRUE(first.save(path).ok);
+  }
+  const std::size_t regions = RegionTable::global().stats().distinct;
+  const std::size_t exprs = ExprArena::global().stats().distinct;
+  AnalysisSession restored(options);
+  const store::StoreResult r = restored.restore(path);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(RegionTable::global().stats().distinct, regions);
+  EXPECT_EQ(ExprArena::global().stats().distinct, exprs);
+  const SessionResult warm = restored.submit(source);
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_EQ(reports(warm), report);
+  EXPECT_EQ(RegionTable::global().stats().distinct, regions);
+  std::remove(path.c_str());
+}
+
 TEST(InternPropertyTest, ArenaStatsAreConsistent) {
   // Force some occupancy, then check the counters' internal consistency
   // (exact values depend on every test that ran before in this process).
@@ -310,6 +446,13 @@ TEST(InternPropertyTest, ArenaStatsAreConsistent) {
   EXPECT_GT(as.bytes, 0u);
   EXPECT_LE(as.negations, as.distinct);
 
+  (void)Region(ArrayId{0}, {SymRange::point(SymExpr::variable(VarId{1}))});
+  RegionTable::Stats rs = RegionTable::global().stats();
+  EXPECT_GT(rs.distinct, 0u);
+  EXPECT_GT(rs.bytes, 0u);
+  EXPECT_LE(rs.minShard, rs.maxShard);
+  EXPECT_LE(rs.maxShard, rs.distinct);
+
   // Interning an already-present value must not grow the arena.
   SymExpr x = SymExpr::variable(VarId{1});
   (void)(x + x);
@@ -323,6 +466,10 @@ TEST(InternPropertyTest, ArenaStatsAreConsistent) {
   for (int k = 0; k < 32; ++k) (void)Atom::le(x, SymExpr::constant(3)).negated();
   EXPECT_EQ(atomTableStats().distinct, atomsBefore.distinct);
   EXPECT_EQ(atomTableStats().negations, atomsBefore.negations);
+  // Nor the region table.
+  const std::size_t regionsBefore = RegionTable::global().stats().distinct;
+  for (int k = 0; k < 32; ++k) (void)Region(ArrayId{0}, {SymRange::point(x + x)});
+  EXPECT_EQ(RegionTable::global().stats().distinct, regionsBefore + 1);
 }
 
 /// A test-only node: one integer value. Each test passes its own `Tag`, so
@@ -405,6 +552,41 @@ TEST(InternTableTest, ConcurrentInternsYieldOneNodePerValue) {
   EXPECT_EQ(nodes.size(), distinct);
   EXPECT_EQ(InternTable<TestNode<1>>::global().stats().distinct, distinct);
   expectIdLayout<1>(nodes);
+}
+
+TEST(InternTableTest, ConcurrentRegionInternsYieldOneNodePerValue) {
+  // Eight threads intern the same regions, each in its own order, into the
+  // process's region table. Array ids no other test uses keep every value
+  // new, so the inserts race.
+  constexpr int kThreads = 8;
+  constexpr std::uint32_t kValues = 300;
+  auto region = [](std::uint32_t v) {
+    const SymExpr lo = SymExpr::variable(VarId{1 + v % 7});
+    const SymExpr up = lo + SymExpr::constant(v % 11);
+    return Region(ArrayId{4000 + v / 5}, {SymRange::closed(lo, up), SymRange::point(lo)});
+  };
+  std::vector<std::vector<Region>> seen(kThreads, std::vector<Region>(kValues));
+  const std::size_t before = RegionTable::global().stats().distinct;
+  std::latch start(kThreads);
+  auto worker = [&](int t) {
+    std::vector<std::uint32_t> order(kValues);
+    for (std::uint32_t v = 0; v < kValues; ++v) order[v] = v;
+    std::shuffle(order.begin(), order.end(), std::mt19937(t));
+    start.arrive_and_wait();
+    for (std::uint32_t v : order) seen[t][v] = region(v);
+  };
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) pool.emplace_back(worker, t);
+  for (std::thread& th : pool) th.join();
+
+  for (int t = 1; t < kThreads; ++t)
+    for (std::uint32_t v = 0; v < kValues; ++v)
+      ASSERT_EQ(seen[t][v], seen[0][v]) << "value " << v << " got two nodes";
+  EXPECT_EQ(RegionTable::global().stats().distinct, before + kValues);
+  for (std::uint32_t v = 0; v < kValues; ++v) {
+    EXPECT_EQ(seen[0][v].validity(), derivedValidity(seen[0][v])) << "value " << v;
+    EXPECT_EQ(seen[0][v], region(v));
+  }
 }
 
 TEST(InternTableTest, IdsCarryTheShardInTheLowBitsAndADenseSequence) {

@@ -36,6 +36,7 @@
 #include "panorama/predicate/arena.h"
 #include "panorama/predicate/fm_incremental.h"
 #include "panorama/predicate/predicate.h"
+#include "panorama/region/region.h"
 #include "panorama/session/session.h"
 #include "panorama/support/json.h"
 #include "panorama/support/memo_cache.h"
@@ -597,18 +598,21 @@ TEST(SessionTest, WarmSubmitReportsTheEvidenceOfAColdOne) {
 struct Footprint {
   std::size_t exprs = 0;
   std::size_t preds = 0;
+  std::size_t regions = 0;
   std::uint64_t verdictMisses = 0;
   std::size_t symbols = 0;
 };
 
 Footprint footprint(const AnalysisSession& session) {
   return {ExprArena::global().stats().distinct, PredArena::global().stats().distinct,
-          QueryCache::global().stats().misses, session.status().symbols};
+          RegionTable::global().stats().distinct, QueryCache::global().stats().misses,
+          session.status().symbols};
 }
 
 void expectUnchanged(const Footprint& settled, const Footprint& now, const std::string& what) {
   EXPECT_EQ(now.exprs, settled.exprs) << what << ": expression arena grew";
   EXPECT_EQ(now.preds, settled.preds) << what << ": predicate arena grew";
+  EXPECT_EQ(now.regions, settled.regions) << what << ": region table grew";
   EXPECT_EQ(now.verdictMisses, settled.verdictMisses) << what << ": verdict cache missed";
   EXPECT_EQ(now.symbols, settled.symbols) << what << ": symbol table grew";
 }

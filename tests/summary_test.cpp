@@ -1,12 +1,16 @@
 // Tests for the §4.1 summary algorithms: block folding, IF-condition
 // guards, on-the-fly substitution, loop expansion (MOD_i / UE_i / MOD_{<i}),
 // and interprocedural mapping — culminating in the paper's Figure 5
-// derivation, checked semantically.
+// derivation, checked semantically. The last case pins the invariants the
+// GAR simplifier's first pass relies on, over every summary GAR of the
+// corpus and of random kernels.
 #include <gtest/gtest.h>
 
 #include "panorama/analysis/driver.h"
+#include "panorama/corpus/corpus.h"
 #include "panorama/frontend/parser.h"
 #include "panorama/summary/summary.h"
+#include "program_gen.h"
 
 namespace panorama {
 namespace {
@@ -749,6 +753,130 @@ TEST(SummaryTest, Figure5Derivation) {
   cs.addExprLE0(ls.bounds.lo - SymExpr::variable(i));
   cs.addExprLE0(SymExpr::variable(i) - ls.bounds.up);
   EXPECT_EQ(garIntersectionEmpty(ls.ueIter, ls.modBefore, CmpCtx{cs}), Truth::True);
+}
+
+/// Every summary list of `pa`, named for failure messages: each
+/// procedure's MOD/UE/DE sets and each DO loop's per-iteration, window and
+/// whole-loop sets.
+std::vector<std::pair<std::string, const GarList*>> summaryLists(ProgramAnalysis& pa) {
+  std::vector<std::pair<std::string, const GarList*>> out;
+  for (const Procedure& proc : pa.program.procedures) {
+    const ProcSummary& s = pa.analyzer->procSummary(proc);
+    for (const auto& [name, list] :
+         {std::pair{"MOD", &s.mod}, {"UE", &s.ue}, {"DE", &s.de}, {"MOD all", &s.modAll},
+          {"UE all", &s.ueAll}})
+      out.emplace_back(proc.name + " " + name, list);
+    for (const Stmt* loop : collectDoLoops(proc.body)) {
+      const LoopSummary* ls = pa.analyzer->loopSummary(loop);
+      if (!ls) continue;
+      const std::string where = proc.name + " DO " + loop->doVar + " (line " +
+                                std::to_string(loop->loc.line) + ") ";
+      for (const auto& [name, list] :
+           {std::pair{"MOD_i", &ls->modIter}, {"UE_i", &ls->ueIter}, {"DE_i", &ls->deIter},
+            {"MOD_<i", &ls->modBefore}, {"MOD_>i", &ls->modAfter}, {"MOD", &ls->mod},
+            {"UE", &ls->ue}, {"DE", &ls->de}, {"UE_after", &ls->ueAfter}})
+        out.emplace_back(where + name, list);
+    }
+  }
+  return out;
+}
+
+// simplifyGarList's first pass keeps a member instead of re-making it when
+// its guard is already simplified and already holds what Gar::make would
+// conjoin (gar_simplifier.cpp). On every GAR of every procedure and loop
+// summary of the 15 corpus programs and of 50 random kernels, under each
+// ablation switch, with and without the quantified extension:
+//   * make is idempotent on what it built;
+//   * a member the first pass keeps is one make returns unchanged, so
+//     simplifying a list gives what re-making every member first gives;
+//   * with the GAR simplifier on, simplifying a simplified list once more
+//     changes nothing, and on the corpus it re-makes no member. (A random
+//     kernel's guard can imply its region's validity, which simplification
+//     then drops; such a member is re-made, to the same GAR.)
+TEST(SummaryTest, SimplifierKeepsOnlyMembersMakeReturnsUnchanged) {
+  std::vector<std::string> sources{fig1aSource(), fig1bSource(), fig1cSource()};
+  for (const CorpusLoop& kernel : perfectCorpus()) sources.push_back(kernel.source);
+  ASSERT_EQ(sources.size(), 15u);
+  ProgramGen gen(2654435761u + 17u);  // FuzzTest's first seed
+  for (int k = 0; k < 50; ++k) sources.push_back(gen.generate());
+
+  std::vector<std::pair<std::string, AnalysisOptions>> variants;
+  for (bool quantified : {false, true}) {
+    AnalysisOptions base;
+    base.computeDE = true;  // DE lists are checked too
+    base.quantified = quantified;
+    const std::string q = quantified ? " +quantified" : "";
+    variants.emplace_back("default" + q, base);
+    AnalysisOptions o = base;
+    o.symbolicAnalysis = false;
+    variants.emplace_back("no symbolic" + q, o);
+    o = base;
+    o.ifConditions = false;
+    variants.emplace_back("no IF conditions" + q, o);
+    o = base;
+    o.interprocedural = false;
+    variants.emplace_back("no interprocedural" + q, o);
+    o = base;
+    o.garSimplifier = false;
+    variants.emplace_back("no GAR simplifier" + q, o);
+  }
+
+  std::size_t gars = 0;
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    const std::string& src = sources[k];
+    const bool corpus = k < 15;
+    for (const auto& [variant, options] : variants) {
+      Analyzed a = analyzeSource(src, options);
+      ASSERT_TRUE(a.pa.ok) << variant << "\n" << src;
+      const PsiDims psi = a.pa.analyzer->psi();
+      const CmpCtx ctx(ConstraintSet{}, psi);
+      const SymbolTable& symbols = a.pa.sema.symbols;
+      const ArrayTable& arrays = a.pa.sema.arrays;
+      // Would the first pass keep `g` as it is?
+      auto kept = [&](const Gar& g) {
+        Pred guard = g.guard();
+        guard.simplify();
+        return guard == g.guard() && Gar::conjoined(guard, g.region(), psi) == guard;
+      };
+      for (const auto& [where, list] : summaryLists(a.pa)) {
+        const std::string context = variant + ", " + where + ": ";
+        for (const Gar& g : *list) {
+          ++gars;
+          const Gar made = Gar::make(g.guard(), g.region(), psi);
+          ASSERT_TRUE(Gar::make(made.guard(), made.region(), psi) == made)
+              << context << made.str(symbols, arrays) << "\n" << src;
+          if (kept(g)) {
+            ASSERT_TRUE(made == g) << context << g.str(symbols, arrays) << " re-made is "
+                                   << made.str(symbols, arrays) << "\n" << src;
+          }
+        }
+        GarList once = *list;
+        simplifyGarList(once, ctx, &arrays);
+        GarList remade;
+        for (const Gar& g : *list) {
+          Pred guard = g.guard();
+          guard.simplify();
+          if (!guard.isFalse()) remade.addRaw(Gar::make(std::move(guard), g.region(), psi));
+        }
+        simplifyGarList(remade, ctx, &arrays);
+        ASSERT_TRUE(once.gars() == remade.gars())
+            << context << once.str(symbols, arrays) << " simplified after re-making is "
+            << remade.str(symbols, arrays) << "\n" << src;
+        // With the simplifier off the analysis never simplifies these lists,
+        // and a long one can need more than pass 2's 8 merge rounds.
+        if (!options.garSimplifier) continue;
+        if (corpus) {
+          for (const Gar& g : once) ASSERT_TRUE(kept(g)) << context << g.str(symbols, arrays);
+        }
+        GarList twice = once;
+        simplifyGarList(twice, ctx, &arrays);
+        ASSERT_TRUE(twice.gars() == once.gars())
+            << context << once.str(symbols, arrays) << " simplified again is "
+            << twice.str(symbols, arrays) << "\n" << src;
+      }
+    }
+  }
+  EXPECT_GT(gars, 10000u);
 }
 
 }  // namespace

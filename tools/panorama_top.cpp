@@ -155,13 +155,15 @@ void renderFrame(const JsonValue& status, const JsonValue& metrics,
   const JsonValue* expr = arenas && arenas->isObject() ? arenas->find("expr") : nullptr;
   const JsonValue* pred = arenas && arenas->isObject() ? arenas->find("pred") : nullptr;
   const JsonValue* atom = arenas && arenas->isObject() ? arenas->find("atom") : nullptr;
+  const JsonValue* region = arenas && arenas->isObject() ? arenas->find("region") : nullptr;
   std::printf(
       "pool %g threads, queue %g   arena expr %.1f KB / pred %.1f KB / atom %.1f KB"
-      "   qcache %.1f%% hit\n",
+      " / region %.1f KB   qcache %.1f%% hit\n",
       pathNumber(status, "pool", "threads"), pathNumber(status, "pool", "queue_depth"),
       (expr ? numberOr(expr->find("bytes"), 0) : 0) / 1024.0,
       (pred ? numberOr(pred->find("bytes"), 0) : 0) / 1024.0,
       (atom ? numberOr(atom->find("bytes"), 0) : 0) / 1024.0,
+      (region ? numberOr(region->find("bytes"), 0) : 0) / 1024.0,
       (qc ? numberOr(qc->find("hit_rate"), 0) : 0) * 100.0);
 
   const JsonValue* sessions = status.find("sessions");
