@@ -5,9 +5,12 @@
 // submits every kernel's source; the warm phase re-submits every source
 // with exactly one kernel edited — a CONTINUE inserted into its textually
 // last procedure, which changes that procedure's fingerprint without
-// shifting any other procedure's lines. Everything outside the edited
-// kernel's dirty cone is served from the session caches, so warm wall time
-// collapses to roughly the edited cone's share of the corpus.
+// shifting any other procedure's lines. It leaves the procedure's summary
+// as it was, so the early cutoff (DESIGN.md §4.4) keeps its callers clean
+// and the dirty cone is the edited procedure alone. A separate call-chain
+// program gets the opposite edit: its leaf writes half of the array every
+// level passes down instead of all of it, so every summary up the chain
+// changes and the dirty cone is the leaf and all its transitive callers.
 //
 // Contracts checked here (the bench fails, and CI with it, when violated):
 //   * warm reports are byte-identical to a cold analysis of the edited
@@ -26,6 +29,7 @@
 
 #include "harness.h"
 #include "panorama/corpus/corpus.h"
+#include "panorama/obs/trace.h"
 #include "panorama/session/session.h"
 #include "panorama/support/memo_cache.h"
 #include "panorama/symbolic/arena.h"
@@ -41,6 +45,33 @@ std::string editLastProcedure(const std::string& source) {
   std::size_t pos = source.rfind("\n      end");
   if (pos == std::string::npos) return source;
   return source.substr(0, pos + 1) + "      continue\n" + source.substr(pos + 1);
+}
+
+/// main -> top -> mid -> leaf, each passing the COMMON array `g` down as
+/// its formal; `leafUp` is the leaf loop's upper bound, so changing it
+/// changes every summary up the chain.
+std::string chainSource(int leafUp) {
+  return "      program main\n"
+         "      real g(100)\n"
+         "      common /blk/ g\n"
+         "      call top(g)\n"
+         "      end\n"
+         "      subroutine top(t)\n"
+         "      real t(100)\n"
+         "      call mid(t)\n"
+         "      end\n"
+         "      subroutine mid(m)\n"
+         "      real m(100)\n"
+         "      call leaf(m)\n"
+         "      end\n"
+         "      subroutine leaf(x)\n"
+         "      real x(100)\n"
+         "      do i = 1, " +
+         std::to_string(leafUp) +
+         "\n"
+         "        x(i) = 2.0\n"
+         "      enddo\n"
+         "      end\n";
 }
 
 std::string fingerprintOf(const std::vector<SessionResult>& results) {
@@ -117,14 +148,14 @@ RunResult runOnce(const std::vector<std::string>& baseSources,
 // ----- single-loop-edit scenario (loop-granular reuse, DESIGN.md §4.9) -----
 //
 // One procedure with kNests independent top-level loop nests; the edit
-// changes a constant inside the FIRST nest. Item-granular invalidation
-// keeps every *later* nest reusable (an edit to item k dirties the items
-// before k — their statement suffix contains k — and none after it), so
-// editing the first nest is the best case the tentpole is gated on: one
-// nest recomputed, kNests-1 served from cache. The baseline it is measured
-// against is the same session with loopGranularReuse=false — the
+// changes a constant inside one nest. Items are keyed on their own
+// subtree, and the edit leaves every other nest's downstream exposure
+// (ueAfter) as it was, so wherever the edited nest sits one nest is
+// recomputed and kNests-1 are served from cache. The first-nest edit is
+// measured against the same session with loopGranularReuse=false — the
 // procedure-granular reuse of the previous design, which recomputes every
-// nest in the dirty procedure.
+// nest in the dirty procedure; the middle- and last-nest edits must cost
+// what the first-nest edit costs.
 
 constexpr int kNests = 24;
 
@@ -169,10 +200,15 @@ struct LoopEditRun {
   std::string error;
   double warmMs = 0;
   std::size_t loopSkips = 0;
+  std::size_t loopExpansions = 0;  ///< traced runs only
   std::string reports;
 };
 
-LoopEditRun runLoopEdit(bool loopGranular, int threads) {
+/// Cold submit of the unedited procedure, then a timed warm submit with
+/// nest `editedNest` edited. `traced` counts the warm submit's loop
+/// expansions from its `summary.loop_expansion` spans.
+LoopEditRun runLoopEdit(bool loopGranular, int threads, int editedNest = 1,
+                        bool traced = false) {
   LoopEditRun out;
   AnalysisOptions options;
   options.loopGranularReuse = loopGranular;
@@ -188,10 +224,21 @@ LoopEditRun runLoopEdit(bool loopGranular, int threads) {
     out.error = "loop-edit cold submit failed:\n" + cold.error;
     return out;
   }
+  obs::Tracer& tracer = obs::Tracer::global();
+  if (traced) {
+    tracer.clear();
+    tracer.enable();
+  }
   const auto t0 = std::chrono::steady_clock::now();
-  SessionResult warm = session.submit(manyLoopSource(/*editedNest=*/1));
+  SessionResult warm = session.submit(manyLoopSource(editedNest));
   out.warmMs =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  if (traced) {
+    tracer.disable();
+    for (const obs::TraceEvent& ev : tracer.snapshot())
+      if (std::string(ev.category) == "summary.loop_expansion") ++out.loopExpansions;
+    tracer.clear();
+  }
   if (!warm.ok) {
     out.ok = false;
     out.error = "loop-edit warm submit failed:\n" + warm.error;
@@ -368,6 +415,28 @@ bench::BenchResult run() {
   if (!identical) result.fail("warm reports diverge from a cold analysis of the edited sources");
   if (best.warmMs > best.coldMs) result.fail("warm re-analysis slower than cold analysis");
 
+  // ---- summary-changing leaf edit ----
+  // The cutoff must not fire when the summary does change: the dirty cone
+  // is the leaf and its three transitive callers.
+  {
+    AnalysisSession session;
+    SessionResult cold = session.submit(chainSource(100));
+    SessionResult warm = session.submit(chainSource(50));
+    AnalysisSession reference;
+    SessionResult ref = reference.submit(chainSource(50));
+    if (!cold.ok || !warm.ok || !ref.ok) {
+      result.fail("summary-edit submit failed:\n" + cold.error + warm.error + ref.error);
+      return result;
+    }
+    std::printf("summary-changing leaf edit: dirty cone %llu\n",
+                static_cast<unsigned long long>(warm.stats.dirty));
+    result.addConfig("summary_edit", "leaf loop bound 100 -> 50 in a main/top/mid/leaf chain");
+    result.add("summary_edit_dirty_cone", static_cast<double>(warm.stats.dirty),
+               bench::Direction::Exact);
+    if (reportsOf(warm) != reportsOf(ref))
+      result.fail("summary-edit warm reports diverge from a cold analysis of the edited source");
+  }
+
   // ---- single-loop-edit scenario ----
   // Reference: a cold analysis of the edited source; warm runs at every
   // granularity and thread count must reproduce it byte for byte.
@@ -412,6 +481,48 @@ bench::BenchResult run() {
     }
     loopIdentical = loopIdentical && t.reports == loopEditReference;
   }
+  // Middle- and last-nest edits: the same work as the first-nest edit
+  // (one nest's 3 loops re-expanded, every other nest reused), so within
+  // 1.5x of its warm wall.
+  struct Position {
+    const char* name;
+    int nest;
+    double bestMs = 1e18;
+    std::size_t expansions = 0;
+    bool identical = true;
+  };
+  Position positions[] = {{"first", 1}, {"middle", kNests / 2}, {"last", kNests}};
+  for (Position& pos : positions) {
+    std::string reference;
+    {
+      AnalysisSession session;
+      SessionResult ref = session.submit(manyLoopSource(pos.nest));
+      if (!ref.ok) {
+        result.fail("loop-edit reference submit failed:\n" + ref.error);
+        return result;
+      }
+      reference = reportsOf(ref);
+    }
+    for (int r = 0; r <= kRepeats; ++r) {
+      // The last repetition is traced and untimed: it counts expansions.
+      const bool traced = r == kRepeats;
+      LoopEditRun run = runLoopEdit(/*loopGranular=*/true, /*threads=*/1, pos.nest, traced);
+      if (!run.ok) {
+        result.fail(run.error);
+        return result;
+      }
+      pos.identical = pos.identical && run.reports == reference;
+      if (traced)
+        pos.expansions = run.loopExpansions;
+      else
+        pos.bestMs = std::min(pos.bestMs, run.warmMs);
+    }
+    loopIdentical = loopIdentical && pos.identical;
+  }
+  const Position& first = positions[0];
+  const Position& middle = positions[1];
+  const Position& last = positions[2];
+
   std::size_t commentDirty = static_cast<std::size_t>(-1);
   std::string commentError;
   if (!runCommentEdit(&commentDirty, &commentError)) {
@@ -423,6 +534,9 @@ bench::BenchResult run() {
   std::printf("warm wall:   %.3f ms loop-granular vs %.3f ms unit-granular (%.2fx)\n", bestLoopMs,
               bestUnitMs, bestUnitMs / bestLoopMs);
   std::printf("loop skips:  %zu reused inside the dirty procedure\n", loopSkips);
+  for (const Position& pos : positions)
+    std::printf("%-6s nest (%2d) edit: %.3f ms, %zu loop expansion(s)\n", pos.name, pos.nest,
+                pos.bestMs, pos.expansions);
   std::printf("comment-only edit dirty cone: %zu\n", commentDirty);
 
   result.addConfig("loop_edit", "constant changed inside the first of " + std::to_string(kNests) +
@@ -434,6 +548,16 @@ bench::BenchResult run() {
       .minValue = 3.0;  // the §4.9 gate: >=3x over procedure-granular reuse
   result.add("single_loop_edit_loop_skips", static_cast<double>(loopSkips),
              bench::Direction::Exact);
+  result.add("middle_nest_edit_warm_ms", middle.bestMs, bench::Direction::LowerIsBetter, 3.0, "ms");
+  result.add("last_nest_edit_warm_ms", last.bestMs, bench::Direction::LowerIsBetter, 3.0, "ms");
+  result.add("middle_nest_edit_loop_expansions", static_cast<double>(middle.expansions),
+             bench::Direction::Exact);
+  result.add("last_nest_edit_loop_expansions", static_cast<double>(last.expansions),
+             bench::Direction::Exact);
+  result
+      .add("last_over_first_nest_edit_ms", last.bestMs / first.bestMs,
+           bench::Direction::LowerIsBetter, 1.0, "x")
+      .maxValue = 1.5;  // edit cost independent of the edit's position
   result.add("single_loop_edit_reports_identical", loopIdentical ? 1.0 : 0.0,
              bench::Direction::Exact);
   result.add("comment_edit_dirty", static_cast<double>(commentDirty), bench::Direction::Exact);

@@ -19,7 +19,11 @@
 #   * --explain on the wide-guard kernel, whose two loops ask the same
 #     inconclusive FM queries, prints the same at 1 and 8 threads, and a
 #     warm --reanalyze prints the loop blocks a cold run of the edited file
-#     prints.
+#     prints;
+#   * --reanalyze --stats shows a re-summarized procedure whose summary did
+#     not change keeping its callers clean, a reused loop re-analyzed for a
+#     changed ueAfter, and (in the profile) each caller's cause naming the
+#     callee whose summary changed.
 # Invoked with -DDRIVER=<path> -DWORKDIR=<scratch dir> -DCORPUS_DIR=<corpus/>.
 
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -476,5 +480,77 @@ foreach(name nlfilt "TRACK nlfilt/300")
   string(REGEX REPLACE "\\(line [0-9]+\\)" "(line N)" reports "${reports}")
   if(NOT reports STREQUAL file_reports)
     message(FATAL_ERROR "--corpus '${name}' did not analyze TRACK nlfilt/300:\n${out}")
+  endif()
+endforeach()
+
+# Warm reuse outcomes on a call chain p -> top -> leaf sharing COMMON /g/.
+# Edit A reads the leaf's work array after its loop: the loop's copy-out
+# flips through ueAfter alone, so that loop is re-analyzed, and the leaf's
+# summary (COMMON effects only) stays equal, so its callers stay clean.
+# Edit B halves the leaf's loop: its summary changes, and each caller's
+# invalidation cause names the callee whose summary changed.
+foreach(variant base read_after bound)
+  set(after "")
+  set(up "100")
+  if(variant STREQUAL "read_after")
+    set(after "      b(1) = w(1)\n")
+  elseif(variant STREQUAL "bound")
+    set(up "50")
+  endif()
+  string(CONFIGURE [=[
+      program p
+      real a(100)
+      common /g/ a
+      call top
+      end
+
+      subroutine top
+      real a(100)
+      common /g/ a
+      call leaf
+      end
+
+      subroutine leaf
+      real a(100), w(10), b(10)
+      common /g/ a
+      do 10 i = 1, @up@
+        w(1) = a(i)
+        a(i) = w(1) * 2.0
+10    continue
+@after@      end
+]=] chain @ONLY)
+  file(WRITE "${WORKDIR}/chain_${variant}.f" "${chain}")
+endforeach()
+execute_process(
+  COMMAND "${DRIVER}" --stats "--reanalyze=${WORKDIR}/chain_read_after.f"
+          "${WORKDIR}/chain_base.f"
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "--reanalyze of chain_read_after.f failed (${code}): ${err}")
+endif()
+foreach(expected "dirty cone: 1 procedure\\(s\\)"
+                 "session.summaries_unchanged: 1 re-summarized"
+                 "session.ue_after_recomputed: 1 reused"
+                 "session.loop_reuse_cause: leaf \\(line 16\\): ue-after-changed")
+  if(NOT out MATCHES "${expected}")
+    message(FATAL_ERROR "--reanalyze --stats of the read-after edit lacks '${expected}':\n${out}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND "${DRIVER}" --stats "--reanalyze=${WORKDIR}/chain_bound.f"
+          "--profile=${WORKDIR}/chain_profile.json" "${WORKDIR}/chain_base.f"
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "--reanalyze of chain_bound.f failed (${code}): ${err}")
+endif()
+if(NOT out MATCHES "dirty cone: 3 procedure\\(s\\)")
+  message(FATAL_ERROR "a summary-changing leaf edit must dirty every caller:\n${out}")
+endif()
+file(READ "${WORKDIR}/chain_profile.json" profile)
+foreach(caller_callee "top;leaf" "p;top")
+  list(GET caller_callee 0 caller)
+  list(GET caller_callee 1 callee)
+  if(NOT profile MATCHES "\"unit\": \"${caller}\", \"cause\": \"callee-epoch\", \"detail\": \"callee '${callee}' summary changed\"")
+    message(FATAL_ERROR "${caller}'s invalidation cause does not name ${callee}:\n${profile}")
   endif()
 endforeach()

@@ -1,16 +1,20 @@
 // The analysis scheduler: one dependency-counted task graph per program on
-// a thread pool's task group. A procedure's summary task is spawned when
-// the last of its callees (sema's call edges, ProcSymbols::callees)
-// publishes its summary, and its loops' tasks when its own summary is
-// published. No task waits for another; only the callers below block.
-// Batch runs (analyzeProgramUnit, analyzeCorpusParallel) and incremental
-// sessions (AnalysisSession::submit) all schedule this way, and a 1-thread
-// pool runs the same graph on the calling thread.
+// a thread pool's task group. A procedure's task is spawned when the last
+// of its callees (sema's call edges, ProcSymbols::callees) has published
+// its summary: it runs the caller's per-procedure plan, which fills the
+// procedure's memo slot and names the loops to analyze, and then spawns
+// those loops' tasks and its ready callers. No task waits for another; only
+// the callers below block. Batch runs (analyzeProgramUnit,
+// analyzeCorpusParallel) pass a plan that summarizes the procedure and
+// returns every loop; incremental sessions (AnalysisSession::submit) pass
+// one that decides, once the callees' summary epochs are final, whether the
+// procedure's carried state is still valid and which loops changed. A
+// 1-thread pool runs the same graph on the calling thread.
 //
 // Correctness model (see DESIGN.md §4.1):
-//   * A memo slot's one writer, the task summarizing its procedure,
-//     finishes before any task that reads the slot is spawned: its callers'
-//     summary tasks and its own loop tasks.
+//   * A memo slot's one writer, the task planning its procedure, finishes
+//     before any task that reads the slot is spawned: its callers' tasks
+//     and its own loop tasks.
 //   * Per-loop analyses (LoopParallelizer::analyzeLoop) only read the
 //     analyzer, so they run concurrently with unrelated summaries.
 //   * Symbolic query verdicts are memoized in the process-global QueryCache
@@ -20,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,19 +36,25 @@
 
 namespace panorama {
 
-/// One DO loop to analyze, with the procedure that contains it.
-struct LoopSite {
-  const Stmt* loop = nullptr;
-  const Procedure* proc = nullptr;
-};
+/// One procedure's step of the task graph, run by the task that is the
+/// procedure's memo slot's one writer once every callee's plan has
+/// finished: fill the slot (summarize the procedure, or seed it) and return
+/// the DO loops of the procedure to analyze, in the order their analyses
+/// are returned. A plan may read its callees' slots and whatever their
+/// plans published, and nothing else that another task writes.
+using ProcPlan = std::function<std::vector<const Stmt*>(const Procedure&)>;
 
-/// The one analysis scheduler: summarizes every procedure of the analyzer's
-/// program callees first on `pool` (memoized summaries return at once) and
-/// analyzes each of `loops` once its procedure is summarized. The result is
-/// position-aligned with `loops` regardless of pool size or completion
-/// order.
+/// The batch plan: summarize the procedure and analyze every DO loop of it,
+/// in collectDoLoops order.
+ProcPlan summarizeEveryLoop(SummaryAnalyzer& analyzer);
+
+/// The one analysis scheduler: runs `plan` for every procedure of the
+/// analyzer's program, callees first, on `pool`, and analyzes each loop a
+/// plan returns once that plan is done. The result holds those analyses,
+/// procedures in bottom-up order and each procedure's loops in its plan's
+/// order, regardless of pool size or completion order.
 std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool,
-                                                 const std::vector<LoopSite>& loops);
+                                                 const ProcPlan& plan);
 
 /// Everything one analyzed program owns. The analyzer points into
 /// program/sema/hsg, so the four live (and die) together; the move

@@ -11,18 +11,22 @@
 //
 // Beyond the whole-procedure hash, fingerprintProcedureDetail() breaks a
 // procedure into per-top-level-statement *items* — the granularity the
-// session reuses loop verdicts at. A loop verdict depends on exactly:
+// session reuses loop summaries and verdicts at. A loop's summary and
+// verdict depend on exactly:
 //   * the procedure frame (params/decls/commons/paramConsts — they shape
 //     ProcSymbols and hence every lowering), plus the set of DO index names
 //     (the T1-off ablation keys on it);
 //   * its own item subtree (loop summary + scalar classification);
-//   * the statements *after* the item (the suffix feeds the backward walk's
-//     ueAfter — the copy-out/live-out probe);
 //   * under options.quantified only, the immediately preceding item (the
 //     §5.2 counter idiom inspects `body[k-1]`);
-//   * the summaries of called procedures (keyed separately, by epoch).
-// Each item therefore carries (hash, suffixHash, precedingHash) plus the
-// callee names its verdict may read (subtree ∪ suffix).
+//   * the summaries of the procedures called in the subtree (keyed
+//     separately, by epoch);
+//   * for a loop that no other DO encloses, the UE set downstream of it
+//     (ueAfter, the copy-out/live-out probe), which the session compares
+//     after the procedure's walk instead of keying on the text after the
+//     item.
+// Each item therefore carries (hash, precedingHash) plus the callee names
+// its subtree calls.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +48,15 @@ Fingerprint fingerprintProcedure(const Procedure& proc);
 /// matcher sees it.
 struct ItemFingerprint {
   Fingerprint hash = 0;           ///< structural hash of the statement subtree
-  Fingerprint suffixHash = 0;     ///< hash over the following items' hashes
   Fingerprint precedingHash = 0;  ///< previous item's hash (0 for the first)
   std::uint32_t loopCount = 0;    ///< DO statements in the subtree
-  /// CALL targets appearing in the subtree or any following item — the
-  /// procedures whose summaries this item's loop verdicts may read.
+  /// CALL targets in the subtree (sorted) — the procedures whose summaries
+  /// this item's loop summaries and verdicts read.
   std::vector<std::string> callees;
 };
 
 struct ProcFingerprintDetail {
-  Fingerprint whole = 0;  ///< == fingerprintProcedure(proc)
+  Fingerprint whole = 0;  ///< == fingerprintProcedure(proc): the frame and the item hashes
   /// Declaration frame: name, isMain, params, decls, commons, paramConsts,
   /// plus the sorted set of DO index names of the whole body.
   Fingerprint frame = 0;

@@ -103,12 +103,13 @@ struct InvalidationCause {
 };
 
 /// Why one loop inside a dirty unit was served from cache anyway
-/// ("item-match"), or why a clean unit's cached citation moved
+/// ("item-match"), why a reused loop's verdict was re-analyzed all the same
+/// ("ue-after-changed"), or why a clean unit's cached citation moved
 /// ("line-remap") — the loop-granular counterpart of InvalidationCause.
 struct LoopReuseCause {
   std::string unit;
   std::int64_t line = 0;  ///< post-edit line of the reused loop
-  std::string cause;      ///< "item-match" | "line-remap"
+  std::string cause;      ///< "item-match" | "line-remap" | "ue-after-changed"
   std::string detail;
 };
 
@@ -127,6 +128,10 @@ struct SessionReuse {
   std::uint64_t dirty = 0;            ///< dirty-cone size (recomputed units)
   std::uint64_t summariesReused = 0;  ///< units seeded from the previous epoch
   std::uint64_t summariesRecomputed = 0;
+  /// Re-summarized units whose frame and caller-visible summary came out
+  /// unchanged: they kept their epoch, so no caller went dirty for them
+  /// (the early cutoff, DESIGN.md §4.4).
+  std::uint64_t summariesUnchanged = 0;
   std::uint64_t loopsReused = 0;      ///< loop analyses served from cache
   std::uint64_t loopsRecomputed = 0;
   /// Loop-granular reuse inside the dirty cone (DESIGN.md §4.9).
@@ -135,6 +140,10 @@ struct SessionReuse {
   std::uint64_t unitsCleanLoops = 0;  ///< units with zero recomputed loops
   std::uint64_t unitsDirtyLoops = 0;  ///< units with >=1 recomputed loop
   std::uint64_t lineRemaps = 0;       ///< cached citations moved to post-edit lines
+  /// Reused loops re-analyzed because the procedure's walk gave them a new
+  /// downstream exposure (ueAfter, the copy-out probe); counted in
+  /// loopsRecomputed, not in loopSkips.
+  std::uint64_t ueAfterRecomputed = 0;
   /// Cumulative byte-identical resubmits served by the whole-file fast path
   /// (per-procedure diffing skipped entirely).
   std::uint64_t fileSkips = 0;

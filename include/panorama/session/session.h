@@ -11,19 +11,22 @@
 //
 // On submit, the incoming program runs sema once against copies of the
 // tables and diffs against the units ({unchanged, modified, added,
-// removed}); the dirty cone — modified and added procedures plus everything
-// that transitively depends on them through the call graph (sema's
-// caller→callee edges, ProcSymbols::callees) — gets flow graphs and is
-// re-analyzed through the batch scheduler's task graph, while every unit
-// outside the cone seeds its carried summaries into the analyzer and serves
-// its formatted loop reports verbatim. The analyzer's memoized state then
-// moves back into the units and the submit's program, sema maps, graphs and
+// removed}). Modified and added procedures, and every procedure that
+// transitively calls one, get flow graphs before any state is touched; the
+// batch scheduler's task graph then decides the rest as callees publish
+// (DESIGN.md §4.4). A fingerprint-unchanged unit whose callees all kept
+// the summary epochs it was computed against seeds its carried summaries
+// into the analyzer and serves its formatted loop reports verbatim; any
+// other unit is re-summarized. The analyzer's memoized state then moves
+// back into the units and the submit's program, sema maps, graphs and
 // analyzer are dropped.
 //
 // Validity of a unit's cached state is keyed on
-//   (own content fingerprint, callee summary epochs):
-// a unit is reused only when its fingerprint is unchanged and every callee
-// it depended on kept the summary epoch the unit was computed against. A
+//   (own content fingerprint, callee summary epochs).
+// A unit's summary epoch is the submit at which what its callers read of it
+// last changed: a re-summarized unit whose frame fingerprint and
+// caller-visible summary (mod, ue, de, modifiedScalars; SUM_call) come out
+// equal keeps its epoch, so its callers stay clean (early cutoff). A
 // session's options are fixed at construction (restore adopts a snapshot's
 // ablation switches together with its units), so only the first submit
 // invalidates everything.
@@ -35,14 +38,15 @@
 // its position in the procedure's DO walk, which a fingerprint-equal
 // procedure shares.
 //
-// Inside the dirty cone, reuse is *loop-granular* (DESIGN.md §4.9): a
-// modified procedure's body is diffed per top-level statement ("item"), and
-// an item's cached loop verdicts are served — and its loop summaries seeded
-// into the analyzer at the item's new walk positions — when the item
-// subtree, the statement suffix after it (the backward walk's ueAfter
-// input), the declaration frame, and every callee summary epoch its verdicts
-// read are all unchanged. A one-loop edit in an N-loop procedure therefore
-// recomputes one loop, not N.
+// Inside a re-summarized unit, reuse is *loop-granular* (DESIGN.md §4.9): its
+// body is diffed per top-level statement ("item"), and an item's loop
+// summaries are seeded into the analyzer at the item's new walk positions
+// when the item subtree, the declaration frame, and the summary epochs of
+// the callees in the subtree are unchanged. Its cached verdicts are served
+// too, unless the procedure's walk gives one of its outermost loops a new
+// downstream exposure (ueAfter, the copy-out probe): that loop alone is
+// re-analyzed. A one-loop edit in an N-loop procedure therefore recomputes
+// one loop nest, not N, wherever the nest sits.
 //
 // Reports cite post-edit line numbers without forfeiting reuse: when a
 // fingerprint-unchanged procedure's text merely shifted, the session reads
@@ -147,10 +151,11 @@ class AnalysisSession {
   };
   Status status() const;
 
-  /// The submit epoch that last recomputed `name`'s summary (0 if the unit
-  /// is unknown). Lifecycle tests assert transitive invalidation through
-  /// this: an edited leaf bumps its own and every transitive caller's
-  /// epoch while siblings keep theirs.
+  /// The submit epoch at which what callers read of `name`'s summary, or
+  /// its frame, last changed (0 if the unit is unknown). Lifecycle tests
+  /// assert invalidation through this: a leaf edit that changes the leaf's
+  /// summary bumps its own and every transitive caller's epoch while
+  /// siblings keep theirs; one that leaves the summary equal bumps none.
   std::uint64_t summaryEpochOf(const std::string& name) const;
 
   // ----- on-disk persistence (store/, DESIGN.md §4.8) -----
@@ -190,18 +195,17 @@ class AnalysisSession {
   /// key, DESIGN.md §4.9). Items mirror fingerprintProcedureDetail().
   struct ItemRecord {
     Fingerprint hash = 0;
-    Fingerprint suffixHash = 0;
     Fingerprint precedingHash = 0;
     std::uint32_t loopBegin = 0;  ///< index range into Unit::loops (the DO walk)
     std::uint32_t loopCount = 0;  ///< 0: no cached verdicts to reuse
-    /// Epochs of every *resolved* callee the item's verdicts may have read
-    /// (CALLs in the subtree or the suffix) at the time they were computed.
+    /// Summary epochs of the procedures the item's subtree calls, as its
+    /// loop summaries and verdicts read them.
     std::map<std::string, std::uint64_t> calleeEpochs;
   };
   struct Unit {
     Fingerprint fp = 0;
     Fingerprint frameFp = 0;         ///< declaration-frame hash (detail.frame)
-    std::uint64_t summaryEpoch = 0;  ///< submit that last recomputed it
+    std::uint64_t summaryEpoch = 0;  ///< submit that last changed what callers read
     std::set<std::string> deps;      ///< callees: sema's call edges
     std::map<std::string, std::uint64_t> calleeEpochs;  ///< deps' epochs then
     std::vector<CachedLoop> loops;   ///< walk-order loop reports

@@ -20,16 +20,16 @@
 namespace panorama::store {
 
 inline constexpr std::uint32_t kMagic = 0x4f4e4150u;  // "PANO", little-endian
-/// The one schema this build reads and writes. v6 stores what a session
+/// The one schema this build reads and writes. v7 stores what a session
 /// holds between submits and no AST: per unit (in bottom-up order) its
 /// fingerprints, item records (the loop-granular reuse keys of DESIGN.md
-/// §4.9), headerless cached reports and memoized summaries (the summary and
-/// the loop summaries by DO walk index, nothing else), plus six option
-/// bytes (the ablation switches). Its layout is v5's; v5 is retired because
-/// its cached provenance text may carry query-layer notes that a cold
-/// analysis no longer prints. Any other version, v1 to v5 included, is
-/// rejected as version skew.
-inline constexpr std::uint32_t kSchemaVersion = 6;
+/// §4.9: subtree hash, preceding item's hash, walk range, callee epochs),
+/// headerless cached reports and memoized summaries (the summary and the
+/// loop summaries by DO walk index, nothing else), plus six option bytes
+/// (the ablation switches). It is v6 without the item records' suffix
+/// hash, which reuse no longer keys on. Any other version, v1 to v6
+/// included, is rejected as version skew.
+inline constexpr std::uint32_t kSchemaVersion = 7;
 inline constexpr std::size_t kHeaderBytes = 24;
 
 /// FNV-1a over a byte range — the payload integrity hash (and the session's

@@ -46,9 +46,10 @@ struct AnalysisOptions {
   /// Every value runs the same task graph (1 runs it on the calling thread)
   /// and yields byte-identical reports.
   std::size_t numThreads = 0;
-  /// Incremental sessions: reuse cached per-loop verdicts inside *modified*
-  /// procedures when the loop's statement subtree, downstream suffix,
-  /// declaration frame, and callee summary epochs are all unchanged.
+  /// Incremental sessions: reuse cached per-loop summaries and verdicts
+  /// inside re-summarized procedures when the loop's statement subtree,
+  /// declaration frame, and callee summary epochs are all unchanged (a
+  /// verdict whose downstream exposure changed is re-analyzed).
   /// Execution-only (reports are byte-identical either way — the session
   /// excludes it from the options key); false restores procedure-granular
   /// reuse, kept as the bench_incremental comparison baseline.
@@ -129,7 +130,7 @@ class SummaryAnalyzer {
   /// of recomputing, and sumLoop returns a seeded loop's whole-loop sets
   /// without re-expanding its body (the enclosing segment walk still
   /// overwrites ueAfter with this run's downstream exposure). The session
-  /// seeds clean procedures whole and, inside modified ones, the loop
+  /// seeds clean procedures whole and, inside re-summarized ones, the loop
   /// summaries of statement subtrees it proved unchanged — every nested DO
   /// of such a subtree alongside it. Walk indices past the procedure's DO
   /// walk are ignored.

@@ -18,17 +18,14 @@ namespace panorama {
 
 namespace {
 
-/// One program's task graph. A procedure's summary task is spawned when
-/// its last callee's summary is published (at once for a leaf), and its
-/// loops' tasks when its own summary is: every reader of a memo slot is
-/// spawned after the slot's one writer has finished.
+/// One program's task graph. A procedure's task is spawned when its last
+/// callee's plan has finished (at once for a leaf), and its loops' tasks
+/// when its own plan has: every reader of a memo slot is spawned after the
+/// slot's one writer has finished.
 class Schedule {
  public:
-  /// `out` is resized to `loops` and filled by position.
-  Schedule(SummaryAnalyzer& analyzer, const std::vector<LoopSite>& loops,
-           std::vector<LoopAnalysis>& out)
-      : analyzer_(analyzer), lp_(analyzer), loops_(loops), out_(out),
-        procs_(analyzer.sema().bottomUpOrder.size()) {
+  Schedule(SummaryAnalyzer& analyzer, ProcPlan plan)
+      : lp_(analyzer), plan_(std::move(plan)), procs_(analyzer.sema().bottomUpOrder.size()) {
     const SemaResult& sema = analyzer.sema();
     std::unordered_map<const Procedure*, Proc*> byProc;
     for (std::size_t k = 0; k < procs_.size(); ++k) {
@@ -41,8 +38,6 @@ class Schedule {
       if (callees.empty()) leaves_.push_back(&p);
       for (const Procedure* callee : callees) byProc.at(callee)->callers.push_back(&p);
     }
-    for (std::size_t k = 0; k < loops.size(); ++k) byProc.at(loops[k].proc)->loops.push_back(k);
-    out_.resize(loops.size());
   }
   Schedule(const Schedule&) = delete;  // tasks hold its address
   Schedule& operator=(const Schedule&) = delete;
@@ -53,35 +48,43 @@ class Schedule {
     for (Proc* p : leaves_) group.spawn([this, &group, p] { summarize(group, *p); });
   }
 
+  /// The loop analyses, procedures in bottom-up order; call once the
+  /// group has finished.
+  std::vector<LoopAnalysis> take() {
+    std::vector<LoopAnalysis> out;
+    for (Proc& p : procs_)
+      for (LoopAnalysis& la : p.analyses) out.push_back(std::move(la));
+    return out;
+  }
+
  private:
   struct Proc {
     const Procedure* proc = nullptr;
-    std::atomic<std::size_t> pendingCallees{0};  ///< callees not yet summarized
+    std::atomic<std::size_t> pendingCallees{0};  ///< callees whose plan has not finished
     std::vector<Proc*> callers;
-    std::vector<std::size_t> loops;  ///< positions in loops_
+    std::vector<const Stmt*> loops;  ///< what the plan returned
+    std::vector<LoopAnalysis> analyses;  ///< by position in `loops`
   };
 
   void summarize(ThreadPool::Group& group, Proc& p) {
-    analyzer_.procSummary(*p.proc);
+    p.loops = plan_(*p.proc);
+    p.analyses.resize(p.loops.size());
     for (Proc* caller : p.callers)
       if (caller->pendingCallees.fetch_sub(1, std::memory_order_acq_rel) == 1)
         group.spawn([this, &group, caller] { summarize(group, *caller); });
-    for (std::size_t k : p.loops)
-      group.spawn([this, k] { out_[k] = lp_.analyzeLoop(*loops_[k].loop, *loops_[k].proc); });
+    for (std::size_t k = 0; k < p.loops.size(); ++k)
+      group.spawn([this, &p, k] { p.analyses[k] = lp_.analyzeLoop(*p.loops[k], *p.proc); });
   }
 
-  SummaryAnalyzer& analyzer_;
   LoopParallelizer lp_;
-  const std::vector<LoopSite>& loops_;
-  std::vector<LoopAnalysis>& out_;
+  ProcPlan plan_;
   std::vector<Proc> procs_;  ///< bottom-up order; never resized (tasks point in)
   std::vector<Proc*> leaves_;
 };
 
-/// sema → HSG → analyzer over `pa.program`, and the sites of every DO loop
-/// (procedures bottom-up, loops in collectDoLoops order). False, with
-/// pa.error set, on a diagnostic.
-bool prepare(ProgramAnalysis& pa, const AnalysisOptions& options, std::vector<LoopSite>& sites) {
+/// sema → HSG → analyzer over `pa.program`. False, with pa.error set, on a
+/// diagnostic.
+bool prepare(ProgramAnalysis& pa, const AnalysisOptions& options) {
   DiagnosticEngine diags;
   auto sr = [&] {
     obs::Span s("frontend.sema", "program unit");
@@ -101,8 +104,6 @@ bool prepare(ProgramAnalysis& pa, const AnalysisOptions& options, std::vector<Lo
     return false;
   }
   pa.analyzer = std::make_unique<SummaryAnalyzer>(pa.program, pa.sema, pa.hsg, options);
-  for (const Procedure* proc : pa.sema.bottomUpOrder)
-    for (const Stmt* loop : collectDoLoops(proc->body)) sites.push_back({loop, proc});
   return true;
 }
 
@@ -111,7 +112,6 @@ bool prepare(ProgramAnalysis& pa, const AnalysisOptions& options, std::vector<Lo
 struct KernelJob {
   const CorpusLoop* cl = nullptr;
   ProgramAnalysis pa;
-  std::vector<LoopSite> sites;
   std::optional<Schedule> schedule;
 };
 
@@ -134,22 +134,28 @@ void runKernel(KernelJob& job, const AnalysisOptions& options, ThreadPool::Group
     }
     job.pa.program = std::move(*rebuilt.program);
   }
-  if (!prepare(job.pa, options, job.sites)) return;
+  if (!prepare(job.pa, options)) return;
   job.pa.ok = true;
-  job.schedule.emplace(*job.pa.analyzer, job.sites, job.pa.loops);
+  job.schedule.emplace(*job.pa.analyzer, summarizeEveryLoop(*job.pa.analyzer));
   job.schedule->start(group);
 }
 
 }  // namespace
 
+ProcPlan summarizeEveryLoop(SummaryAnalyzer& analyzer) {
+  return [&analyzer](const Procedure& proc) {
+    analyzer.procSummary(proc);
+    return collectDoLoops(proc.body);
+  };
+}
+
 std::vector<LoopAnalysis> analyzeProgramParallel(SummaryAnalyzer& analyzer, ThreadPool& pool,
-                                                 const std::vector<LoopSite>& loops) {
-  std::vector<LoopAnalysis> out;
-  Schedule schedule(analyzer, loops, out);
+                                                 const ProcPlan& plan) {
+  Schedule schedule(analyzer, plan);
   ThreadPool::Group group(pool);
   schedule.start(group);
   group.wait();
-  return out;
+  return schedule.take();
 }
 
 ProgramAnalysis& ProgramAnalysis::operator=(ProgramAnalysis&& other) {
@@ -168,9 +174,8 @@ ProgramAnalysis analyzeProgramUnit(Program program, const AnalysisOptions& optio
                                    ThreadPool& pool) {
   ProgramAnalysis out;
   out.program = std::move(program);
-  std::vector<LoopSite> sites;
-  if (!prepare(out, options, sites)) return out;
-  out.loops = analyzeProgramParallel(*out.analyzer, pool, sites);
+  if (!prepare(out, options)) return out;
+  out.loops = analyzeProgramParallel(*out.analyzer, pool, summarizeEveryLoop(*out.analyzer));
   out.ok = true;
   return out;
 }
@@ -199,6 +204,8 @@ CorpusAnalysisResult analyzeCorpusParallel(const AnalysisOptions& options, Corpu
       group.spawn([&job, &options, &group, ingest] { runKernel(job, options, group, ingest); });
     group.wait();
   }
+  for (KernelJob& job : jobs)
+    if (job.schedule) job.pa.loops = job.schedule->take();
 
   CorpusAnalysisResult result;
   result.threadsUsed = pool.threadCount();

@@ -132,65 +132,43 @@ void scanStmt(const Stmt& s, std::set<std::string>& doVars, std::set<std::string
 }  // namespace
 
 Fingerprint fingerprintProcedure(const Procedure& proc) {
-  Hasher h;
-  hashFrame(h, proc);
-  h.u64(proc.body.size());
-  for (const StmtPtr& s : proc.body) hashStmt(h, *s);
-  return h.value();
+  return fingerprintProcedureDetail(proc).whole;
 }
 
 ProcFingerprintDetail fingerprintProcedureDetail(const Procedure& proc) {
   ProcFingerprintDetail out;
-  out.whole = fingerprintProcedure(proc);
 
   // Per-item structural hashes plus the scan products (DO index names for
-  // the frame, callee names for the epoch keys).
+  // the frame, CALL targets for the epoch keys).
   const std::size_t n = proc.body.size();
-  std::vector<Fingerprint> itemHash(n);
-  std::vector<std::set<std::string>> itemCallees(n);
   std::set<std::string> doVars;
   out.items.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
+    ItemFingerprint& item = out.items[k];
     Hasher h;
     hashStmt(h, *proc.body[k]);
-    itemHash[k] = h.value();
-    out.items[k].hash = itemHash[k];
-    std::set<std::string> itemDoVars;
-    scanStmt(*proc.body[k], itemDoVars, itemCallees[k], out.items[k].loopCount);
-    doVars.insert(itemDoVars.begin(), itemDoVars.end());
+    item.hash = h.value();
+    if (k > 0) item.precedingHash = out.items[k - 1].hash;
+    std::set<std::string> callees;
+    scanStmt(*proc.body[k], doVars, callees, item.loopCount);
+    item.callees.assign(callees.begin(), callees.end());
   }
 
   // The frame covers everything a lowering can read besides statements: the
   // declaration context plus the procedure's DO index set (the T1-off
   // ablation treats index variables specially, so the set is verdict input).
-  {
-    Hasher h;
-    hashFrame(h, proc);
-    h.u64(doVars.size());
-    for (const std::string& v : doVars) h.str(v);
-    out.frame = h.value();
-  }
+  Hasher h;
+  hashFrame(h, proc);
+  h.u64(doVars.size());
+  for (const std::string& v : doVars) h.str(v);
+  out.frame = h.value();
 
-  // Suffix hashes and callee unions, built back-to-front: item k's verdicts
-  // read its own subtree plus everything after it (ueAfter), so its callee
-  // set is the suffix union including itself.
-  Fingerprint suffix;
-  {
-    Hasher h;
-    h.u64(0);
-    suffix = h.value();
-  }
-  std::set<std::string> suffixCallees;
-  for (std::size_t k = n; k-- > 0;) {
-    out.items[k].suffixHash = suffix;
-    suffixCallees.insert(itemCallees[k].begin(), itemCallees[k].end());
-    out.items[k].callees.assign(suffixCallees.begin(), suffixCallees.end());
-    Hasher h;
-    h.u64(itemHash[k]);
-    h.u64(suffix);
-    suffix = h.value();
-  }
-  for (std::size_t k = 1; k < n; ++k) out.items[k].precedingHash = itemHash[k - 1];
+  // The whole procedure: its frame and its items in order.
+  Hasher w;
+  w.u64(out.frame);
+  w.u64(n);
+  for (const ItemFingerprint& item : out.items) w.u64(item.hash);
+  out.whole = w.value();
   return out;
 }
 

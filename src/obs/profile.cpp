@@ -352,6 +352,10 @@ std::string renderCostProfileText(const CostProfile& profile) {
       out += "; loop skips " + std::to_string(s.loopSkips) + " inside " +
              std::to_string(s.partialUnits) + " partial unit(s)";
     if (s.lineRemaps > 0) out += "; line remaps " + std::to_string(s.lineRemaps);
+    if (s.summariesUnchanged > 0)
+      out += "; summaries unchanged " + std::to_string(s.summariesUnchanged);
+    if (s.ueAfterRecomputed > 0)
+      out += "; ueAfter re-analyses " + std::to_string(s.ueAfterRecomputed);
     out += '\n';
     for (const InvalidationCause& c : s.invalidations) {
       out += "  invalidated " + c.unit + " [" + c.cause + "]";
@@ -460,6 +464,7 @@ std::string renderCostProfileJson(const CostProfile& profile) {
     out += ", \"dirty\": " + std::to_string(s.dirty);
     out += ", \"summaries_reused\": " + std::to_string(s.summariesReused);
     out += ", \"summaries_recomputed\": " + std::to_string(s.summariesRecomputed);
+    out += ", \"summaries_unchanged\": " + std::to_string(s.summariesUnchanged);
     out += ", \"loops_reused\": " + std::to_string(s.loopsReused);
     out += ", \"loops_recomputed\": " + std::to_string(s.loopsRecomputed);
     out += ", \"loop_skips\": " + std::to_string(s.loopSkips);
@@ -467,6 +472,7 @@ std::string renderCostProfileJson(const CostProfile& profile) {
     out += ", \"units_clean_loops\": " + std::to_string(s.unitsCleanLoops);
     out += ", \"units_dirty_loops\": " + std::to_string(s.unitsDirtyLoops);
     out += ", \"line_remaps\": " + std::to_string(s.lineRemaps);
+    out += ", \"ue_after_recomputed\": " + std::to_string(s.ueAfterRecomputed);
     out += ", \"invalidations\": [";
     for (std::size_t c = 0; c < s.invalidations.size(); ++c) {
       if (c) out += ", ";

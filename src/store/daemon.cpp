@@ -361,6 +361,9 @@ std::string Daemon::dispatch(const JsonValue& req, const std::string& id, Gated&
                       ",\"loop_skips\":" + std::to_string(result.stats.loopSkips) +
                       ",\"units_clean_loops\":" + std::to_string(result.stats.unitsCleanLoops) +
                       ",\"units_dirty_loops\":" + std::to_string(result.stats.unitsDirtyLoops) +
+                      ",\"summaries_unchanged\":" +
+                      std::to_string(result.stats.summariesUnchanged) +
+                      ",\"ue_after_recomputed\":" + std::to_string(result.stats.ueAfterRecomputed) +
                       ",\"report\":\"";
     support::appendJsonEscaped(out, report);
     out += '"';

@@ -495,7 +495,6 @@ store::StoreResult AnalysisSession::saveLocked(const std::string& path) const {
     unitsW.u64(u.items.size());
     for (const ItemRecord& rec : u.items) {
       unitsW.u64(rec.hash);
-      unitsW.u64(rec.suffixHash);
       unitsW.u64(rec.precedingHash);
       unitsW.u32(rec.loopBegin);
       unitsW.u32(rec.loopCount);
@@ -636,11 +635,10 @@ store::StoreResult AnalysisSession::restoreLocked(const std::string& path) {
         cl.provenance = r.str();
         u.loops.push_back(std::move(cl));
       }
-      const std::uint64_t in = r.count(40, "item record");
+      const std::uint64_t in = r.count(32, "item record");
       for (std::uint64_t k = 0; k < in && r.ok(); ++k) {
         ItemRecord rec;
         rec.hash = r.u64();
-        rec.suffixHash = r.u64();
         rec.precedingHash = r.u64();
         rec.loopBegin = r.u32();
         rec.loopCount = r.u32();

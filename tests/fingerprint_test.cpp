@@ -1,12 +1,13 @@
 // Per-item fingerprints (ast/fingerprint, DESIGN.md §4.9): the invariants
 // the session's loop-granular matcher rests on. An item's (hash,
-// suffixHash) must ignore line positions, and an edit to item k must change
-// the suffix of every item at or before k and nothing after it.
+// precedingHash) must ignore line positions, an edit to item k must change
+// item k's hash and nothing else but item k+1's preceding hash, and an
+// item's callee set is its own subtree's.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "panorama/ast/fingerprint.h"
 #include "panorama/frontend/parser.h"
@@ -57,14 +58,13 @@ TEST(FingerprintDetailTest, ItemsIgnoreLineShifts) {
   ASSERT_EQ(plain.items.size(), 4u);  // three nests + trailing assignment
   for (std::size_t k = 0; k < plain.items.size(); ++k) {
     EXPECT_EQ(plain.items[k].hash, shifted.items[k].hash) << "item " << k;
-    EXPECT_EQ(plain.items[k].suffixHash, shifted.items[k].suffixHash) << "item " << k;
     EXPECT_EQ(plain.items[k].precedingHash, shifted.items[k].precedingHash) << "item " << k;
   }
   EXPECT_EQ(plain.items[0].loopCount, 1u);
   EXPECT_EQ(plain.items[3].loopCount, 0u);
 }
 
-TEST(FingerprintDetailTest, EditDirtiesTheSuffixOfEarlierItemsOnly) {
+TEST(FingerprintDetailTest, EditChangesOnlyTheEditedItem) {
   std::optional<Program> a, b;
   const ProcFingerprintDetail base = fingerprintProcedureDetail(parseKern(kernSource(0), a));
   const ProcFingerprintDetail edited = fingerprintProcedureDetail(parseKern(kernSource(2), b));
@@ -73,19 +73,16 @@ TEST(FingerprintDetailTest, EditDirtiesTheSuffixOfEarlierItemsOnly) {
   EXPECT_NE(base.whole, edited.whole);
   EXPECT_EQ(base.frame, edited.frame);  // declarations untouched
 
-  // Item 1 (the second nest) carries the edit: its own hash changes.
+  // Item 1 (the second nest) carries the edit: its own hash changes, and no
+  // other item's does, before or after it. The item after it sees a new
+  // preceding hash (the quantified counter idiom reads it).
   EXPECT_EQ(base.items[0].hash, edited.items[0].hash);
   EXPECT_NE(base.items[1].hash, edited.items[1].hash);
   EXPECT_EQ(base.items[2].hash, edited.items[2].hash);
   EXPECT_EQ(base.items[3].hash, edited.items[3].hash);
-
-  // Every item strictly before the edit sees a changed suffix (the backward
-  // walk's ueAfter reads it); the edited item's own suffix covers only what
-  // FOLLOWS it, so it and everything after are unchanged.
-  EXPECT_NE(base.items[0].suffixHash, edited.items[0].suffixHash);
-  EXPECT_EQ(base.items[1].suffixHash, edited.items[1].suffixHash);
-  EXPECT_EQ(base.items[2].suffixHash, edited.items[2].suffixHash);
-  EXPECT_EQ(base.items[3].suffixHash, edited.items[3].suffixHash);
+  EXPECT_EQ(base.items[1].precedingHash, edited.items[1].precedingHash);
+  EXPECT_NE(base.items[2].precedingHash, edited.items[2].precedingHash);
+  EXPECT_EQ(base.items[3].precedingHash, edited.items[3].precedingHash);
 }
 
 TEST(FingerprintDetailTest, FrameHashCoversDeclarations) {
@@ -99,7 +96,7 @@ TEST(FingerprintDetailTest, FrameHashCoversDeclarations) {
   EXPECT_NE(base.whole, wide.whole);
 }
 
-TEST(FingerprintDetailTest, CalleesCoverSubtreeAndSuffix) {
+TEST(FingerprintDetailTest, CalleesCoverTheSubtreeOnly) {
   const char* src = R"(
       subroutine kern(a, n)
       integer n
@@ -115,15 +112,11 @@ TEST(FingerprintDetailTest, CalleesCoverSubtreeAndSuffix) {
   std::optional<Program> keep;
   const ProcFingerprintDetail detail = fingerprintProcedureDetail(parseKern(src, keep));
   ASSERT_EQ(detail.items.size(), 2u);
-  // Item 0's verdict may read both summaries (its suffix contains item 1);
-  // item 1's only its own callee.
-  auto has = [](const std::vector<std::string>& v, const char* name) {
-    return std::find(v.begin(), v.end(), name) != v.end();
-  };
-  EXPECT_TRUE(has(detail.items[0].callees, "first"));
-  EXPECT_TRUE(has(detail.items[0].callees, "second"));
-  EXPECT_FALSE(has(detail.items[1].callees, "first"));
-  EXPECT_TRUE(has(detail.items[1].callees, "second"));
+  // Each item's loop summaries and verdicts read only the summaries of what
+  // its own subtree calls; what follows it reaches a verdict through
+  // ueAfter alone, which the session re-checks after the walk.
+  EXPECT_EQ(detail.items[0].callees, std::vector<std::string>{"first"});
+  EXPECT_EQ(detail.items[1].callees, std::vector<std::string>{"second"});
 }
 
 }  // namespace

@@ -534,11 +534,11 @@ TEST(ParallelDriverTest, AnalysisLeavesTheSymbolTableFrozen) {
       options.quantified = quantified;
       SummaryAnalyzer analyzer(*program, *sema, hsg, options);
       const std::size_t frozen = sema->symbols.size();
-      std::vector<LoopSite> loops;
-      for (const Procedure* proc : sema->bottomUpOrder)
-        for (const Stmt* loop : collectDoLoops(proc->body)) loops.push_back({loop, proc});
-      std::vector<LoopAnalysis> out = analyzeProgramParallel(analyzer, pool, loops);
-      EXPECT_EQ(out.size(), loops.size());
+      std::size_t loops = 0;
+      for (const Procedure* proc : sema->bottomUpOrder) loops += collectDoLoops(proc->body).size();
+      std::vector<LoopAnalysis> out =
+          analyzeProgramParallel(analyzer, pool, summarizeEveryLoop(analyzer));
+      EXPECT_EQ(out.size(), loops);
       EXPECT_EQ(sema->symbols.size(), frozen) << "quantified=" << quantified;
     }
   }

@@ -2,8 +2,10 @@
 //   * a warm re-submit after an edit produces reports byte-identical to a
 //     cold analysis of the edited source, at 1 and 4+ threads;
 //   * invalidation is transitive through the summary dependency graph —
-//     editing a leaf re-summarizes the leaf and every transitive caller
-//     while siblings keep their cached summaries and epochs;
+//     an edit that changes a leaf's summary re-summarizes the leaf and
+//     every transitive caller while siblings keep their cached summaries
+//     and epochs, and one that leaves the summary equal re-summarizes the
+//     leaf alone (early cutoff);
 //   * identical resubmission recomputes nothing;
 //   * procedure add/remove dirties only the affected unit;
 //   * two sessions in one process, and a warm submit against a cold one,
@@ -89,7 +91,9 @@ const char* kBase = R"(
       end
 )";
 
-// Same program with the leaf's loop body changed.
+// Same program with the leaf's loop bounds and body changed: the leaf writes
+// x(1:50) instead of x(1:100), so its summary changes and its callers must
+// be re-summarized.
 const char* kLeafEdited = R"(
       program main
       real a(100)
@@ -116,7 +120,7 @@ const char* kLeafEdited = R"(
       end
       subroutine leaf(x)
       real x(100)
-      do i = 1, 100
+      do i = 1, 50
         x(i) = 3.0
       enddo
       end
@@ -193,8 +197,11 @@ TEST(SessionTest, TransitiveInvalidationThroughCallChain) {
   EXPECT_EQ(session.summaryEpochOf("leaf"), 2u);
   EXPECT_EQ(session.summaryEpochOf("mid"), 2u);
   EXPECT_EQ(session.summaryEpochOf("top"), 2u);
-  EXPECT_EQ(session.summaryEpochOf("main"), 2u);
   EXPECT_EQ(session.summaryEpochOf("sib"), 1u);
+  // The main program was re-summarized too, but it has no formals and no
+  // COMMON: what a caller could read of it is unchanged, so its epoch is.
+  EXPECT_EQ(session.summaryEpochOf("main"), 1u);
+  EXPECT_EQ(warm.stats.summariesUnchanged, 1u);
 
   // The same accounting is what publishSessionMetrics renders as session.*
   // metrics for the process that owns this session.
@@ -263,10 +270,18 @@ TEST(SessionTest, EveryDirtyUnitCarriesItsInvalidationCause) {
   for (const UnitInvalidation& inv : warm.stats.invalidations) byUnit[inv.unit] = &inv;
   ASSERT_TRUE(byUnit.count("leaf"));
   EXPECT_EQ(byUnit.at("leaf")->cause, "fingerprint");
-  for (const char* caller : {"mid", "top", "main"}) {
+  // Each caller's cause names the callee whose summary changed.
+  const std::map<std::string, std::string> changedCallee{
+      {"mid", "leaf"}, {"top", "mid"}, {"main", "top"}};
+  for (const auto& [caller, callee] : changedCallee) {
     ASSERT_TRUE(byUnit.count(caller)) << caller;
     EXPECT_EQ(byUnit.at(caller)->cause, "callee-epoch") << caller;
+    EXPECT_EQ(byUnit.at(caller)->detail, "callee '" + callee + "' summary changed") << caller;
   }
+  // In procedure (source) order, whatever finished first in the graph.
+  std::vector<std::string> order;
+  for (const UnitInvalidation& inv : warm.stats.invalidations) order.push_back(inv.unit);
+  EXPECT_EQ(order, (std::vector<std::string>{"main", "top", "mid", "leaf"}));
   EXPECT_FALSE(byUnit.count("sib"));
 
   // The stats are the record CostProfiles embed, marked warm by the session.
@@ -382,22 +397,100 @@ TEST(SessionTest, SingleLoopEditReusesEveryLaterNestAcrossThreadCounts) {
   }
 }
 
-TEST(SessionTest, EditToTheLastNestIsSuffixConservative) {
+TEST(SessionTest, EditToTheLastNestReusesEveryEarlierNest) {
   CacheGuard guard;
-  AnalysisSession session;
-  ASSERT_TRUE(session.submit(nestSource(0)).ok);
-  SessionResult warm = session.submit(nestSource(4));
-  ASSERT_TRUE(warm.ok);
+  for (std::size_t threads : {1u, 4u}) {
+    AnalysisOptions options;
+    options.numThreads = threads;
+    AnalysisSession session(options);
+    ASSERT_TRUE(session.submit(nestSource(0)).ok);
+    SessionResult warm = session.submit(nestSource(4));
+    ASSERT_TRUE(warm.ok);
 
-  // Every earlier item's suffix contains the edited nest (the backward
-  // walk's ueAfter reads it), so nothing inside the dirty unit is reusable.
-  EXPECT_EQ(warm.stats.loopSkips, 0u);
-  EXPECT_EQ(warm.stats.partialUnits, 0u);
+    // Items are keyed on their own subtree: the three earlier nests match,
+    // and the walk leaves their ueAfter (the copy-out probe) as it was, so
+    // their verdicts stand. Only the edited nest's two loops recompute.
+    EXPECT_EQ(warm.stats.loopSkips, 6u) << threads << " threads";
+    EXPECT_EQ(warm.stats.partialUnits, 1u) << threads << " threads";
+    EXPECT_EQ(warm.stats.loopsRecomputed, 2u) << threads << " threads";
+    EXPECT_EQ(warm.stats.ueAfterRecomputed, 0u) << threads << " threads";
+
+    AnalysisSession coldSession(options);
+    SessionResult cold = coldSession.submit(nestSource(4));
+    ASSERT_TRUE(cold.ok);
+    EXPECT_EQ(render(cold), render(warm)) << threads << " threads";
+  }
+}
+
+TEST(SessionTest, AReadAfterALoopReanalyzesOnlyTheLoopWhoseCopyOutItFlips) {
+  CacheGuard guard;
+  // Two nests write a local work array; a trailing read of it makes the
+  // second nest's privatized copy live after the loop. Nothing in either
+  // nest changes, so both match, and only the second nest's ueAfter moves:
+  // it runs at least once, so it kills w(1) before the first nest's exit
+  // sees the new read.
+  auto source = [](bool readAfter) {
+    std::string src = "      subroutine kern(a, b)\n"
+                      "      real a(100), b(100)\n"
+                      "      real w(10)\n";
+    for (int k = 1; k <= 2; ++k) {
+      const std::string lbl = std::to_string(10 * k);
+      src += "      do " + lbl + " i = 1, 100\n"
+             "      w(1) = a(i)\n"
+             "      b(i) = w(1) * 2.0\n" +
+             lbl + "    continue\n";
+    }
+    if (readAfter) src += "      b(1) = w(1)\n";
+    src += "      end\n";
+    return src;
+  };
+  AnalysisSession session;
+  ASSERT_TRUE(session.submit(source(false)).ok);
+  SessionResult warm = session.submit(source(true));
+  ASSERT_TRUE(warm.ok);
+  EXPECT_EQ(warm.stats.ueAfterRecomputed, 1u);
+  EXPECT_EQ(warm.stats.loopsRecomputed, 1u);
+  EXPECT_EQ(warm.stats.loopSkips, 1u);
+  EXPECT_EQ(causeCount(warm, "ue-after-changed"), 1u);
+  EXPECT_NE(formatSessionStats(warm.stats).find("session.ue_after_recomputed: 1"),
+            std::string::npos);
 
   AnalysisSession coldSession;
-  SessionResult cold = coldSession.submit(nestSource(4));
+  SessionResult cold = coldSession.submit(source(true));
   ASSERT_TRUE(cold.ok);
   EXPECT_EQ(render(cold), render(warm));
+}
+
+TEST(SessionTest, AnUnchangedNestThatABackwardGotoCondensesIsRecomputed) {
+  CacheGuard guard;
+  // The DO item is the same text in both versions, but a backward GOTO
+  // after it pulls it into a condensed cycle: the procedure's walk no
+  // longer reaches the loop, so neither its carried summary nor its
+  // verdict may be served, in either direction.
+  const std::string plain = "      subroutine kern(a, n)\n"
+                            "      integer n, k\n"
+                            "      real a(100), w(10)\n"
+                            "      k = 0\n"
+                            "20    k = k + 1\n"
+                            "      do 10 i = 1, n\n"
+                            "        w(1) = a(i)\n"
+                            "        a(i) = w(1) * 2.0\n"
+                            "10    continue\n"
+                            "      a(1) = 0.0\n"
+                            "      end\n";
+  std::string cycle = plain;
+  cycle.replace(cycle.find("      a(1) = 0.0"), 16, "      if (k .lt. 3) goto 20");
+  for (const auto& [from, to] : {std::pair{plain, cycle}, std::pair{cycle, plain}}) {
+    AnalysisSession session;
+    ASSERT_TRUE(session.submit(from).ok);
+    SessionResult warm = session.submit(to);
+    ASSERT_TRUE(warm.ok);
+    EXPECT_EQ(warm.stats.loopSkips, 0u);
+    AnalysisSession coldSession;
+    SessionResult cold = coldSession.submit(to);
+    ASSERT_TRUE(cold.ok);
+    EXPECT_EQ(render(cold), render(warm));
+  }
 }
 
 TEST(SessionTest, CommentOnlyEditDirtiesNothingAndCitesPostEditLines) {
@@ -426,7 +519,7 @@ TEST(SessionTest, CommentOnlyEditDirtiesNothingAndCitesPostEditLines) {
 
 TEST(SessionTest, CalleeEditRecomputesOnlyLoopsThatReadItsSummary) {
   CacheGuard guard;
-  auto source = [](const char* inc) {
+  auto source = [](const char* target) {
     return std::string("      subroutine kern(a, b, n)\n"
                        "      integer n\n"
                        "      real a(100)\n"
@@ -441,26 +534,62 @@ TEST(SessionTest, CalleeEditRecomputesOnlyLoopsThatReadItsSummary) {
                        "      subroutine bump(x, k)\n"
                        "      integer k\n"
                        "      real x(100)\n"
-                       "      x(k) = x(k) + ") +
-           inc + "\n      end\n";
+                       "      ") +
+           target + " = x(k) + 2.0\n      end\n";
   };
   AnalysisSession session;
-  ASSERT_TRUE(session.submit(source("2.0")).ok);
-  SessionResult warm = session.submit(source("3.0"));
+  ASSERT_TRUE(session.submit(source("x(k)")).ok);
+  SessionResult warm = session.submit(source("x(k+1)"));
   ASSERT_TRUE(warm.ok);
 
-  // kern's text is unchanged but bump's summary epoch moved. The first nest
-  // calls bump, so its recorded callee epoch mismatches and it recomputes;
-  // the second nest's subtree AND suffix are call-free, so its verdict
-  // never read bump and is served from cache. (The call nest must precede
-  // the pure one: an item's callee set spans its suffix too.)
+  // kern's text is unchanged, but bump now writes x(k+1): its summary, and
+  // so its epoch, moved. The first nest calls bump, so its recorded callee
+  // epoch mismatches and it recomputes; the second nest's subtree is
+  // call-free, so its verdict never read bump and is served from cache.
+  EXPECT_EQ(warm.stats.dirty, 2u);
+  EXPECT_EQ(warm.stats.summariesUnchanged, 0u);
   EXPECT_EQ(warm.stats.loopSkips, 1u);
   EXPECT_EQ(warm.stats.partialUnits, 1u);
 
   AnalysisSession coldSession;
-  SessionResult cold = coldSession.submit(source("3.0"));
+  SessionResult cold = coldSession.submit(source("x(k+1)"));
   ASSERT_TRUE(cold.ok);
   EXPECT_EQ(render(cold), render(warm));
+}
+
+TEST(SessionTest, CalleeEditThatKeepsItsSummaryLeavesCallersClean) {
+  CacheGuard guard;
+  // The leaf's stored constant changes (x(i) = 2.0 -> 3.0): its write set,
+  // and everything else a caller reads through SUM_call, stays the same.
+  std::string constantEdit = kBase;
+  const std::size_t at = constantEdit.rfind("x(i) = 2.0");
+  ASSERT_NE(at, std::string::npos);
+  constantEdit.replace(at, 10, "x(i) = 3.0");
+
+  for (std::size_t threads : {1u, 4u}) {
+    AnalysisOptions options;
+    options.numThreads = threads;
+    AnalysisSession session(options);
+    ASSERT_TRUE(session.submit(kBase).ok);
+    SessionResult warm = session.submit(constantEdit);
+    ASSERT_TRUE(warm.ok);
+    EXPECT_EQ(warm.stats.modified, 1u) << threads << " threads";
+    EXPECT_EQ(warm.stats.dirty, 1u) << threads << " threads";
+    EXPECT_EQ(warm.stats.summariesReused, 4u) << threads << " threads";
+    EXPECT_EQ(warm.stats.summariesUnchanged, 1u) << threads << " threads";
+    ASSERT_EQ(warm.stats.invalidations.size(), 1u) << threads << " threads";
+    EXPECT_EQ(warm.stats.invalidations[0].unit, "leaf") << threads << " threads";
+    // The leaf keeps the epoch its callers recorded.
+    for (const char* name : {"main", "sib", "top", "mid", "leaf"})
+      EXPECT_EQ(session.summaryEpochOf(name), 1u) << name << ", " << threads << " threads";
+    EXPECT_NE(formatSessionStats(warm.stats).find("session.summaries_unchanged: 1"),
+              std::string::npos);
+
+    AnalysisSession coldSession(options);
+    SessionResult cold = coldSession.submit(constantEdit);
+    ASSERT_TRUE(cold.ok);
+    EXPECT_EQ(render(cold), render(warm)) << threads << " threads";
+  }
 }
 
 TEST(SessionTest, LoopGranularReuseOffIsByteIdenticalWithZeroSkips) {

@@ -98,7 +98,7 @@ const char* kLeafEdited = R"(
       end
       subroutine leaf(x)
       real x(100)
-      do i = 1, 100
+      do i = 1, 50
         x(i) = 3.0
       enddo
       end
@@ -283,9 +283,9 @@ TEST(StoreTest, RestoreRejectsVersionMismatchAndBadMagic) {
   const std::string bytes = slurp(snap.path);
 
   // Rewrite the schema version field (offset 4, little-endian u32): a
-  // future version and the retired v1 to v5 are all version skew.
+  // future version and the retired v1 to v6 are all version skew.
   store::StoreResult r;
-  for (int version : {99, 1, 2, 3, 4, 5}) {
+  for (int version : {99, 1, 2, 3, 4, 5, 6}) {
     std::string versioned = bytes;
     versioned[4] = static_cast<char>(version);
     spit(snap.path, versioned);
